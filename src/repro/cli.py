@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "shortest-path backend for the construction searches: heap "
             "(pure-Python Dijkstra), csr (batched scipy/numpy searches), "
-            "dial (bucket-queue searches for integer-scalable weights), "
-            "or auto (csr when scipy is available; the default)"
+            "dial (opt-in bucket-queue searches for integer-scalable "
+            "weights; slower than heap on road graphs), or auto (csr when "
+            "scipy is available, else heap; the default)"
         ),
     )
     build.add_argument(

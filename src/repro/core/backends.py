@@ -16,14 +16,18 @@ search implementation.  Three backends ship:
     available; the reference for bit-identical comparisons.
 
 ``dial``
-    Heap-free monotone bucket-queue (Dial) searches for snapshots whose
+    Opt-in only (never picked by ``auto`` or by ``csr``'s delegation):
+    heap-free monotone bucket-queue (Dial) searches for snapshots whose
     weights are integers after an exact power-of-two scaling.  Because
     float64 addition of such dyadic weights is exact while sums stay
     under ``2**53``, the bucket distances reproduce the heap Dijkstra's
     float sums *bit-identically*; non-eligible snapshots fall back to
     the ``csr`` searches (or ``heap`` without scipy).  Algorithm 4
     pruneability flags are recovered by the same shortest-path-DAG pass
-    the ``csr`` backend uses.
+    the ``csr`` backend uses.  Each search allocates a ring of up to
+    ``max_scaled_weight + 1`` buckets, which dwarfs the few dozen
+    vertices of a typical recursion node: on the 3.2k integer bench
+    graph a ``dial`` build is about 3x slower than a ``heap`` one.
 
 ``csr``
     Heap-free searches over the CSR snapshot: distances come from one
@@ -41,17 +45,15 @@ search implementation.  Three backends ship:
     backend-equivalence tests).
 
 Tiny subgraphs (the bulk of the recursion's nodes by count, not by cost)
-are delegated away from the matrix machinery even under ``csr``: below a
-few dozen vertices the per-call overhead of building a scipy matrix
-outweighs the scalar loops.  Those delegated snapshots run the Dial
-bucket queue when their weights are integer-scalable and the binary heap
-otherwise.  Since all backends produce identical results, mixing is safe.
+are delegated to the heap searches even under ``csr``: below a few
+dozen vertices the per-call overhead of building a scipy matrix
+outweighs the scalar loops.  Since all backends produce identical
+results, mixing is safe.
 
 ``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` /
 ``"dial"`` names used by :class:`~repro.core.index.HC2LParameters` and
 the CLI's ``repro build --backend`` to backend instances; ``auto`` picks
-``csr`` when scipy is importable and ``dial`` (whose non-integer
-fallback is the heap) otherwise.
+``csr`` when scipy is importable and ``heap`` otherwise.
 """
 
 from __future__ import annotations
@@ -210,6 +212,10 @@ class DialBackend(ShortestPathBackend):
     The eligibility verdict (and the scaled integer weights) is cached on
     the snapshot under :data:`_SCALE_CACHE`; the builder touches each
     node's snapshot many times, the detection sweep runs once.
+
+    Only an explicit ``backend="dial"`` selects this class: ``auto``
+    resolves to ``csr`` or ``heap``, and ``csr`` delegates its tiny
+    snapshots to the heap.
     """
 
     name = "dial"
@@ -335,10 +341,10 @@ class CSRBackend(ShortestPathBackend):
     Parameters
     ----------
     min_vertices:
-        Snapshots smaller than this are delegated to the heap backend -
-        the fixed per-call cost of assembling a scipy matrix dominates on
-        the recursion's many tiny leaf nodes.  Results are identical
-        either way.
+        Snapshots smaller than this (and snapshots with a zero-weight
+        edge) are delegated to the heap backend - the fixed per-call cost
+        of assembling a scipy matrix dominates on the recursion's many
+        tiny leaf nodes.  Results are identical either way.
     """
 
     name = "csr"
@@ -363,15 +369,11 @@ class CSRBackend(ShortestPathBackend):
         # python-walk crossover sits much higher than components()'s
         self.masked_min_vertices = masked_min_vertices
         self._heap = HeapBackend()
-        # delegated tiny snapshots run the Dial bucket queue when their
-        # weights are integer-scalable (no binary heap at all) and the
-        # heap otherwise; both are bit-identical to the batched searches
-        self._small = DialBackend(fallback=self._heap)
 
     # ------------------------------------------------------------------ #
     def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
         if self._delegate(flat):
-            return self._small.sssp_many(flat, sources)
+            return self._heap.sssp_many(flat, sources)
         rows = self._distance_rows(flat, sources)
         return [rows[source] for source in sources]
 
@@ -403,7 +405,7 @@ class CSRBackend(ShortestPathBackend):
         prune_sets: Sequence[Sequence[int]],
     ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
         if self._delegate(flat):
-            return self._small.dist_and_prune_many(flat, roots, prune_sets)
+            return self._heap.dist_and_prune_many(flat, roots, prune_sets)
         rows = self._distance_rows(flat, roots)
         dists: List[Sequence[float]] = []
         prunes: List[Sequence[bool]] = []
@@ -490,7 +492,7 @@ class CSRBackend(ShortestPathBackend):
             return True
         # scipy's sparse matrices treat explicit zeros as missing edges;
         # zero-weight edges are legal in Graph, so route them to the
-        # scalar searches (dial rejects them too and lands on the heap)
+        # heap searches
         return self._zero_weight(flat)
 
     @staticmethod
@@ -647,19 +649,18 @@ def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
     """Map a backend name (or instance, or ``None``) to a backend instance.
 
     ``"auto"`` (and ``None``) pick ``csr`` when scipy is importable and
-    ``dial`` (integer-scalable snapshots on the bucket queue, everything
-    else on its heap fallback) otherwise; explicit ``"csr"`` works
-    without scipy through the numpy fallback.  Instances pass through
-    untouched, so callers can inject a tuned :class:`CSRBackend`
-    directly.  Anything that is not a name, an instance, or ``None``
-    raises a :class:`TypeError` - a boolean or a number is always a
-    caller bug, not a backend choice.
+    ``heap`` otherwise; explicit ``"csr"`` works without scipy through
+    the numpy fallback, and ``"dial"`` is only ever an explicit choice.
+    Instances pass through untouched, so callers can inject a tuned
+    :class:`CSRBackend` directly.  Anything that is not a name, an
+    instance, or ``None`` raises a :class:`TypeError` - a boolean or a
+    number is always a caller bug, not a backend choice.
     """
     if isinstance(spec, ShortestPathBackend):
         return spec
     name = check_backend_name("auto" if spec is None else spec)
     if name == "auto":
-        name = "csr" if scipy_available() else "dial"
+        name = "csr" if scipy_available() else "heap"
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _BACKEND_FACTORIES[name]()

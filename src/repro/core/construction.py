@@ -110,8 +110,9 @@ class HC2LBuilder:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         construction searches (``"auto"``, ``"heap"``, ``"csr"``,
         ``"dial"``, or an instance); ``"auto"`` picks the CSR backend
-        when scipy is available.  Labels are bit-identical across
-        backends.
+        when scipy is available and the heap backend otherwise, and
+        ``"dial"`` runs only when named.  Labels are bit-identical
+        across backends.
     flow_method:
         Max-flow solver for the balanced cuts - a name from
         :data:`repro.flow.vertex_cut.FLOW_METHODS`, or ``"auto"`` to use

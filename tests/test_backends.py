@@ -19,16 +19,20 @@ import pytest
 import repro.core.backends as backends_module
 from repro.core.backends import (
     CSRBackend,
+    DialBackend,
     HeapBackend,
     check_backend_name,
     resolve_backend,
     scipy_available,
 )
 from repro.core.construction import HC2LBuilder
+from repro.core.dynamic import DynamicHC2LIndex
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_distances
+from repro.experiments.dynamic import clustered_edge_changes, integerised
 from repro.graph.builders import graph_from_edges
+from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 from repro.graph.graph import Graph
 
 INF = float("inf")
@@ -135,7 +139,7 @@ class TestBackendSelection:
         assert resolve_backend("heap").name == "heap"
         assert resolve_backend("csr").name == "csr"
         assert resolve_backend("dial").name == "dial"
-        expected_auto = "csr" if scipy_available() else "dial"
+        expected_auto = "csr" if scipy_available() else "heap"
         assert resolve_backend("auto").name == expected_auto
         assert resolve_backend(None).name == expected_auto
         instance = CSRBackend(min_vertices=7)
@@ -158,7 +162,12 @@ class TestBackendSelection:
             with pytest.raises(TypeError, match="must be a string"):
                 check_backend_name(spec)
         # None stays the documented "pick for me" spelling
-        assert resolve_backend(None).name in ("csr", "dial")
+        assert resolve_backend(None).name in ("csr", "heap")
+
+    def test_auto_without_scipy_resolves_to_heap(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "scipy_available", lambda: False)
+        assert resolve_backend("auto").name == "heap"
+        assert resolve_backend(None).name == "heap"
 
     def test_parameters_round_trip_through_archive(self, tmp_path):
         graph = _random_graph(9, n_lo=12, n_hi=20)
@@ -188,3 +197,40 @@ class TestBackendSelection:
         # and the built index answers a sanity query (synthetic networks
         # are connected, so the distance must be finite)
         assert np.isfinite(loaded.distances([(0, 1)])).all()
+
+
+class TestDefaultPathAvoidsDial:
+    """Dial is opt-in: no default build or reweight epoch may reach it.
+
+    Its bucket ring costs far more than the handful of vertices a tiny
+    snapshot holds, so ``auto`` and ``csr``'s tiny-snapshot delegation
+    run the heap instead.  Integer weights are exactly the input where
+    Dial would be eligible, so a path that still reached it would raise.
+    """
+
+    def test_build_and_epoch_never_run_dial(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a default-backend path ran a Dial search")
+
+        monkeypatch.setattr(DialBackend, "_sssp", forbidden)
+        spec = RoadNetworkSpec("default-path", num_vertices=300, seed=11)
+        road = integerised(synthetic_road_network(spec).distance_graph)
+        default = HC2LIndex.build(road)
+        heap = HC2LIndex.build(road, backend="heap")
+        assert default.flat_labelling() == heap.flat_labelling()
+
+        changes = clustered_edge_changes(road, 10, 2.5, seed=5)
+        default_dynamic = DynamicHC2LIndex(road)
+        heap_dynamic = DynamicHC2LIndex(road, backend="heap")
+        for dynamic in (default_dynamic, heap_dynamic):
+            for (u, v), weight in changes.items():
+                dynamic.update_edge_weight(u, v, weight)
+            dynamic.flush()
+            assert dynamic.relabel_count == 1
+        assert default_dynamic.index.flat_labelling() == heap_dynamic.index.flat_labelling()
+        rng = random.Random(5)
+        vertices = list(road.vertices())
+        pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(500)]
+        assert (
+            default_dynamic.distances(pairs).tolist() == heap_dynamic.distances(pairs).tolist()
+        )
