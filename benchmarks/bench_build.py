@@ -6,13 +6,15 @@ Builds the HC2L index for one generated road-like graph once per selected
 breakdown:
 
 * ``contraction`` - the degree-one contraction of the input graph,
-* ``snapshot`` - flattening each node's working adjacency into the CSR
-  snapshot shared by every construction search,
+* ``snapshot`` - the root CSR snapshot plus each node's induced,
+  shortcut-overlaid child snapshots (shared by every construction search),
 * ``hierarchy`` - balanced cuts (Algorithms 1-2: seed searches, max-flow
   vertex cuts and component re-assignment, all on the backend seam),
 * ``labelling`` - ranking + pruneability-tracking searches,
 * ``shortcuts`` - border searches + redundancy filtering (Algorithm 3),
-* ``flatten`` - packing the nested labelling into the flat buffers.
+* ``flatten`` - assembling the process-parallel label fragments into one
+  flat labelling (serial builds pack their labels inside the recursion,
+  so the phase is absent there).
 
 Backends are compared per phase (``speedup_vs_heap_<phase>`` on the csr
 row) as well as in total, so a single-phase regression or win - e.g. the
@@ -26,13 +28,13 @@ The rows land in ``BENCH_build.json`` (uploaded by CI next to
 the same way query regressions are.
 
 ``--scaling`` additionally sweeps a scaling curve: one graph per size in
-``--sizes``, built once per construction *mode* (``serial``/``thread``/
-``process`` x ``heap``/``csr``), with every mode's labels verified
-bit-identical against the first before any row is recorded.  Each mode
-row carries the same per-phase breakdown plus ``speedup_vs_heap[_phase]``
-against the same-size ``serial-heap`` row and - on ``process-csr`` -
-``speedup_vs_thread_csr`` against the same-size, same-worker-count
-``thread-csr`` row.  Every row also lists its five slowest hierarchy
+``--sizes``, built once per construction *mode* (``serial``/``process``
+x ``heap``/``csr``), with every mode's labels verified bit-identical
+against the first before any row is recorded.  Each mode row carries the
+same per-phase breakdown plus ``speedup_vs_heap[_phase]`` against the
+same-size ``serial-heap`` row and - on ``process-csr`` -
+``speedup_vs_serial_csr`` against the same-size ``serial-csr`` row.
+Every row also lists its five slowest hierarchy
 nodes (``slowest_nodes``), so a pathological cut shows up with its depth
 and vertex count rather than hiding inside a phase total.
 
@@ -67,15 +69,13 @@ from repro.graph.contraction import contract_degree_one
 
 PHASES = ("contraction", "snapshot", "hierarchy", "labelling", "shortcuts", "flatten")
 
-#: Scaling-curve construction modes: name -> (parallel_mode, backend).
-#: ``parallel_mode`` ``None`` runs the plain sequential builder.
-SCALING_MODES: Dict[str, Tuple[Optional[str], str]] = {
-    "serial-heap": (None, "heap"),
-    "serial-csr": (None, "csr"),
-    "thread-heap": ("thread", "heap"),
-    "thread-csr": ("thread", "csr"),
-    "process-heap": ("process", "heap"),
-    "process-csr": ("process", "csr"),
+#: Scaling-curve construction modes: name -> (worker processes?, backend).
+#: Serial modes run the plain :class:`HC2LBuilder`.
+SCALING_MODES: Dict[str, Tuple[bool, str]] = {
+    "serial-heap": (False, "heap"),
+    "serial-csr": (False, "csr"),
+    "process-heap": (True, "heap"),
+    "process-csr": (True, "csr"),
 }
 
 
@@ -116,11 +116,7 @@ def bench_backend(name: str, graph, leaf_size: int, flow_method: str = "auto"):
     contraction_seconds = time.perf_counter() - contract_start
 
     builder = HC2LBuilder(leaf_size=leaf_size, backend=backend, flow_method=flow_method)
-    hierarchy, labelling, stats = builder.build(contraction.core)
-
-    flatten_start = time.perf_counter()
-    flat = FlatLabelling.from_labelling(labelling)
-    flatten_seconds = time.perf_counter() - flatten_start
+    hierarchy, flat, stats = builder.build(contraction.core)
     total_seconds = time.perf_counter() - total_start
 
     row: Dict[str, object] = {
@@ -129,7 +125,6 @@ def bench_backend(name: str, graph, leaf_size: int, flow_method: str = "auto"):
         "flow_method": _resolved_flow_method(backend, flow_method),
         "total_seconds": round(total_seconds, 4),
         "seconds_contraction": round(contraction_seconds, 4),
-        "seconds_flatten": round(flatten_seconds, 4),
         "num_nodes": stats.num_nodes,
         "num_shortcuts": stats.num_shortcuts,
         "tree_height": hierarchy.height(),
@@ -144,14 +139,12 @@ def bench_backend(name: str, graph, leaf_size: int, flow_method: str = "auto"):
 def bench_mode(mode: str, graph, leaf_size: int, workers: int):
     """One full construction under a scaling mode, with the phase breakdown.
 
-    Serial modes run :class:`HC2LBuilder` directly; thread/process modes
-    run :class:`ParallelHC2LBuilder` with ``workers`` workers.  The
-    process modes return the flat labelling straight from the streaming
-    assembly (its packing time is the ``flatten`` phase of the builder's
-    timer); the others flatten the nested labelling here, exactly like
-    :func:`bench_backend`.
+    Serial modes run :class:`HC2LBuilder` directly; process modes run
+    :class:`ParallelHC2LBuilder` with ``workers`` worker processes.  Both
+    return the flat labelling; the process modes' fragment assembly is
+    the ``flatten`` phase of the builder's timer.
     """
-    parallel_mode, backend_name = SCALING_MODES[mode]
+    parallel, backend_name = SCALING_MODES[mode]
     backend = resolve_backend(backend_name)
     total_start = time.perf_counter()
 
@@ -159,35 +152,20 @@ def bench_mode(mode: str, graph, leaf_size: int, workers: int):
     contraction = contract_degree_one(graph)
     contraction_seconds = time.perf_counter() - contract_start
 
-    if parallel_mode is None:
+    if parallel:
+        builder = ParallelHC2LBuilder(leaf_size=leaf_size, backend=backend, num_workers=workers)
+    else:
         builder = HC2LBuilder(leaf_size=leaf_size, backend=backend)
-    else:
-        builder = ParallelHC2LBuilder(
-            leaf_size=leaf_size,
-            backend=backend,
-            num_workers=workers,
-            parallel_mode=parallel_mode,
-        )
-    hierarchy, labelling, stats = builder.build(contraction.core)
-
-    if isinstance(labelling, FlatLabelling):
-        flat = labelling
-        flatten_seconds = stats.timer.get("flatten")
-    else:
-        flatten_start = time.perf_counter()
-        flat = FlatLabelling.from_labelling(labelling)
-        flatten_seconds = time.perf_counter() - flatten_start
+    hierarchy, flat, stats = builder.build(contraction.core)
     total_seconds = time.perf_counter() - total_start
 
     row: Dict[str, object] = {
         "mode": mode,
         "backend": backend_name,
         "flow_method": _resolved_flow_method(backend, "auto"),
-        "parallel_mode": parallel_mode,
-        "workers": 1 if parallel_mode is None else workers,
+        "workers": workers if parallel else 1,
         "total_seconds": round(total_seconds, 4),
         "seconds_contraction": round(contraction_seconds, 4),
-        "seconds_flatten": round(flatten_seconds, 4),
         "num_nodes": stats.num_nodes,
         "num_shortcuts": stats.num_shortcuts,
         "num_tasks": stats.num_tasks,
@@ -258,11 +236,11 @@ def run_scaling(
                         row[f"speedup_vs_heap_{phase}"] = round(
                             float(heap_row[key]) / max(float(row[key]), 1e-9), 2
                         )
-        thread_row = rows.get("thread-csr")
+        serial_row = rows.get("serial-csr")
         process_row = rows.get("process-csr")
-        if thread_row is not None and process_row is not None:
-            process_row["speedup_vs_thread_csr"] = round(
-                float(thread_row["total_seconds"])
+        if serial_row is not None and process_row is not None:
+            process_row["speedup_vs_serial_csr"] = round(
+                float(serial_row["total_seconds"])
                 / max(float(process_row["total_seconds"]), 1e-9),
                 2,
             )
@@ -423,7 +401,7 @@ def main() -> None:
         "--scaling-workers",
         type=int,
         default=2,
-        help="worker count for the thread/process scaling modes",
+        help="worker count for the process scaling modes",
     )
     args = parser.parse_args()
 

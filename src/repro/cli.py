@@ -67,16 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker count: 1 builds sequentially, >=2 uses the parallel builder",
-    )
-    build.add_argument(
-        "--parallel-mode",
-        choices=["thread", "process"],
-        default="thread",
         help=(
-            "execution of the parallel builder (with --workers >= 2): "
-            "thread (shared-memory pool, GIL-bound) or process "
-            "(self-contained subtree work units on a process pool)"
+            "worker count: 1 builds sequentially, >=2 fans the construction "
+            "out over that many worker processes (same labels)"
         ),
     )
     from repro.core.backends import BACKEND_NAMES
@@ -307,7 +300,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         tail_pruning=not args.no_tail_pruning,
         contract=not args.no_contraction,
         num_workers=args.workers,
-        parallel_mode=args.parallel_mode,
         backend=args.backend,
         flow_method=args.flow_method,
     )

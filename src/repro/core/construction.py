@@ -1,4 +1,4 @@
-"""Sequential HC2L construction.
+"""HC2L construction.
 
 :class:`HC2LBuilder` interleaves the construction of the balanced tree
 hierarchy (Section 4.1) with the tail-pruned labelling (Section 4.2): for
@@ -16,42 +16,28 @@ each tree node it
 Interleaving avoids re-running the per-cut-vertex searches, which is also
 how the reference implementation described in the paper organises the work
 (the labelling searches "account for the majority" of construction time).
+
+The recursion itself is :func:`repro.core.flat_build.build_subtree`, which
+runs over CSR snapshots only.  A serial build is one call of it on a root
+snapshot taken straight from the graph's CSR arrays; the parallel builder
+(:class:`repro.core.parallel.ParallelHC2LBuilder`) fans the same recursion
+out over worker processes.  Both graft the returned subtree records into
+the hierarchy with :func:`graft_subtree`.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.flat_build import SubtreeResult, build_subtree
 from repro.flow.vertex_cut import check_flow_method
-from repro.core.flat import FlatWorkingGraph
-from repro.core.labelling import HC2LLabelling, node_distance_arrays
-from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
-from repro.partition.cut import BalancedCutResult, balanced_cut
-from repro.partition.shortcuts import child_adjacency, compute_shortcuts
-from repro.partition.working_graph import WorkingAdjacency, working_graph_from
 from repro.utils.timer import Timer
 from repro.utils.validation import check_balance_parameter
-
-
-#: execution modes of the parallel builder: ``thread`` fans the recursion
-#: out over a thread pool (the reference parallel path), ``process`` ships
-#: self-contained subtree work units to a process pool.
-PARALLEL_MODES = ("thread", "process")
-
-
-def check_parallel_mode(name: str) -> str:
-    """Validate a parallel-mode name, loudly."""
-    if name not in PARALLEL_MODES:
-        raise ValueError(
-            f"unknown parallel_mode {name!r}; expected one of {list(PARALLEL_MODES)}"
-        )
-    return name
 
 
 @dataclass
@@ -64,8 +50,8 @@ class ConstructionStats:
     num_shortcuts: int = 0
     num_empty_cuts: int = 0
     max_depth: int = 0
-    #: work units handed to a worker pool (0 for sequential builds and for
-    #: process-mode builds that fell back to the serial path)
+    #: work units handed to a worker pool (0 for serial builds and for
+    #: parallel builds that fell back to the serial path)
     num_tasks: int = 0
     #: per-node ``(depth, num_vertices, seconds, seconds_cut)`` records,
     #: where seconds covers the node's own cut + ranking + labelling +
@@ -88,6 +74,60 @@ class ConstructionStats:
         for name, seconds in self.timer.durations.items():
             result[f"seconds_{name}"] = seconds
         return result
+
+
+def root_snapshot(graph: Graph) -> FlatWorkingGraph:
+    """The construction's root snapshot, built from the graph's CSR arrays.
+
+    Vertex ``v`` keeps dense id ``v`` and its edges keep the graph's
+    adjacency order, so every search over the snapshot relaxes edges in
+    the same order as a snapshot built from the graph's adjacency dicts.
+    """
+    csr = graph.csr(cache=False)
+    return FlatWorkingGraph.from_csr_arrays(
+        range(graph.num_vertices), csr.indptr, csr.indices, csr.weights
+    )
+
+
+def graft_subtree(
+    hierarchy: BalancedTreeHierarchy,
+    stats: ConstructionStats,
+    result: SubtreeResult,
+    parent: Optional[int],
+    side: Optional[str],
+) -> None:
+    """Append a built subtree's nodes to ``hierarchy`` and fold in its stats.
+
+    The records are in preorder, so appending them in order gives every
+    node the index the recursion would have assigned had it written into
+    ``hierarchy`` directly.  ``parent`` / ``side`` place the subtree root
+    (``None`` for the hierarchy root).
+    """
+    local_to_global: List[int] = []
+    for i in range(len(result.depths)):
+        parent_local = result.parents[i]
+        if parent_local < 0:
+            parent_idx, side_i = parent, side
+        else:
+            parent_idx, side_i = local_to_global[parent_local], result.sides[i]
+        node = hierarchy.add_node(
+            result.depths[i],
+            result.bits[i],
+            result.cuts[i],
+            parent_idx,
+            side_i,
+            is_leaf=result.leaf_flags[i],
+        )
+        hierarchy.set_subtree_size(node.index, result.sizes[i])
+        local_to_global.append(node.index)
+    stats.num_nodes += len(result.depths)
+    stats.num_leaves += result.num_leaves
+    stats.num_empty_cuts += result.num_empty_cuts
+    stats.num_shortcuts += result.num_shortcuts
+    stats.max_depth = max(stats.max_depth, result.max_depth)
+    stats.node_timings.extend(result.node_timings)
+    for name, seconds in result.durations.items():
+        stats.timer.durations[name] = stats.timer.get(name) + seconds
 
 
 class HC2LBuilder:
@@ -139,158 +179,32 @@ class HC2LBuilder:
         self.flow_method = check_flow_method(flow_method)
 
     # ------------------------------------------------------------------ #
-    def build(self, graph: Graph) -> Tuple[BalancedTreeHierarchy, HC2LLabelling, ConstructionStats]:
-        """Build hierarchy + labelling for ``graph`` (over all its vertices)."""
+    def build(self, graph: Graph) -> Tuple[BalancedTreeHierarchy, FlatLabelling, ConstructionStats]:
+        """Build hierarchy + labelling for ``graph`` (over all its vertices).
+
+        The labels come back as a :class:`~repro.core.flat.FlatLabelling`
+        in vertex-id order.
+        """
         stats = ConstructionStats()
         hierarchy = BalancedTreeHierarchy(graph.num_vertices)
-        labelling = HC2LLabelling(graph.num_vertices)
         if graph.num_vertices == 0:
-            return hierarchy, labelling, stats
-        adjacency = working_graph_from(graph)
-        # the recursion is bounded by max_depth but pathological partition
-        # recursions inside Algorithm 1 can still nest; raise the limit for
-        # the duration of the build and restore it afterwards
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 10_000))
-        try:
-            self._build_node(
-                adjacency,
-                depth=0,
-                bits=0,
-                parent=None,
-                side=None,
-                hierarchy=hierarchy,
-                labelling=labelling,
-                stats=stats,
-            )
-        finally:
-            sys.setrecursionlimit(limit)
-        return hierarchy, labelling, stats
+            return hierarchy, FlatLabelling.concat([]), stats
+        with stats.timer.measure("snapshot"):
+            root = root_snapshot(graph)
+        result = self._build_subtree(root, 0, 0)
+        graft_subtree(hierarchy, stats, result, None, None)
+        return hierarchy, result.labels, stats
 
-    # ------------------------------------------------------------------ #
-    def _build_node(
-        self,
-        adjacency: WorkingAdjacency,
-        depth: int,
-        bits: int,
-        parent: Optional[int],
-        side: Optional[str],
-        hierarchy: BalancedTreeHierarchy,
-        labelling: HC2LLabelling,
-        stats: ConstructionStats,
-    ) -> Optional[int]:
-        vertices = sorted(adjacency)
-        n = len(vertices)
-        if n == 0:
-            return None
-        node_started = time.perf_counter()
-        stats.max_depth = max(stats.max_depth, depth)
-
-        cut_result: Optional[BalancedCutResult] = None
-        force_leaf = n <= self.leaf_size or depth >= self.max_depth
-        flat: Optional[FlatWorkingGraph] = None
-        if not force_leaf:
-            # one CSR snapshot per node, shared by the hierarchy phase
-            # (seed searches, component scans) and the labelling passes
-            # (which also share the csr backend's distance-row cache)
-            with stats.timer.measure("snapshot"):
-                flat = FlatWorkingGraph(adjacency)
-            cut_started = time.perf_counter()
-            with stats.timer.measure("hierarchy"):
-                cut_result = balanced_cut(
-                    beta=self.beta,
-                    flat=flat,
-                    backend=self.backend,
-                    flow_method=self.flow_method,
-                )
-            seconds_cut = time.perf_counter() - cut_started
-            if not cut_result.part_a or not cut_result.part_b:
-                force_leaf = True
-
-        if force_leaf:
-            return self._build_leaf(
-                adjacency, vertices, depth, bits, parent, side, hierarchy, labelling, stats
-            )
-
-        assert cut_result is not None and flat is not None
-        with stats.timer.measure("labelling"):
-            ranking = rank_cut_vertices(
-                adjacency, cut_result.cut, flat=flat, backend=self.backend
-            )
-            arrays, cut_distances = node_distance_arrays(
-                adjacency, ranking, self.tail_pruning, flat=flat, backend=self.backend
-            )
-        node = hierarchy.add_node(depth, bits, ranking.ordered, parent, side, is_leaf=False)
-        hierarchy.set_subtree_size(node.index, n)
-        stats.num_nodes += 1
-        if not ranking.ordered:
-            stats.num_empty_cuts += 1
-        for v in vertices:
-            labelling.append_level(v, arrays[v])
-
-        children = (
-            (cut_result.part_a, "left", 0),
-            (cut_result.part_b, "right", 1),
+    def _build_subtree(self, flat: FlatWorkingGraph, depth: int, bits: int) -> SubtreeResult:
+        """Run the construction recursion below ``flat`` in this process."""
+        return build_subtree(
+            flat,
+            depth,
+            bits,
+            beta=self.beta,
+            leaf_size=self.leaf_size,
+            tail_pruning=self.tail_pruning,
+            max_depth=self.max_depth,
+            backend=self.backend,
+            flow_method=self.flow_method,
         )
-        # derive both child graphs before recursing so the per-node timing
-        # below covers exactly this node's own work (no recursion inside)
-        pending = []
-        for child_vertices, child_side, child_bit in children:
-            if not child_vertices:
-                continue
-            with stats.timer.measure("shortcuts"):
-                shortcuts = compute_shortcuts(
-                    adjacency,
-                    ranking.ordered,
-                    child_vertices,
-                    cut_distances,
-                    backend=self.backend,
-                )
-                child = child_adjacency(adjacency, child_vertices, shortcuts)
-            stats.num_shortcuts += len(shortcuts)
-            pending.append((child, child_side, child_bit))
-        stats.node_timings.append((depth, n, time.perf_counter() - node_started, seconds_cut))
-        for child, child_side, child_bit in pending:
-            self._build_node(
-                child,
-                depth + 1,
-                (bits << 1) | child_bit,
-                node.index,
-                child_side,
-                hierarchy,
-                labelling,
-                stats,
-            )
-        return node.index
-
-    # ------------------------------------------------------------------ #
-    def _build_leaf(
-        self,
-        adjacency: WorkingAdjacency,
-        vertices: list,
-        depth: int,
-        bits: int,
-        parent: Optional[int],
-        side: Optional[str],
-        hierarchy: BalancedTreeHierarchy,
-        labelling: HC2LLabelling,
-        stats: ConstructionStats,
-    ) -> int:
-        """Terminate the recursion: every remaining vertex joins the node's cut."""
-        node_started = time.perf_counter()
-        with stats.timer.measure("labelling"):
-            flat = FlatWorkingGraph(adjacency)
-            ranking: CutRanking = rank_cut_vertices(
-                adjacency, vertices, flat=flat, backend=self.backend
-            )
-            arrays, _ = node_distance_arrays(
-                adjacency, ranking, self.tail_pruning, flat=flat, backend=self.backend
-            )
-        node = hierarchy.add_node(depth, bits, ranking.ordered, parent, side, is_leaf=True)
-        hierarchy.set_subtree_size(node.index, len(vertices))
-        stats.num_nodes += 1
-        stats.num_leaves += 1
-        for v in vertices:
-            labelling.append_level(v, arrays[v])
-        stats.node_timings.append((depth, len(vertices), time.perf_counter() - node_started, 0.0))
-        return node.index

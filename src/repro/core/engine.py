@@ -167,8 +167,10 @@ class BatchResolver:
         bits_u = self._vertex_bits[cs]
         bits_v = self._vertex_bits[ct]
         shift = depth_u - depth_v
-        bits_u = np.where(shift > 0, bits_u >> np.maximum(shift, 0), bits_u)
-        bits_v = np.where(shift < 0, bits_v >> np.maximum(-shift, 0), bits_v)
+        # the clamped shift is 0 on the shallower side (a no-op), so only
+        # the deeper side's bits move up to the common depth
+        bits_u = bits_u >> np.maximum(shift, 0)
+        bits_v = bits_v >> np.maximum(-shift, 0)
         common = np.minimum(depth_u, depth_v)
         diff = bits_u ^ bits_v
         # bit_length(0) == 0, so the diff == 0 case needs no special branch
@@ -344,18 +346,13 @@ class QueryEngine:
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``int.bit_length`` for non-negative int64 arrays."""
-    x = x.astype(np.uint64)
-    # smear the highest set bit downwards, then count the set bits with a
-    # SWAR popcount (np.bitwise_count needs numpy >= 2.0, which the repo
-    # does not require)
-    for shift in (1, 2, 4, 8, 16, 32):
-        x = x | (x >> np.uint64(shift))
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)
+    """Element-wise ``int.bit_length`` for int64 arrays in ``[0, 2**62)``.
+
+    Splits each value into a high and a low 31-bit half; both convert to
+    float64 exactly, so ``np.frexp``'s exponent is the exact bit length of
+    each half (and ``frexp(0)`` reports 0).  ``_MAX_VECTOR_DEPTH`` keeps
+    the path bitstrings below ``2**62``.
+    """
+    hi = x >> 31
+    lo = x & (2**31 - 1)
+    return np.where(hi > 0, np.frexp(hi)[1] + 31, np.frexp(lo)[1]).astype(np.int64)

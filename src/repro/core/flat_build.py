@@ -1,30 +1,32 @@
-"""Dict-free HC2L subtree construction (the process-parallel work unit).
+"""Dict-free HC2L construction: the construction recursion.
 
-The process-parallel builder (:class:`~repro.core.parallel.ParallelHC2LBuilder`
-with ``parallel_mode="process"``) ships independent hierarchy subtrees to
-worker processes.  A work unit must be self-contained and cheap to pickle,
-so it is expressed entirely over :class:`~repro.core.flat.FlatWorkingGraph`
-CSR snapshots (numpy arrays) instead of the dict-of-dicts working
-adjacency the sequential builder recurses on:
+Every construction node - serial or process-parallel - runs through this
+module.  The recursion is expressed entirely over
+:class:`~repro.core.flat.FlatWorkingGraph` CSR snapshots (numpy arrays),
+so a subtree of it is also a self-contained, cheap-to-pickle work unit
+for the process-parallel builder:
 
 * :func:`node_step` - one node of the interleaved construction (cut,
   ranking, labelling arrays, shortcut-enhanced child snapshots), with the
   child snapshots derived by
   :meth:`~repro.core.flat.FlatWorkingGraph.induce_with_shortcuts` on the
-  parent CSR rather than a fresh dict restriction.
+  parent CSR.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
-  graft the subtree into the global hierarchy plus one
+  graft the subtree into the global hierarchy
+  (:func:`repro.core.construction.graft_subtree`) plus one
   :class:`~repro.core.flat.FlatLabelling` fragment holding the subtree's
-  label levels in DFS (cut-concatenation) order.
+  label levels in the snapshot's vertex order.
+  :meth:`HC2LBuilder.build <repro.core.construction.HC2LBuilder.build>`
+  is a single call of it on the root snapshot.
 * :func:`build_subtree_payload` - the process-pool entry point; rebuilds
   the snapshot from a plain-arrays payload dict.
 
-Every step replicates the sequential builder's vertex orderings, edge
-orderings and tie-breaks, so the labels a worker produces are
-bit-identical to the ones the serial recursion would have written for the
-same subtree (``tests/test_process_parallel.py`` asserts this on whole
-graphs, ``tests/test_differential_fuzz.py`` across graph families).
+Vertex orderings, edge orderings and tie-breaks are deterministic, so a
+subtree built in a worker process is bit-identical to the same subtree
+built in-process (``tests/test_process_parallel.py`` asserts this on whole
+graphs, ``tests/test_differential_fuzz.py`` across graph families, and
+``tests/test_golden_labels.py`` pins the labels themselves).
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ class NodeStep:
     """Everything one construction node produces, before recursing.
 
     ``children`` lists ``(child_snapshot, side, bit, num_shortcuts)`` for
-    the non-empty children (empty partitions are skipped, mirroring the
-    sequential builder).
+    the non-empty children (empty partitions are skipped).
     """
 
     ranking: CutRanking
@@ -78,10 +79,9 @@ def node_step(
 ) -> NodeStep:
     """Run one node of the interleaved construction over a CSR snapshot.
 
-    The dict-free counterpart of ``HC2LBuilder._build_node``'s body: cut
-    the subgraph, rank the cut, compute the distance arrays, and derive the
-    shortcut-enhanced child snapshots - same decisions, same orderings,
-    no recursion and no dict materialisation.
+    Cut the subgraph, rank the cut, compute the distance arrays, and
+    derive the shortcut-enhanced child snapshots - no recursion and no
+    dict materialisation.
     """
     n = len(flat.vertices)
     force_leaf = n <= leaf_size or depth >= max_depth
@@ -155,8 +155,8 @@ def fragment_from_levels(levels_per_vertex: Sequence[List[List[float]]]) -> Flat
 
     Position ``p`` of the fragment holds the levels of
     ``levels_per_vertex[p]`` (the caller fixes the vertex order); empty
-    level arrays survive as zero-length levels, exactly like
-    ``HC2LLabelling.append_level`` records empty-cut depths.
+    level arrays survive as zero-length levels (a vertex below an empty
+    cut still records that depth).
     """
     n = len(levels_per_vertex)
     level_counts = np.fromiter(
@@ -178,13 +178,10 @@ class SubtreeResult:
     """A completed subtree, in picklable plain-array form.
 
     The node records are in preorder (node, then left subtree, then right
-    subtree) - the exact order the sequential recursion would have called
-    ``hierarchy.add_node`` - with parents referenced by *local* preorder
-    index (-1 for the subtree root, whose parent lives in the coordinating
-    process).  ``dfs_vertices`` concatenates the per-node cuts in the same
-    preorder, which covers every subtree vertex exactly once, and the
-    ``values`` / ``level_indptr`` / ``vertex_indptr`` triple is the
-    :class:`FlatLabelling` fragment over that vertex order.
+    subtree) with parents referenced by *local* preorder index (-1 for the
+    subtree root, whose parent lives in the caller's hierarchy).
+    ``labels`` holds every subtree vertex's levels from the subtree root's
+    depth down, in the order of the input snapshot's ``vertices``.
     """
 
     depths: List[int]
@@ -194,22 +191,13 @@ class SubtreeResult:
     leaf_flags: List[bool]
     sizes: List[int]
     cuts: List[List[int]]
-    dfs_vertices: np.ndarray
-    values: np.ndarray
-    level_indptr: np.ndarray
-    vertex_indptr: np.ndarray
+    labels: FlatLabelling
     num_leaves: int
     num_empty_cuts: int
     num_shortcuts: int
     max_depth: int
     durations: Dict[str, float]
     node_timings: List[Tuple[int, int, float, float]]
-
-    def fragment(self) -> FlatLabelling:
-        """The label fragment over ``dfs_vertices`` order."""
-        return FlatLabelling(
-            len(self.dfs_vertices), self.values, self.level_indptr, self.vertex_indptr
-        )
 
 
 def build_subtree(
@@ -226,10 +214,10 @@ def build_subtree(
 ) -> SubtreeResult:
     """Build the whole hierarchy subtree rooted at ``flat`` (dict-free).
 
-    Runs the same recursion as ``HC2LBuilder._build_node`` but over CSR
-    snapshots only, accumulating node records and per-vertex label levels
-    locally; the caller (worker process or inline fallback) grafts the
-    returned :class:`SubtreeResult` into the global hierarchy/labelling.
+    Accumulates node records and per-vertex label levels locally; the
+    caller (the serial builder, a worker process or the parallel
+    builder's inline path) grafts the returned :class:`SubtreeResult`
+    into the global hierarchy.
     """
     search = resolve_backend(backend)
     timer = Timer()
@@ -284,12 +272,14 @@ def build_subtree(
     finally:
         sys.setrecursionlimit(limit)
 
-    dfs = [v for record in records for v in record[6]]
-    if len(dfs) != len(flat.vertices):
+    covered = sum(len(record[6]) for record in records)
+    if covered != len(flat.vertices):
         raise AssertionError(
-            f"subtree cuts cover {len(dfs)} of {len(flat.vertices)} vertices"
+            f"subtree cuts cover {covered} of {len(flat.vertices)} vertices"
         )
-    fragment = fragment_from_levels([labels[v] for v in dfs])
+    # pack in snapshot vertex order, releasing each vertex's level lists
+    # as they are consumed
+    fragment = fragment_from_levels([labels.pop(v) for v in flat.vertices])
     return SubtreeResult(
         depths=[r[0] for r in records],
         bits=[r[1] for r in records],
@@ -298,10 +288,7 @@ def build_subtree(
         leaf_flags=[r[4] for r in records],
         sizes=[r[5] for r in records],
         cuts=[r[6] for r in records],
-        dfs_vertices=np.asarray(dfs, dtype=np.int64),
-        values=fragment.values,
-        level_indptr=fragment.level_indptr,
-        vertex_indptr=fragment.vertex_indptr,
+        labels=fragment,
         num_leaves=counters["num_leaves"],
         num_empty_cuts=counters["num_empty_cuts"],
         num_shortcuts=counters["num_shortcuts"],
@@ -318,7 +305,8 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
     the vertex-id map, the node position (``depth``, ``bits``) and the
     builder parameters.  The backend travels by *name*; a custom backend
     instance cannot cross a process boundary, so the coordinator only
-    ships named backends to workers (see ``ParallelHC2LBuilder``).
+    ships named backends to workers (see
+    :class:`~repro.core.parallel.ParallelHC2LBuilder`).
     """
     vertices = np.asarray(payload["vertices"], dtype=np.int64)
     flat = FlatWorkingGraph.from_csr_arrays(

@@ -7,7 +7,7 @@ network, then answer exact shortest-path distance queries in microseconds
 * the degree-one contraction (Section 4.2.2),
 * the balanced tree hierarchy and tail-pruned labelling over the core
   graph (Sections 4.1-4.2, built by :class:`repro.core.construction.HC2LBuilder`
-  or its parallel variant), and
+  or its process-parallel variant), and
 * the O(1)-LCA query procedure (Section 4.3).
 
 Label storage
@@ -15,10 +15,11 @@ Label storage
 The **primary** label store is the flat, contiguous
 :class:`~repro.core.flat.FlatLabelling` buffer (one ``float64`` array plus
 two index arrays) - the layout the batch :class:`~repro.core.engine.QueryEngine`
-vectorises over and the payload of the on-disk format.  The nested
-list-of-lists :class:`~repro.core.labelling.HC2LLabelling` that the
-construction passes produce is converted to flat buffers on creation and
-**not retained**; :attr:`HC2LIndex.labelling` materialises a read-oriented
+vectorises over and the payload of the on-disk format.  Construction
+writes the flat buffers directly; the nested list-of-lists
+:class:`~repro.core.labelling.HC2LLabelling` that the dynamic relabelling
+pass produces is converted to flat buffers on creation and **not
+retained**; :attr:`HC2LIndex.labelling` materialises a read-oriented
 nested view on demand (cached, invalidated by :meth:`replace_labelling`).
 A serving deployment that only issues batch queries therefore holds the
 labels exactly once.
@@ -61,14 +62,10 @@ class HC2LParameters:
     contract:
         Whether to run the degree-one contraction before labelling.
     num_workers:
-        1 builds sequentially (HC2L); >= 2 uses the parallel builder
-        (HC2L_p, Section 4.4) with this many workers.  Must be >= 1.
-    parallel_mode:
-        Execution of the parallel builder when ``num_workers >= 2``:
-        ``"thread"`` (shared-memory thread pool, the reference path) or
-        ``"process"`` (self-contained subtree work units on a process
-        pool; see :mod:`repro.core.parallel`).  Labels are bit-identical
-        across modes and worker counts.
+        1 builds sequentially (HC2L); >= 2 fans the same construction
+        recursion out over this many worker processes (HC2L_p,
+        Section 4.4; see :mod:`repro.core.parallel`).  Must be >= 1.
+        Labels are bit-identical across worker counts.
     backend:
         Shortest-path backend for the construction searches: ``"heap"``
         (pure-Python binary heap), ``"csr"`` (batched scipy / numpy
@@ -88,13 +85,11 @@ class HC2LParameters:
     tail_pruning: bool = True
     contract: bool = True
     num_workers: int = 1
-    parallel_mode: str = "thread"
     backend: str = "auto"
     flow_method: str = "auto"
 
     def __post_init__(self) -> None:
         from repro.core.backends import check_backend_name
-        from repro.core.construction import check_parallel_mode
         from repro.flow.vertex_cut import check_flow_method
 
         check_balance_parameter(self.beta)
@@ -102,7 +97,6 @@ class HC2LParameters:
             raise ValueError("leaf_size must be >= 1")
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
-        check_parallel_mode(self.parallel_mode)
         check_backend_name(self.backend)
         check_flow_method(self.flow_method)
 
@@ -216,7 +210,6 @@ class HC2LIndex:
                 tail_pruning=parameters.tail_pruning,
                 num_workers=parameters.num_workers,
                 backend=parameters.backend,
-                parallel_mode=parameters.parallel_mode,
                 flow_method=parameters.flow_method,
             )
         else:
@@ -227,18 +220,13 @@ class HC2LIndex:
                 backend=parameters.backend,
                 flow_method=parameters.flow_method,
             )
-        hierarchy, labelling, stats = builder.build(core)
+        hierarchy, flat, stats = builder.build(core)
         elapsed = time.perf_counter() - start
-        # the process-parallel builder streams the labels directly into
-        # flat buffers; hand them over as-is instead of round-tripping
-        # through the nested form
-        flat = labelling if isinstance(labelling, FlatLabelling) else None
         return cls(
             graph=graph,
             parameters=parameters,
             contraction=contraction,
             hierarchy=hierarchy,
-            labelling=None if flat is not None else labelling,
             stats=stats,
             construction_seconds=elapsed,
             flat=flat,

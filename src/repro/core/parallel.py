@@ -1,80 +1,61 @@
 """Parallel HC2L construction (HC2L_p, Section 4.4).
 
 The paper parallelises the recursion: the two sides of every balanced cut
-are processed concurrently.  This module offers two executions of that
-idea, selected by ``parallel_mode``:
+are independent, so whole subtrees can be built concurrently.  Here
+independent hierarchy subtrees are shipped to a
+:class:`concurrent.futures.ProcessPoolExecutor` as self-contained work
+units: the induced CSR arrays travel as numpy buffers (cheap to pickle,
+no ``Graph`` objects cross the boundary), each worker runs the
+construction recursion of :mod:`repro.core.flat_build` - the same one the
+serial :class:`~repro.core.construction.HC2LBuilder` runs - and the
+coordinator streams the returned label fragments into one flat
+:class:`~repro.core.flat.FlatLabelling`.  Processes sidestep the GIL, at
+the price of pickling each unit in and its label block out - below the
+size crossover (small graphs, ``num_vertices <= parallel_threshold``) the
+builder simply runs the serial build.  The top of the hierarchy is
+expanded inline (child snapshots are derived from the parent CSR plus
+the shortcut overlay), and peak memory is bounded by the frontier of
+in-flight units rather than the whole labelling.
 
-``thread``
-    The reference parallel path.  Child recursions large enough are
-    submitted to a :class:`concurrent.futures.ThreadPoolExecutor`; the
-    shared hierarchy / labelling / statistics are lock-guarded.  Threads
-    share memory, so nothing is copied - but under CPython's GIL the
-    pure-Python searches do not overlap, so the measured speed-up is
-    modest (the reference implementation is C++ where threads run truly
-    concurrently).  ``benchmarks/test_parallel_construction.py`` reports
-    whatever is achieved and EXPERIMENTS.md discusses the gap.
-
-``process``
-    Independent hierarchy subtrees are shipped to a
-    :class:`concurrent.futures.ProcessPoolExecutor` as self-contained
-    work units: the induced CSR arrays travel as numpy buffers (cheap to
-    pickle, no ``Graph`` objects cross the boundary), each worker runs
-    the dict-free recursion of :mod:`repro.core.flat_build`, and the
-    coordinator streams the returned label fragments into one flat
-    :class:`~repro.core.flat.FlatLabelling` in hierarchy DFS order.
-    Processes sidestep the GIL, at the price of pickling each unit in
-    and its label block out - below the size crossover (small graphs,
-    ``num_vertices <= parallel_threshold``) the builder simply falls
-    back to the serial path.  The top of the hierarchy is expanded
-    inline (snapshot reuse: child snapshots are derived from the parent
-    CSR plus the shortcut overlay, never rebuilt from dicts), and peak
-    memory is bounded by the frontier of in-flight units rather than the
-    whole nested labelling.
-
-Both modes produce labels bit-identical to the sequential
-:class:`~repro.core.construction.HC2LBuilder` for every worker count;
-``tests/test_process_parallel.py`` pins the full mode x backend x workers
-matrix and ``tests/test_differential_fuzz.py`` covers graph families.
+Labels are bit-identical to the serial build for every worker count;
+``tests/test_process_parallel.py`` pins the backend x workers matrix and
+``tests/test_differential_fuzz.py`` covers graph families.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.backends import BackendSpec
-from repro.core.construction import ConstructionStats, HC2LBuilder, check_parallel_mode
+from repro.core.construction import (
+    ConstructionStats,
+    HC2LBuilder,
+    graft_subtree,
+    root_snapshot,
+)
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.flat_build import (
     SubtreeResult,
-    build_subtree,
     build_subtree_payload,
     fragment_from_levels,
     node_step,
 )
-from repro.core.labelling import HC2LLabelling, node_distance_arrays
-from repro.core.ranking import rank_cut_vertices
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
-from repro.partition.cut import balanced_cut
-from repro.partition.shortcuts import child_adjacency, compute_shortcuts
-from repro.partition.working_graph import WorkingAdjacency, working_graph_from
 
 
 class ParallelHC2LBuilder(HC2LBuilder):
-    """HC2L builder that fans the recursion out over a worker pool.
+    """HC2L builder that fans the recursion out over worker processes.
 
-    Parameters mirror :class:`HC2LBuilder`; ``num_workers`` sets the pool
-    size, ``parallel_threshold`` the minimum subgraph size for which work
-    is handed to the pool rather than processed inline, and
-    ``parallel_mode`` selects threads (shared memory, GIL-bound) or
-    processes (self-contained subtree units, see the module docstring).
+    Parameters mirror :class:`HC2LBuilder`; ``num_workers`` sets the
+    process-pool size and ``parallel_threshold`` the minimum subgraph size
+    for which work is handed to the pool rather than built inline (graphs
+    at or below it are built serially).
     """
 
     def __init__(
@@ -86,7 +67,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
         num_workers: int = 4,
         parallel_threshold: int = 64,
         backend: BackendSpec = "auto",
-        parallel_mode: str = "thread",
         flow_method: str = "auto",
     ) -> None:
         super().__init__(
@@ -101,199 +81,22 @@ class ParallelHC2LBuilder(HC2LBuilder):
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.parallel_threshold = parallel_threshold
-        self.parallel_mode = check_parallel_mode(parallel_mode)
-        self._lock = threading.Lock()
-        self._futures: List[Future] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     def build(self, graph: Graph):
-        """Build hierarchy + labelling using ``num_workers`` workers.
+        """Build hierarchy + labelling using ``num_workers`` processes.
 
-        Thread mode returns the nested :class:`HC2LLabelling` like the
-        sequential builder; process mode returns the labels directly as a
-        :class:`~repro.core.flat.FlatLabelling` (the fragments are
-        streamed into the flat layout, the nested form never exists) -
-        except on small graphs (``num_vertices <= parallel_threshold``),
-        where it falls back to the serial nested build.
+        Returns the labels as a :class:`~repro.core.flat.FlatLabelling` in
+        vertex-id order, exactly like :meth:`HC2LBuilder.build`.
         """
-        if self.parallel_mode == "process":
-            return self._build_process(graph)
-        return self._build_threaded(graph)
-
-    # ------------------------------------------------------------------ #
-    # thread mode (the reference parallel path)
-    # ------------------------------------------------------------------ #
-    def _build_threaded(self, graph: Graph):
-        stats = ConstructionStats()
-        hierarchy = BalancedTreeHierarchy(graph.num_vertices)
-        labelling = HC2LLabelling(graph.num_vertices)
-        if graph.num_vertices == 0:
-            return hierarchy, labelling, stats
-        adjacency = working_graph_from(graph)
-        self._futures = []
-        with ThreadPoolExecutor(max_workers=self.num_workers) as executor:
-            self._executor = executor
-            self._build_node(
-                adjacency,
-                depth=0,
-                bits=0,
-                parent=None,
-                side=None,
-                hierarchy=hierarchy,
-                labelling=labelling,
-                stats=stats,
-            )
-            # Drain nested tasks: new futures may be appended while we wait.
-            while True:
-                with self._lock:
-                    pending = [f for f in self._futures if not f.done()]
-                if not pending:
-                    break
-                wait(pending)
-            for future in self._futures:
-                future.result()  # surface exceptions from worker threads
-        self._executor = None
-        return hierarchy, labelling, stats
-
-    @contextmanager
-    def _timed(self, stats: ConstructionStats, name: str) -> Iterator[None]:
-        """Thread-safe :meth:`Timer.measure`: the read-modify-write of the
-        shared durations dict happens under the builder lock."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                stats.timer.durations[name] = stats.timer.get(name) + elapsed
-
-    def _build_node(
-        self,
-        adjacency: WorkingAdjacency,
-        depth: int,
-        bits: int,
-        parent: Optional[int],
-        side: Optional[str],
-        hierarchy: BalancedTreeHierarchy,
-        labelling: HC2LLabelling,
-        stats: ConstructionStats,
-    ) -> Optional[int]:
-        vertices = sorted(adjacency)
-        n = len(vertices)
-        if n == 0:
-            return None
-        node_started = time.perf_counter()
-        with self._lock:
-            stats.max_depth = max(stats.max_depth, depth)
-
-        force_leaf = n <= self.leaf_size or depth >= self.max_depth
-        cut_result = None
-        flat: Optional[FlatWorkingGraph] = None
-        if not force_leaf:
-            with self._timed(stats, "snapshot"):
-                flat = FlatWorkingGraph(adjacency)
-            cut_started = time.perf_counter()
-            with self._timed(stats, "hierarchy"):
-                cut_result = balanced_cut(
-                    beta=self.beta,
-                    flat=flat,
-                    backend=self.backend,
-                    flow_method=self.flow_method,
-                )
-            seconds_cut = time.perf_counter() - cut_started
-            if not cut_result.part_a or not cut_result.part_b:
-                force_leaf = True
-
-        if force_leaf:
-            with self._timed(stats, "labelling"):
-                flat = FlatWorkingGraph(adjacency)
-                ranking = rank_cut_vertices(adjacency, vertices, flat=flat, backend=self.backend)
-                arrays, _ = node_distance_arrays(
-                    adjacency, ranking, self.tail_pruning, flat=flat, backend=self.backend
-                )
-            with self._lock:
-                node = hierarchy.add_node(depth, bits, ranking.ordered, parent, side, is_leaf=True)
-                hierarchy.set_subtree_size(node.index, n)
-                stats.num_nodes += 1
-                stats.num_leaves += 1
-                stats.node_timings.append((depth, n, time.perf_counter() - node_started, 0.0))
-            for v in vertices:
-                labelling.append_level(v, arrays[v])
-            return node.index
-
-        assert cut_result is not None and flat is not None
-        with self._timed(stats, "labelling"):
-            ranking = rank_cut_vertices(adjacency, cut_result.cut, flat=flat, backend=self.backend)
-            arrays, cut_distances = node_distance_arrays(
-                adjacency, ranking, self.tail_pruning, flat=flat, backend=self.backend
-            )
-        with self._lock:
-            node = hierarchy.add_node(depth, bits, ranking.ordered, parent, side, is_leaf=False)
-            hierarchy.set_subtree_size(node.index, n)
-            stats.num_nodes += 1
-            if not ranking.ordered:
-                stats.num_empty_cuts += 1
-        for v in vertices:
-            labelling.append_level(v, arrays[v])
-
-        children = (
-            (cut_result.part_a, "left", 0),
-            (cut_result.part_b, "right", 1),
-        )
-        # derive both child graphs before submitting/recursing so the
-        # per-node timing covers exactly this node's own work
-        pending = []
-        for child_vertices, child_side, child_bit in children:
-            if not child_vertices:
-                continue
-            with self._timed(stats, "shortcuts"):
-                shortcuts = compute_shortcuts(
-                    adjacency, ranking.ordered, child_vertices, cut_distances, backend=self.backend
-                )
-                child = child_adjacency(adjacency, child_vertices, shortcuts)
-            with self._lock:
-                stats.num_shortcuts += len(shortcuts)
-            pending.append((child, child_side, child_bit, len(child_vertices)))
-        with self._lock:
-            stats.node_timings.append((depth, n, time.perf_counter() - node_started, seconds_cut))
-        for child, child_side, child_bit, child_n in pending:
-            args = (
-                child,
-                depth + 1,
-                (bits << 1) | child_bit,
-                node.index,
-                child_side,
-                hierarchy,
-                labelling,
-                stats,
-            )
-            if self._executor is not None and child_n >= self.parallel_threshold:
-                future = self._executor.submit(self._build_node, *args)
-                with self._lock:
-                    self._futures.append(future)
-                    stats.num_tasks += 1
-            else:
-                self._build_node(*args)
-        return node.index
-
-    # ------------------------------------------------------------------ #
-    # process mode (self-contained subtree units)
-    # ------------------------------------------------------------------ #
-    def _build_process(self, graph: Graph):
-        stats = ConstructionStats()
-        hierarchy = BalancedTreeHierarchy(graph.num_vertices)
-        if graph.num_vertices == 0:
-            return hierarchy, HC2LLabelling(0), stats
         n_total = graph.num_vertices
         if n_total <= self.parallel_threshold:
             # below the pickling crossover a pool costs more than it saves
-            return HC2LBuilder.build(self, graph)
-
-        adjacency = working_graph_from(graph)
+            return super().build(graph)
+        stats = ConstructionStats()
+        hierarchy = BalancedTreeHierarchy(n_total)
         with stats.timer.measure("snapshot"):
-            root = FlatWorkingGraph(adjacency)
-        del adjacency
+            root = root_snapshot(graph)
         # subtrees at most this large become work units; the cap keeps at
         # least ~4 units per worker in flight for load balance while the
         # floor stops units too small to amortise their pickling
@@ -338,16 +141,14 @@ class ParallelHC2LBuilder(HC2LBuilder):
                         result: SubtreeResult = (
                             handle.result() if isinstance(handle, Future) else handle
                         )
-                        self._merge_subtree(
-                            result, parent_event, side, event_to_hier, hierarchy, stats
-                        )
-                        # the worker's fragment is in subtree-DFS order;
-                        # align the inherited ancestor prefix to it, then
-                        # concatenate levels per vertex (prefix first)
-                        order = np.searchsorted(unit_vertices, result.dfs_vertices)
+                        parent_idx = event_to_hier[parent_event] if parent_event >= 0 else None
+                        graft_subtree(hierarchy, stats, result, parent_idx, side)
+                        # both fragments follow the unit snapshot's vertex
+                        # order: inherited ancestor levels first, then the
+                        # subtree's own
                         fragments[slot] = (
-                            result.dfs_vertices,
-                            prefix_frag.reorder(order).merge_levels(result.fragment()),
+                            unit_vertices,
+                            prefix_frag.merge_levels(result.labels),
                         )
         finally:
             sys.setrecursionlimit(limit)
@@ -388,8 +189,8 @@ class ParallelHC2LBuilder(HC2LBuilder):
 
         Nodes larger than ``ship_max`` are processed here (cut + ranking +
         labelling + child snapshots via the shortcut overlay); anything at
-        or below it becomes a work unit.  Runs single-threaded in the
-        coordinating process, so statistics need no locking.
+        or below it becomes a work unit.  Runs in the coordinating
+        process.
         """
         n = len(flat.vertices)
         if n == 0:
@@ -499,55 +300,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
             handle = executor.submit(build_subtree_payload, payload)
             stats.num_tasks += 1
         else:
-            # too small to amortise pickling; same dict-free recursion,
-            # run inline with the exact backend instance
-            handle = build_subtree(
-                flat,
-                depth,
-                bits,
-                beta=self.beta,
-                leaf_size=self.leaf_size,
-                tail_pruning=self.tail_pruning,
-                max_depth=self.max_depth,
-                backend=self.backend,
-                flow_method=self.flow_method,
-            )
+            # too small to amortise pickling; same recursion, run inline
+            # with the exact backend instance
+            handle = self._build_subtree(flat, depth, bits)
         events.append(("unit", slot, handle, prefix_frag, unit_vertices, parent_event, side))
-
-    def _merge_subtree(
-        self,
-        result: SubtreeResult,
-        parent_event: int,
-        side: Optional[str],
-        event_to_hier: Dict[int, int],
-        hierarchy: BalancedTreeHierarchy,
-        stats: ConstructionStats,
-    ) -> None:
-        """Graft a unit's node records and statistics into the globals."""
-        local_to_global: List[int] = []
-        for i in range(len(result.depths)):
-            parent_local = result.parents[i]
-            if parent_local < 0:
-                parent_idx = event_to_hier[parent_event] if parent_event >= 0 else None
-                side_i = side
-            else:
-                parent_idx = local_to_global[parent_local]
-                side_i = result.sides[i]
-            node = hierarchy.add_node(
-                result.depths[i],
-                result.bits[i],
-                result.cuts[i],
-                parent_idx,
-                side_i,
-                is_leaf=result.leaf_flags[i],
-            )
-            hierarchy.set_subtree_size(node.index, result.sizes[i])
-            local_to_global.append(node.index)
-        stats.num_nodes += len(result.depths)
-        stats.num_leaves += result.num_leaves
-        stats.num_empty_cuts += result.num_empty_cuts
-        stats.num_shortcuts += result.num_shortcuts
-        stats.max_depth = max(stats.max_depth, result.max_depth)
-        stats.node_timings.extend(result.node_timings)
-        for name, seconds in result.durations.items():
-            stats.timer.durations[name] = stats.timer.get(name) + seconds

@@ -97,7 +97,6 @@ def _index_header(index: "HC2LIndex", label_layout: str) -> dict:
             "num_workers": parameters.num_workers,
             # absent in pre-backend archives; HC2LParameters defaults them
             "backend": getattr(parameters, "backend", "auto"),
-            "parallel_mode": getattr(parameters, "parallel_mode", "thread"),
             # absent before the flow-method switch existed; "auto" keeps
             # legacy archives on the backend-selected solver
             "flow_method": getattr(parameters, "flow_method", "auto"),
@@ -494,6 +493,9 @@ def _unpack_components(archive, header: dict) -> dict:
     parameters = dict(header["parameters"])
     if int(parameters.get("num_workers", 1)) < 1:
         parameters["num_workers"] = 1
+    # archives written while a thread-pool builder existed name its
+    # execution mode; every mode built the same labels, so it is dropped
+    parameters.pop("parallel_mode", None)
 
     return {
         "graph": graph,

@@ -172,13 +172,20 @@ class Graph:
         """
         return self._num_edges * 2 * 12 + self.num_vertices * 8
 
-    def csr(self) -> CSRAdjacency:
-        """The CSR view of the adjacency (cached until the next mutation)."""
+    def csr(self, cache: bool = True) -> CSRAdjacency:
+        """The CSR view of the adjacency (cached until the next mutation).
+
+        ``cache=False`` serves one-shot readers: it returns the cached view
+        when there is one, and otherwise builds a view without keeping it,
+        so a graph that outlives the reader (an index's core graph after
+        construction) does not hold a copy of its edges for its lifetime.
+        """
         # getattr: graphs restored from legacy pickles predate the _csr slot
         csr = getattr(self, "_csr", None)
         if csr is None:
             csr = CSRAdjacency.from_adjacency(self._adj)
-            self._csr = csr
+            if cache:
+                self._csr = csr
         return csr
 
     # ------------------------------------------------------------------ #

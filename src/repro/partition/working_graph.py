@@ -6,13 +6,14 @@ representations cooperate:
 
 * the *mutable* ``dict[vertex, dict[neighbour, weight]]`` adjacency maps
   keyed by original vertex ids (``WorkingAdjacency``) remain the format
-  child subgraphs are assembled in - shortcut edges are added in place -
-  and the reference the dict-based helpers here operate on;
+  the dynamic relabelling pass (:func:`repro.core.dynamic.relabel`)
+  assembles child subgraphs in - shortcut edges are added in place - and
+  the reference the dict-based helpers here operate on;
 * the *search* side runs on an immutable CSR snapshot
   (:class:`~repro.core.flat.FlatWorkingGraph`, re-exported here as
-  :data:`CSRSnapshot`): the hierarchy builder flattens each node's
-  adjacency once and the partition, ranking, labelling and shortcut
-  passes all search that snapshot through the pluggable
+  :data:`CSRSnapshot`): construction works on snapshots only (see
+  :mod:`repro.core.flat_build`), and the partition, ranking, labelling
+  and shortcut passes all search the node's snapshot through the pluggable
   :class:`~repro.core.backends.ShortestPathBackend` seam.  Snapshots
   restrict with numpy array operations
   (:meth:`~repro.core.flat.FlatWorkingGraph.induce`) instead of dict

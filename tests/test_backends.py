@@ -27,7 +27,7 @@ from repro.core.backends import (
 )
 from repro.core.construction import HC2LBuilder
 from repro.core.dynamic import DynamicHC2LIndex
-from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.flat import FlatWorkingGraph
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_distances
 from repro.experiments.dynamic import clustered_edge_changes, integerised
@@ -61,7 +61,7 @@ class TestBackendBitIdentity:
         # min_vertices=0 forces the batched searches even on leaf nodes
         builder = HC2LBuilder(leaf_size=4, backend=CSRBackend(min_vertices=0))
         _, labelling, _ = builder.build(heap_index.contraction.core)
-        assert FlatLabelling.from_labelling(labelling) == heap_index.flat_labelling()
+        assert labelling == heap_index.flat_labelling()
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_numpy_fallback_matches_heap(self, seed, monkeypatch):
@@ -72,7 +72,7 @@ class TestBackendBitIdentity:
         heap_index = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         builder = HC2LBuilder(leaf_size=4, backend=CSRBackend(min_vertices=0))
         _, labelling, _ = builder.build(heap_index.contraction.core)
-        assert FlatLabelling.from_labelling(labelling) == heap_index.flat_labelling()
+        assert labelling == heap_index.flat_labelling()
 
     def test_zero_weight_edges_are_delegated_and_exact(self):
         """scipy drops explicit zeros; the csr backend must route around that."""
@@ -84,7 +84,7 @@ class TestBackendBitIdentity:
         heap_index = HC2LIndex.build(graph, leaf_size=2, backend="heap")
         csr_builder = HC2LBuilder(leaf_size=2, backend=csr)
         _, labelling, _ = csr_builder.build(heap_index.contraction.core)
-        assert FlatLabelling.from_labelling(labelling) == heap_index.flat_labelling()
+        assert labelling == heap_index.flat_labelling()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sssp_many_agrees_across_backends(self, seed):

@@ -33,6 +33,16 @@ class TestParser:
                 ["build", "--graph", str(dimacs_file), "--synthetic", "100", "-o", "x.idx"]
             )
 
+    def test_parallel_mode_flag_removed(self):
+        # --workers >= 2 always means worker processes; the old thread /
+        # process switch is rejected instead of silently ignored
+        args = build_parser().parse_args(["build", "--synthetic", "100", "-o", "x.idx", "--workers", "2"])
+        assert args.workers == 2 and not hasattr(args, "parallel_mode")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["build", "--synthetic", "100", "-o", "x.idx", "--parallel-mode", "thread"]
+            )
+
 
 class TestBuildAndQuery:
     def test_build_from_dimacs_then_query(self, tmp_path, dimacs_file, capsys, small_oracle):

@@ -41,7 +41,8 @@ class TestBuilderRecursionControl:
         hierarchy, labelling, stats = HC2LBuilder().build(Graph(1))
         assert len(hierarchy.nodes) == 1
         assert hierarchy.nodes[0].cut == [0]
-        assert labelling.labels[0] == [[0.0]]
+        assert labelling.num_levels(0) == 1
+        assert labelling.level_array(0, 0) == [0.0]
 
     def test_complete_graph_terminates(self):
         # dense graphs have no small cuts; the builder must still terminate

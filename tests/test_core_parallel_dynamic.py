@@ -32,6 +32,9 @@ class TestParallelBuilder:
         assert parallel.tree_height() == sequential.tree_height()
         assert parallel.max_cut_size() == sequential.max_cut_size()
         assert parallel.labelling.total_entries() == sequential.labelling.total_entries()
+        # worker processes run the serial recursion on subtrees: the labels
+        # are the same bits, not merely the same size
+        assert parallel.flat_labelling() == sequential.flat_labelling()
 
     def test_parallel_matches_sequential_answers(self, medium_graph):
         sequential = HC2LIndex.build(medium_graph)

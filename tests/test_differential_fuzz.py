@@ -186,14 +186,12 @@ class TestFlowMethodFuzz:
 
     def test_flow_methods_build_identical_labels(self, case):
         from repro.core.construction import HC2LBuilder
-        from repro.core.flat import FlatLabelling
         from repro.flow.vertex_cut import FLOW_METHODS
 
         graph = _fuzz_graph(case, seed=1)
         reference = None
         for method in FLOW_METHODS:
-            _, labelling, _ = HC2LBuilder(leaf_size=4, flow_method=method).build(graph)
-            flat = FlatLabelling.from_labelling(labelling)
+            _, flat, _ = HC2LBuilder(leaf_size=4, flow_method=method).build(graph)
             if reference is None:
                 reference = flat
             else:
@@ -227,17 +225,11 @@ class TestProcessParallelFuzz:
 
     def test_process_build_matches_serial(self, case):
         from repro.core.construction import HC2LBuilder
-        from repro.core.flat import FlatLabelling
         from repro.core.parallel import ParallelHC2LBuilder
 
         graph = _fuzz_graph(case, seed=0)
         _, reference, _ = HC2LBuilder(leaf_size=4).build(graph)
-        reference_flat = FlatLabelling.from_labelling(reference)
 
-        builder = ParallelHC2LBuilder(
-            leaf_size=4, parallel_mode="process", num_workers=2, parallel_threshold=8
-        )
+        builder = ParallelHC2LBuilder(leaf_size=4, num_workers=2, parallel_threshold=8)
         _, labelling, _ = builder.build(graph)
-        if not isinstance(labelling, FlatLabelling):
-            labelling = FlatLabelling.from_labelling(labelling)
-        assert labelling == reference_flat
+        assert labelling == reference

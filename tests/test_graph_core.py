@@ -144,6 +144,26 @@ class TestGraphDerived:
         assert set(adjacency) == {1, 2}
         assert adjacency[1] == {2: 2.0}
 
+    def test_uncached_csr_is_not_kept(self):
+        graph = Graph(3)
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(1, 2, 2.0)
+        one_shot = graph.csr(cache=False)
+        assert one_shot is not graph.csr(cache=False)
+        cached = graph.csr()
+        assert cached is graph.csr() and cached is graph.csr(cache=False)
+        for name in ("indptr", "indices", "weights"):
+            assert getattr(one_shot, name).tolist() == getattr(cached, name).tolist()
+
+    def test_build_leaves_core_graph_without_csr_copy(self, small_graph):
+        # the construction reads the core graph's CSR once; keeping it would
+        # hold a copy of every edge for the index's lifetime
+        from repro.core.index import HC2LIndex
+
+        core = HC2LIndex.build(small_graph).contraction.core
+        assert core is not small_graph
+        assert core._csr is None
+
     def test_networkx_round_trip(self):
         graph = Graph(4)
         graph.add_edge(0, 1, 1.5)

@@ -1,8 +1,8 @@
 """Tests for the process-parallel construction path.
 
-The process mode ships self-contained CSR work units to worker processes
-and streams the returned label blocks into the flat layout, so the key
-property is *bit-identity*: for every ``parallel_mode`` x ``backend`` x
+The parallel builder ships self-contained CSR work units to worker
+processes and streams the returned label blocks into the flat layout, so
+the key property is *bit-identity*: for every ``backend`` x
 ``num_workers`` combination the labels (and the hierarchy) must equal the
 serial heap build exactly - not approximately.
 """
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.construction import HC2LBuilder, PARALLEL_MODES, check_parallel_mode
+from repro.core.construction import HC2LBuilder
 from repro.core.flat import FlatLabelling
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.labelling import HC2LLabelling
@@ -23,10 +23,20 @@ from repro.core.parallel import ParallelHC2LBuilder
 from helpers import assert_distance_equal
 
 
-def _flat_of(labelling) -> FlatLabelling:
-    if isinstance(labelling, FlatLabelling):
-        return labelling
-    return FlatLabelling.from_labelling(labelling)
+def _read_header(path) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
+
+
+def _rewrite_header(path, edit) -> None:
+    """Rewrite an archive's JSON header in place through ``edit(header)``."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
+    edit(header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8).copy()
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
 
 
 def _hierarchy_signature(hierarchy):
@@ -37,25 +47,24 @@ def _hierarchy_signature(hierarchy):
 
 
 class TestBitIdentityMatrix:
-    """{thread, process} x {heap, csr} x {1, 2, 4} workers == serial heap."""
+    """process x {heap, csr} x {1, 2, 4} workers == serial heap."""
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    # one execution mode is left; the axis keeps the matrix's test ids
+    @pytest.mark.parametrize("mode", ["process"])
     @pytest.mark.parametrize("backend", ["heap", "csr"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_labels_match_serial_heap(self, medium_graph, mode, backend, workers):
         serial = HC2LBuilder(leaf_size=8, backend="heap")
         _, reference, _ = serial.build(medium_graph)
-        reference_flat = _flat_of(reference)
 
         builder = ParallelHC2LBuilder(
             leaf_size=8,
             backend=backend,
             num_workers=workers,
-            parallel_mode=mode,
             parallel_threshold=16,
         )
         _, labelling, _ = builder.build(medium_graph)
-        assert _flat_of(labelling) == reference_flat
+        assert labelling == reference
 
     def test_process_hierarchy_matches_serial(self, medium_graph):
         serial_h, _, _ = HC2LBuilder(leaf_size=8, backend="csr").build(medium_graph)
@@ -63,7 +72,6 @@ class TestBitIdentityMatrix:
             leaf_size=8,
             backend="csr",
             num_workers=2,
-            parallel_mode="process",
             parallel_threshold=16,
         )
         process_h, _, _ = builder.build(medium_graph)
@@ -77,16 +85,13 @@ class TestBitIdentityMatrix:
             leaf_size=2,
             backend="csr",
             num_workers=2,
-            parallel_mode="process",
             parallel_threshold=4,
         )
         _, labelling, _ = builder.build(disconnected_graph)
-        assert _flat_of(labelling) == _flat_of(reference)
+        assert labelling == reference
 
     def test_process_distances_exact(self, small_graph, small_oracle, query_pairs_small):
-        index = HC2LIndex.build(
-            small_graph, num_workers=2, parallel_mode="process", backend="csr"
-        )
+        index = HC2LIndex.build(small_graph, num_workers=2, backend="csr")
         for s, t in query_pairs_small:
             assert_distance_equal(small_oracle.distance(s, t), index.distance(s, t))
 
@@ -94,29 +99,25 @@ class TestBitIdentityMatrix:
 class TestProcessFallback:
     def test_small_graph_builds_serially(self, small_graph):
         # below the parallel threshold the coordinator runs the plain
-        # sequential builder: no tasks, nested labels
-        builder = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process", parallel_threshold=256
-        )
+        # sequential builder: no tasks, same flat labels
+        builder = ParallelHC2LBuilder(num_workers=2, parallel_threshold=256)
         hierarchy, labelling, stats = builder.build(small_graph)
         assert stats.num_tasks == 0
-        assert isinstance(labelling, HC2LLabelling)
+        assert isinstance(labelling, FlatLabelling)
         _, reference, _ = HC2LBuilder().build(small_graph)
-        assert _flat_of(labelling) == _flat_of(reference)
+        assert labelling == reference
 
     def test_default_threshold_keeps_tiny_graphs_serial(self):
         from repro.graph.builders import path_graph
 
         graph = path_graph(40, weight=1.5)
-        builder = ParallelHC2LBuilder(num_workers=2, parallel_mode="process")
+        builder = ParallelHC2LBuilder(num_workers=2)
         _, labelling, stats = builder.build(graph)
         assert stats.num_tasks == 0
-        assert isinstance(labelling, HC2LLabelling)
+        assert isinstance(labelling, FlatLabelling)
 
     def test_large_enough_graph_ships_tasks(self, medium_graph):
-        builder = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process", parallel_threshold=16, leaf_size=8
-        )
+        builder = ParallelHC2LBuilder(num_workers=2, parallel_threshold=16, leaf_size=8)
         hierarchy, labelling, stats = builder.build(medium_graph)
         assert stats.num_tasks > 0
         assert isinstance(labelling, FlatLabelling)
@@ -125,20 +126,20 @@ class TestProcessFallback:
     def test_empty_graph(self):
         from repro.graph.graph import Graph
 
-        hierarchy, labelling, stats = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process"
-        ).build(Graph(0))
+        hierarchy, labelling, stats = ParallelHC2LBuilder(num_workers=2).build(Graph(0))
         assert stats.num_nodes == 0
         assert len(hierarchy.nodes) == 0
 
 
 class TestParameterValidation:
+    # the execution-mode knob is gone (num_workers >= 2 always means
+    # worker processes); naming it must fail loudly, not be ignored
     def test_unknown_parallel_mode_builder(self):
-        with pytest.raises(ValueError, match="unknown parallel_mode"):
+        with pytest.raises(TypeError, match="parallel_mode"):
             ParallelHC2LBuilder(parallel_mode="fibers")
 
     def test_unknown_parallel_mode_parameters(self):
-        with pytest.raises(ValueError, match="unknown parallel_mode"):
+        with pytest.raises(TypeError, match="parallel_mode"):
             HC2LParameters(parallel_mode="gpu")
 
     def test_bad_worker_count_parameters(self):
@@ -151,48 +152,57 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="num_workers must be >= 1"):
             ParallelHC2LBuilder(num_workers=0)
 
-    def test_check_parallel_mode_lists_known_modes(self):
-        for mode in PARALLEL_MODES:
-            check_parallel_mode(mode)
-        with pytest.raises(ValueError, match="thread"):
-            check_parallel_mode("nope")
-
 
 class TestPersistenceRoundTrip:
     def test_parallel_mode_round_trips(self, small_graph, tmp_path):
-        index = HC2LIndex.build(
-            small_graph, num_workers=2, parallel_mode="process", backend="csr"
-        )
+        # the worker count round-trips; the retired execution-mode key is
+        # no longer written
+        index = HC2LIndex.build(small_graph, num_workers=2, backend="csr")
         path = tmp_path / "process.npz"
         index.save(path)
+        assert "parallel_mode" not in _read_header(path)["parameters"]
         loaded = HC2LIndex.load(path)
-        assert loaded.parameters.parallel_mode == "process"
         assert loaded.parameters.num_workers == 2
         assert loaded.flat_labelling() == index.flat_labelling()
 
     def test_legacy_header_defaults(self, small_graph, tmp_path):
-        # a pre-parallel_mode archive (and one carrying a nonsensical
-        # num_workers) must load with today's defaults instead of tripping
-        # the new validation
+        # an archive carrying a nonsensical num_workers (older sequential
+        # builds stored 0) must load with today's defaults instead of
+        # tripping the validation
         index = HC2LIndex.build(small_graph)
         path = tmp_path / "legacy.npz"
         index.save(path)
 
-        archive = np.load(path, allow_pickle=False)
-        arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["parameters"].pop("parallel_mode")
-        header["parameters"]["num_workers"] = 0
-        arrays["header"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+        def edit(header):
+            header["parameters"]["num_workers"] = 0
 
+        _rewrite_header(path, edit)
         loaded = HC2LIndex.load(path)
-        assert loaded.parameters.parallel_mode == "thread"
         assert loaded.parameters.num_workers == 1
         assert loaded.flat_labelling() == index.flat_labelling()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thread_mode_archive_loads(self, small_graph, query_pairs_small, tmp_path, workers):
+        # every archive saved while the thread-pool builder existed stores
+        # ``parallel_mode: "thread"``; it must load and answer exactly as
+        # before, and re-saving drops the key
+        index = HC2LIndex.build(small_graph, num_workers=workers)
+        path = tmp_path / "thread.npz"
+        index.save(path)
+
+        def edit(header):
+            header["parameters"]["parallel_mode"] = "thread"
+
+        _rewrite_header(path, edit)
+        loaded = HC2LIndex.load(path)
+        assert loaded.parameters == index.parameters
+        assert loaded.flat_labelling() == index.flat_labelling()
+        pairs = np.asarray(query_pairs_small, dtype=np.int64)
+        assert loaded.distances(pairs).tolist() == index.distances(pairs).tolist()
+        resaved = tmp_path / "resaved.npz"
+        loaded.save(resaved)
+        assert "parallel_mode" not in _read_header(resaved)["parameters"]
+
 
 
 class TestStreamingAssembly:

@@ -149,7 +149,13 @@ class TestOneToManyAndMatrix:
 
 class TestEngineInternals:
     def test_bit_length_matches_python(self):
+        # every power of two and every all-ones value up to the 62-bit
+        # bitstrings the vectorised LCA admits, plus random 62-bit values
         values = [0, 1, 2, 3, 7, 8, 255, 256, 2**40, 2**62 - 1]
+        values += [2**k for k in range(62)] + [2**k - 1 for k in range(1, 63)]
+        rng = random.Random(62)
+        values += [rng.randrange(2**62) for _ in range(2000)]
+        values += [rng.randrange(2 ** rng.randrange(1, 63)) for _ in range(2000)]
         expected = [v.bit_length() for v in values]
         assert _bit_length(np.asarray(values, dtype=np.int64)).tolist() == expected
 
