@@ -145,9 +145,8 @@ class ShortestPathBackend:
         Each component is a sorted list of *original* vertex ids and the
         components are ordered by their smallest member - exactly the
         output contract of
-        :func:`repro.graph.components.components_of_adjacency`, so the
-        partition layer can swap between the dict walk and the backend
-        without changing a single tie-break.
+        :func:`repro.graph.components.components_of_adjacency`, so every
+        backend hands the partition layer the same tie-breaks.
         """
         return _components_python(flat)
 

@@ -77,16 +77,16 @@ class ConstructionStats:
 
 
 def root_snapshot(graph: Graph) -> FlatWorkingGraph:
-    """The construction's root snapshot, built from the graph's CSR arrays.
+    """The root snapshot of ``graph``, built from the graph's CSR arrays.
 
     Vertex ``v`` keeps dense id ``v`` and its edges keep the graph's
-    adjacency order, so every search over the snapshot relaxes edges in
-    the same order as a snapshot built from the graph's adjacency dicts.
+    adjacency order.  Construction and relabelling start every walk here;
+    every other snapshot is derived from a root with
+    :meth:`~repro.core.flat.FlatWorkingGraph.induce` and
+    :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`.
     """
     csr = graph.csr(cache=False)
-    return FlatWorkingGraph.from_csr_arrays(
-        range(graph.num_vertices), csr.indptr, csr.indices, csr.weights
-    )
+    return FlatWorkingGraph(range(graph.num_vertices), csr.indptr, csr.indices, csr.weights)
 
 
 def graft_subtree(

@@ -4,9 +4,17 @@ The paper's closing remarks observe that the balanced tree hierarchy does
 not depend on edge weights - only the shortcut weights and the distance
 values do - so when travel times change (road closures, congestion) the
 hierarchy can be preserved and only the labels need refreshing.  This
-module implements exactly that: :func:`relabel` re-runs the labelling pass
-of the construction over an *existing* hierarchy with new edge weights,
-skipping the expensive balanced-cut computations entirely.
+module implements exactly that: :func:`relabel` walks the *existing*
+hierarchy over CSR snapshots of the reweighted core graph, skipping the
+expensive balanced-cut computations entirely.
+
+Each recomputed node runs the construction's own per-node sequence
+(:func:`repro.core.flat_build.label_node` and
+:func:`repro.core.flat_build.shortcut_child`) on the inherited cut and
+partitions, and the labels are packed straight into a
+:class:`~repro.core.flat.FlatLabelling`.  A scoped relabel walks an
+old-side snapshot of the previous weights alongside and splices the old
+levels of every subtree whose snapshot did not change.
 
 Topology changes (adding or removing edges/vertices) are out of scope, as
 in the paper; :class:`DynamicHC2LIndex` raises for them and a full rebuild
@@ -16,6 +24,7 @@ is required.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -23,23 +32,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.backends import ShortestPathBackend, resolve_backend
-from repro.core.construction import ConstructionStats
+from repro.core.construction import ConstructionStats, root_snapshot
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.flat_build import fragment_from_levels, label_node, shortcut_child
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.labelling import HC2LLabelling, node_distance_arrays
-from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.graph.contraction import ContractedGraph, contract_degree_one
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy, TreeNode
-from repro.partition.shortcuts import (
-    apply_shortcuts,
-    child_adjacency,
-    compute_shortcuts,
-)
-from repro.partition.working_graph import (
-    WorkingAdjacency,
-    restrict_adjacency,
-    working_graph_from,
-)
+from repro.partition.shortcuts import border_vertices
 
 INF = float("inf")
 
@@ -90,65 +90,38 @@ def relabel(
         contraction = _identity_contraction(new_graph)
 
     hierarchy = index.hierarchy
-    core = contraction.core
-    labelling = HC2LLabelling(core.num_vertices)
-    stats = ConstructionStats()
-    adjacency = working_graph_from(core)
-    # legacy pickled parameters may predate the backend field
-    backend = resolve_backend(getattr(index.parameters, "backend", "auto"))
-
-    new_hierarchy = _copy_hierarchy_structure(hierarchy)
-    roots = [node for node in hierarchy.nodes if node.parent is None]
-
     core_diff = _core_diff_edges(index.contraction, diff)
     scoped = changed_edges is not None and _scoping_pays(hierarchy, core_diff)
+    walk = _RelabelWalk(index, resolve_backend(getattr(index.parameters, "backend", "auto")))
+    with walk.stats.timer.measure("snapshot"):
+        new_root = root_snapshot(contraction.core)
+        old_root = root_snapshot(index.contraction.core) if scoped else None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        for root in hierarchy.nodes:
+            if root.parent is None:
+                walk.visit(root, new_root, old_root)
+    finally:
+        sys.setrecursionlimit(limit)
+
     extra: Dict[str, float] = {}
     if scoped:
-        old_adjacency = working_graph_from(index.contraction.core)
-        delta = sorted({(min(u, v), max(u, v)) for u, v in core_diff})
-        counters = {"recomputed": 0, "spliced": 0}
-        for root in roots:
-            _scoped_node(
-                index,
-                root,
-                old_adjacency,
-                adjacency,
-                delta,
-                new_hierarchy,
-                labelling,
-                stats,
-                index.parameters,
-                backend,
-                counters,
-            )
         extra = {
             "relabel_scoped": 1.0,
-            "relabel_nodes_recomputed": float(counters["recomputed"]),
-            "relabel_nodes_spliced": float(counters["spliced"]),
+            "relabel_nodes_recomputed": float(walk.recomputed),
+            "relabel_nodes_spliced": float(walk.spliced),
         }
-    else:
-        for root in roots:
-            _relabel_node(
-                index, root, adjacency, new_hierarchy, labelling, stats, index.parameters, backend
-            )
-
-    elapsed = time.perf_counter() - start
     return HC2LIndex(
         graph=new_graph,
         parameters=index.parameters,
         contraction=contraction,
-        hierarchy=new_hierarchy,
-        labelling=labelling,
-        stats=stats,
-        construction_seconds=elapsed,
+        hierarchy=walk.hierarchy,
+        flat=walk.labels(),
+        stats=walk.stats,
+        construction_seconds=time.perf_counter() - start,
         extra=extra,
     )
-
-
-def _weight_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
-    """Edges (normalised original-id keys) whose weight differs between the graphs."""
-    new_weights = {(u, v): w for u, v, w in new.edges()}
-    return [(u, v) for u, v, w in old.edges() if new_weights[(u, v)] != w]
 
 
 def _topology_checked_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
@@ -244,7 +217,7 @@ def _scoping_pays(
     A changed core edge ``(a, b)`` dirties exactly the nodes on the
     root-to-LCA(a, b) chain (the nodes whose working subgraph contains
     both endpoints); descendants are only touched if their inherited
-    shortcuts shift, which the walk detects by adjacency equality.  Each
+    shortcuts shift, which the walk detects by snapshot equality.  Each
     dirty node costs roughly twice a full-pass node (old-side cut
     distances are recomputed too), so scoping pays when twice the dirty
     cost is below the whole-tree cost.
@@ -268,183 +241,210 @@ def _scoping_pays(
     return 2 * dirty_cost < total_cost
 
 
-def _scoped_node(
-    index: HC2LIndex,
-    node: TreeNode,
-    old_adjacency: WorkingAdjacency,
-    new_adjacency: WorkingAdjacency,
-    delta: Sequence[Tuple[int, int]],
-    new_hierarchy: BalancedTreeHierarchy,
-    labelling: HC2LLabelling,
-    stats: ConstructionStats,
-    parameters: HC2LParameters,
-    backend: ShortestPathBackend,
-    counters: Dict[str, int],
-) -> None:
-    """Scoped relabel of one node: splice when untouched, recompute when not.
+class _RelabelWalk:
+    """One relabelling pass over an existing hierarchy.
 
-    Labels at a node are a deterministic function of its working
-    subgraph's *content* (induced edges plus inherited shortcuts) and the
-    cut vertex set - ranking and tail pruning both derive from the same
-    distance searches.  ``delta`` is the exact set of (normalised) edge
-    keys on which ``old_adjacency`` and ``new_adjacency`` differ,
-    maintained along the recursion; an empty delta means the two working
-    graphs are identical, so the old labels of the whole subtree are
-    exactly what a full relabel would recompute, and we splice them over
-    instead.
+    :meth:`visit` walks a node with its snapshot under the new weights
+    and, in a scoped pass, the snapshot the old index was built from.
+    Labels are a deterministic function of a node's snapshot *content*
+    (edges and weights, including inherited shortcuts) and its cut
+    vertex set - ranking and tail pruning derive from the same searches -
+    so when the two snapshots hold the same edges the old levels of the
+    whole subtree are exactly what recomputing would produce, and they
+    are spliced over instead.  Without an old-side snapshot (the full
+    pass, or below a crossing shortcut) every node is recomputed.
+
+    Recomputed levels collect in per-vertex lists; a vertex of a spliced
+    subtree keeps its old levels below them.
     """
-    old_hierarchy = index.hierarchy
-    if not delta:
-        _splice_subtree(index, node, labelling, stats, counters)
-        return
 
-    counters["recomputed"] += 1
-    # Cut-crossing shortcuts (see _crossing_extension) void the premise of
-    # the splice test - the child working graph then also depends on the
-    # extension hubs' distances - so the whole subtree falls back to the
-    # plain per-node recompute, which handles the extension.  The old side
-    # is checked too: an earlier relabel may have left crossing edges that
-    # the old-side shortcut reconstruction below would not reproduce.
-    if _crossing_extension(new_adjacency, node, old_hierarchy) or _crossing_extension(
-        old_adjacency, node, old_hierarchy
-    ):
-        _relabel_node(
-            index, node, new_adjacency, new_hierarchy, labelling, stats, parameters, backend
-        )
-        return
-    with stats.timer.measure("labelling"):
-        from repro.core.flat import FlatWorkingGraph
+    def __init__(self, index: HC2LIndex, backend: ShortestPathBackend) -> None:
+        self.old_hierarchy = index.hierarchy
+        self.old_labels = index.flat_labelling()
+        self.hierarchy = _copy_hierarchy_structure(index.hierarchy)
+        self.tail_pruning = index.parameters.tail_pruning
+        self.backend = backend
+        self.stats = ConstructionStats()
+        #: recomputed levels per core vertex, from depth 0 down; a vertex
+        #: keeps its old levels below the recomputed ones
+        self.levels: List[List[List[float]]] = [
+            [] for _ in range(self.old_labels.num_vertices)
+        ]
+        self.recomputed = 0
+        self.spliced = 0
 
-        flat = FlatWorkingGraph(new_adjacency)
-        ranking: CutRanking = rank_cut_vertices(
-            new_adjacency, node.cut, flat=flat, backend=backend
-        )
-        arrays, cut_distances = node_distance_arrays(
-            new_adjacency, ranking, parameters.tail_pruning, flat=flat, backend=backend
-        )
-    new_node = new_hierarchy.nodes[node.index]
-    new_node.cut = list(ranking.ordered)
-    for vertex in ranking.ordered:
-        new_hierarchy.vertex_node[vertex] = new_node.index
-        new_hierarchy.vertex_depth[vertex] = new_node.depth
-        new_hierarchy.vertex_bits[vertex] = new_node.bits
-    for vertex in new_adjacency:
-        labelling.append_level(vertex, arrays[vertex])
-    stats.num_nodes += 1
-    if node.is_leaf:
-        stats.num_leaves += 1
-        return
+    def labels(self) -> FlatLabelling:
+        """The relabelled flat labels: recomputed levels, then spliced ones."""
+        labels = fragment_from_levels(self.levels)
+        if self.spliced:
+            labels = self.old_labels.replace_leading_levels(labels)
+        return labels
 
-    old_cut = list(node.cut)
-    children = []
-    for child_index in (node.left, node.right):
-        if child_index is None:
-            continue
-        child_node = old_hierarchy.nodes[child_index]
-        child_vertices = old_hierarchy.subtree_vertices(child_index)
-        members = set(child_vertices)
-        delta_within = [(u, v) for u, v in delta if u in members and v in members]
-        borders_old = _borders_from_cut(old_adjacency, old_cut, members)
-        borders_new = _borders_from_cut(new_adjacency, old_cut, members)
-        children.append(
-            (child_node, child_vertices, delta_within, borders_old, borders_new)
-        )
+    def visit(
+        self, node: TreeNode, new: FlatWorkingGraph, old: Optional[FlatWorkingGraph]
+    ) -> None:
+        """Relabel the subtree rooted at ``node``."""
+        if old is not None:
+            if _same_edges(old, new):
+                self._splice(node)
+                return
+            self.recomputed += 1
+        for child_node, child, old_child in self._recompute(node, new, old):
+            self.visit(child_node, child, old_child)
 
-    # Old-side cut distances.  Exact Dijkstra distances are determined by
-    # the adjacency floats alone (every relaxation evaluates the same
-    # ``dist[u] + w`` candidates, whatever the search order), so plain
-    # ``sssp_many`` reproduces the original build's cut distance maps
-    # bit-for-bit without the prune bookkeeping of the labelling pass.
-    # Only border values are ever consulted (the splice test here and
-    # ``dist_c.get(b)`` in Algorithm 3), so the maps cover borders only.
-    old_flat = FlatWorkingGraph(old_adjacency)
-    old_rows = backend.sssp_many(old_flat, old_flat.dense_ids(old_cut))
+    def _recompute(
+        self, node: TreeNode, new: FlatWorkingGraph, old: Optional[FlatWorkingGraph]
+    ) -> List[Tuple[TreeNode, FlatWorkingGraph, Optional[FlatWorkingGraph]]]:
+        """Recompute ``node``'s level and derive its children's snapshots.
+
+        Returns ``(child, new snapshot, old snapshot or None)`` for every
+        child still to walk; children found unchanged are spliced here.
+        The node's distance maps die on return, before the walk descends.
+        """
+        stats, backend = self.stats, self.backend
+        children = [
+            (self.old_hierarchy.nodes[i], self.old_hierarchy.subtree_vertices(i))
+            for i in (node.left, node.right)
+            if i is not None
+        ]
+        extension = _crossing_extension(new, children)
+        # Cut-crossing shortcuts void the premise of the splice test - the
+        # child snapshots then also depend on the extension hubs'
+        # distances - so the whole subtree is recomputed.  The old side is
+        # checked too: an earlier relabel may have left crossing edges that
+        # the old-side shortcut reconstruction below would not reproduce.
+        if old is not None and (extension or _crossing_extension(old, children)):
+            old = None
+        # Tail truncation would give the extension entries (appended below)
+        # different positions in different vertices' arrays, breaking the
+        # min-plus prefix alignment, so it is disabled on affected nodes.
+        ranking, arrays, cut_distances = label_node(
+            new,
+            node.cut,
+            tail_pruning=self.tail_pruning and not extension,
+            backend=backend,
+            timer=stats.timer,
+        )
+        if extension:
+            with stats.timer.measure("labelling"):
+                rows = backend.sssp_many(new, new.dense_ids(extension))
+                for hub, row in zip(extension, rows):
+                    values = [float(value) for value in row]
+                    cut_distances[hub] = {
+                        v: d for v, d in zip(new.vertices, values) if d != INF
+                    }
+                    for vertex, value in zip(new.vertices, values):
+                        arrays[vertex].append(value)
+        self.hierarchy.nodes[node.index].cut = list(ranking.ordered)
+        for vertex in new.vertices:
+            self.levels[vertex].append(arrays[vertex])
+        stats.num_nodes += 1
+        if node.is_leaf:
+            stats.num_leaves += 1
+            return []
+
+        hubs = ranking.ordered + extension
+        old_cut_distances = None
+        if old is not None:
+            old_cut_distances = _old_border_distances(old, node.cut, children, backend)
+        walk = []
+        for child_node, part in children:
+            within = new.induce(part)
+            old_child = None
+            if old is not None:
+                old_within = old.induce(part)
+                borders = border_vertices(old, part, node.cut)
+                # The child snapshot is a pure function of the restricted
+                # region, the border set and the cut distances *at the
+                # borders* (Algorithm 3 consults nothing else): when all
+                # three are unchanged, splice without a single shortcut
+                # search on either side.
+                if (
+                    _same_edges(old_within, within)
+                    and borders == border_vertices(new, part, node.cut)
+                    and _border_distances_equal(
+                        old_cut_distances, cut_distances, node.cut, borders
+                    )
+                ):
+                    self._splice(child_node)
+                    continue
+                old_child, _ = shortcut_child(
+                    old,
+                    node.cut,
+                    part,
+                    old_cut_distances,
+                    backend=backend,
+                    timer=stats.timer,
+                    within=old_within,
+                )
+            child, num_shortcuts = shortcut_child(
+                new, hubs, part, cut_distances, backend=backend, timer=stats.timer, within=within
+            )
+            stats.num_shortcuts += num_shortcuts
+            walk.append((child_node, child, old_child))
+        return walk
+
+    def _splice(self, node: TreeNode) -> None:
+        """Keep the old levels of the subtree rooted at ``node`` verbatim.
+
+        Every vertex of the region owns one level per ancestor depth from
+        ``node.depth`` down to its own node; the ancestors above ``node``
+        were recomputed, so the vertex holds ``node.depth`` recomputed
+        levels and :meth:`labels` keeps its old levels from there on.
+        Only the statistics are updated here.
+        """
+        stack = [node.index]
+        while stack:
+            current = self.old_hierarchy.nodes[stack.pop()]
+            self.spliced += 1
+            self.stats.num_nodes += 1
+            if current.is_leaf:
+                self.stats.num_leaves += 1
+            for child_index in (current.left, current.right):
+                if child_index is not None:
+                    stack.append(child_index)
+
+
+def _same_edges(a: FlatWorkingGraph, b: FlatWorkingGraph) -> bool:
+    """Whether two snapshots over the same vertices have identical CSR arrays.
+
+    Exact float equality in the same edge order.  Snapshots holding the
+    same edges in another order count as different, and the subtree is
+    then recomputed as the full pass would.
+    """
+    return all(np.array_equal(x, y) for x, y in zip(a.csr_arrays(), b.csr_arrays()))
+
+
+def _old_border_distances(
+    old: FlatWorkingGraph,
+    cut: Sequence[int],
+    children: Sequence[Tuple[TreeNode, List[int]]],
+    backend: ShortestPathBackend,
+) -> Dict[int, Dict[int, float]]:
+    """Old-side cut distances to the children's old-side borders.
+
+    Exact Dijkstra distances are determined by the edge floats alone
+    (every relaxation evaluates the same ``dist[u] + w`` candidates,
+    whatever the search order), so plain ``sssp_many`` reproduces the
+    original build's cut distance maps bit-for-bit without the prune
+    bookkeeping of the labelling pass.  Only border values are ever
+    consulted (the splice test and ``dist_c.get(b)`` in Algorithm 3),
+    and both read old-side borders only.
+    """
     border_union = sorted(
-        {b for _, _, _, bo, bn in children for b in bo}
-        | {b for _, _, _, bo, bn in children for b in bn}
+        {b for _, part in children for b in border_vertices(old, part, cut)}
     )
-    border_dense = old_flat.dense_ids(border_union)
-    old_cut_distances: Dict[int, Dict[int, float]] = {}
-    for cut_vertex, row in zip(old_cut, old_rows):
+    border_dense = old.dense_ids(border_union)
+    rows = backend.sssp_many(old, old.dense_ids(cut))
+    distances: Dict[int, Dict[int, float]] = {}
+    for cut_vertex, row in zip(cut, rows):
         entries = {}
         for border, j in zip(border_union, border_dense):
             value = float(row[j])
             if value != INF:
                 entries[border] = value
-        old_cut_distances[cut_vertex] = entries
-
-    for child_node, child_vertices, delta_within, borders_old, borders_new in children:
-        # The child's working graph is a pure function of the restricted
-        # region content, the border set and the cut distances *at the
-        # borders* (Algorithm 3 consults nothing else).  When all three
-        # are unchanged the child's shortcuts - and hence its entire
-        # subtree's labels - are unchanged too: splice without running a
-        # single old- or new-side shortcut search.
-        if (
-            not delta_within
-            and borders_old == borders_new
-            and _border_distances_equal(
-                old_cut_distances, cut_distances, old_cut, borders_old
-            )
-        ):
-            _splice_subtree(index, child_node, labelling, stats, counters)
-            continue
-        old_within = restrict_adjacency(old_adjacency, child_vertices)
-        new_within = restrict_adjacency(new_adjacency, child_vertices)
-        with stats.timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                new_adjacency, ranking.ordered, child_vertices, cut_distances, backend=backend
-            )
-            apply_shortcuts(new_within, shortcuts)
-            old_shortcuts = compute_shortcuts(
-                old_adjacency, old_cut, child_vertices, old_cut_distances, backend=backend
-            )
-            apply_shortcuts(old_within, old_shortcuts)
-        stats.num_shortcuts += len(shortcuts)
-        # exact child delta: inherited diffs plus any key a shortcut (on
-        # either side) could have introduced or modified, value-compared
-        candidates = set(delta_within)
-        candidates.update(
-            (min(s.u, s.v), max(s.u, s.v)) for s in shortcuts
-        )
-        candidates.update(
-            (min(s.u, s.v), max(s.u, s.v)) for s in old_shortcuts
-        )
-        child_delta = [
-            (u, v)
-            for u, v in candidates
-            if old_within[u].get(v) != new_within[u].get(v)
-        ]
-        _scoped_node(
-            index,
-            child_node,
-            old_within,
-            new_within,
-            child_delta,
-            new_hierarchy,
-            labelling,
-            stats,
-            parameters,
-            backend,
-            counters,
-        )
-
-
-def _borders_from_cut(
-    adjacency: WorkingAdjacency, cut: Sequence[int], partition: Set[int]
-) -> List[int]:
-    """Same set as :func:`border_vertices`, scanned from the cut side.
-
-    Borders are partition vertices adjacent to the cut; scanning the cut
-    vertices' (symmetric) neighbourhoods touches O(degree(cut)) edges
-    instead of every edge of the partition.
-    """
-    found: Set[int] = set()
-    for cut_vertex in cut:
-        for neighbour in adjacency[cut_vertex]:
-            if neighbour in partition:
-                found.add(neighbour)
-    return sorted(found)
+        distances[cut_vertex] = entries
+    return distances
 
 
 def _border_distances_equal(
@@ -463,139 +463,34 @@ def _border_distances_equal(
     return True
 
 
-def _splice_subtree(
-    index: HC2LIndex,
-    node: TreeNode,
-    labelling: HC2LLabelling,
-    stats: ConstructionStats,
-    counters: Dict[str, int],
-) -> None:
-    """Copy the old label levels of the subtree rooted at ``node`` verbatim.
-
-    Every vertex of the region owns one level per ancestor depth from
-    ``node.depth`` down to its own node; ancestors above ``node`` already
-    appended the shallower levels, so appending the old arrays in depth
-    order keeps the per-vertex level sequence contiguous.
-    """
-    old_hierarchy = index.hierarchy
-    old_flat = index.flat_labelling()
-    stack = [node.index]
-    while stack:
-        current = old_hierarchy.nodes[stack.pop()]
-        counters["spliced"] += 1
-        stats.num_nodes += 1
-        if current.is_leaf:
-            stats.num_leaves += 1
-        for child_index in (current.left, current.right):
-            if child_index is not None:
-                stack.append(child_index)
-    labels = labelling.labels
-    for vertex in old_hierarchy.subtree_vertices(node.index):
-        levels = labels[vertex]
-        for depth in range(node.depth, old_flat.num_levels(vertex)):
-            # zero-copy: append read-only views into the old flat buffers;
-            # FlatLabelling.from_labelling copies them into the new buffers
-            levels.append(old_flat.level_view(vertex, depth))
-
-
 def _crossing_extension(
-    adjacency: WorkingAdjacency,
-    node: TreeNode,
-    hierarchy: BalancedTreeHierarchy,
+    flat: FlatWorkingGraph, children: Sequence[Tuple[TreeNode, List[int]]]
 ) -> List[int]:
-    """Endpoints of working-graph edges that cross between ``node``'s children.
+    """Endpoints of snapshot edges that cross between a node's two children.
 
     The construction can never produce such edges: the balanced cut is
-    computed *on* the node's working graph, so no edge - original or
-    shortcut - connects the two partitions.  A relabel inherits the cut
-    but recomputes the shortcuts under new weights, and a new shortcut
-    may connect the two (inherited) child regions directly.  The cut is
-    then no longer a separator of the working graph, and both the
-    single-depth query (Equation 7) and the via-cut shortcut formula
-    (Algorithm 3) would miss paths running over the crossing edge.  Every
-    such path passes through the edge's endpoints, so promoting the
-    endpoints to additional hubs of the node restores coverage.
+    computed *on* the node's snapshot, so no edge - original or shortcut -
+    connects the two partitions.  A relabel inherits the cut but
+    recomputes the shortcuts under new weights, and a new shortcut may
+    connect the two (inherited) child regions directly.  The cut is then
+    no longer a separator of the snapshot, and both the single-depth query
+    (Equation 7) and the via-cut shortcut formula (Algorithm 3) would miss
+    paths running over the crossing edge.  Every such path passes through
+    the edge's endpoints, so promoting the endpoints to additional hubs of
+    the node restores coverage.  ``children`` pairs each child node with
+    its subtree's vertices; the scan is one vectorised edge mask.
     """
-    if node.is_leaf or node.left is None or node.right is None:
+    if len(children) < 2:
         return []
-    left = set(hierarchy.subtree_vertices(node.left))
-    right = set(hierarchy.subtree_vertices(node.right))
-    extension: Set[int] = set()
-    for u in left:
-        for v in adjacency[u]:
-            if v in right:
-                extension.add(u)
-                extension.add(v)
-    return sorted(extension)
-
-
-def _relabel_node(
-    index: HC2LIndex,
-    node: TreeNode,
-    adjacency: WorkingAdjacency,
-    new_hierarchy: BalancedTreeHierarchy,
-    labelling: HC2LLabelling,
-    stats: ConstructionStats,
-    parameters: HC2LParameters,
-    backend: ShortestPathBackend,
-) -> None:
-    """Recompute ranking, labels and shortcuts for one node of the old tree."""
-    old_hierarchy = index.hierarchy
-    extension = _crossing_extension(adjacency, node, old_hierarchy)
-    with stats.timer.measure("labelling"):
-        from repro.core.flat import FlatWorkingGraph
-
-        flat = FlatWorkingGraph(adjacency)
-        ranking: CutRanking = rank_cut_vertices(
-            adjacency, node.cut, flat=flat, backend=backend
-        )
-        # Tail truncation would give the extension entries (appended below)
-        # different positions in different vertices' arrays, breaking the
-        # min-plus prefix alignment, so it is disabled on affected nodes.
-        arrays, cut_distances = node_distance_arrays(
-            adjacency,
-            ranking,
-            parameters.tail_pruning and not extension,
-            flat=flat,
-            backend=backend,
-        )
-        if extension:
-            vertices = flat.vertices
-            for hub, row in zip(extension, backend.sssp_many(flat, flat.dense_ids(extension))):
-                values = [float(value) for value in row]
-                cut_distances[hub] = {
-                    v: d for v, d in zip(vertices, values) if d != INF
-                }
-                for j, vertex in enumerate(vertices):
-                    arrays[vertex].append(values[j])
-    new_node = new_hierarchy.nodes[node.index]
-    new_node.cut = list(ranking.ordered)
-    for vertex in ranking.ordered:
-        new_hierarchy.vertex_node[vertex] = new_node.index
-        new_hierarchy.vertex_depth[vertex] = new_node.depth
-        new_hierarchy.vertex_bits[vertex] = new_node.bits
-    for vertex in adjacency:
-        labelling.append_level(vertex, arrays[vertex])
-    stats.num_nodes += 1
-    if node.is_leaf:
-        stats.num_leaves += 1
-        return
-
-    hubs = list(ranking.ordered) + extension if extension else ranking.ordered
-    for child_index in (node.left, node.right):
-        if child_index is None:
-            continue
-        child_node = old_hierarchy.nodes[child_index]
-        child_vertices = old_hierarchy.subtree_vertices(child_index)
-        with stats.timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                adjacency, hubs, child_vertices, cut_distances, backend=backend
-            )
-            child_adj = child_adjacency(adjacency, child_vertices, shortcuts)
-        stats.num_shortcuts += len(shortcuts)
-        _relabel_node(
-            index, child_node, child_adj, new_hierarchy, labelling, stats, parameters, backend
-        )
+    side = np.zeros(len(flat.vertices), dtype=np.int8)
+    side[flat.dense_ids(children[0][1])] = 1
+    side[flat.dense_ids(children[1][1])] = 2
+    tails, heads = flat.tails(), flat.csr_arrays()[1]
+    crossing = (side[tails] == 1) & (side[heads] == 2)
+    if not crossing.any():
+        return []
+    ends = np.union1d(tails[crossing], heads[crossing])
+    return [flat.vertices[i] for i in ends.tolist()]
 
 
 def _copy_hierarchy_structure(hierarchy: BalancedTreeHierarchy) -> BalancedTreeHierarchy:
@@ -619,23 +514,6 @@ def _copy_hierarchy_structure(hierarchy: BalancedTreeHierarchy) -> BalancedTreeH
             )
         )
     return clone
-
-
-def _check_same_topology(old: Graph, new: Graph) -> None:
-    """Both graphs must have identical vertex and edge sets."""
-    if old.num_vertices != new.num_vertices:
-        raise ValueError(
-            f"relabel requires identical topology; vertex counts differ "
-            f"({old.num_vertices} vs {new.num_vertices})"
-        )
-    if old.num_edges != new.num_edges:
-        raise ValueError(
-            f"relabel requires identical topology; edge counts differ "
-            f"({old.num_edges} vs {new.num_edges})"
-        )
-    for u, v, _ in old.edges():
-        if not new.has_edge(u, v):
-            raise ValueError(f"relabel requires identical topology; edge ({u}, {v}) is missing")
 
 
 def _check_same_contraction(old: ContractedGraph, new: ContractedGraph) -> None:

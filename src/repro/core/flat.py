@@ -19,10 +19,11 @@ three pointer indirections.  This module provides the flat counterparts:
   lossless inverse - the basis of the sharded on-disk layout
   (:func:`repro.core.persistence.save_index_sharded`) and the
   :class:`~repro.serving.shards.ShardRouter`.
-* :class:`FlatWorkingGraph` - a CSR snapshot of a construction-time
-  working adjacency with dense local ids, shared by the per-cut-vertex
-  Dijkstra searches of the ranking and labelling passes (which repeatedly
-  traverse the same subgraph).
+* :class:`FlatWorkingGraph` - a CSR snapshot of a working subgraph with
+  dense local ids: the only graph form construction and relabelling
+  search.  Child subgraphs are derived from their parent's arrays with
+  :meth:`FlatWorkingGraph.induce` and
+  :meth:`FlatWorkingGraph.overlay_shortcuts`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (labelling imports us)
     from repro.core.labelling import HC2LLabelling
-
-#: dict-of-dicts adjacency keyed by original vertex ids.  Defined here (not
-#: imported from :mod:`repro.partition.working_graph`) so the partition layer
-#: can import the CSR snapshot without a circular dependency.
-WorkingAdjacency = Dict[int, Dict[int, float]]
 
 INF = float("inf")
 
@@ -279,6 +275,34 @@ class FlatLabelling:
             vertex_indptr=new_vertex_indptr,
         )
 
+    def replace_leading_levels(self, prefix: "FlatLabelling") -> "FlatLabelling":
+        """A labelling whose vertices lead with ``prefix``'s levels.
+
+        Vertex ``v`` holds ``prefix``'s levels of ``v``, then this
+        labelling's levels of ``v`` from depth ``prefix.num_levels(v)`` on;
+        both cover the same vertices, and ``prefix`` holds no more levels
+        of a vertex than this labelling.  Level arrays stay byte-identical.
+        This is how a relabel keeps the levels of the subtrees it did not
+        recompute (:func:`repro.core.dynamic.relabel`).
+        """
+        counts = self.vertex_indptr[1:] - self.vertex_indptr[:-1]
+        total_levels = int(self.vertex_indptr[-1])
+        depth = np.arange(total_levels, dtype=np.int64) - np.repeat(
+            self.vertex_indptr[:-1], counts
+        )
+        leading = depth < np.repeat(prefix.vertex_indptr[1:] - prefix.vertex_indptr[:-1], counts)
+        lengths = self.level_indptr[1:] - self.level_indptr[:-1]
+        kept_values = np.repeat(~leading, lengths)
+        lengths[leading] = prefix.level_indptr[1:] - prefix.level_indptr[:-1]
+        level_indptr = np.zeros(total_levels + 1, dtype=np.int64)
+        np.cumsum(lengths, out=level_indptr[1:])
+        values = np.empty(int(level_indptr[-1]), dtype=np.float64)
+        leading_values = np.repeat(leading, lengths)
+        values[leading_values] = prefix.values
+        values[~leading_values] = self.values[kept_values]
+        vertex_indptr = np.array(self.vertex_indptr, dtype=np.int64)
+        return FlatLabelling(self.num_vertices, values, level_indptr, vertex_indptr)
+
     @staticmethod
     def even_boundaries(num_vertices: int, num_shards: int) -> List[int]:
         """The edge sequence of an (almost) even ``num_shards``-way split."""
@@ -436,50 +460,55 @@ class FlatLabelling:
 
 
 class FlatWorkingGraph:
-    """CSR snapshot of a working adjacency with dense local ids.
+    """CSR snapshot of a working subgraph with dense local ids.
 
-    The ranking and labelling passes run one Dijkstra per cut vertex over
-    the *same* working subgraph; flattening the dict-of-dicts once lets all
-    of those searches iterate plain lists with dense integer ids instead of
-    hashing original vertex ids on every edge relaxation.
+    Every construction search runs over a snapshot: the balanced cut, the
+    ranking and labelling passes (one Dijkstra per cut vertex over the
+    *same* subgraph) and the shortcut searches.  Snapshots are made from a
+    graph's CSR arrays (:func:`repro.core.construction.root_snapshot`) and
+    restricted or extended with numpy array operations (:meth:`induce`,
+    :meth:`overlay_shortcuts`), never from a dict adjacency.
 
-    The snapshot also carries the state the pluggable shortest-path
-    backends (:mod:`repro.core.backends`) need when they process all of a
-    node's searches together: :meth:`csr_arrays` exposes the same CSR
-    triple as typed numpy arrays, and :attr:`cache` is a scratch dict
-    whose lifetime matches the snapshot (per-source distance rows, the
-    scipy matrix) - it dies with the node, so nothing accumulates across
-    the recursion.
+    The typed numpy triple is the snapshot's storage; :attr:`cache` is a
+    scratch dict whose lifetime matches the snapshot (per-source distance
+    rows, the scipy matrix) - it dies with the node, so nothing
+    accumulates across the recursion.
     """
 
     __slots__ = ("vertices", "dense_id", "_indptr", "_indices", "_weights", "cache", "_np_csr")
 
-    def __init__(self, adjacency: WorkingAdjacency) -> None:
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        """Wrap a CSR triple; ``indices`` holds dense ids.
+
+        ``vertices`` maps dense ids to original ids and must be sorted
+        ascending (the invariant every snapshot maintains), so dense order
+        is original-id order.
+        """
         #: dense id -> original vertex id, in sorted original-id order
-        self.vertices: List[int] = sorted(adjacency)
+        self.vertices: List[int] = list(vertices)
         #: original vertex id -> dense id
         self.dense_id: Dict[int, int] = {v: i for i, v in enumerate(self.vertices)}
-        indptr = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        dense_id = self.dense_id
-        for v in self.vertices:
-            for w, weight in adjacency[v].items():
-                indices.append(dense_id[w])
-                weights.append(weight)
-            indptr.append(len(indices))
-        self._indptr: Optional[List[int]] = indptr
-        self._indices: Optional[List[int]] = indices
-        self._weights: Optional[List[float]] = weights
+        self._indptr: Optional[List[int]] = None
+        self._indices: Optional[List[int]] = None
+        self._weights: Optional[List[float]] = None
         #: backend scratch space (distance-row cache, scipy matrix, ...)
         self.cache: Dict[str, object] = {}
-        self._np_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._np_csr: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64),
+            np.ascontiguousarray(weights, dtype=np.float64),
+        )
 
-    # The python-list CSR views materialise lazily: array-born snapshots
-    # (induce / from_csr_arrays) carry only the numpy triple, and backends
-    # that vectorise over it (csr) never pay for per-edge python objects.
-    # The list-walking searches (heap backend, flat.dijkstra) touch these
-    # properties and get the same lists as before, built on first access.
+    # The python-list CSR views materialise lazily: backends that
+    # vectorise over the numpy triple (csr) never pay for per-edge python
+    # objects, while the list-walking searches (heap backend,
+    # flat.dijkstra) get plain lists built on first access.
     @property
     def indptr(self) -> List[int]:
         if self._indptr is None:
@@ -501,69 +530,12 @@ class FlatWorkingGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @classmethod
-    def from_csr(
-        cls,
-        vertices: Sequence[int],
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        weights: Sequence[float],
-    ) -> "FlatWorkingGraph":
-        """Build a snapshot directly from CSR components (no dict walk).
-
-        ``vertices`` maps dense ids to original ids and must be sorted
-        ascending (the invariant every snapshot maintains); ``indices``
-        holds dense ids.
-        """
-        snapshot = cls.__new__(cls)
-        snapshot.vertices = list(vertices)
-        snapshot.dense_id = {v: i for i, v in enumerate(snapshot.vertices)}
-        snapshot._indptr = list(indptr)
-        snapshot._indices = list(indices)
-        snapshot._weights = list(weights)
-        snapshot.cache = {}
-        snapshot._np_csr = None
-        return snapshot
-
-    @classmethod
-    def from_csr_arrays(
-        cls,
-        vertices: Sequence[int],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-    ) -> "FlatWorkingGraph":
-        """Build a snapshot that owns only the typed numpy CSR triple.
-
-        The python-list views materialise lazily on first access (see the
-        ``indptr`` / ``indices`` / ``weights`` properties), so snapshots
-        produced by array restrictions (:meth:`induce`) stay free of
-        per-edge python objects on the vectorised backends.  Used by
-        :meth:`induce` and the process-parallel work units.
-        """
-        snapshot = cls.__new__(cls)
-        snapshot.vertices = list(vertices)
-        snapshot.dense_id = {v: i for i, v in enumerate(snapshot.vertices)}
-        snapshot._indptr = None
-        snapshot._indices = None
-        snapshot._weights = None
-        snapshot.cache = {}
-        snapshot._np_csr = (
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-        )
-        return snapshot
-
     def induce(self, members: Sequence[int]) -> "FlatWorkingGraph":
         """The snapshot induced on ``members`` (original vertex ids).
 
-        The restriction runs entirely on the numpy CSR arrays - the flat
-        counterpart of
-        :func:`repro.partition.working_graph.restrict_adjacency`, without
-        touching a single dict.  Edge (and therefore relaxation) order is
-        preserved, so searches over the induced snapshot are bit-identical
-        to searches over a snapshot built from a restricted dict.
+        The restriction runs entirely on the numpy CSR arrays.  Edge (and
+        therefore relaxation) order is preserved, so a search over the
+        induced snapshot relaxes edges in the parent's order.
         """
         indptr, indices, weights = self.csr_arrays()
         n = len(self.vertices)
@@ -582,34 +554,16 @@ class FlatWorkingGraph:
         new_indices = new_id[indices[edge_keep]]
         new_weights = weights[edge_keep]
         vertex_list = [self.vertices[i] for i in member_dense.tolist()]
-        return FlatWorkingGraph.from_csr_arrays(
-            vertex_list, new_indptr, new_indices, new_weights
-        )
-
-    def induce_with_shortcuts(
-        self, members: Sequence[int], shortcuts: Sequence
-    ) -> "FlatWorkingGraph":
-        """The induced snapshot on ``members`` with ``shortcuts`` overlaid.
-
-        CSR counterpart of
-        :func:`repro.partition.shortcuts.child_adjacency` (restrict, then
-        ``apply_shortcuts``).  Equivalent to
-        ``self.induce(members).overlay_shortcuts(shortcuts)``; callers that
-        already hold the induced snapshot (the construction reuses the one
-        the shortcut computation searched) overlay it directly.
-        """
-        return self.induce(members).overlay_shortcuts(shortcuts)
+        return FlatWorkingGraph(vertex_list, new_indptr, new_indices, new_weights)
 
     def overlay_shortcuts(self, shortcuts: Sequence) -> "FlatWorkingGraph":
         """A snapshot with ``shortcuts`` overlaid on this one's edges.
 
-        Replicates the dict path's (``apply_shortcuts``) edge-order
-        semantics exactly so searches stay bit-identical: a shortcut that
-        improves an existing edge updates its weight *in place* (position
-        unchanged), a new shortcut edge is appended *after* the vertex's
-        existing edges, in shortcut order - precisely where a dict insert
-        would put it.  Returns ``self`` unchanged when there are no
-        shortcuts.
+        A shortcut that improves an existing edge updates its weight *in
+        place* (position unchanged); a new shortcut edge is appended
+        *after* the vertex's existing edges, in shortcut order.  Keeping
+        the minimum weight per edge is Definition 4.9's ``G<P>``.  Returns
+        ``self`` unchanged when there are no shortcuts.
         """
         snapshot = self
         if not shortcuts:
@@ -665,18 +619,10 @@ class FlatWorkingGraph:
                     new_weights[base + offset] = weight
             indptr, indices, weights = new_indptr, new_indices, new_weights
 
-        return FlatWorkingGraph.from_csr_arrays(
-            snapshot.vertices, indptr, indices, weights
-        )
+        return FlatWorkingGraph(snapshot.vertices, indptr, indices, weights)
 
     def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(indptr, indices, weights)`` triple as typed numpy arrays."""
-        if self._np_csr is None:
-            self._np_csr = (
-                np.asarray(self.indptr, dtype=np.int64),
-                np.asarray(self.indices, dtype=np.int64),
-                np.asarray(self.weights, dtype=np.float64),
-            )
         return self._np_csr
 
     def dense_ids(self, vertices: Sequence[int]) -> List[int]:
@@ -705,8 +651,7 @@ class FlatWorkingGraph:
         """Single-source distances over the CSR arrays (dense ids).
 
         Returns the full dense distance array with ``inf`` for unreached
-        vertices; the flat counterpart of
-        :func:`repro.partition.working_graph.dijkstra_adjacency`.
+        vertices.
         """
         import heapq
 

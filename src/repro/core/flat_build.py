@@ -1,16 +1,19 @@
-"""Dict-free HC2L construction: the construction recursion.
+"""The HC2L construction recursion over CSR snapshots.
 
 Every construction node - serial or process-parallel - runs through this
-module.  The recursion is expressed entirely over
+module, and so does every node a dynamic relabel recomputes.  The
+recursion is expressed entirely over
 :class:`~repro.core.flat.FlatWorkingGraph` CSR snapshots (numpy arrays),
 so a subtree of it is also a self-contained, cheap-to-pickle work unit
 for the process-parallel builder:
 
-* :func:`node_step` - one node of the interleaved construction (cut,
-  ranking, labelling arrays, shortcut-enhanced child snapshots), with the
-  child snapshots derived by
-  :meth:`~repro.core.flat.FlatWorkingGraph.induce_with_shortcuts` on the
-  parent CSR.
+* :func:`label_node` and :func:`shortcut_child` - the per-node sequence
+  rank -> label -> induce -> shortcuts -> overlay, over a snapshot and a
+  given cut and partitions.  :func:`repro.core.dynamic.relabel` runs the
+  same two functions on the inherited cuts when edge weights change.
+* :func:`node_step` - one node of the interleaved construction: the
+  balanced cut, then :func:`label_node` and one :func:`shortcut_child`
+  per side.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
   graft the subtree into the global hierarchy
@@ -35,7 +38,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import node_distance_arrays
 from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.partition.cut import balanced_cut
-from repro.partition.shortcuts import compute_shortcuts
+from repro.partition.shortcuts import child_adjacency, compute_shortcuts
 from repro.utils.timer import Timer
 
 
@@ -65,6 +68,55 @@ class NodeStep:
     seconds_cut: float = 0.0
 
 
+def label_node(
+    flat: FlatWorkingGraph,
+    cut: Sequence[int],
+    *,
+    tail_pruning: bool,
+    backend: ShortestPathBackend,
+    timer: Timer,
+) -> Tuple[CutRanking, Dict[int, List[float]], Dict[int, Mapping[int, float]]]:
+    """Rank ``cut`` (Equation 6) and compute the node's distance arrays.
+
+    Returns the ranking, every snapshot vertex's distance array for this
+    node, and each cut vertex's distance map (the input of Algorithm 3).
+    """
+    with timer.measure("labelling"):
+        ranking = rank_cut_vertices(flat, cut, backend=backend)
+        arrays, cut_distances = node_distance_arrays(
+            flat, ranking, tail_pruning, backend=backend
+        )
+    return ranking, arrays, cut_distances
+
+
+def shortcut_child(
+    flat: FlatWorkingGraph,
+    hubs: Sequence[int],
+    part: Sequence[int],
+    cut_distances: Mapping[int, Mapping[int, float]],
+    *,
+    backend: ShortestPathBackend,
+    timer: Timer,
+    within: Optional[FlatWorkingGraph] = None,
+) -> Tuple[FlatWorkingGraph, int]:
+    """One child's shortcut-enhanced snapshot and its shortcut count.
+
+    Induces ``part`` once (or takes the caller's ``within``), searches it
+    for the shortcuts between ``hubs``' borders (Algorithm 3), then
+    overlays them on the same snapshot (Definition 4.9).
+    """
+    with timer.measure("snapshot"):
+        if within is None:
+            within = flat.induce(part)
+    with timer.measure("shortcuts"):
+        shortcuts = compute_shortcuts(
+            flat, hubs, part, cut_distances, backend=backend, within=within
+        )
+    with timer.measure("snapshot"):
+        child = child_adjacency(flat, part, shortcuts, within=within)
+    return child, len(shortcuts)
+
+
 def node_step(
     flat: FlatWorkingGraph,
     depth: int,
@@ -79,9 +131,8 @@ def node_step(
 ) -> NodeStep:
     """Run one node of the interleaved construction over a CSR snapshot.
 
-    Cut the subgraph, rank the cut, compute the distance arrays, and
-    derive the shortcut-enhanced child snapshots - no recursion and no
-    dict materialisation.
+    Cut the subgraph, then :func:`label_node` and, unless the node is a
+    leaf, one :func:`shortcut_child` per side - no recursion.
     """
     n = len(flat.vertices)
     force_leaf = n <= leaf_size or depth >= max_depth
@@ -90,61 +141,26 @@ def node_step(
     if not force_leaf:
         cut_started = time.perf_counter()
         with timer.measure("hierarchy"):
-            cut_result = balanced_cut(
-                beta=beta, flat=flat, backend=backend, flow_method=flow_method
-            )
+            cut_result = balanced_cut(flat, beta, backend=backend, flow_method=flow_method)
         seconds_cut = time.perf_counter() - cut_started
         if not cut_result.part_a or not cut_result.part_b:
             force_leaf = True
 
-    if force_leaf:
-        with timer.measure("labelling"):
-            ranking = rank_cut_vertices(
-                None, list(flat.vertices), flat=flat, backend=backend
-            )
-            arrays, _ = node_distance_arrays(
-                None, ranking, tail_pruning, flat=flat, backend=backend
-            )
-        return NodeStep(
-            ranking=ranking,
-            arrays=arrays,
-            is_leaf=True,
-            children=[],
-            seconds_cut=seconds_cut,
-        )
-
-    assert cut_result is not None
-    with timer.measure("labelling"):
-        ranking = rank_cut_vertices(None, cut_result.cut, flat=flat, backend=backend)
-        arrays, cut_distances = node_distance_arrays(
-            None, ranking, tail_pruning, flat=flat, backend=backend
-        )
-
+    cut = list(flat.vertices) if force_leaf else cut_result.cut
+    ranking, arrays, cut_distances = label_node(
+        flat, cut, tail_pruning=tail_pruning, backend=backend, timer=timer
+    )
     children: List[Tuple[FlatWorkingGraph, str, int, int]] = []
-    for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
-        if not part:
-            continue
-        # induce the child once: the shortcut searches run over the
-        # restriction, then the shortcut overlay reuses the same snapshot
-        with timer.measure("snapshot"):
-            within = flat.induce(part)
-        with timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                None,
-                ranking.ordered,
-                part,
-                cut_distances,
-                backend=backend,
-                flat=flat,
-                within_flat=within,
+    if not force_leaf:
+        for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
+            child, num_shortcuts = shortcut_child(
+                flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer
             )
-        with timer.measure("snapshot"):
-            child = within.overlay_shortcuts(shortcuts)
-        children.append((child, side, bit, len(shortcuts)))
+            children.append((child, side, bit, num_shortcuts))
     return NodeStep(
         ranking=ranking,
         arrays=arrays,
-        is_leaf=False,
+        is_leaf=force_leaf,
         children=children,
         seconds_cut=seconds_cut,
     )
@@ -212,7 +228,7 @@ def build_subtree(
     backend: BackendSpec = None,
     flow_method: str = "auto",
 ) -> SubtreeResult:
-    """Build the whole hierarchy subtree rooted at ``flat`` (dict-free).
+    """Build the whole hierarchy subtree rooted at ``flat``.
 
     Accumulates node records and per-vertex label levels locally; the
     caller (the serial builder, a worker process or the parallel
@@ -309,7 +325,7 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
     :class:`~repro.core.parallel.ParallelHC2LBuilder`).
     """
     vertices = np.asarray(payload["vertices"], dtype=np.int64)
-    flat = FlatWorkingGraph.from_csr_arrays(
+    flat = FlatWorkingGraph(
         vertices.tolist(), payload["indptr"], payload["indices"], payload["weights"]
     )
     return build_subtree(
@@ -321,6 +337,5 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
         tail_pruning=bool(payload["tail_pruning"]),
         max_depth=int(payload["max_depth"]),
         backend=payload["backend"],
-        # absent in payloads from older coordinators -> backend default
-        flow_method=str(payload.get("flow_method", "auto")),
+        flow_method=str(payload["flow_method"]),
     )

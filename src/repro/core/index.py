@@ -12,17 +12,16 @@ network, then answer exact shortest-path distance queries in microseconds
 
 Label storage
 -------------
-The **primary** label store is the flat, contiguous
+The **only** label store is the flat, contiguous
 :class:`~repro.core.flat.FlatLabelling` buffer (one ``float64`` array plus
 two index arrays) - the layout the batch :class:`~repro.core.engine.QueryEngine`
-vectorises over and the payload of the on-disk format.  Construction
-writes the flat buffers directly; the nested list-of-lists
-:class:`~repro.core.labelling.HC2LLabelling` that the dynamic relabelling
-pass produces is converted to flat buffers on creation and **not
-retained**; :attr:`HC2LIndex.labelling` materialises a read-oriented
-nested view on demand (cached, invalidated by :meth:`replace_labelling`).
-A serving deployment that only issues batch queries therefore holds the
-labels exactly once.
+vectorises over and the payload of the on-disk format.  Construction and
+the dynamic relabelling pass (:func:`repro.core.dynamic.relabel`) both
+write the flat buffers directly; :attr:`HC2LIndex.labelling` materialises
+a read-oriented nested :class:`~repro.core.labelling.HC2LLabelling` view
+on demand (cached, invalidated by :meth:`replace_labelling`).  A serving
+deployment that only issues batch queries therefore holds the labels
+exactly once.
 """
 
 from __future__ import annotations
@@ -149,16 +148,11 @@ class HC2LIndex:
         parameters: HC2LParameters,
         contraction: ContractedGraph,
         hierarchy: BalancedTreeHierarchy,
-        labelling: Optional[HC2LLabelling] = None,
+        flat: FlatLabelling,
         stats: Optional[ConstructionStats] = None,
         construction_seconds: float = 0.0,
-        flat: Optional[FlatLabelling] = None,
         extra: Optional[Dict[str, float]] = None,
     ) -> None:
-        if flat is None:
-            if labelling is None:
-                raise ValueError("provide the labels as 'labelling' (nested) or 'flat'")
-            flat = FlatLabelling.from_labelling(labelling)
         self.graph = graph
         self.parameters = parameters
         self.contraction = contraction

@@ -12,7 +12,12 @@ This module holds
 * :func:`node_distance_arrays` - Algorithm 5 for a single tree node
   (both the tail-pruned and the naive variant used as the upper bound of
   Section 4.2.1), and
-* :class:`HC2LLabelling` - the per-vertex container plus size metrics.
+* :class:`HC2LLabelling` - the nested per-vertex container plus size
+  metrics.  Construction and relabelling write
+  :class:`~repro.core.flat.FlatLabelling` buffers directly; the nested
+  form survives as the read-only :attr:`HC2LIndex.labelling
+  <repro.core.index.HC2LIndex.labelling>` view and the type inside
+  legacy pickled indexes.
 """
 
 from __future__ import annotations
@@ -25,35 +30,28 @@ import numpy as np
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.flat import FlatWorkingGraph
 from repro.core.ranking import CutRanking
-from repro.partition.working_graph import WorkingAdjacency
 
 INF = float("inf")
 
 
 def node_distance_arrays(
-    adjacency: "WorkingAdjacency | None",
+    flat: FlatWorkingGraph,
     ranking: CutRanking,
     tail_pruning: bool = True,
-    flat: "FlatWorkingGraph | None" = None,
     backend: BackendSpec = None,
 ) -> Tuple[Dict[int, List[float]], Dict[int, Mapping[int, float]]]:
     """Compute the per-vertex distance arrays for one tree node (Algorithm 5).
 
     Parameters
     ----------
-    adjacency:
-        Working adjacency of the node's (distance-preserving) subgraph.
-        May be ``None`` when a pre-built CSR snapshot is passed as
-        ``flat`` (the dict-free construction path never materialises the
-        dict form).
+    flat:
+        Snapshot of the node's (distance-preserving) subgraph; the
+        construction shares it with the ranking pass.
     ranking:
         The ranked cut vertices of the node (Equation 6 order).
     tail_pruning:
         When ``False`` the full (naive) arrays are kept; this is the upper
         bound labelling of Section 4.2.1 used by the ablation benchmark.
-    flat:
-        Optional pre-built CSR snapshot of ``adjacency`` (the construction
-        builds one per node and shares it with the ranking pass).
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         per-cut-vertex searches (name, instance, or ``None`` for the
@@ -67,16 +65,10 @@ def node_distance_arrays(
         each cut vertex to its full single-source distance map, which the
         shortcut computation (Algorithm 3) reuses.
     """
-    if adjacency is None and flat is None:
-        raise ValueError("provide the subgraph as 'adjacency' or 'flat'")
     ordered_cut = ranking.ordered
     if not ordered_cut:
-        vertices = flat.vertices if adjacency is None else list(adjacency.keys())
-        return {v: [] for v in vertices}, {}
+        return {v: [] for v in flat.vertices}, {}
 
-    # One CSR snapshot shared by all |cut| searches of this node.
-    if flat is None:
-        flat = FlatWorkingGraph(adjacency)
     search = resolve_backend(backend)
     cut_dense = flat.dense_ids(ordered_cut)
     prune_sets = [cut_dense[:i] for i in range(len(cut_dense))]

@@ -10,8 +10,8 @@ exactly the semantics required by the tail-pruning rule (Definition 4.18).
 
 Two implementations of that semantics live here:
 
-* :func:`dist_and_prune` / :func:`dist_and_prune_dense` - the heap-based
-  search computing distances and flags in one pass (the classic form), and
+* :func:`dist_and_prune_dense` - the heap-based search computing
+  distances and flags in one pass (the classic form), and
 * :func:`prune_flags_from_distances` - the flag half alone, derived from an
   *already computed* distance array by one pass over the shortest-path DAG
   in ascending distance order.  This is what lets the CSR backend
@@ -24,90 +24,13 @@ Two implementations of that semantics live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.flat import FlatWorkingGraph, WorkingAdjacency
+from repro.core.flat import FlatWorkingGraph
 
 INF = float("inf")
-
-
-@dataclass
-class PrunedDistances:
-    """Result of one DistAndPrune search.
-
-    ``distance`` maps every reached vertex to its shortest-path distance
-    from the root; ``through_prune_set`` records, per reached vertex,
-    whether a shortest path from the root passes through the prune set.
-    Unreached vertices are simply absent (callers treat them as infinity
-    and not pruneable).
-    """
-
-    root: int
-    distance: Dict[int, float]
-    through_prune_set: Dict[int, bool]
-
-    def get(self, vertex: int) -> Tuple[float, bool]:
-        """``(distance, pruneable)`` for ``vertex`` (``(inf, False)`` if unreached)."""
-        return self.distance.get(vertex, INF), self.through_prune_set.get(vertex, False)
-
-
-def dist_and_prune(
-    adjacency: WorkingAdjacency,
-    root: int,
-    prune_set: Iterable[int],
-) -> PrunedDistances:
-    """Run Algorithm 4 from ``root`` over a working adjacency.
-
-    Parameters
-    ----------
-    adjacency:
-        Working adjacency of the (distance-preserving) subgraph.
-    root:
-        The cut vertex the search starts from.
-    prune_set:
-        Vertices whose presence on a shortest path makes the target
-        pruneable (the lower-ranked cut vertices in Algorithm 5).  The
-        root itself is ignored if present.
-
-    Returns
-    -------
-    PrunedDistances
-        Distances and pruneability flags for every reachable vertex.
-    """
-    prune: Set[int] = set(prune_set)
-    prune.discard(root)
-
-    distance: Dict[int, float] = {}
-    through: Dict[int, bool] = {}
-    # Heap entries are (distance, not_pruneable, counter, vertex): among
-    # equal distances the flagged (pruneable) entry pops first, so the flag
-    # recorded at settle time is True as soon as any tied shortest path
-    # passes through the prune set.
-    heap: list[Tuple[float, int, int, int]] = [(0.0, 1, 0, root)]
-    counter = 1
-    while heap:
-        dist, not_pruneable, _, vertex = heapq.heappop(heap)
-        if vertex in distance:
-            continue
-        pruneable = not_pruneable == 0
-        distance[vertex] = dist
-        through[vertex] = pruneable
-        for neighbour, weight in adjacency[vertex].items():
-            if neighbour in distance:
-                continue
-            if vertex in prune:
-                child_flag = True
-            else:
-                child_flag = pruneable
-            heapq.heappush(
-                heap,
-                (dist + weight, 0 if child_flag else 1, counter, neighbour),
-            )
-            counter += 1
-    return PrunedDistances(root=root, distance=distance, through_prune_set=through)
 
 
 def dist_and_prune_dense(
@@ -117,10 +40,9 @@ def dist_and_prune_dense(
 ) -> Tuple[List[float], List[bool]]:
     """Algorithm 4 over a :class:`FlatWorkingGraph` (dense local ids).
 
-    Behaviourally identical to :func:`dist_and_prune` but iterates the CSR
-    arrays of a pre-flattened working subgraph, so the ranking and
+    Iterates the CSR arrays of the node's snapshot, so the ranking and
     labelling passes - which run one search per cut vertex over the *same*
-    subgraph - avoid re-hashing original vertex ids on every relaxation.
+    subgraph - never hash original vertex ids on a relaxation.
 
     Parameters are dense ids (``flat.dense_id`` order); returns full dense
     ``(distance, pruneable)`` arrays with ``inf`` / ``False`` for
@@ -136,9 +58,9 @@ def dist_and_prune_dense(
     dist: List[float] = [INF] * n
     through: List[bool] = [False] * n
     settled = bytearray(n)
-    # Same heap entry shape as dist_and_prune: among equal distances the
-    # flagged (pruneable) entry pops first, making the settled flag mean
-    # "some shortest path passes through the prune set".
+    # Heap entries are (distance, not_pruneable, counter, vertex): among
+    # equal distances the flagged (pruneable) entry pops first, making the
+    # settled flag mean "some shortest path passes through the prune set".
     heap: List[Tuple[float, int, int, int]] = [(0.0, 1, 0, root)]
     counter = 1
     push = heapq.heappush

@@ -10,11 +10,10 @@ drop suffixes of distance arrays without storing vertex identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.flat import FlatWorkingGraph
-from repro.partition.working_graph import WorkingAdjacency
 
 
 @dataclass
@@ -31,9 +30,8 @@ class CutRanking:
 
 
 def rank_cut_vertices(
-    adjacency: Optional[WorkingAdjacency],
+    flat: FlatWorkingGraph,
     cut: Sequence[int],
-    flat: Optional[FlatWorkingGraph] = None,
     backend: BackendSpec = None,
 ) -> CutRanking:
     """Rank the cut vertices of a node by their coverage count (Equation 6).
@@ -44,20 +42,15 @@ def rank_cut_vertices(
     through another cut vertex.  Ties break on the vertex id so
     construction is deterministic.
 
-    ``flat`` may pass in a pre-built CSR snapshot of ``adjacency`` (the
-    construction shares one snapshot between ranking and labelling, which
-    also lets the ``csr`` backend reuse the distance rows across the two
-    passes).  ``backend`` selects the
+    ``flat`` is the node's snapshot (the construction shares it between
+    ranking and labelling, which also lets the ``csr`` backend reuse the
+    distance rows across the two passes).  ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the
     searches.
     """
     cut_list = list(cut)
     if len(cut_list) <= 1:
         return CutRanking(ordered=cut_list, coverage={v: 0 for v in cut_list})
-    if flat is None:
-        if adjacency is None:
-            raise ValueError("provide the subgraph as 'adjacency' or 'flat'")
-        flat = FlatWorkingGraph(adjacency)
     search = resolve_backend(backend)
     cut_dense = flat.dense_ids(cut_list)
     prune_sets = [[c for c in cut_dense if c != v_dense] for v_dense in cut_dense]

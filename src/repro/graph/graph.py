@@ -7,9 +7,8 @@ behaviour of the DIMACS datasets where duplicate arcs occasionally appear.
 
 The container is adjacency-list based (a list of ``(neighbour, weight)``
 lists).  This is the representation every algorithm in the repository works
-against; the partitioning code additionally builds lightweight dict-of-dict
-"working graphs" when it needs to mutate subgraphs (see
-:mod:`repro.partition`).
+against; construction and relabelling search CSR snapshots taken from its
+:meth:`Graph.csr` view (see :func:`repro.core.construction.root_snapshot`).
 """
 
 from __future__ import annotations
@@ -270,11 +269,10 @@ class Graph:
         return other
 
     def adjacency_dict(self, vertices: Optional[Iterable[int]] = None) -> Dict[int, Dict[int, float]]:
-        """Return a mutable dict-of-dicts view restricted to ``vertices``.
+        """Return a mutable dict-of-dicts copy restricted to ``vertices``.
 
-        This is the "working graph" representation used by the hierarchy
-        builder, which needs to remove cut vertices and add shortcut edges
-        without touching the original :class:`Graph`.
+        Neighbours keep the graph's adjacency order.  The flow layer's
+        dict entry points and the test oracles take this form.
         """
         if vertices is None:
             member = None

@@ -1,41 +1,26 @@
 """Balanced partitioning, balanced vertex cuts and distance preservation.
 
-This package implements Section 4.1 of the paper:
+This package implements Section 4.1 of the paper over CSR snapshots
+(:class:`~repro.core.flat.FlatWorkingGraph`), searched through the
+shortest-path backend seam:
 
-* :mod:`repro.partition.working_graph` - working subgraphs: the mutable
-  dict-of-dict maps child graphs are assembled in, plus the CSR snapshot
-  (:data:`~repro.partition.working_graph.CSRSnapshot`) every construction
-  search runs over through the shortest-path backend seam,
 * :mod:`repro.partition.partition` - Algorithm 1 (BalancedPartition),
 * :mod:`repro.partition.cut` - Algorithm 2 (BalancedCut), and
 * :mod:`repro.partition.shortcuts` - Algorithm 3 (AddShortcuts) together
-  with the redundancy elimination of Lemma 4.11.
+  with the redundancy elimination of Lemma 4.11 and the shortcut-enhanced
+  child snapshot of Definition 4.9.
 """
 
-from repro.partition.working_graph import (
-    CSRSnapshot,
-    WorkingAdjacency,
-    dijkstra_adjacency,
-    farthest_vertex_adjacency,
-    restrict_adjacency,
-    working_graph_from,
-)
 from repro.partition.partition import BalancedPartitionResult, balanced_partition
 from repro.partition.cut import BalancedCutResult, balanced_cut
-from repro.partition.shortcuts import Shortcut, compute_shortcuts, is_distance_preserving
+from repro.partition.shortcuts import Shortcut, child_adjacency, compute_shortcuts
 
 __all__ = [
-    "CSRSnapshot",
-    "WorkingAdjacency",
-    "working_graph_from",
-    "restrict_adjacency",
-    "dijkstra_adjacency",
-    "farthest_vertex_adjacency",
     "balanced_partition",
     "BalancedPartitionResult",
     "balanced_cut",
     "BalancedCutResult",
     "compute_shortcuts",
+    "child_adjacency",
     "Shortcut",
-    "is_distance_preserving",
 ]

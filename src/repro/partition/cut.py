@@ -24,7 +24,7 @@ produces bit-identical cuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backen
 from repro.core.flat import FlatWorkingGraph
 from repro.flow.vertex_cut import check_flow_method, minimum_vertex_cut_region
 from repro.partition.partition import balanced_partition
-from repro.partition.working_graph import WorkingAdjacency
 from repro.utils.validation import check_balance_parameter
 
 
@@ -60,16 +59,14 @@ class BalancedCutResult:
 
 
 def balanced_cut(
-    adjacency: Optional[WorkingAdjacency] = None,
+    flat: FlatWorkingGraph,
     beta: float = 0.2,
-    flat: Optional[FlatWorkingGraph] = None,
     backend: BackendSpec = None,
     flow_method: Optional[str] = None,
 ) -> BalancedCutResult:
-    """Compute a balanced vertex cut of a working subgraph (Algorithm 2).
+    """Compute a balanced vertex cut of a snapshot (Algorithm 2).
 
-    ``adjacency`` may be omitted when a pre-built CSR snapshot is passed
-    as ``flat`` (the hierarchy builder shares one snapshot per node with
+    ``flat`` is the node's snapshot (the hierarchy builder shares it with
     the ranking and labelling passes); ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the seed
     searches, component scans and the max-flow solver.  ``flow_method``
@@ -81,17 +78,13 @@ def balanced_cut(
     parameter fails loudly before any search runs.
     """
     check_balance_parameter(beta)
-    if flat is None:
-        if adjacency is None:
-            raise ValueError("provide the subgraph as 'adjacency' or 'flat'")
-        flat = FlatWorkingGraph(adjacency)
     search = resolve_backend(backend)
     if flow_method is None or flow_method == "auto":
         flow_method = search.flow_method
     else:
         check_flow_method(flow_method, allow_auto=False)
 
-    partition = balanced_partition(beta=beta, flat=flat, backend=search)
+    partition = balanced_partition(flat, beta=beta, backend=search)
     initial_a, cut_region, initial_b = (
         partition.initial_a,
         partition.cut_region,
@@ -136,7 +129,7 @@ def balanced_cut(
     attach_t |= in_cut & touches_interior_b
 
     # Carve the flow region out of the CSR arrays: local ids are ascending
-    # dense ids, matching the sorted-vertex numbering of the dict path.
+    # dense ids, i.e. the region's vertices in sorted order.
     local = np.full(n, -1, dtype=np.int64)
     region_dense = np.nonzero(flow_mask)[0]
     local[region_dense] = np.arange(len(region_dense), dtype=np.int64)
@@ -190,35 +183,3 @@ def _assign_components(
         else:
             part_b.extend(component)
     return BalancedCutResult(sorted(part_a), sorted(cut_set), sorted(part_b))
-
-
-def cut_statistics(results: List[BalancedCutResult]) -> Dict[str, float]:
-    """Aggregate cut-size statistics used by the Figure 7 reproduction."""
-    sizes = [len(r.cut) for r in results]
-    if not sizes:
-        return {"max": 0.0, "avg": 0.0, "count": 0.0}
-    return {
-        "max": float(max(sizes)),
-        "avg": sum(sizes) / len(sizes),
-        "count": float(len(sizes)),
-    }
-
-
-def separates(adjacency: WorkingAdjacency, result: BalancedCutResult) -> bool:
-    """Whether ``result.cut`` disconnects ``part_a`` from ``part_b`` (test helper)."""
-    cut_set = set(result.cut)
-    target = set(result.part_b)
-    if not result.part_a or not target:
-        return True
-    seen = set(result.part_a)
-    stack = list(result.part_a)
-    while stack:
-        v = stack.pop()
-        if v in target:
-            return False
-        for w in adjacency[v]:
-            if w in cut_set or w in seen:
-                continue
-            seen.add(w)
-            stack.append(w)
-    return True

@@ -38,13 +38,12 @@ recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatWorkingGraph
-from repro.partition.working_graph import WorkingAdjacency
 from repro.utils.validation import check_balance_parameter
 
 INF = float("inf")
@@ -70,24 +69,21 @@ class BalancedPartitionResult:
 
 
 def balanced_partition(
-    adjacency: Optional[WorkingAdjacency] = None,
+    flat: FlatWorkingGraph,
     beta: float = 0.2,
     _depth: int = 0,
-    flat: Optional[FlatWorkingGraph] = None,
     backend: BackendSpec = None,
 ) -> BalancedPartitionResult:
-    """Compute a balanced partition of a working subgraph (Algorithm 1).
+    """Compute a balanced partition of a snapshot (Algorithm 1).
 
     Parameters
     ----------
-    adjacency:
-        Working adjacency of the subgraph to split (not modified).  May be
-        omitted when ``flat`` is given.
+    flat:
+        Snapshot of the subgraph to split (not modified); the hierarchy
+        builder passes the per-node snapshot it shares with the labelling
+        pass.
     beta:
         Balance parameter from Definition 4.1, ``0 < beta <= 0.5``.
-    flat:
-        Pre-built CSR snapshot of ``adjacency``; the hierarchy builder
-        passes the per-node snapshot it shares with the labelling pass.
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         seed searches and component scans (name, instance, or ``None``
@@ -99,10 +95,6 @@ def balanced_partition(
         The two initial partitions and the cut region.
     """
     check_balance_parameter(beta)
-    if flat is None:
-        if adjacency is None:
-            raise ValueError("provide the subgraph as 'adjacency' or 'flat'")
-        flat = FlatWorkingGraph(adjacency)
     search = resolve_backend(backend)
 
     vertices = flat.vertices  # sorted ascending, dense id == rank
@@ -157,9 +149,7 @@ def balanced_partition(
         keep[bottleneck] = False
         remaining = [vertices[i] for i in np.nonzero(keep)[0].tolist()]
         reduced = flat.induce(remaining)
-        inner = balanced_partition(
-            beta=beta, _depth=_depth + 1, flat=reduced, backend=search
-        )
+        inner = balanced_partition(reduced, beta=beta, _depth=_depth + 1, backend=search)
         return BalancedPartitionResult(
             initial_a=inner.initial_a,
             cut_region=sorted(inner.cut_region + [vertices[bottleneck]]),
@@ -181,8 +171,7 @@ def _farthest_dense(row: np.ndarray, source: int) -> int:
 
     Ties break on the smaller vertex id (dense ids are ascending original
     ids); unreachable vertices are ignored, and an isolated source is its
-    own farthest vertex - the exact contract of the historical
-    :func:`~repro.partition.working_graph.farthest_vertex_adjacency`.
+    own farthest vertex.
     """
     finite = np.isfinite(row)
     if not finite.any():
@@ -208,7 +197,7 @@ def _partition_disconnected(
         # Partition inside the largest component; all other components join
         # the cut region (they are cheap to separate later).
         sub = flat.induce(largest)
-        inner = balanced_partition(beta=beta, _depth=depth + 1, flat=sub, backend=search)
+        inner = balanced_partition(sub, beta=beta, _depth=depth + 1, backend=search)
         others = [v for comp in components[1:] for v in comp]
         return BalancedPartitionResult(
             initial_a=inner.initial_a,

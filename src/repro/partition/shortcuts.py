@@ -14,18 +14,12 @@ which this module eliminates to keep the working graphs sparse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.partition.working_graph import (
-    WorkingAdjacency,
-    dijkstra_adjacency,
-    restrict_adjacency,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.flat import FlatWorkingGraph
+from repro.core.backends import BackendSpec, resolve_backend
+from repro.core.flat import FlatWorkingGraph
 
 INF = float("inf")
 
@@ -45,51 +39,39 @@ class Shortcut:
 
 
 def border_vertices(
-    adjacency: WorkingAdjacency, partition: Iterable[int], cut: Iterable[int]
+    flat: FlatWorkingGraph, partition: Iterable[int], cut: Iterable[int]
 ) -> List[int]:
-    """Vertices of ``partition`` adjacent to at least one cut vertex (Definition 4.7)."""
-    cut_set = set(cut)
-    return sorted(v for v in partition if any(w in cut_set for w in adjacency[v]))
+    """Vertices of ``partition`` adjacent to at least one cut vertex (Definition 4.7).
 
-
-def border_vertices_flat(
-    flat: "FlatWorkingGraph", partition: Iterable[int], cut: Iterable[int]
-) -> List[int]:
-    """CSR counterpart of :func:`border_vertices`: one edge-mask scan.
-
-    Same set in the same (sorted) order - dense ids ascend with original
-    ids - so the downstream shortcut enumeration is bit-identical to the
-    dict path.
+    One vectorised edge-mask scan over the snapshot; the result ascends
+    (dense ids ascend with original ids).
     """
-    indptr, indices, _ = flat.csr_arrays()
+    indices = flat.csr_arrays()[1]
     n = len(flat.vertices)
     part_mask = np.zeros(n, dtype=bool)
     part_mask[flat.dense_ids(partition)] = True
     cut_mask = np.zeros(n, dtype=bool)
     cut_mask[flat.dense_ids(cut)] = True
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    tails = flat.tails()
     border_dense = np.unique(tails[part_mask[tails] & cut_mask[indices]])
     return [flat.vertices[i] for i in border_dense.tolist()]
 
 
 def compute_shortcuts(
-    adjacency: Optional[WorkingAdjacency],
+    flat: FlatWorkingGraph,
     cut: Sequence[int],
     partition: Sequence[int],
     cut_distances: Mapping[int, Mapping[int, float]],
-    backend: object = None,
-    flat: "FlatWorkingGraph | None" = None,
-    within_flat: "FlatWorkingGraph | None" = None,
+    backend: BackendSpec = None,
+    within: Optional[FlatWorkingGraph] = None,
 ) -> List[Shortcut]:
     """Compute the non-redundant shortcuts for one partition (Algorithm 3).
 
     Parameters
     ----------
-    adjacency:
-        Working adjacency of the *parent* subgraph (partition + cut + the
-        other partition), which is distance preserving by induction.  May
-        be ``None`` when the parent's CSR snapshot is passed as ``flat``
-        instead (the dict-free construction path).
+    flat:
+        Snapshot of the *parent* subgraph (partition + cut + the other
+        partition), which is distance preserving by induction.
     cut:
         The cut vertices separating the partitions.
     partition:
@@ -101,56 +83,36 @@ def compute_shortcuts(
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         per-border searches (name, instance, or ``None`` for the default).
-    flat:
-        Optional CSR snapshot of the parent subgraph.  When given, the
-        borders come from one vectorised edge scan and the
-        within-partition subgraph is derived with
-        :meth:`~repro.core.flat.FlatWorkingGraph.induce` instead of a dict
-        restriction - same searches, same shortcuts, no dict churn.
-    within_flat:
+    within:
         Optional pre-induced snapshot of ``partition`` (must equal
         ``flat.induce(partition)``).  The construction passes it in and
-        reuses the same snapshot for the child overlay, so each child is
-        induced exactly once.
+        reuses it for :func:`child_adjacency`, so each child is induced
+        exactly once.
 
     Returns
     -------
     list of Shortcut
         Shortcuts to add to the child working graph for ``partition``.
     """
-    if flat is not None:
-        borders = border_vertices_flat(flat, partition, cut)
-    elif adjacency is not None:
-        borders = border_vertices(adjacency, partition, cut)
-    else:
-        raise ValueError("provide the parent subgraph as 'adjacency' or 'flat'")
+    borders = border_vertices(flat, partition, cut)
     if len(borders) < 2:
         return []
 
-    # Lines 3-6: within-partition distances between border vertices.  The
-    # partition subgraph is flattened once (CSR, dense ids) and the
-    # backend searches from every border over it - same distances as
-    # searching the parent adjacency restricted to the partition, without
-    # per-edge membership checks or vertex-id hashing (and one batched
-    # scipy call for all borders under the csr backend).
-    from repro.core.backends import resolve_backend
-    from repro.core.flat import FlatWorkingGraph
-
-    if within_flat is None:
-        if flat is not None:
-            within_flat = flat.induce(partition)
-        else:
-            within_flat = FlatWorkingGraph(restrict_adjacency(adjacency, partition))
-    border_dense = within_flat.dense_ids(borders)
-    rows = resolve_backend(backend).sssp_many(within_flat, border_dense)
-    within: Dict[int, Sequence[float]] = dict(zip(borders, rows))
+    # Lines 3-6: within-partition distances between border vertices: the
+    # backend searches from every border over the induced partition
+    # snapshot (one batched scipy call for all borders under csr).
+    if within is None:
+        within = flat.induce(partition)
+    border_dense = within.dense_ids(borders)
+    rows = resolve_backend(backend).sssp_many(within, border_dense)
+    in_partition: Dict[int, Sequence[float]] = dict(zip(borders, rows))
     dense_of = dict(zip(borders, border_dense))
 
     # Lines 7-8: true distances, allowing travel through the cut.
     true_distance: Dict[Tuple[int, int], float] = {}
     for i, b1 in enumerate(borders):
         for b2 in borders[i + 1 :]:
-            d_in_partition = within[b1][dense_of[b2]]
+            d_in_partition = in_partition[b1][dense_of[b2]]
             d_via_cut = INF
             for c in cut:
                 dist_c = cut_distances[c]
@@ -169,7 +131,7 @@ def compute_shortcuts(
     for (b1, b2), d_true in true_distance.items():
         if d_true == INF:
             continue
-        d_in_partition = within[b1][dense_of[b2]]
+        d_in_partition = in_partition[b1][dense_of[b2]]
         if d_true >= d_in_partition:
             continue  # condition (1): the partition already realises it
         tolerance = _REL_EPS * max(1.0, d_true)
@@ -185,58 +147,19 @@ def compute_shortcuts(
     return shortcuts
 
 
-def apply_shortcuts(child: WorkingAdjacency, shortcuts: Iterable[Shortcut]) -> int:
-    """Add ``shortcuts`` to a child working adjacency (keeping minima).
-
-    Returns the number of shortcut edges that actually changed the child
-    graph (new edge or improved weight), which the construction statistics
-    report.
-    """
-    added = 0
-    for shortcut in shortcuts:
-        u, v, weight = shortcut.u, shortcut.v, shortcut.weight
-        if u not in child or v not in child:
-            continue
-        current = child[u].get(v)
-        if current is None or weight < current:
-            child[u][v] = weight
-            child[v][u] = weight
-            added += 1
-    return added
-
-
-def is_distance_preserving(
-    parent: WorkingAdjacency,
-    child: WorkingAdjacency,
-    sample_vertices: Sequence[int] | None = None,
-    tolerance: float = 1e-6,
-) -> bool:
-    """Check Definition 4.5 on a child subgraph (test helper).
-
-    For every (sampled) vertex, distances inside the child must match the
-    distances in the parent working graph restricted to child vertices.
-    """
-    vertices = sorted(child)
-    sources = vertices if sample_vertices is None else [v for v in sample_vertices if v in child]
-    for source in sources:
-        in_child = dijkstra_adjacency(child, source)
-        in_parent = dijkstra_adjacency(parent, source)
-        for v in vertices:
-            dc = in_child.get(v, INF)
-            dp = in_parent.get(v, INF)
-            if dp == INF and dc == INF:
-                continue
-            if abs(dc - dp) > tolerance * max(1.0, abs(dp)):
-                return False
-    return True
-
-
 def child_adjacency(
-    adjacency: WorkingAdjacency,
+    flat: FlatWorkingGraph,
     partition: Sequence[int],
     shortcuts: Iterable[Shortcut],
-) -> WorkingAdjacency:
-    """Build the shortcut-enhanced child working graph ``G<P>`` (Definition 4.9)."""
-    child = restrict_adjacency(adjacency, partition)
-    apply_shortcuts(child, shortcuts)
-    return child
+    within: Optional[FlatWorkingGraph] = None,
+) -> FlatWorkingGraph:
+    """The shortcut-enhanced child snapshot ``G<P>`` (Definition 4.9).
+
+    Restricts the parent snapshot ``flat`` to ``partition``, then overlays
+    ``shortcuts`` (:meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`).
+    ``within`` is the restriction when the caller already holds it, as
+    for :func:`compute_shortcuts`.
+    """
+    if within is None:
+        within = flat.induce(partition)
+    return within.overlay_shortcuts(list(shortcuts))

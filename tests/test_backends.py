@@ -25,7 +25,7 @@ from repro.core.backends import (
     resolve_backend,
     scipy_available,
 )
-from repro.core.construction import HC2LBuilder
+from repro.core.construction import HC2LBuilder, root_snapshot
 from repro.core.dynamic import DynamicHC2LIndex
 from repro.core.flat import FlatWorkingGraph
 from repro.core.index import HC2LIndex, HC2LParameters
@@ -50,7 +50,7 @@ def _random_graph(seed: int, n_lo: int = 20, n_hi: int = 90) -> Graph:
 
 
 def _flat_for(graph: Graph) -> FlatWorkingGraph:
-    return FlatWorkingGraph({v: dict(graph.neighbors(v)) for v in graph.vertices()})
+    return root_snapshot(graph)
 
 
 class TestBackendBitIdentity:

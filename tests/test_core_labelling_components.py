@@ -4,70 +4,79 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import adjacency_of, dijkstra_adjacency, dist_and_prune
+from repro.core.construction import root_snapshot
 from repro.core.labelling import HC2LLabelling, node_distance_arrays
-from repro.core.pruned_dijkstra import dist_and_prune
+from repro.core.pruned_dijkstra import dist_and_prune_dense
 from repro.core.ranking import rank_cut_vertices
 from repro.graph.builders import graph_from_edges, path_graph
-from repro.partition.working_graph import dijkstra_adjacency, working_graph_from
 
 INF = float("inf")
 
 
 @pytest.fixture()
-def path_adjacency():
+def path_flat():
     # 0 - 1 - 2 - 3 - 4 with unit weights
-    return working_graph_from(path_graph(5))
+    return root_snapshot(path_graph(5))
 
 
 class TestDistAndPrune:
+    """Algorithm 4 over a root snapshot, where dense ids are vertex ids."""
+
     def test_distances_match_dijkstra(self, jittered_grid):
-        adjacency = working_graph_from(jittered_grid)
-        result = dist_and_prune(adjacency, 0, prune_set=[])
-        expected = dijkstra_adjacency(adjacency, 0)
+        flat = root_snapshot(jittered_grid)
+        dist, _ = dist_and_prune_dense(flat, 0, [])
+        expected = dijkstra_adjacency(adjacency_of(flat), 0)
         for v, d in expected.items():
-            assert result.distance[v] == pytest.approx(d)
+            assert dist[v] == pytest.approx(d)
 
-    def test_empty_prune_set_never_flags(self, path_adjacency):
-        result = dist_and_prune(path_adjacency, 0, prune_set=[])
-        assert not any(result.through_prune_set.values())
+    def test_empty_prune_set_never_flags(self, path_flat):
+        _, through = dist_and_prune_dense(path_flat, 0, [])
+        assert not any(through)
 
-    def test_flag_set_beyond_prune_vertex(self, path_adjacency):
-        result = dist_and_prune(path_adjacency, 0, prune_set=[2])
+    def test_flag_set_beyond_prune_vertex(self, path_flat):
+        _, through = dist_and_prune_dense(path_flat, 0, [2])
         # vertices strictly beyond 2 are reached through it
-        assert result.through_prune_set[3] is True
-        assert result.through_prune_set[4] is True
+        assert through[3] is True
+        assert through[4] is True
         # the prune vertex itself and everything before it are not flagged
-        assert result.through_prune_set[2] is False
-        assert result.through_prune_set[1] is False
+        assert through[2] is False
+        assert through[1] is False
 
-    def test_root_in_prune_set_is_ignored(self, path_adjacency):
-        result = dist_and_prune(path_adjacency, 0, prune_set=[0, 2])
-        assert result.through_prune_set[1] is False
-        assert result.through_prune_set[3] is True
+    def test_root_in_prune_set_is_ignored(self, path_flat):
+        _, through = dist_and_prune_dense(path_flat, 0, [0, 2])
+        assert through[1] is False
+        assert through[3] is True
 
     def test_tied_paths_prefer_flagged(self):
         # two equal-length paths 0->3: via 1 (in prune set) and via 2 (not)
         graph = graph_from_edges([(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
-        adjacency = working_graph_from(graph)
-        result = dist_and_prune(adjacency, 0, prune_set=[1])
-        assert result.distance[3] == 2.0
-        assert result.through_prune_set[3] is True
+        dist, through = dist_and_prune_dense(root_snapshot(graph), 0, [1])
+        assert dist[3] == 2.0
+        assert through[3] is True
 
     def test_unreachable_vertices_absent(self, disconnected_graph):
-        adjacency = working_graph_from(disconnected_graph)
-        result = dist_and_prune(adjacency, 0, prune_set=[])
-        assert 5 not in result.distance
-        assert result.get(5) == (INF, False)
+        dist, through = dist_and_prune_dense(root_snapshot(disconnected_graph), 0, [])
+        assert dist[5] == INF
+        assert through[5] is False
+
+    @pytest.mark.parametrize("root, prune", [(0, []), (0, [7, 40]), (77, [0, 7, 140]), (140, [77])])
+    def test_matches_dict_oracle(self, jittered_grid, root, prune):
+        flat = root_snapshot(jittered_grid)
+        dist, through = dist_and_prune_dense(flat, root, prune)
+        expected = dist_and_prune(adjacency_of(flat), root, prune)
+        for v in flat.vertices:
+            assert (dist[v], through[v]) == expected.get(v)
 
 
 class TestRanking:
-    def test_single_cut_vertex(self, path_adjacency):
-        ranking = rank_cut_vertices(path_adjacency, [2])
+    def test_single_cut_vertex(self, path_flat):
+        ranking = rank_cut_vertices(path_flat, [2])
         assert ranking.ordered == [2]
         assert ranking.coverage == {2: 0}
 
-    def test_empty_cut(self, path_adjacency):
-        ranking = rank_cut_vertices(path_adjacency, [])
+    def test_empty_cut(self, path_flat):
+        ranking = rank_cut_vertices(path_flat, [])
         assert ranking.ordered == []
 
     def test_covered_vertex_ranks_last(self):
@@ -77,27 +86,27 @@ class TestRanking:
         graph = graph_from_edges(
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 6, 1.0), (6, 7, 1.0)]
         )
-        adjacency = working_graph_from(graph)
-        ranking = rank_cut_vertices(adjacency, [1, 3])
+        ranking = rank_cut_vertices(root_snapshot(graph), [1, 3])
         # vertex 3 reaches {0, 6, 7} only through 1 => coverage(3) = 4 incl. 0-side
         # vertex 1 reaches {4, 5} only through 3 => coverage(1) = 2
         assert ranking.coverage[3] > ranking.coverage[1]
         assert ranking.ordered == [1, 3]
 
     def test_ordering_is_deterministic(self, medium_graph):
-        adjacency = working_graph_from(medium_graph)
-        cut = sorted(adjacency)[:6]
-        first = rank_cut_vertices(adjacency, cut).ordered
-        second = rank_cut_vertices(adjacency, cut).ordered
+        flat = root_snapshot(medium_graph)
+        cut = flat.vertices[:6]
+        first = rank_cut_vertices(flat, cut).ordered
+        second = rank_cut_vertices(flat, cut).ordered
         assert first == second
 
 
 class TestNodeDistanceArrays:
     def test_arrays_store_exact_distances(self, jittered_grid):
-        adjacency = working_graph_from(jittered_grid)
+        flat = root_snapshot(jittered_grid)
+        adjacency = adjacency_of(flat)
         cut = [0, 7, 77]
-        ranking = rank_cut_vertices(adjacency, cut)
-        arrays, cut_distances = node_distance_arrays(adjacency, ranking, tail_pruning=False)
+        ranking = rank_cut_vertices(flat, cut)
+        arrays, cut_distances = node_distance_arrays(flat, ranking, tail_pruning=False)
         assert set(cut_distances) == set(cut)
         for v, array in arrays.items():
             assert len(array) == len(cut)
@@ -105,27 +114,27 @@ class TestNodeDistanceArrays:
                 assert array[i] == pytest.approx(dijkstra_adjacency(adjacency, c).get(v, INF))
 
     def test_tail_pruning_only_truncates(self, jittered_grid):
-        adjacency = working_graph_from(jittered_grid)
+        flat = root_snapshot(jittered_grid)
         cut = [0, 7, 77, 140]
-        ranking = rank_cut_vertices(adjacency, cut)
-        full, _ = node_distance_arrays(adjacency, ranking, tail_pruning=False)
-        pruned, _ = node_distance_arrays(adjacency, ranking, tail_pruning=True)
+        ranking = rank_cut_vertices(flat, cut)
+        full, _ = node_distance_arrays(flat, ranking, tail_pruning=False)
+        pruned, _ = node_distance_arrays(flat, ranking, tail_pruning=True)
         for v in full:
             assert len(pruned[v]) <= len(full[v])
             assert pruned[v] == full[v][: len(pruned[v])]
             assert len(pruned[v]) >= 1
 
     def test_tail_pruning_shrinks_total_size(self, medium_graph):
-        adjacency = working_graph_from(medium_graph)
-        cut = sorted(adjacency)[:8]
-        ranking = rank_cut_vertices(adjacency, cut)
-        full, _ = node_distance_arrays(adjacency, ranking, tail_pruning=False)
-        pruned, _ = node_distance_arrays(adjacency, ranking, tail_pruning=True)
+        flat = root_snapshot(medium_graph)
+        cut = flat.vertices[:8]
+        ranking = rank_cut_vertices(flat, cut)
+        full, _ = node_distance_arrays(flat, ranking, tail_pruning=False)
+        pruned, _ = node_distance_arrays(flat, ranking, tail_pruning=True)
         assert sum(map(len, pruned.values())) < sum(map(len, full.values()))
 
-    def test_empty_cut_produces_empty_arrays(self, path_adjacency):
-        ranking = rank_cut_vertices(path_adjacency, [])
-        arrays, cut_distances = node_distance_arrays(path_adjacency, ranking)
+    def test_empty_cut_produces_empty_arrays(self, path_flat):
+        ranking = rank_cut_vertices(path_flat, [])
+        arrays, cut_distances = node_distance_arrays(path_flat, ranking)
         assert cut_distances == {}
         assert all(array == [] for array in arrays.values())
 

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.construction import root_snapshot
+from repro.core.flat import FlatLabelling
 from repro.core.index import HC2LIndex
 from repro.core.labelling import HC2LLabelling
 from repro.core.query import core_distance
@@ -124,6 +125,27 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             FlatLabelling.even_boundaries(10, 0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_replace_leading_levels(self, seed):
+        base = random_nested_labelling(seed)
+        rng = random.Random(seed + 100)
+        prefix = HC2LLabelling(base.num_vertices)
+        expected = []
+        for v, levels in enumerate(base.labels):
+            lead = [
+                [rng.uniform(0.0, 9.0) for _ in range(rng.randrange(0, 4))]
+                for _ in range(rng.randrange(0, len(levels) + 1))
+            ]
+            for array in lead:
+                prefix.append_level(v, array)
+            expected.append(lead + levels[len(lead) :])
+        merged = FlatLabelling.from_labelling(base).replace_leading_levels(
+            FlatLabelling.from_labelling(prefix)
+        )
+        assert merged == FlatLabelling.from_labelling(
+            HC2LLabelling(base.num_vertices, labels=expected)
+        )
+
     def test_writable_memmap_rejected(self, tmp_path):
         """A shard must never be able to scribble on shared label pages."""
         flat = FlatLabelling.from_labelling(random_nested_labelling(4, num_vertices=5))
@@ -192,7 +214,7 @@ class TestFlatWorkingGraph:
     def test_csr_matches_adjacency(self):
         graph = graph_from_edges([(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
         adjacency = graph.adjacency_dict()
-        flat = FlatWorkingGraph(adjacency)
+        flat = root_snapshot(graph)
         assert flat.vertices == [0, 1, 2]
         for v in adjacency:
             dense = flat.dense_id[v]
@@ -203,8 +225,8 @@ class TestFlatWorkingGraph:
             assert neighbours == adjacency[v]
 
     def test_dense_ids_preserve_order(self):
-        adjacency = {7: {3: 1.0}, 3: {7: 1.0}, 9: {}}
-        flat = FlatWorkingGraph(adjacency)
+        graph = graph_from_edges([(7, 3, 1.0)], num_vertices=10)
+        flat = root_snapshot(graph).induce([9, 7, 3])
         assert flat.vertices == [3, 7, 9]
         assert flat.dense_ids([9, 3]) == [2, 0]
 

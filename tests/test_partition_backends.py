@@ -22,18 +22,20 @@ import random
 import pytest
 
 import repro.flow.vertex_cut as vertex_cut_module
+from oracles import adjacency_of, dijkstra_adjacency, separates
 from repro.core.backends import CSRBackend, DialBackend, HeapBackend
-from repro.core.flat import FlatWorkingGraph
+from repro.core.construction import root_snapshot
 from repro.flow.vertex_cut import FLOW_METHODS, minimum_st_vertex_cut
 from repro.graph.builders import graph_from_edges
-from repro.partition.cut import balanced_cut, separates
+from repro.graph.graph import Graph
+from repro.partition.cut import balanced_cut
 from repro.partition.partition import balanced_partition
-from repro.partition.working_graph import working_graph_from
+from repro.partition.shortcuts import child_adjacency, compute_shortcuts
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 
 
-def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
-    """A connected-ish random weighted graph as a working adjacency."""
+def _seeded_graph(seed: int, n_lo: int = 40, n_hi: int = 120) -> Graph:
+    """A connected-ish random weighted graph."""
     rng = random.Random(seed)
     n = rng.randrange(n_lo, n_hi)
     edges = []
@@ -44,20 +46,29 @@ def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.append((u, v, float(rng.randrange(1, 9))))
-    graph = graph_from_edges(edges, num_vertices=n)
-    return working_graph_from(graph)
+    return graph_from_edges(edges, num_vertices=n)
+
+
+def _seeded_snapshot(seed: int, n_lo: int = 40, n_hi: int = 120):
+    """The root snapshot of :func:`_seeded_graph` (what the partition layer cuts)."""
+    return root_snapshot(_seeded_graph(seed, n_lo, n_hi))
+
+
+def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
+    """:func:`_seeded_graph` as the dict adjacency the flow-region API takes."""
+    return _seeded_graph(seed, n_lo, n_hi).adjacency_dict()
 
 
 class TestCutBackendEquality:
     @pytest.mark.parametrize("seed", range(8))
     def test_heap_and_csr_cuts_are_identical(self, seed):
-        adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+        flat = _seeded_snapshot(seed)
+        reference = balanced_cut(flat, backend=HeapBackend())
+        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
         assert reference.part_a == fast.part_a
         assert reference.cut == fast.cut
         assert reference.part_b == fast.part_b
-        assert separates(adjacency, fast)
+        assert separates(flat, fast)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_csr_without_scipy_matches(self, seed, monkeypatch):
@@ -69,9 +80,9 @@ class TestCutBackendEquality:
         monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", None)
         # exercise both the python and the numpy Edmonds-Karp regions
         monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 30)
-        adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+        flat = _seeded_snapshot(seed)
+        reference = balanced_cut(flat, backend=HeapBackend())
+        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
         assert (reference.part_a, reference.cut, reference.part_b) == (
             fast.part_a,
             fast.cut,
@@ -82,9 +93,9 @@ class TestCutBackendEquality:
         network = synthetic_road_network(
             RoadNetworkSpec("cut-smoke", num_vertices=350, seed=2024)
         )
-        adjacency = working_graph_from(network.distance_graph)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+        flat = root_snapshot(network.distance_graph)
+        reference = balanced_cut(flat, backend=HeapBackend())
+        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
         assert (reference.part_a, reference.cut, reference.part_b) == (
             fast.part_a,
             fast.cut,
@@ -93,9 +104,9 @@ class TestCutBackendEquality:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_backend_equality(self, seed):
-        adjacency = _seeded_adjacency(seed, n_lo=20, n_hi=80)
-        a = balanced_partition(adjacency, backend=HeapBackend())
-        b = balanced_partition(adjacency, backend=CSRBackend(min_vertices=0))
+        flat = _seeded_snapshot(seed, n_lo=20, n_hi=80)
+        a = balanced_partition(flat, backend=HeapBackend())
+        b = balanced_partition(flat, backend=CSRBackend(min_vertices=0))
         assert a.initial_a == b.initial_a
         assert a.cut_region == b.cut_region
         assert a.initial_b == b.initial_b
@@ -192,7 +203,7 @@ class TestCrossSolverFuzz:
         if force_kernels:
             self._force_kernels(monkeypatch)
         graph = caterpillar_graph(spine=9, legs=2, weight=3.0)
-        adjacency = working_graph_from(graph)
+        adjacency = graph.adjacency_dict()
         spine = list(range(9))  # vertices 0..spine-1 form the spine path
         result = self._assert_methods_agree(adjacency, {spine[0]}, {spine[-1]})
         # a path-shaped spine separates with one vertex
@@ -235,17 +246,15 @@ class TestDialBackendEquality:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dial_and_heap_cuts_are_identical(self, seed):
-        adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        dial = balanced_cut(
-            adjacency, backend=DialBackend(fallback=_FallbackForbidden())
-        )
+        flat = _seeded_snapshot(seed)
+        reference = balanced_cut(flat, backend=HeapBackend())
+        dial = balanced_cut(flat, backend=DialBackend(fallback=_FallbackForbidden()))
         assert (reference.part_a, reference.cut, reference.part_b) == (
             dial.part_a,
             dial.cut,
             dial.part_b,
         )
-        assert separates(adjacency, dial)
+        assert separates(flat, dial)
 
     @pytest.mark.parametrize("seed", [1, 8])
     def test_dial_rows_bit_identical_on_dyadic_weights(self, seed):
@@ -259,8 +268,7 @@ class TestDialBackendEquality:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.append((u, v, rng.randrange(1, 40) * 0.25))
-        adjacency = working_graph_from(graph_from_edges(edges, num_vertices=n))
-        flat = FlatWorkingGraph(adjacency)
+        flat = root_snapshot(graph_from_edges(edges, num_vertices=n))
         sources = list(range(0, n, 7))
         heap_rows = HeapBackend().sssp_many(flat, sources)
         dial_rows = DialBackend(fallback=_FallbackForbidden()).sssp_many(flat, sources)
@@ -270,12 +278,12 @@ class TestDialBackendEquality:
 class TestValidationAndDedupe:
     @pytest.mark.parametrize("beta", [0.0, -0.1, 0.6, 1.5])
     def test_balanced_cut_validates_beta(self, beta):
-        adjacency = _seeded_adjacency(0, n_lo=10, n_hi=11)
+        flat = _seeded_snapshot(0, n_lo=10, n_hi=11)
         with pytest.raises(ValueError, match="beta"):
-            balanced_cut(adjacency, beta)
+            balanced_cut(flat, beta)
 
     def test_balanced_cut_requires_a_subgraph(self):
-        with pytest.raises(ValueError, match="adjacency"):
+        with pytest.raises(TypeError, match="flat"):
             balanced_cut()
 
     def test_seed_search_memo_reuses_first_row(self):
@@ -293,73 +301,66 @@ class TestValidationAndDedupe:
         path = graph_from_edges(
             [(i, i + 1, 1.0) for i in range(30)], num_vertices=31
         )
-        balanced_partition(working_graph_from(path), backend=CountingBackend())
+        balanced_partition(root_snapshot(path), backend=CountingBackend())
         # arbitrary start 0 -> seed_a = 30 -> farthest from 30 is 0 again:
         # exactly two searches run, the third reuses the first row
         assert calls == [0, 30]
 
 
 class TestFlatShortcutPaths:
-    """The dict-free shortcut/snapshot paths match the dict reference."""
+    """The snapshot shortcut paths against dict-adjacency oracles."""
 
     def _cut_setup(self, seed: int):
-        from repro.partition.working_graph import dijkstra_adjacency
-
-        adjacency = _seeded_adjacency(seed, n_lo=50, n_hi=90)
-        result = balanced_cut(adjacency, beta=0.25)
+        flat = _seeded_snapshot(seed, n_lo=50, n_hi=90)
+        result = balanced_cut(flat, beta=0.25)
         if not result.cut or not result.part_a:
             pytest.skip("degenerate cut for this seed")
-        cut_distances = {
-            c: dijkstra_adjacency(adjacency, c) for c in result.cut
-        }
-        return adjacency, result, cut_distances
+        adjacency = adjacency_of(flat)
+        cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
+        return flat, adjacency, result, cut_distances
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_compute_shortcuts_flat_matches_dict(self, seed):
-        from repro.partition.shortcuts import compute_shortcuts
-
-        adjacency, result, cut_distances = self._cut_setup(seed)
-        flat = FlatWorkingGraph(adjacency)
+        flat, adjacency, result, cut_distances = self._cut_setup(seed)
         for part in (result.part_a, result.part_b):
-            via_dict = compute_shortcuts(adjacency, result.cut, part, cut_distances)
-            via_flat = compute_shortcuts(
-                None, result.cut, part, cut_distances, flat=flat
-            )
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             via_within = compute_shortcuts(
-                None,
-                result.cut,
-                part,
-                cut_distances,
-                flat=flat,
-                within_flat=flat.induce(part),
+                flat, result.cut, part, cut_distances, within=flat.induce(part)
             )
-            assert via_flat == via_dict
-            assert via_within == via_dict
+            assert via_within == shortcuts
+            # each shortcut carries the true parent distance and beats the
+            # distance inside the partition (Algorithm 3, condition (1))
+            for shortcut in shortcuts:
+                assert shortcut.weight == dijkstra_adjacency(adjacency, shortcut.u)[shortcut.v]
+                inside = dijkstra_adjacency(adjacency, shortcut.u, allowed=part)
+                assert shortcut.weight < inside.get(shortcut.v, float("inf"))
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_induce_with_shortcuts_matches_child_adjacency(self, seed):
-        from repro.partition.shortcuts import child_adjacency, compute_shortcuts
-        from repro.partition.working_graph import adjacency_from_csr
-
-        adjacency, result, cut_distances = self._cut_setup(seed)
-        flat = FlatWorkingGraph(adjacency)
+        flat, adjacency, result, cut_distances = self._cut_setup(seed)
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
-            reference = child_adjacency(adjacency, part, shortcuts)
-            child = flat.induce_with_shortcuts(part, shortcuts)
-            assert adjacency_from_csr(child) == reference
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
+            # dict reference: restrict, then add each shortcut keeping minima
+            members = set(part)
+            reference = {
+                v: {w: weight for w, weight in adjacency[v].items() if w in members}
+                for v in part
+            }
+            for s in shortcuts:
+                if s.weight < reference[s.u].get(s.v, float("inf")):
+                    reference[s.u][s.v] = reference[s.v][s.u] = s.weight
+            child = child_adjacency(flat, part, shortcuts)
+            assert adjacency_of(child) == reference
+            assert child_adjacency(flat, part, shortcuts, within=flat.induce(part)).indices == (
+                child.indices
+            )
 
     @pytest.mark.parametrize("seed", [5, 19])
     def test_adjacency_from_csr_round_trips(self, seed):
-        from repro.partition.working_graph import adjacency_from_csr
-
-        adjacency = _seeded_adjacency(seed, n_lo=30, n_hi=60)
-        flat = FlatWorkingGraph(adjacency)
-        rebuilt = adjacency_from_csr(flat)
-        assert rebuilt == adjacency
-        # re-flattening reproduces the snapshot's exact edge order
-        again = FlatWorkingGraph(rebuilt)
-        assert again.vertices == flat.vertices
-        assert again.indptr == flat.indptr
-        assert again.indices == flat.indices
-        assert again.weights == flat.weights
+        graph = _seeded_graph(seed, n_lo=30, n_hi=60)
+        rebuilt = adjacency_of(root_snapshot(graph))
+        # the root snapshot keeps the graph's adjacency order edge for edge
+        expected = graph.adjacency_dict()
+        assert [list(rebuilt[v].items()) for v in graph.vertices()] == [
+            list(expected[v].items()) for v in graph.vertices()
+        ]

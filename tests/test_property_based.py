@@ -20,16 +20,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import adjacency_of, dijkstra_adjacency, is_distance_preserving, separates
 from repro.baselines.h2h import H2HIndex
 from repro.baselines.hub_labelling import HubLabelling
 from repro.baselines.phl import PrunedHighwayLabelling
 from repro.baselines.pll import PrunedLandmarkLabelling
+from repro.core.construction import root_snapshot
 from repro.core.index import HC2LIndex
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
-from repro.partition.cut import balanced_cut, separates
-from repro.partition.shortcuts import child_adjacency, compute_shortcuts, is_distance_preserving
-from repro.partition.working_graph import dijkstra_adjacency, working_graph_from
+from repro.partition.cut import balanced_cut
+from repro.partition.shortcuts import child_adjacency, compute_shortcuts
 
 INF = float("inf")
 
@@ -104,24 +105,25 @@ class TestPartitionProperties:
     @SETTINGS
     @given(weighted_graphs(min_vertices=6, max_vertices=30, connected=True), st.sampled_from([0.2, 0.3]))
     def test_balanced_cut_separates_and_covers(self, graph, beta):
-        adjacency = working_graph_from(graph)
-        result = balanced_cut(adjacency, beta)
+        flat = root_snapshot(graph)
+        result = balanced_cut(flat, beta)
         union = set(result.part_a) | set(result.cut) | set(result.part_b)
-        assert union == set(adjacency)
-        assert separates(adjacency, result)
+        assert union == set(flat.vertices)
+        assert separates(flat, result)
 
     @SETTINGS
     @given(weighted_graphs(min_vertices=8, max_vertices=28, connected=True))
     def test_shortcut_children_are_distance_preserving(self, graph):
-        adjacency = working_graph_from(graph)
-        result = balanced_cut(adjacency, 0.25)
+        flat = root_snapshot(graph)
+        result = balanced_cut(flat, 0.25)
         if not result.part_a or not result.part_b:
             return
+        adjacency = adjacency_of(flat)
         cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
-            child = child_adjacency(adjacency, part, shortcuts)
-            assert is_distance_preserving(adjacency, child)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
+            child = child_adjacency(flat, part, shortcuts)
+            assert is_distance_preserving(flat, child)
 
 
 class TestHC2LProperties:
