@@ -24,7 +24,6 @@ is required.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -96,14 +95,9 @@ def relabel(
     with walk.stats.timer.measure("snapshot"):
         new_root = root_snapshot(contraction.core)
         old_root = root_snapshot(index.contraction.core) if scoped else None
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10_000))
-    try:
-        for root in hierarchy.nodes:
-            if root.parent is None:
-                walk.visit(root, new_root, old_root)
-    finally:
-        sys.setrecursionlimit(limit)
+    for root in hierarchy.nodes:
+        if root.parent is None:
+            walk.visit(root, new_root, old_root)
 
     extra: Dict[str, float] = {}
     if scoped:
