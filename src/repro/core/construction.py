@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.flat_build import SubtreeResult, build_subtree
+from repro.core.flat_build import ChildRecord, RelabelRecord, SubtreeResult, build_subtree
 from repro.flow.vertex_cut import check_flow_method
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
@@ -95,13 +95,17 @@ def graft_subtree(
     result: SubtreeResult,
     parent: Optional[int],
     side: Optional[str],
+    record: Optional[RelabelRecord] = None,
+    entry: Optional[ChildRecord] = None,
 ) -> None:
     """Append a built subtree's nodes to ``hierarchy`` and fold in its stats.
 
     The records are in preorder, so appending them in order gives every
     node the index the recursion would have assigned had it written into
     ``hierarchy`` directly.  ``parent`` / ``side`` place the subtree root
-    (``None`` for the hierarchy root).
+    (``None`` for the hierarchy root).  When ``record`` is given (one
+    entry per node already in ``hierarchy``) it is extended the same way,
+    with ``entry`` as the subtree root's :class:`ChildRecord`.
     """
     local_to_global: List[int] = []
     for i in range(len(result.depths)):
@@ -120,6 +124,9 @@ def graft_subtree(
         )
         hierarchy.set_subtree_size(node.index, result.sizes[i])
         local_to_global.append(node.index)
+    if record is not None:
+        record.append(entry)
+        record.extend(result.records[1:])
     stats.num_nodes += len(result.depths)
     stats.num_leaves += result.num_leaves
     stats.num_empty_cuts += result.num_empty_cuts
@@ -179,11 +186,15 @@ class HC2LBuilder:
         self.flow_method = check_flow_method(flow_method)
 
     # ------------------------------------------------------------------ #
-    def build(self, graph: Graph) -> Tuple[BalancedTreeHierarchy, FlatLabelling, ConstructionStats]:
+    def build(
+        self, graph: Graph, record: Optional[RelabelRecord] = None
+    ) -> Tuple[BalancedTreeHierarchy, FlatLabelling, ConstructionStats]:
         """Build hierarchy + labelling for ``graph`` (over all its vertices).
 
         The labels come back as a :class:`~repro.core.flat.FlatLabelling`
-        in vertex-id order.
+        in vertex-id order.  An empty ``record`` list, when given, receives
+        every hierarchy node's :class:`~repro.core.flat_build.ChildRecord`
+        (what :func:`repro.core.dynamic.relabel` reads its old side from).
         """
         stats = ConstructionStats()
         hierarchy = BalancedTreeHierarchy(graph.num_vertices)
@@ -192,7 +203,7 @@ class HC2LBuilder:
         with stats.timer.measure("snapshot"):
             root = root_snapshot(graph)
         result = self._build_subtree(root, 0, 0)
-        graft_subtree(hierarchy, stats, result, None, None)
+        graft_subtree(hierarchy, stats, result, None, None, record)
         return hierarchy, result.labels, stats
 
     def _build_subtree(self, flat: FlatWorkingGraph, depth: int, bits: int) -> SubtreeResult:

@@ -12,9 +12,22 @@ Each recomputed node runs the construction's own per-node sequence
 (:func:`repro.core.flat_build.label_node` and
 :func:`repro.core.flat_build.shortcut_child`) on the inherited cut and
 partitions, and the labels are packed straight into a
-:class:`~repro.core.flat.FlatLabelling`.  A scoped relabel walks an
-old-side snapshot of the previous weights alongside and splices the old
-levels of every subtree whose snapshot did not change.
+:class:`~repro.core.flat.FlatLabelling`.
+
+A scoped relabel splices the old levels of every subtree whose snapshot
+did not change.  It reads the old side from the index's
+:attr:`~repro.core.index.HC2LIndex.relabel_record`: for every hierarchy
+node, the :class:`~repro.core.flat_build.ChildRecord` its parent's step
+wrote - the node's border vertices, the parent's ranked-cut distances at
+them, and the shortcuts overlaid on its region.  The old snapshots are
+rebuilt from it exactly (``induce`` plus ``overlay_shortcuts``, starting
+at the old core's root snapshot), so no search ever runs on the old
+weights.  On the 10k-vertex perfbench ``query-float`` graph (1,861
+hierarchy nodes) the record holds 65,540 distances and 3,792 shortcuts
+(0.6 MB of values, about 2.8 MB as Python objects).  It lives in memory
+only - it is not label storage, is not counted in ``index_size_bytes``
+and is never archived - so an index loaded from disk has none, and its
+first relabel runs the full pass, which writes one.
 
 Topology changes (adding or removing edges/vertices) are out of scope, as
 in the paper; :class:`DynamicHC2LIndex` raises for them and a full rebuild
@@ -26,16 +39,22 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.backends import ShortestPathBackend, resolve_backend
 from repro.core.construction import ConstructionStats, root_snapshot
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.flat_build import fragment_from_levels, label_node, shortcut_child
-from repro.core.index import HC2LIndex, HC2LParameters
-from repro.graph.contraction import ContractedGraph, contract_degree_one
+from repro.core.flat_build import (
+    ChildRecord,
+    RelabelRecord,
+    fragment_from_levels,
+    label_node,
+    shortcut_child,
+)
+from repro.core.index import HC2LIndex, HC2LParameters, _identity_contraction
+from repro.graph.contraction import ContractedGraph
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy, TreeNode
 from repro.partition.shortcuts import border_vertices
@@ -56,21 +75,27 @@ def relabel(
     """Rebuild the labels of ``index`` for ``new_graph`` reusing its hierarchy.
 
     ``new_graph`` must have exactly the same vertices and edges as the
-    graph the index was built from - only edge weights may differ.  The
-    balanced tree hierarchy (which cuts exist and which subtree every
-    vertex belongs to) is preserved; cut-vertex ranks, shortcuts and all
-    distance arrays are recomputed under the new weights.
+    graph the index was built from - only edge weights may differ (the
+    edges may have been inserted in another order).  The balanced tree
+    hierarchy (which cuts exist and which subtree every vertex belongs
+    to) is preserved; cut-vertex ranks, shortcuts and all distance arrays
+    are recomputed under the new weights, over snapshots that keep the
+    old core graph's edge order.
 
     ``changed_edges`` optionally declares which edges changed (a mapping
     or iterable of ``(u, v)`` pairs, any orientation).  When given, the
     relabelling is *scoped*: only hierarchy subtrees whose working
     subgraph actually changed under the new weights are recomputed, and
     the label levels of untouched subtrees are spliced over from the old
-    index bit-for-bit.  The declaration is validated against the real
-    weight diff between the two graphs - an undeclared change raises
-    rather than silently serving stale distances.  When the touched
-    region is large enough that scoping would not pay, the full pass runs
-    instead (same result either way).
+    index bit-for-bit.  The old side comes from the index's
+    :attr:`~repro.core.index.HC2LIndex.relabel_record` (see the module
+    docstring), never from a search on the old weights.  The declaration
+    is validated against the real weight diff between the two graphs - an
+    undeclared change raises rather than silently serving stale
+    distances.  When the touched region is large enough that scoping
+    would not pay, or the index has no record (it was loaded from disk),
+    the full pass runs instead (same result either way).  Every relabel
+    returns an index with a fresh record, so the next one can be scoped.
     """
     start = time.perf_counter()
 
@@ -78,26 +103,40 @@ def relabel(
     if changed_edges is not None:
         _check_declared_changes(diff, changed_edges)
 
+    old = index.contraction
+    original_to_core = np.asarray(old.original_to_core, dtype=np.int64)
+    core_u, core_v = original_to_core[diff.us], original_to_core[diff.vs]
+    in_core = (core_u >= 0) & (core_v >= 0)
+    core_changes = list(
+        zip(core_u[in_core].tolist(), core_v[in_core].tolist(), diff.weights[in_core].tolist())
+    )
     if index.parameters.contract:
-        contraction = _reweighted_contraction(index.contraction, new_graph, diff)
-        if contraction is None:
-            contraction = contract_degree_one(new_graph)
-            _check_same_contraction(index.contraction, contraction)
+        contraction = _reweighted_contraction(
+            old,
+            core_changes,
+            zip(diff.us[~in_core].tolist(), diff.vs[~in_core].tolist(), diff.weights[~in_core].tolist()),
+        )
     else:
-        from repro.core.index import _identity_contraction
-
-        contraction = _identity_contraction(new_graph)
+        # the identity contraction's core is the graph itself, unless the
+        # new graph's edges come in another order than the core's, which
+        # the labels were computed in: the core then keeps its own order
+        same_order = old.core is index.graph and diff.same_order
+        core = new_graph if same_order else _reweighted_core(old.core, core_changes)
+        contraction = _identity_contraction(core)
 
     hierarchy = index.hierarchy
-    core_diff = _core_diff_edges(index.contraction, diff)
-    scoped = changed_edges is not None and _scoping_pays(hierarchy, core_diff)
-    walk = _RelabelWalk(index, resolve_backend(getattr(index.parameters, "backend", "auto")))
+    scoped = (
+        changed_edges is not None
+        and index.relabel_record is not None
+        and _scoping_pays(hierarchy, core_changes)
+    )
+    walk = _RelabelWalk(index, resolve_backend(getattr(index.parameters, "backend", "auto")), scoped)
     with walk.stats.timer.measure("snapshot"):
-        new_root = root_snapshot(contraction.core)
-        old_root = root_snapshot(index.contraction.core) if scoped else None
+        old_root = root_snapshot(old.core)
+        new_root = _patched_snapshot(old_root, core_changes)
     for root in hierarchy.nodes:
         if root.parent is None:
-            walk.visit(root, new_root, old_root)
+            walk.visit(root, new_root, old_root if scoped else None)
 
     extra: Dict[str, float] = {}
     if scoped:
@@ -115,11 +154,30 @@ def relabel(
         stats=walk.stats,
         construction_seconds=time.perf_counter() - start,
         extra=extra,
+        relabel_record=walk.record,
     )
 
 
-def _topology_checked_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
-    """One pass computing the weight diff and enforcing identical topology."""
+class _WeightDiff(NamedTuple):
+    """The edges whose weight changed, as ``u < v`` original-id arrays."""
+
+    us: np.ndarray
+    vs: np.ndarray
+    #: the new weights
+    weights: np.ndarray
+    #: whether the two graphs list every vertex's edges in the same order
+    same_order: bool
+
+
+def _topology_checked_diff(old: Graph, new: Graph) -> _WeightDiff:
+    """The weight diff of two graphs, enforcing identical topology.
+
+    Compares the graphs' CSR arrays in numpy.  Graphs whose adjacency
+    lists follow the same order (any graph derived by
+    :meth:`~repro.graph.graph.Graph.reweighted`) compare arc by arc; the
+    arcs of graphs built in different insertion orders are sorted by
+    ``(tail, head)`` first.
+    """
     if old.num_vertices != new.num_vertices:
         raise ValueError(
             f"relabel requires identical topology; vertex counts differ "
@@ -130,23 +188,37 @@ def _topology_checked_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
             f"relabel requires identical topology; edge counts differ "
             f"({old.num_edges} vs {new.num_edges})"
         )
-    new_weights = {(u, v): w for u, v, w in new.edges()}
-    diff = []
-    for u, v, w in old.edges():
-        new_w = new_weights.get((u, v))
-        if new_w is None:
-            raise ValueError(f"relabel requires identical topology; edge ({u}, {v}) is missing")
-        if new_w != w:
-            diff.append((u, v))
-    return diff
+    a, b = old.csr(cache=False), new.csr(cache=False)
+    tails = np.repeat(np.arange(old.num_vertices, dtype=np.int64), np.diff(a.indptr))
+    heads, old_weights, new_weights = a.indices, a.weights, b.weights
+    same_order = np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    if not same_order:
+        new_tails = np.repeat(np.arange(new.num_vertices, dtype=np.int64), np.diff(b.indptr))
+        old_order = np.lexsort((heads, tails))
+        new_order = np.lexsort((b.indices, new_tails))
+        tails, heads, old_weights = tails[old_order], heads[old_order], old_weights[old_order]
+        new_tails, new_heads = new_tails[new_order], b.indices[new_order]
+        new_weights = new_weights[new_order]
+        moved = (tails != new_tails) | (heads != new_heads)
+        if moved.any():
+            # sorted arc lists agree up to here: the smaller arc of the
+            # first mismatch is in one graph only
+            p = int(np.argmax(moved))
+            old_arc, new_arc = (int(tails[p]), int(heads[p])), (int(new_tails[p]), int(new_heads[p]))
+            arc, which = (old_arc, "is missing") if old_arc < new_arc else (new_arc, "is new")
+            raise ValueError(
+                f"relabel requires identical topology; edge ({min(arc)}, {max(arc)}) {which}"
+            )
+    changed = (old_weights != new_weights) & (tails < heads)
+    return _WeightDiff(tails[changed], heads[changed], new_weights[changed], same_order)
 
 
-def _check_declared_changes(
-    diff: Sequence[Tuple[int, int]], changed_edges: ChangedEdges
-) -> None:
+def _check_declared_changes(diff: _WeightDiff, changed_edges: ChangedEdges) -> None:
     """Every actually-changed edge must be declared; anything else is a lie."""
     declared = {(min(u, v), max(u, v)) for u, v in changed_edges}
-    undeclared = [edge for edge in diff if edge not in declared]
+    undeclared = [
+        edge for edge in zip(diff.us.tolist(), diff.vs.tolist()) if edge not in declared
+    ]
     if undeclared:
         raise ValueError(
             f"changed_edges omits {len(undeclared)} edge(s) whose weight actually "
@@ -154,72 +226,94 @@ def _check_declared_changes(
         )
 
 
+def _reweighted_core(core: Graph, changes: Sequence[Tuple[int, int, float]]) -> Graph:
+    """``core`` with the changed core edges' new weights, in its edge order."""
+    return core.reweighted({(min(u, v), max(u, v)): w for u, v, w in changes})
+
+
 def _reweighted_contraction(
-    contraction: ContractedGraph, new_graph: Graph, diff: Sequence[Tuple[int, int]]
-) -> Optional[ContractedGraph]:
-    """Rebuild the contraction for ``new_graph`` without re-running it.
+    contraction: ContractedGraph,
+    core_changes: Sequence[Tuple[int, int, float]],
+    pendant_changes: Iterable[Tuple[int, int, float]],
+) -> ContractedGraph:
+    """The contraction of the reweighted graph, without re-running it.
 
     The degree-one contraction is purely topological and ``relabel``
     requires identical topology, so the structure (which vertices
-    contract, attachment trees, depths) always carries over.  When no
-    changed edge touches a contracted vertex the attachment-tree distance
-    arrays are untouched too, and only the core graph's changed edges
-    need reweighting.  Returns ``None`` when a pendant edge changed (the
-    caller re-runs the full contraction to refresh the distance arrays).
+    contract, attachment trees, depths) always carries over: the core
+    graph takes its changed edges' new weights, and a changed edge with a
+    contracted endpoint - always the edge from a vertex to its attachment
+    parent - refreshes the distance arrays of its attachment tree only.
+    Those are recomputed as :func:`~repro.graph.contraction.contract_degree_one`
+    computes them, ``dist_to_root[parent] + dist_to_parent[vertex]`` in
+    depth order, so they come out bit-identical.
     """
-    core_weights: Dict[Tuple[int, int], float] = {}
-    for u, v in diff:
-        cu, cv = contraction.original_to_core[u], contraction.original_to_core[v]
-        if cu < 0 or cv < 0:
-            return None
-        core_weights[(min(cu, cv), max(cu, cv))] = new_graph.edge_weight(u, v)
+    parent = contraction.parent
+    dist_to_parent = contraction.dist_to_parent
+    dist_to_root = contraction.dist_to_root
+    pendant = list(pendant_changes)
+    if pendant:
+        dist_to_parent, dist_to_root = list(dist_to_parent), list(dist_to_root)
+        roots: Set[int] = set()
+        for u, v, weight in pendant:
+            child = u if parent[u] == v else v
+            dist_to_parent[child] = weight
+            roots.add(contraction.root[child])
+        depth = np.asarray(contraction.depth, dtype=np.int64)
+        tree = np.isin(np.asarray(contraction.root, dtype=np.int64), list(roots)) & (depth > 0)
+        members = np.flatnonzero(tree)
+        for vertex in members[np.argsort(depth[members], kind="stable")].tolist():
+            dist_to_root[vertex] = dist_to_root[parent[vertex]] + dist_to_parent[vertex]
     return ContractedGraph(
-        core=contraction.core.reweighted(core_weights),
+        core=_reweighted_core(contraction.core, core_changes),
         core_to_original=contraction.core_to_original,
         original_to_core=contraction.original_to_core,
         root=contraction.root,
-        parent=contraction.parent,
-        dist_to_parent=contraction.dist_to_parent,
-        dist_to_root=contraction.dist_to_root,
+        parent=parent,
+        dist_to_parent=dist_to_parent,
+        dist_to_root=dist_to_root,
         depth=contraction.depth,
         num_original=contraction.num_original,
     )
 
 
-def _core_diff_edges(
-    contraction: ContractedGraph, diff: Sequence[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Map changed original edges to core-id edges.
+def _patched_snapshot(
+    root: FlatWorkingGraph, changes: Sequence[Tuple[int, int, float]]
+) -> FlatWorkingGraph:
+    """``root`` with both arcs of every changed core edge reweighted.
 
-    Edges with a contracted endpoint live entirely inside an attachment
-    tree: they affect only the contraction's distance arrays (recomputed
-    from scratch by every relabel), never the core labels.
+    The reweighted core graph keeps the old one's edge order, so this is
+    exactly its root snapshot, made without a second CSR build.
     """
-    core_edges = []
-    for u, v in diff:
-        cu, cv = contraction.original_to_core[u], contraction.original_to_core[v]
-        if cu >= 0 and cv >= 0:
-            core_edges.append((cu, cv))
-    return core_edges
+    if not changes:
+        return root
+    indptr, indices, weights = root.csr_arrays()
+    weights = weights.copy()
+    for u, v, weight in changes:
+        for tail, head in ((u, v), (v, u)):
+            lo = int(indptr[tail])
+            weights[lo + int(np.flatnonzero(indices[lo : indptr[tail + 1]] == head)[0])] = weight
+    return FlatWorkingGraph(root.vertices, indptr, indices, weights)
 
 
 def _scoping_pays(
-    hierarchy: BalancedTreeHierarchy, core_diff: Sequence[Tuple[int, int]]
+    hierarchy: BalancedTreeHierarchy, core_changes: Sequence[Tuple[int, int, float]]
 ) -> bool:
     """Estimate whether the scoped walk beats the full pass.
 
     A changed core edge ``(a, b)`` dirties exactly the nodes on the
     root-to-LCA(a, b) chain (the nodes whose working subgraph contains
     both endpoints); descendants are only touched if their inherited
-    shortcuts shift, which the walk detects by snapshot equality.  Each
-    dirty node costs roughly twice a full-pass node (old-side cut
-    distances are recomputed too), so scoping pays when twice the dirty
-    cost is below the whole-tree cost.
+    shortcuts shift, which the walk detects by snapshot equality.
+    Scoping pays when twice the dirty cost is below the whole-tree cost.
+    The factor dates from when a dirty node also searched the old
+    weights; it is kept so the choice between the two passes (which
+    ``tests/test_golden_labels.py`` pins) does not move.
     """
     if not hierarchy.nodes:
         return True
     dirty: Set[int] = set()
-    for a, b in core_diff:
+    for a, b, _ in core_changes:
         node: Optional[TreeNode] = hierarchy.lca_node(a, b)
         while node is not None:
             if node.index in dirty:
@@ -239,22 +333,31 @@ class _RelabelWalk:
     """One relabelling pass over an existing hierarchy.
 
     :meth:`visit` walks a node with its snapshot under the new weights
-    and, in a scoped pass, the snapshot the old index was built from.
-    Labels are a deterministic function of a node's snapshot *content*
-    (edges and weights, including inherited shortcuts) and its cut
-    vertex set - ranking and tail pruning derive from the same searches -
-    so when the two snapshots hold the same edges the old levels of the
-    whole subtree are exactly what recomputing would produce, and they
-    are spliced over instead.  Without an old-side snapshot (the full
-    pass, or below a crossing shortcut) every node is recomputed.
+    and, in a scoped pass, the snapshot the old index was built from,
+    rebuilt from the old :class:`~repro.core.flat_build.ChildRecord`
+    entries.  Labels are a deterministic function of a node's snapshot
+    *content* (edges and weights, including inherited shortcuts) and its
+    cut vertex set - ranking and tail pruning derive from the same
+    searches - so when the two snapshots hold the same edges the old
+    levels of the whole subtree are exactly what recomputing would
+    produce, and they are spliced over instead.  Without an old-side
+    snapshot (the full pass, or below a crossing shortcut) every node is
+    recomputed.
 
     Recomputed levels collect in per-vertex lists; a vertex of a spliced
-    subtree keeps its old levels below them.
+    subtree keeps its old levels below them.  :attr:`record` starts as
+    the old record (a spliced subtree keeps its entries) and every
+    recomputed node writes its children's entries.
     """
 
-    def __init__(self, index: HC2LIndex, backend: ShortestPathBackend) -> None:
+    def __init__(self, index: HC2LIndex, backend: ShortestPathBackend, scoped: bool) -> None:
         self.old_hierarchy = index.hierarchy
         self.old_labels = index.flat_labelling()
+        self.old_record: Optional[RelabelRecord] = index.relabel_record if scoped else None
+        self.record: RelabelRecord = (
+            list(self.old_record) if self.old_record is not None
+            else [None] * len(index.hierarchy.nodes)
+        )
         self.hierarchy = _copy_hierarchy_structure(index.hierarchy)
         self.tail_pruning = index.parameters.tail_pruning
         self.backend = backend
@@ -293,7 +396,7 @@ class _RelabelWalk:
 
         Returns ``(child, new snapshot, old snapshot or None)`` for every
         child still to walk; children found unchanged are spliced here.
-        The node's distance maps die on return, before the walk descends.
+        The node's distance block dies on return, before the walk descends.
         """
         stats, backend = self.stats, self.backend
         children = [
@@ -305,14 +408,15 @@ class _RelabelWalk:
         # Cut-crossing shortcuts void the premise of the splice test - the
         # child snapshots then also depend on the extension hubs'
         # distances - so the whole subtree is recomputed.  The old side is
-        # checked too: an earlier relabel may have left crossing edges that
-        # the old-side shortcut reconstruction below would not reproduce.
+        # checked too: an earlier relabel may have left crossing edges, and
+        # its record rows then include extension hubs the test would not
+        # compare.
         if old is not None and (extension or _crossing_extension(old, children)):
             old = None
         # Tail truncation would give the extension entries (appended below)
         # different positions in different vertices' arrays, breaking the
         # min-plus prefix alignment, so it is disabled on affected nodes.
-        ranking, arrays, cut_distances = label_node(
+        ranking, arrays, hub_distances = label_node(
             new,
             node.cut,
             tail_pruning=self.tail_pruning and not extension,
@@ -321,14 +425,12 @@ class _RelabelWalk:
         )
         if extension:
             with stats.timer.measure("labelling"):
-                rows = backend.sssp_many(new, new.dense_ids(extension))
-                for hub, row in zip(extension, rows):
-                    values = [float(value) for value in row]
-                    cut_distances[hub] = {
-                        v: d for v, d in zip(new.vertices, values) if d != INF
-                    }
-                    for vertex, value in zip(new.vertices, values):
-                        arrays[vertex].append(value)
+                rows = np.asarray(
+                    backend.sssp_many(new, new.dense_ids(extension)), dtype=np.float64
+                )
+                for j, vertex in enumerate(new.vertices):
+                    arrays[vertex].extend(rows[:, j].tolist())
+                hub_distances = np.vstack([hub_distances, rows])
         self.hierarchy.nodes[node.index].cut = list(ranking.ordered)
         for vertex in new.vertices:
             self.levels[vertex].append(arrays[vertex])
@@ -338,43 +440,47 @@ class _RelabelWalk:
             return []
 
         hubs = ranking.ordered + extension
-        old_cut_distances = None
         if old is not None:
-            old_cut_distances = _old_border_distances(old, node.cut, children, backend)
+            # the old record's rows follow the old ranking (node.cut)
+            rank = {v: i for i, v in enumerate(ranking.ordered)}
+            old_rows = [rank[v] for v in node.cut]
         walk = []
         for child_node, part in children:
             within = new.induce(part)
+            borders = border_vertices(new, part, hubs)
             old_child = None
             if old is not None:
+                entry = self.old_record[child_node.index]
+                at_borders = hub_distances[:, new.dense_ids(borders)]
                 old_within = old.induce(part)
-                borders = border_vertices(old, part, node.cut)
                 # The child snapshot is a pure function of the restricted
                 # region, the border set and the cut distances *at the
                 # borders* (Algorithm 3 consults nothing else): when all
                 # three are unchanged, splice without a single shortcut
-                # search on either side.
+                # search.  The kept entry takes the new row order.
                 if (
-                    _same_edges(old_within, within)
-                    and borders == border_vertices(new, part, node.cut)
-                    and _border_distances_equal(
-                        old_cut_distances, cut_distances, node.cut, borders
-                    )
+                    entry.borders == borders
+                    and np.array_equal(entry.distances, at_borders[old_rows])
+                    and _same_edges(old_within, within)
                 ):
+                    self.record[child_node.index] = ChildRecord(
+                        borders, at_borders, entry.shortcuts
+                    )
                     self._splice(child_node)
                     continue
-                old_child, _ = shortcut_child(
-                    old,
-                    node.cut,
-                    part,
-                    old_cut_distances,
-                    backend=backend,
-                    timer=stats.timer,
-                    within=old_within,
-                )
-            child, num_shortcuts = shortcut_child(
-                new, hubs, part, cut_distances, backend=backend, timer=stats.timer, within=within
+                old_child = old_within.overlay_shortcuts(entry.shortcuts)
+            child, record = shortcut_child(
+                new,
+                hubs,
+                part,
+                hub_distances,
+                backend=backend,
+                timer=stats.timer,
+                within=within,
+                borders=borders,
             )
-            stats.num_shortcuts += num_shortcuts
+            self.record[child_node.index] = record
+            stats.num_shortcuts += len(record.shortcuts)
             walk.append((child_node, child, old_child))
         return walk
 
@@ -385,7 +491,8 @@ class _RelabelWalk:
         ``node.depth`` down to its own node; the ancestors above ``node``
         were recomputed, so the vertex holds ``node.depth`` recomputed
         levels and :meth:`labels` keeps its old levels from there on.
-        Only the statistics are updated here.
+        Only the statistics are updated here; the subtree's record
+        entries carry over from the old record.
         """
         stack = [node.index]
         while stack:
@@ -407,54 +514,6 @@ def _same_edges(a: FlatWorkingGraph, b: FlatWorkingGraph) -> bool:
     then recomputed as the full pass would.
     """
     return all(np.array_equal(x, y) for x, y in zip(a.csr_arrays(), b.csr_arrays()))
-
-
-def _old_border_distances(
-    old: FlatWorkingGraph,
-    cut: Sequence[int],
-    children: Sequence[Tuple[TreeNode, List[int]]],
-    backend: ShortestPathBackend,
-) -> Dict[int, Dict[int, float]]:
-    """Old-side cut distances to the children's old-side borders.
-
-    Exact Dijkstra distances are determined by the edge floats alone
-    (every relaxation evaluates the same ``dist[u] + w`` candidates,
-    whatever the search order), so plain ``sssp_many`` reproduces the
-    original build's cut distance maps bit-for-bit without the prune
-    bookkeeping of the labelling pass.  Only border values are ever
-    consulted (the splice test and ``dist_c.get(b)`` in Algorithm 3),
-    and both read old-side borders only.
-    """
-    border_union = sorted(
-        {b for _, part in children for b in border_vertices(old, part, cut)}
-    )
-    border_dense = old.dense_ids(border_union)
-    rows = backend.sssp_many(old, old.dense_ids(cut))
-    distances: Dict[int, Dict[int, float]] = {}
-    for cut_vertex, row in zip(cut, rows):
-        entries = {}
-        for border, j in zip(border_union, border_dense):
-            value = float(row[j])
-            if value != INF:
-                entries[border] = value
-        distances[cut_vertex] = entries
-    return distances
-
-
-def _border_distances_equal(
-    old_cut_distances: Mapping[int, Mapping[int, float]],
-    new_cut_distances: Mapping[int, Mapping[int, float]],
-    cut: Sequence[int],
-    borders: Sequence[int],
-) -> bool:
-    """Whether every cut-to-border distance is unchanged (exact float equality)."""
-    for cut_vertex in cut:
-        old_map = old_cut_distances[cut_vertex]
-        new_map = new_cut_distances[cut_vertex]
-        for border in borders:
-            if old_map.get(border) != new_map.get(border):
-                return False
-    return True
 
 
 def _crossing_extension(
@@ -508,12 +567,6 @@ def _copy_hierarchy_structure(hierarchy: BalancedTreeHierarchy) -> BalancedTreeH
             )
         )
     return clone
-
-
-def _check_same_contraction(old: ContractedGraph, new: ContractedGraph) -> None:
-    """The degree-one contraction is purely topological, so it must not change."""
-    if old.core_to_original != new.core_to_original:
-        raise ValueError("contraction changed between the old and new graph; rebuild required")
 
 
 class DynamicHC2LIndex:

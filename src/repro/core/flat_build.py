@@ -11,13 +11,17 @@ for the process-parallel builder:
   rank -> label -> induce -> shortcuts -> overlay, over a snapshot and a
   given cut and partitions.  :func:`repro.core.dynamic.relabel` runs the
   same two functions on the inherited cuts when edge weights change.
+  Each child also yields a :class:`ChildRecord` (its borders, the hubs'
+  distances there, and its shortcuts), from which a later relabel
+  rebuilds the child's snapshot instead of searching the old weights.
 * :func:`node_step` - one node of the interleaved construction: the
   balanced cut, then :func:`label_node` and one :func:`shortcut_child`
   per side.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
   graft the subtree into the global hierarchy
-  (:func:`repro.core.construction.graft_subtree`) plus one
+  (:func:`repro.core.construction.graft_subtree`), their
+  :class:`ChildRecord` entries, and one
   :class:`~repro.core.flat.FlatLabelling` fragment holding the subtree's
   label levels in the snapshot's vertex order.
   :meth:`HC2LBuilder.build <repro.core.construction.HC2LBuilder.build>`
@@ -38,7 +42,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,22 +51,53 @@ from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import node_distance_arrays
 from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.partition.cut import balanced_cut
-from repro.partition.shortcuts import child_adjacency, compute_shortcuts
+from repro.partition.shortcuts import (
+    Shortcut,
+    border_vertices,
+    child_adjacency,
+    compute_shortcuts,
+)
 from repro.utils.timer import Timer
+
+
+@dataclass(slots=True)
+class ChildRecord:
+    """How one child's snapshot derives from its parent node's snapshot.
+
+    Algorithm 3 reads nothing of the parent but the child's region, its
+    border vertices and the hubs' distances at those borders, so these
+    plus the shortcuts it emitted let a relabel rebuild the child snapshot
+    exactly (``parent.induce(part).overlay_shortcuts(shortcuts)``) and
+    test whether new weights change it, without searching the old weights
+    again.  ``distances`` rows follow the parent's hub order (its ranked
+    cut, then any crossing-extension hubs of a relabelled node).
+    """
+
+    #: border vertices of the child's region (ascending original ids)
+    borders: List[int]
+    #: ``(hubs x borders)`` float64 distances, ``inf`` where unreached
+    distances: np.ndarray
+    #: the shortcuts overlaid on the induced region, in emission order
+    shortcuts: List[Shortcut]
+
+
+#: one :class:`ChildRecord` per hierarchy node, by node index; ``None`` for
+#: a root, whose snapshot is the core graph's own
+RelabelRecord = List[Optional[ChildRecord]]
 
 
 @dataclass
 class NodeStep:
     """Everything one construction node produces, before recursing.
 
-    ``children`` lists ``(child_snapshot, side, bit, num_shortcuts)`` for
-    the non-empty children (empty partitions are skipped).
+    ``children`` lists ``(child_snapshot, side, bit, record)`` for the
+    non-empty children (empty partitions are skipped).
     """
 
     ranking: CutRanking
     arrays: Dict[int, List[float]]
     is_leaf: bool
-    children: List[Tuple[FlatWorkingGraph, str, int, int]]
+    children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]]
     #: wall-clock seconds the balanced cut took (0.0 for leaves); feeds
     #: the per-node cut-vs-label timing split in ConstructionStats
     seconds_cut: float = 0.0
@@ -75,11 +110,12 @@ def label_node(
     tail_pruning: bool,
     backend: ShortestPathBackend,
     timer: Timer,
-) -> Tuple[CutRanking, Dict[int, List[float]], Dict[int, Mapping[int, float]]]:
+) -> Tuple[CutRanking, Dict[int, List[float]], np.ndarray]:
     """Rank ``cut`` (Equation 6) and compute the node's distance arrays.
 
     Returns the ranking, every snapshot vertex's distance array for this
-    node, and each cut vertex's distance map (the input of Algorithm 3).
+    node, and the ``(ranked cut x snapshot)`` distance block (the input
+    of Algorithm 3).
     """
     with timer.measure("labelling"):
         ranking = rank_cut_vertices(flat, cut, backend=backend)
@@ -93,28 +129,36 @@ def shortcut_child(
     flat: FlatWorkingGraph,
     hubs: Sequence[int],
     part: Sequence[int],
-    cut_distances: Mapping[int, Mapping[int, float]],
+    hub_distances: np.ndarray,
     *,
     backend: ShortestPathBackend,
     timer: Timer,
     within: Optional[FlatWorkingGraph] = None,
-) -> Tuple[FlatWorkingGraph, int]:
-    """One child's shortcut-enhanced snapshot and its shortcut count.
+    borders: Optional[List[int]] = None,
+) -> Tuple[FlatWorkingGraph, ChildRecord]:
+    """One child's shortcut-enhanced snapshot and its :class:`ChildRecord`.
 
     Induces ``part`` once (or takes the caller's ``within``), searches it
     for the shortcuts between ``hubs``' borders (Algorithm 3), then
     overlays them on the same snapshot (Definition 4.9).
+    ``hub_distances`` is the ``(hubs x snapshot)`` distance block;
+    ``borders`` may be passed when the caller already holds them.
     """
     with timer.measure("snapshot"):
         if within is None:
             within = flat.induce(part)
     with timer.measure("shortcuts"):
+        if borders is None:
+            borders = border_vertices(flat, part, hubs)
         shortcuts = compute_shortcuts(
-            flat, hubs, part, cut_distances, backend=backend, within=within
+            flat, hubs, part, hub_distances, backend=backend, within=within, borders=borders
+        )
+        record = ChildRecord(
+            borders, hub_distances[:, flat.dense_ids(borders)], shortcuts
         )
     with timer.measure("snapshot"):
         child = child_adjacency(flat, part, shortcuts, within=within)
-    return child, len(shortcuts)
+    return child, record
 
 
 def node_step(
@@ -150,13 +194,13 @@ def node_step(
     ranking, arrays, cut_distances = label_node(
         flat, cut, tail_pruning=tail_pruning, backend=backend, timer=timer
     )
-    children: List[Tuple[FlatWorkingGraph, str, int, int]] = []
+    children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]] = []
     if not force_leaf:
         for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
-            child, num_shortcuts = shortcut_child(
+            child, record = shortcut_child(
                 flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer
             )
-            children.append((child, side, bit, num_shortcuts))
+            children.append((child, side, bit, record))
     return NodeStep(
         ranking=ranking,
         arrays=arrays,
@@ -198,6 +242,9 @@ class SubtreeResult:
     subtree root, whose parent lives in the caller's hierarchy).
     ``labels`` holds every subtree vertex's levels from the subtree root's
     depth down, in the order of the input snapshot's ``vertices``.
+    ``records`` holds each node's :class:`ChildRecord` in the same
+    preorder; the subtree root's is ``None`` (its parent's step made it,
+    and the caller holds it).
     """
 
     depths: List[int]
@@ -208,6 +255,7 @@ class SubtreeResult:
     sizes: List[int]
     cuts: List[List[int]]
     labels: FlatLabelling
+    records: RelabelRecord
     num_leaves: int
     num_empty_cuts: int
     num_shortcuts: int
@@ -238,6 +286,7 @@ def build_subtree(
     search = resolve_backend(backend)
     timer = Timer()
     records: List[Tuple[int, int, int, Optional[str], bool, int, List[int]]] = []
+    child_records: RelabelRecord = []
     labels: Dict[int, List[List[float]]] = {v: [] for v in flat.vertices}
     counters = {
         "num_leaves": 0,
@@ -248,7 +297,12 @@ def build_subtree(
     node_timings: List[Tuple[int, int, float, float]] = []
 
     def _build(
-        flat: FlatWorkingGraph, depth: int, bits: int, parent: int, side: Optional[str]
+        flat: FlatWorkingGraph,
+        depth: int,
+        bits: int,
+        parent: int,
+        side: Optional[str],
+        record: Optional[ChildRecord],
     ) -> None:
         n = len(flat.vertices)
         if n == 0:
@@ -268,23 +322,26 @@ def build_subtree(
         )
         local = len(records)
         records.append((depth, bits, parent, side, step.is_leaf, n, step.ranking.ordered))
+        child_records.append(record)
         if step.is_leaf:
             counters["num_leaves"] += 1
         elif not step.ranking.ordered:
             counters["num_empty_cuts"] += 1
         for v in flat.vertices:
             labels[v].append(step.arrays[v])
-        counters["num_shortcuts"] += sum(child[3] for child in step.children)
+        counters["num_shortcuts"] += sum(len(child[3].shortcuts) for child in step.children)
         node_timings.append(
             (depth, n, time.perf_counter() - node_started, step.seconds_cut)
         )
-        for child_flat, child_side, child_bit, _ in step.children:
-            _build(child_flat, depth + 1, (bits << 1) | child_bit, local, child_side)
+        for child_flat, child_side, child_bit, child_record in step.children:
+            _build(
+                child_flat, depth + 1, (bits << 1) | child_bit, local, child_side, child_record
+            )
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10_000))
     try:
-        _build(flat, depth, bits, -1, None)
+        _build(flat, depth, bits, -1, None, None)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -305,6 +362,7 @@ def build_subtree(
         sizes=[r[5] for r in records],
         cuts=[r[6] for r in records],
         labels=fragment,
+        records=child_records,
         num_leaves=counters["num_leaves"],
         num_empty_cuts=counters["num_empty_cuts"],
         num_shortcuts=counters["num_shortcuts"],

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.construction import ConstructionStats, HC2LBuilder
 from repro.core.engine import QueryEngine
 from repro.core.flat import FlatLabelling
+from repro.core.flat_build import RelabelRecord
 from repro.core.labelling import HC2LLabelling
 from repro.core.query import core_distance_with_stats
 from repro.graph.contraction import ContractedGraph, contract_degree_one
@@ -152,6 +153,7 @@ class HC2LIndex:
         stats: Optional[ConstructionStats] = None,
         construction_seconds: float = 0.0,
         extra: Optional[Dict[str, float]] = None,
+        relabel_record: Optional[RelabelRecord] = None,
     ) -> None:
         self.graph = graph
         self.parameters = parameters
@@ -160,6 +162,12 @@ class HC2LIndex:
         self.stats = stats if stats is not None else ConstructionStats()
         self.construction_seconds = construction_seconds
         self._extra: Dict[str, float] = dict(extra) if extra else {}
+        #: per hierarchy node, how its snapshot derives from its parent's
+        #: (:class:`~repro.core.flat_build.ChildRecord`); what a scoped
+        #: :func:`~repro.core.dynamic.relabel` reads its old side from.
+        #: Kept in memory only - not label storage, never archived - so a
+        #: loaded index has none and its first relabel is a full pass.
+        self.relabel_record = relabel_record
         #: the single authoritative copy of the labels (flat buffers)
         self._flat: FlatLabelling = flat
         self._engine: Optional[QueryEngine] = None
@@ -214,7 +222,8 @@ class HC2LIndex:
                 backend=parameters.backend,
                 flow_method=parameters.flow_method,
             )
-        hierarchy, flat, stats = builder.build(core)
+        record: RelabelRecord = []
+        hierarchy, flat, stats = builder.build(core, record)
         elapsed = time.perf_counter() - start
         return cls(
             graph=graph,
@@ -224,6 +233,7 @@ class HC2LIndex:
             stats=stats,
             construction_seconds=elapsed,
             flat=flat,
+            relabel_record=record,
         )
 
     # ------------------------------------------------------------------ #

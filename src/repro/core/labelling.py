@@ -23,7 +23,7 @@ This module holds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,15 +31,13 @@ from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.flat import FlatWorkingGraph
 from repro.core.ranking import CutRanking
 
-INF = float("inf")
-
 
 def node_distance_arrays(
     flat: FlatWorkingGraph,
     ranking: CutRanking,
     tail_pruning: bool = True,
     backend: BackendSpec = None,
-) -> Tuple[Dict[int, List[float]], Dict[int, Mapping[int, float]]]:
+) -> Tuple[Dict[int, List[float]], np.ndarray]:
     """Compute the per-vertex distance arrays for one tree node (Algorithm 5).
 
     Parameters
@@ -61,27 +59,24 @@ def node_distance_arrays(
     -------
     (arrays, cut_distances)
         ``arrays`` maps every vertex of the subgraph to its (possibly
-        tail-pruned) distance array for this node.  ``cut_distances`` maps
-        each cut vertex to its full single-source distance map, which the
-        shortcut computation (Algorithm 3) reuses.
+        tail-pruned) distance array for this node.  ``cut_distances`` is
+        the ``(ranked cut x snapshot)`` float64 block of single-source
+        distances (row ``i`` from ``ranking.ordered[i]``, column ``j`` to
+        dense vertex ``j``, ``inf`` where unreached), which the shortcut
+        computation (Algorithm 3) reads at the border columns.
     """
     ordered_cut = ranking.ordered
+    vertices = flat.vertices
     if not ordered_cut:
-        return {v: [] for v in flat.vertices}, {}
+        return {v: [] for v in vertices}, np.empty((0, len(vertices)), dtype=np.float64)
 
     search = resolve_backend(backend)
     cut_dense = flat.dense_ids(ordered_cut)
     prune_sets = [cut_dense[:i] for i in range(len(cut_dense))]
     dists, prunes = search.dist_and_prune_many(flat, cut_dense, prune_sets)
 
-    vertices = flat.vertices
     num_searches = len(cut_dense)
     dist_matrix = np.asarray(dists, dtype=np.float64)
-    cut_distances: Dict[int, Mapping[int, float]] = {}
-    for i, cut_vertex in enumerate(ordered_cut):
-        row = dist_matrix[i].tolist()
-        reached = np.nonzero(np.isfinite(dist_matrix[i]))[0].tolist()
-        cut_distances[cut_vertex] = {vertices[j]: row[j] for j in reached}
 
     # Tail pruning (Definition 4.18): keep, per vertex, the prefix up to
     # the last search whose shortest path does NOT run through an
@@ -101,7 +96,7 @@ def node_distance_arrays(
     arrays: Dict[int, List[float]] = {
         v: dist_matrix[: lengths[j], j].tolist() for j, v in enumerate(vertices)
     }
-    return arrays, cut_distances
+    return arrays, dist_matrix
 
 
 @dataclass

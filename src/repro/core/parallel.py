@@ -40,6 +40,8 @@ from repro.core.construction import (
 )
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.flat_build import (
+    ChildRecord,
+    RelabelRecord,
     SubtreeResult,
     build_subtree_payload,
     fragment_from_levels,
@@ -83,16 +85,17 @@ class ParallelHC2LBuilder(HC2LBuilder):
         self.parallel_threshold = parallel_threshold
 
     # ------------------------------------------------------------------ #
-    def build(self, graph: Graph):
+    def build(self, graph: Graph, record: Optional[RelabelRecord] = None):
         """Build hierarchy + labelling using ``num_workers`` processes.
 
         Returns the labels as a :class:`~repro.core.flat.FlatLabelling` in
-        vertex-id order, exactly like :meth:`HC2LBuilder.build`.
+        vertex-id order and fills ``record``, exactly like
+        :meth:`HC2LBuilder.build`.
         """
         n_total = graph.num_vertices
         if n_total <= self.parallel_threshold:
             # below the pickling crossover a pool costs more than it saves
-            return super().build(graph)
+            return super().build(graph, record)
         stats = ConstructionStats()
         hierarchy = BalancedTreeHierarchy(n_total)
         with stats.timer.measure("snapshot"):
@@ -120,7 +123,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
         try:
             with ProcessPoolExecutor(max_workers=self.num_workers) as executor:
                 self._expand(
-                    root, 0, 0, -1, None, stats, prefix, fragments, events, executor, ship_max
+                    root, 0, 0, -1, None, None, stats, prefix, fragments, events, executor, ship_max
                 )
                 if prefix:
                     raise AssertionError(
@@ -131,18 +134,20 @@ class ParallelHC2LBuilder(HC2LBuilder):
                 event_to_hier: Dict[int, int] = {}
                 for event_index, event in enumerate(events):
                     if event[0] == "node":
-                        _, depth, bits, cut, parent_event, side, is_leaf, n = event
+                        _, depth, bits, cut, parent_event, side, entry, is_leaf, n = event
                         parent_idx = event_to_hier[parent_event] if parent_event >= 0 else None
                         node = hierarchy.add_node(depth, bits, cut, parent_idx, side, is_leaf=is_leaf)
                         hierarchy.set_subtree_size(node.index, n)
                         event_to_hier[event_index] = node.index
+                        if record is not None:
+                            record.append(entry)
                     else:
-                        _, slot, handle, prefix_frag, unit_vertices, parent_event, side = event
+                        _, slot, handle, prefix_frag, unit_vertices, parent_event, side, entry = event
                         result: SubtreeResult = (
                             handle.result() if isinstance(handle, Future) else handle
                         )
                         parent_idx = event_to_hier[parent_event] if parent_event >= 0 else None
-                        graft_subtree(hierarchy, stats, result, parent_idx, side)
+                        graft_subtree(hierarchy, stats, result, parent_idx, side, record, entry)
                         # both fragments follow the unit snapshot's vertex
                         # order: inherited ancestor levels first, then the
                         # subtree's own
@@ -178,6 +183,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
         bits: int,
         parent_event: int,
         side: Optional[str],
+        entry: Optional[ChildRecord],
         stats: ConstructionStats,
         prefix: Dict[int, List[List[float]]],
         fragments: List[Optional[Tuple[np.ndarray, FlatLabelling]]],
@@ -189,15 +195,17 @@ class ParallelHC2LBuilder(HC2LBuilder):
 
         Nodes larger than ``ship_max`` are processed here (cut + ranking +
         labelling + child snapshots via the shortcut overlay); anything at
-        or below it becomes a work unit.  Runs in the coordinating
-        process.
+        or below it becomes a work unit.  ``entry`` is the node's
+        :class:`~repro.core.flat_build.ChildRecord` from its parent's
+        step.  Runs in the coordinating process.
         """
         n = len(flat.vertices)
         if n == 0:
             return
         if n <= ship_max:
             self._spawn_unit(
-                flat, depth, bits, parent_event, side, stats, prefix, fragments, events, executor
+                flat, depth, bits, parent_event, side, entry, stats, prefix, fragments, events,
+                executor,
             )
             return
         node_started = time.perf_counter()
@@ -232,7 +240,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
                     ),
                 )
             )
-        events.append(("node", depth, bits, ordered, parent_event, side, step.is_leaf, n))
+        events.append(("node", depth, bits, ordered, parent_event, side, entry, step.is_leaf, n))
         if step.is_leaf:
             stats.node_timings.append(
                 (depth, n, time.perf_counter() - node_started, step.seconds_cut)
@@ -242,17 +250,18 @@ class ParallelHC2LBuilder(HC2LBuilder):
         for v in flat.vertices:
             if v not in cut_set:
                 prefix.setdefault(v, []).append(step.arrays[v])
-        stats.num_shortcuts += sum(child[3] for child in step.children)
+        stats.num_shortcuts += sum(len(child[3].shortcuts) for child in step.children)
         stats.node_timings.append(
             (depth, n, time.perf_counter() - node_started, step.seconds_cut)
         )
-        for child_flat, child_side, child_bit, _ in step.children:
+        for child_flat, child_side, child_bit, child_entry in step.children:
             self._expand(
                 child_flat,
                 depth + 1,
                 (bits << 1) | child_bit,
                 event_index,
                 child_side,
+                child_entry,
                 stats,
                 prefix,
                 fragments,
@@ -268,6 +277,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
         bits: int,
         parent_event: int,
         side: Optional[str],
+        entry: Optional[ChildRecord],
         stats: ConstructionStats,
         prefix: Dict[int, List[List[float]]],
         fragments: List[Optional[Tuple[np.ndarray, FlatLabelling]]],
@@ -303,4 +313,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
             # too small to amortise pickling; same recursion, run inline
             # with the exact backend instance
             handle = self._build_subtree(flat, depth, bits)
-        events.append(("unit", slot, handle, prefix_frag, unit_vertices, parent_event, side))
+        events.append(
+            ("unit", slot, handle, prefix_frag, unit_vertices, parent_event, side, entry)
+        )

@@ -304,6 +304,7 @@ def _load_legacy_pickle(path: Union[str, Path]) -> "HC2LIndex":
     state.setdefault("_engine", None)
     state.setdefault("_labelling_view", None)
     state.setdefault("_extra", {})
+    state.setdefault("relabel_record", None)
     return index
 
 

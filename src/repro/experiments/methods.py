@@ -8,6 +8,7 @@ for every method - adding another method is a one-liner.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -38,8 +39,17 @@ def _build_hc2l(graph: Graph) -> HC2LIndex:
     return HC2LIndex.build(graph)
 
 
+def _available_cores() -> int:
+    """CPU cores this process may run on (``os.cpu_count()`` where the
+    platform has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_hc2l_parallel(graph: Graph) -> HC2LIndex:
-    return HC2LIndex.build(graph, num_workers=4)
+    # one worker per available core; a single core builds serially
+    return HC2LIndex.build(graph, num_workers=_available_cores())
 
 
 def _build_hc2l_no_tail_pruning(graph: Graph) -> HC2LIndex:

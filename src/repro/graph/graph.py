@@ -13,6 +13,7 @@ against; construction and relabelling search CSR snapshots taken from its
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,23 +47,21 @@ class CSRAdjacency:
 
     @classmethod
     def from_adjacency(cls, adj: Sequence[Dict[int, float]]) -> "CSRAdjacency":
-        """Build from a list of neighbour dicts (the Graph internal form)."""
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        for nbrs in adj:
-            indices.extend(nbrs.keys())
-            weights.extend(nbrs.values())
-            indptr.append(len(indices))
-        view = cls(
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(weights, dtype=np.float64),
+        """Build from a list of neighbour dicts (the Graph internal form).
+
+        The arrays are filled straight from the dicts' key and value views
+        (no intermediate Python lists); :meth:`as_lists` converts on first
+        use.
+        """
+        n = len(adj)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
+        total = int(indptr[-1])
+        indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=total)
+        weights = np.fromiter(
+            chain.from_iterable(map(dict.values, adj)), dtype=np.float64, count=total
         )
-        # the build already produced the list triple - seed the as_lists
-        # cache so the interpreted Dijkstra loops skip a numpy round-trip
-        view._lists = (indptr, indices, weights)
-        return view
+        return cls(indptr, indices, weights)
 
     @property
     def num_vertices(self) -> int:

@@ -13,8 +13,8 @@ which this module eliminates to keep the working graphs sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +28,17 @@ INF = float("inf")
 #: depending on the order of addition.
 _REL_EPS = 1e-9
 
+#: Candidate pairs are tested for redundancy in chunks of about this many
+#: (pair, third border) sums, bounding the scratch matrix.
+_CHUNK = 1 << 20
 
-@dataclass(frozen=True)
-class Shortcut:
-    """A shortcut edge ``(u, v)`` carrying the true graph distance."""
+
+class Shortcut(NamedTuple):
+    """A shortcut edge ``(u, v)`` carrying the true graph distance.
+
+    A named tuple: relabel records keep every shortcut a build emits, so
+    the per-object size matters.
+    """
 
     u: int
     v: int
@@ -61,9 +68,10 @@ def compute_shortcuts(
     flat: FlatWorkingGraph,
     cut: Sequence[int],
     partition: Sequence[int],
-    cut_distances: Mapping[int, Mapping[int, float]],
+    cut_distances: np.ndarray,
     backend: BackendSpec = None,
     within: Optional[FlatWorkingGraph] = None,
+    borders: Optional[Sequence[int]] = None,
 ) -> List[Shortcut]:
     """Compute the non-redundant shortcuts for one partition (Algorithm 3).
 
@@ -77,9 +85,11 @@ def compute_shortcuts(
     partition:
         The partition (list of vertices) receiving the shortcuts.
     cut_distances:
-        For each cut vertex, its single-source distances over the parent
-        subgraph.  The labelling step computes these anyway (Algorithm 5),
-        so the caller passes them in rather than recomputing.
+        The ``(len(cut) x len(flat.vertices))`` float64 block of the cut
+        vertices' single-source distances over the parent snapshot (row
+        ``i`` from ``cut[i]``, ``inf`` where unreached).  The labelling
+        step computes it anyway (Algorithm 5), so the caller passes it in
+        rather than recomputing; only the border columns are read.
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         per-border searches (name, instance, or ``None`` for the default).
@@ -88,63 +98,69 @@ def compute_shortcuts(
         ``flat.induce(partition)``).  The construction passes it in and
         reuses it for :func:`child_adjacency`, so each child is induced
         exactly once.
+    borders:
+        Optional ``border_vertices(flat, partition, cut)``, when the
+        caller already holds it.
 
     Returns
     -------
     list of Shortcut
-        Shortcuts to add to the child working graph for ``partition``.
+        Shortcuts to add to the child working graph for ``partition``, in
+        ascending ``(u, v)`` order.
     """
-    borders = border_vertices(flat, partition, cut)
-    if len(borders) < 2:
+    if borders is None:
+        borders = border_vertices(flat, partition, cut)
+    k = len(borders)
+    if k < 2:
         return []
 
     # Lines 3-6: within-partition distances between border vertices: the
     # backend searches from every border over the induced partition
     # snapshot (one batched scipy call for all borders under csr).
+    # in_partition[i, j] is the search from borders[i] read at borders[j].
     if within is None:
         within = flat.induce(partition)
     border_dense = within.dense_ids(borders)
     rows = resolve_backend(backend).sssp_many(within, border_dense)
-    in_partition: Dict[int, Sequence[float]] = dict(zip(borders, rows))
-    dense_of = dict(zip(borders, border_dense))
+    columns = itemgetter(*border_dense)
+    in_partition = np.array([columns(row) for row in rows], dtype=np.float64)
 
-    # Lines 7-8: true distances, allowing travel through the cut.
-    true_distance: Dict[Tuple[int, int], float] = {}
-    for i, b1 in enumerate(borders):
-        for b2 in borders[i + 1 :]:
-            d_in_partition = in_partition[b1][dense_of[b2]]
-            d_via_cut = INF
-            for c in cut:
-                dist_c = cut_distances[c]
-                candidate = dist_c.get(b1, INF) + dist_c.get(b2, INF)
-                if candidate < d_via_cut:
-                    d_via_cut = candidate
-            true_distance[(b1, b2)] = min(d_in_partition, d_via_cut)
+    # Lines 7-8: true distances, allowing travel through the cut.  For
+    # b1 < b2 the value is min(in_partition[b1][b2], min_c d(c, b1) + d(c, b2)),
+    # kept symmetric in ``true`` (zero diagonal) for the redundancy test.
+    at_borders = np.asarray(cut_distances, dtype=np.float64)[:, flat.dense_ids(borders)]
+    via_cut = np.full((k, k), INF)
+    for row in at_borders:
+        np.minimum(via_cut, row[:, None] + row[None, :], out=via_cut)
+    upper_i, upper_j = np.triu_indices(k, 1)
+    d_true = np.minimum(in_partition[upper_i, upper_j], via_cut[upper_i, upper_j])
+    true = np.zeros((k, k))
+    true[upper_i, upper_j] = d_true
+    true[upper_j, upper_i] = d_true
 
-    def lookup(a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        return true_distance[(a, b)] if a < b else true_distance[(b, a)]
-
-    # Lines 9-16: keep only non-redundant shortcuts (Lemma 4.11).
-    shortcuts: List[Shortcut] = []
-    for (b1, b2), d_true in true_distance.items():
-        if d_true == INF:
-            continue
-        d_in_partition = in_partition[b1][dense_of[b2]]
-        if d_true >= d_in_partition:
-            continue  # condition (1): the partition already realises it
-        tolerance = _REL_EPS * max(1.0, d_true)
-        redundant = False
-        for b3 in borders:
-            if b3 == b1 or b3 == b2:
-                continue
-            if lookup(b1, b3) + lookup(b3, b2) <= d_true + tolerance:
-                redundant = True
-                break
-        if not redundant:
-            shortcuts.append(Shortcut(b1, b2, d_true))
-    return shortcuts
+    # Lines 9-16: keep only non-redundant shortcuts (Lemma 4.11): pairs the
+    # partition does not already realise (condition (1)), unless a third
+    # border b3 realises them within tolerance.
+    candidate = np.isfinite(d_true) & (d_true < in_partition[upper_i, upper_j])
+    pair_i, pair_j, d_pair = upper_i[candidate], upper_j[candidate], d_true[candidate]
+    threshold = d_pair + _REL_EPS * np.maximum(1.0, d_pair)
+    kept = np.ones(len(d_pair), dtype=bool)
+    step = max(1, _CHUNK // k)
+    for start in range(0, len(d_pair), step):
+        i, j = pair_i[start : start + step], pair_j[start : start + step]
+        through = true[i] + true[j]  # [p, b3] = d(b1, b3) + d(b3, b2)
+        rows_p = np.arange(len(i))
+        through[rows_p, i] = INF
+        through[rows_p, j] = INF
+        kept[start : start + step] = ~(
+            through <= threshold[start : start + step, None]
+        ).any(axis=1)
+    return [
+        Shortcut(borders[i], borders[j], weight)
+        for i, j, weight in zip(
+            pair_i[kept].tolist(), pair_j[kept].tolist(), d_pair[kept].tolist()
+        )
+    ]
 
 
 def child_adjacency(

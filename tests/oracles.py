@@ -16,6 +16,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.flat import FlatWorkingGraph
 from repro.partition.cut import BalancedCutResult
 
@@ -35,6 +37,21 @@ def adjacency_of(snapshot: FlatWorkingGraph) -> Adjacency:
         for i in range(indptr[dense], indptr[dense + 1]):
             neighbours[vertices[indices[i]]] = weights[i]
     return adjacency
+
+
+def cut_distance_block(snapshot: FlatWorkingGraph, cut: Sequence[int]) -> np.ndarray:
+    """The ``(cut x snapshot)`` distance block ``compute_shortcuts`` reads.
+
+    Row ``i`` holds :func:`dijkstra_adjacency` from ``cut[i]`` over the
+    snapshot's dict adjacency, in dense vertex order, ``inf`` where
+    unreached.
+    """
+    adjacency = adjacency_of(snapshot)
+    block = np.full((len(cut), len(snapshot.vertices)), INF)
+    for row, c in zip(block, cut):
+        reached = dijkstra_adjacency(adjacency, c)
+        row[:] = [reached.get(v, INF) for v in snapshot.vertices]
+    return block
 
 
 def dijkstra_adjacency(
@@ -188,3 +205,53 @@ def separates(snapshot: FlatWorkingGraph, result: BalancedCutResult) -> bool:
             seen.add(w)
             stack.append(w)
     return True
+
+
+def shortcuts_loop(
+    snapshot: FlatWorkingGraph,
+    cut: Sequence[int],
+    partition: Sequence[int],
+    cut_distances: np.ndarray,
+) -> List[Tuple[int, int, float]]:
+    """Algorithm 3 with Lemma 4.11's redundancy test, pair by pair.
+
+    The per-pair loop the vectorised ``compute_shortcuts`` replaced, over
+    dict distance maps: the dict adjacency's Dijkstra inside the partition,
+    ``min`` over the cut of ``d(c, b1) + d(c, b2)`` through it, and a
+    third border within ``1e-9`` relative tolerance making a pair
+    redundant.  Returns ``(u, v, weight)`` triples in emission order.
+    """
+    adjacency = adjacency_of(snapshot)
+    members = set(partition)
+    cut_set = set(cut)
+    borders = sorted(v for v in members if any(w in cut_set for w in adjacency[v]))
+    maps = [
+        {v: d for v, d in zip(snapshot.vertices, row.tolist()) if d != INF}
+        for row in cut_distances
+    ]
+    inside = {b: dijkstra_adjacency(adjacency, b, allowed=members) for b in borders}
+    true_distance: Dict[Tuple[int, int], float] = {}
+    for i, b1 in enumerate(borders):
+        for b2 in borders[i + 1 :]:
+            via_cut = INF
+            for dist_c in maps:
+                via_cut = min(via_cut, dist_c.get(b1, INF) + dist_c.get(b2, INF))
+            true_distance[(b1, b2)] = min(inside[b1].get(b2, INF), via_cut)
+
+    def lookup(a: int, b: int) -> float:
+        if a == b:
+            return 0.0
+        return true_distance[(a, b)] if a < b else true_distance[(b, a)]
+
+    shortcuts = []
+    for (b1, b2), d_true in true_distance.items():
+        if d_true == INF or d_true >= inside[b1].get(b2, INF):
+            continue
+        tolerance = 1e-9 * max(1.0, d_true)
+        if not any(
+            lookup(b1, b3) + lookup(b3, b2) <= d_true + tolerance
+            for b3 in borders
+            if b3 != b1 and b3 != b2
+        ):
+            shortcuts.append((b1, b2, d_true))
+    return shortcuts

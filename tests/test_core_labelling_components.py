@@ -107,11 +107,13 @@ class TestNodeDistanceArrays:
         cut = [0, 7, 77]
         ranking = rank_cut_vertices(flat, cut)
         arrays, cut_distances = node_distance_arrays(flat, ranking, tail_pruning=False)
-        assert set(cut_distances) == set(cut)
-        for v, array in arrays.items():
+        assert cut_distances.shape == (len(cut), len(flat.vertices))
+        for j, v in enumerate(flat.vertices):
+            array = arrays[v]
             assert len(array) == len(cut)
             for i, c in enumerate(ranking.ordered):
                 assert array[i] == pytest.approx(dijkstra_adjacency(adjacency, c).get(v, INF))
+                assert cut_distances[i, j] == array[i]
 
     def test_tail_pruning_only_truncates(self, jittered_grid):
         flat = root_snapshot(jittered_grid)
@@ -135,7 +137,7 @@ class TestNodeDistanceArrays:
     def test_empty_cut_produces_empty_arrays(self, path_flat):
         ranking = rank_cut_vertices(path_flat, [])
         arrays, cut_distances = node_distance_arrays(path_flat, ranking)
-        assert cut_distances == {}
+        assert cut_distances.shape == (0, len(path_flat.vertices))
         assert all(array == [] for array in arrays.values())
 
 

@@ -202,6 +202,12 @@ class TestRouterReload:
             tuple(new_index.distances(pairs).tolist()),
         }
         router = ShardRouter(path)
+        # warm the shards the pairs touch first: a router refuses to load
+        # a cold shard once the disk moved to a newer generation (pinned by
+        # test_lazy_shard_load_refuses_newer_disk_generation), so threads
+        # still making their first loads when generation 1 lands would
+        # fail on scheduling alone; queries across the swap are the point
+        assert tuple(router.distances(pairs).tolist()) in allowed
         errors: List[BaseException] = []
         stop = threading.Event()
 

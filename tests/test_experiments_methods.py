@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import repro.experiments.methods as methods
 from repro.experiments.methods import METHOD_BUILDERS
 from repro.graph.search import dijkstra
 
@@ -46,3 +47,18 @@ def test_hc2l_spec_marks_lca_storage(small_graph):
 
 def test_bidijkstra_spec_has_no_lca_storage():
     assert not METHOD_BUILDERS["BiDijkstra"].has_lca_storage
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_parallel_method_sizes_its_pool_from_the_affinity(monkeypatch, small_graph, cores):
+    """HC2L_p asks for one worker per available core (serial on one core)."""
+    monkeypatch.setattr(methods.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    seen = []
+
+    def fake_build(graph, parameters=None, **overrides):
+        seen.append(overrides["num_workers"])
+        return "built"
+
+    monkeypatch.setattr(methods.HC2LIndex, "build", fake_build)
+    assert METHOD_BUILDERS["HC2L_p"].builder(small_graph) == "built"
+    assert seen == [cores]

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import adjacency_of, dijkstra_adjacency, is_distance_preserving, separates
+from oracles import (
+    adjacency_of,
+    cut_distance_block,
+    dijkstra_adjacency,
+    is_distance_preserving,
+    separates,
+)
 from repro.core.backends import HeapBackend
 from repro.core.construction import root_snapshot
 from repro.graph.builders import graph_from_edges, grid_graph, path_graph
@@ -173,7 +179,7 @@ class TestShortcuts:
     def _cut_setup(self, graph, beta=0.25):
         flat = root_snapshot(graph)
         result = balanced_cut(flat, beta)
-        cut_distances = {c: dijkstra_adjacency(adjacency_of(flat), c) for c in result.cut}
+        cut_distances = cut_distance_block(flat, result.cut)
         return flat, result, cut_distances
 
     def test_border_vertices_are_adjacent_to_cut(self, jittered_grid):
@@ -221,4 +227,4 @@ class TestShortcuts:
 
     def test_small_partition_without_borders_needs_no_shortcuts(self):
         flat = root_snapshot(graph_from_edges([(0, 1, 1.0)], num_vertices=3))
-        assert compute_shortcuts(flat, [], [0, 1], {}) == []
+        assert compute_shortcuts(flat, [], [0, 1], cut_distance_block(flat, [])) == []

@@ -22,7 +22,13 @@ import random
 import pytest
 
 import repro.flow.vertex_cut as vertex_cut_module
-from oracles import adjacency_of, dijkstra_adjacency, separates
+from oracles import (
+    adjacency_of,
+    cut_distance_block,
+    dijkstra_adjacency,
+    separates,
+    shortcuts_loop,
+)
 from repro.core.backends import CSRBackend, DialBackend, HeapBackend
 from repro.core.construction import root_snapshot
 from repro.flow.vertex_cut import FLOW_METHODS, minimum_st_vertex_cut
@@ -30,6 +36,7 @@ from repro.graph.builders import graph_from_edges
 from repro.graph.graph import Graph
 from repro.partition.cut import balanced_cut
 from repro.partition.partition import balanced_partition
+import repro.partition.shortcuts as shortcuts_module
 from repro.partition.shortcuts import child_adjacency, compute_shortcuts
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 
@@ -316,7 +323,7 @@ class TestFlatShortcutPaths:
         if not result.cut or not result.part_a:
             pytest.skip("degenerate cut for this seed")
         adjacency = adjacency_of(flat)
-        cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
+        cut_distances = cut_distance_block(flat, result.cut)
         return flat, adjacency, result, cut_distances
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
@@ -334,6 +341,18 @@ class TestFlatShortcutPaths:
                 assert shortcut.weight == dijkstra_adjacency(adjacency, shortcut.u)[shortcut.v]
                 inside = dijkstra_adjacency(adjacency, shortcut.u, allowed=part)
                 assert shortcut.weight < inside.get(shortcut.v, float("inf"))
+
+    @pytest.mark.parametrize("one_pair_chunks", [False, True])
+    @pytest.mark.parametrize("seed", [3, 11, 27, 41, 58])
+    def test_compute_shortcuts_matches_the_pair_loop(self, seed, one_pair_chunks, monkeypatch):
+        if one_pair_chunks:
+            monkeypatch.setattr(shortcuts_module, "_CHUNK", 1)
+        flat, _, result, cut_distances = self._cut_setup(seed)
+        for part in (result.part_a, result.part_b):
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
+            assert [tuple(s) for s in shortcuts] == shortcuts_loop(
+                flat, result.cut, part, cut_distances
+            )
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_induce_with_shortcuts_matches_child_adjacency(self, seed):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import adjacency_of, dijkstra_adjacency, is_distance_preserving, separates
+from oracles import cut_distance_block, is_distance_preserving, separates
 from repro.baselines.h2h import H2HIndex
 from repro.baselines.hub_labelling import HubLabelling
 from repro.baselines.phl import PrunedHighwayLabelling
@@ -118,8 +118,7 @@ class TestPartitionProperties:
         result = balanced_cut(flat, 0.25)
         if not result.part_a or not result.part_b:
             return
-        adjacency = adjacency_of(flat)
-        cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
+        cut_distances = cut_distance_block(flat, result.cut)
         for part in (result.part_a, result.part_b):
             shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             child = child_adjacency(flat, part, shortcuts)
