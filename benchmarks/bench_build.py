@@ -41,14 +41,9 @@ and vertex count rather than hiding inside a phase total.
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_build.py \
-        [--vertices 3000] [--backends heap,csr] \
-        [--flow-methods auto,dinitz,push_relabel] [--output BENCH_build.json] \
+        [--vertices 3000] [--backends heap,csr] [--output BENCH_build.json] \
         [--scaling] [--sizes 1000,10000,100000] \
         [--modes serial-heap,...,process-csr] [--scaling-workers 2]
-
-``--flow-methods`` sweeps the max-flow solver behind the balanced cuts:
-every selected backend is built once per method, each row carries the
-resolved ``flow_method``, and all labellings must stay bit-identical.
 """
 
 from __future__ import annotations
@@ -57,11 +52,10 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import RoadNetworkSpec, synthetic_road_network
 from repro.core.backends import BACKEND_NAMES, resolve_backend, scipy_available
-from repro.flow.vertex_cut import FLOW_METHOD_CHOICES
 from repro.core.construction import ConstructionStats, HC2LBuilder
 from repro.core.flat import FlatLabelling
 from repro.core.parallel import ParallelHC2LBuilder
@@ -99,14 +93,7 @@ def _top_nodes(stats: ConstructionStats, k: int = 5) -> List[Dict[str, object]]:
     ]
 
 
-def _resolved_flow_method(backend, flow_method: Optional[str]) -> str:
-    """The max-flow solver a build actually ran (``auto`` defers to the backend)."""
-    if flow_method is None or flow_method == "auto":
-        return backend.flow_method
-    return flow_method
-
-
-def bench_backend(name: str, graph, leaf_size: int, flow_method: str = "auto"):
+def bench_backend(name: str, graph, leaf_size: int):
     """One full construction under ``name``, with the per-phase breakdown."""
     backend = resolve_backend(name)
     total_start = time.perf_counter()
@@ -115,14 +102,13 @@ def bench_backend(name: str, graph, leaf_size: int, flow_method: str = "auto"):
     contraction = contract_degree_one(graph)
     contraction_seconds = time.perf_counter() - contract_start
 
-    builder = HC2LBuilder(leaf_size=leaf_size, backend=backend, flow_method=flow_method)
+    builder = HC2LBuilder(leaf_size=leaf_size, backend=backend)
     hierarchy, flat, stats = builder.build(contraction.core)
     total_seconds = time.perf_counter() - total_start
 
     row: Dict[str, object] = {
         "backend": name,
         "resolved_backend": backend.name,
-        "flow_method": _resolved_flow_method(backend, flow_method),
         "total_seconds": round(total_seconds, 4),
         "seconds_contraction": round(contraction_seconds, 4),
         "num_nodes": stats.num_nodes,
@@ -162,7 +148,6 @@ def bench_mode(mode: str, graph, leaf_size: int, workers: int):
     row: Dict[str, object] = {
         "mode": mode,
         "backend": backend_name,
-        "flow_method": _resolved_flow_method(backend, "auto"),
         "workers": workers if parallel else 1,
         "total_seconds": round(total_seconds, 4),
         "seconds_contraction": round(contraction_seconds, 4),
@@ -266,66 +251,41 @@ def run_benchmark(
     seed: int = 2024,
     backends: List[str] | None = None,
     leaf_size: int = 12,
-    flow_methods: List[str] | None = None,
 ) -> dict:
-    """Build under every selected backend x flow method, verify labels match.
+    """Build once under every selected backend, verify labels match.
 
-    The default sweep is one build per backend under ``flow_method="auto"``
-    (each backend's own solver default).  Passing explicit flow methods
-    multiplies the rows: every selected backend is built once per method,
-    and *all* resulting labellings must be bit-identical before anything
-    is recorded - a faster solver with different labels aborts the run.
+    *All* resulting labellings must be bit-identical before anything is
+    recorded - a faster backend with different labels aborts the run.
     """
     selected = backends or ["heap", "csr"]
     unknown = [name for name in selected if name not in BACKEND_NAMES]
     if unknown:
         raise SystemExit(f"unknown backends {unknown}; available: {list(BACKEND_NAMES)}")
-    selected_methods = flow_methods or ["auto"]
-    unknown_methods = [m for m in selected_methods if m not in FLOW_METHOD_CHOICES]
-    if unknown_methods:
-        raise SystemExit(
-            f"unknown flow methods {unknown_methods}; available: {list(FLOW_METHOD_CHOICES)}"
-        )
 
     network = synthetic_road_network(
         RoadNetworkSpec("bench-build", num_vertices=num_vertices, seed=seed)
     )
     graph = network.distance_graph
 
-    rows: List[Dict[str, object]] = []
-    flats: Dict[Tuple[str, str], FlatLabelling] = {}
+    rows: Dict[str, Dict[str, object]] = {}
+    flats: Dict[str, FlatLabelling] = {}
     for name in selected:
-        for method in selected_methods:
-            tag = name if method == "auto" else f"{name}/{method}"
-            print(f"  {tag}: building on {graph.num_vertices} vertices ...")
-            row, flat = bench_backend(name, graph, leaf_size, method)
-            rows.append(row)
-            flats[(name, method)] = flat
-            print(f"  {tag}: {row['total_seconds']}s total")
+        print(f"  {name}: building on {graph.num_vertices} vertices ...")
+        row, flat = bench_backend(name, graph, leaf_size)
+        rows[name] = row
+        flats[name] = flat
+        print(f"  {name}: {row['total_seconds']}s total")
 
-    # a faster backend or solver that builds different labels is a bug,
-    # not a win
-    reference_key = (selected[0], selected_methods[0])
-    reference = flats[reference_key]
-    for key, flat in flats.items():
-        if key != reference_key and flat != reference:
+    # a faster backend that builds different labels is a bug, not a win
+    reference_name = selected[0]
+    for name, flat in flats.items():
+        if flat != flats[reference_name]:
             raise AssertionError(
-                f"backend/flow-method {key!r} produced labels different from "
-                f"{reference_key!r}"
+                f"backend {name!r} produced labels different from {reference_name!r}"
             )
 
-    def _auto_row(backend_name: str) -> Optional[Dict[str, object]]:
-        candidates = [row for row in rows if row["backend"] == backend_name]
-        if not candidates:
-            return None
-        default_method = _resolved_flow_method(resolve_backend(backend_name), "auto")
-        for row in candidates:
-            if row["flow_method"] == default_method:
-                return row
-        return candidates[0]
-
-    heap_row = _auto_row("heap")
-    csr_row = _auto_row("csr")
+    heap_row = rows.get("heap")
+    csr_row = rows.get("csr")
     speedup = None
     if heap_row and csr_row:
         speedup = round(
@@ -348,13 +308,12 @@ def run_benchmark(
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "leaf_size": leaf_size,
-        "flow_methods": selected_methods,
         "scipy_available": scipy_available(),
         # headline numbers kept top-level for cross-PR continuity
         "heap_total_seconds": heap_row["total_seconds"] if heap_row else None,
         "csr_total_seconds": csr_row["total_seconds"] if csr_row else None,
         "csr_speedup_vs_heap": speedup,
-        "rows": rows,
+        "rows": [rows[name] for name in selected],
     }
 
 
@@ -367,15 +326,6 @@ def main() -> None:
         "--backends",
         default="heap,csr",
         help=f"comma separated subset of {list(BACKEND_NAMES)}",
-    )
-    parser.add_argument(
-        "--flow-methods",
-        default="auto",
-        help=(
-            "comma separated max-flow solver sweep "
-            f"(subset of {list(FLOW_METHOD_CHOICES)}); every backend is "
-            "built once per method and all labels must stay bit-identical"
-        ),
     )
     parser.add_argument(
         "--output",
@@ -406,8 +356,7 @@ def main() -> None:
     args = parser.parse_args()
 
     names = [name.strip() for name in args.backends.split(",") if name.strip()]
-    methods = [m.strip() for m in args.flow_methods.split(",") if m.strip()]
-    record = run_benchmark(args.vertices, args.seed, names, args.leaf_size, methods)
+    record = run_benchmark(args.vertices, args.seed, names, args.leaf_size)
     if args.scaling:
         sizes = [int(size) for size in args.sizes.split(",") if size.strip()]
         modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]

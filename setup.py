@@ -1,10 +1,9 @@
 """Setuptools shim.
 
-The execution environment for this reproduction has no network access, so
-``pip install -e .`` must not attempt to download build dependencies into
-an isolated build environment.  Providing a ``setup.py`` (alongside the
-declarative ``pyproject.toml``) lets pip fall back to the legacy editable
-install path, which uses the already-installed setuptools.
+The package metadata lives in the declarative ``pyproject.toml``.  This
+shim keeps the legacy ``python setup.py develop`` editable install
+working on hosts without network access and without the ``wheel``
+package, which the PEP 660 editable path of older setuptools needs.
 """
 
 from setuptools import setup

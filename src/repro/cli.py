@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     from repro.core.backends import BACKEND_NAMES
-    from repro.flow.vertex_cut import FLOW_METHOD_CHOICES
 
     build.add_argument(
         "--backend",
@@ -85,16 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
             "dial (opt-in bucket-queue searches for integer-scalable "
             "weights; slower than heap on road graphs), or auto (csr when "
             "scipy is available, else heap; the default)"
-        ),
-    )
-    build.add_argument(
-        "--flow-method",
-        choices=list(FLOW_METHOD_CHOICES),
-        default="auto",
-        help=(
-            "max-flow solver for the hierarchy phase's minimum vertex "
-            "cuts (cuts are bit-identical across solvers): auto defers "
-            "to the backend (the default)"
         ),
     )
     build.add_argument(
@@ -301,7 +290,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         contract=not args.no_contraction,
         num_workers=args.workers,
         backend=args.backend,
-        flow_method=args.flow_method,
     )
     index.save(args.output, tree_sidecar=args.tree_sidecar)
     summary = index.describe()

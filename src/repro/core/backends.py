@@ -97,20 +97,6 @@ class ShortestPathBackend:
 
     name: str = "abstract"
 
-    #: max-flow implementation the partition layer's balanced cuts should
-    #: use when the build does not pin one explicitly - a name from
-    #: :data:`repro.flow.vertex_cut.FLOW_METHODS`.  The canonical minimum
-    #: vertex cuts are unique across all maximum flows, so the choice
-    #: never changes a cut - only how fast it is found.  The early-exit
-    #: Edmonds-Karp roughly halves the hierarchy phase versus the Dinitz
-    #: reference on the bench region population (attachment sets keep the
-    #: source-sink BFS distance tiny, so one BFS per unit of flow is
-    #: near-optimal), hence the dependency-free default; ``dinitz`` stays
-    #: available as the reference via an explicit ``flow_method``.  An
-    #: explicit ``HC2LParameters.flow_method`` other than ``"auto"``
-    #: overrides this per-backend default.
-    flow_method: str = "python_ek"
-
     def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
         """Single-source distance rows for a batch of sources."""
         raise NotImplementedError
@@ -143,10 +129,8 @@ class ShortestPathBackend:
         """Connected components of a snapshot, in canonical form.
 
         Each component is a sorted list of *original* vertex ids and the
-        components are ordered by their smallest member - exactly the
-        output contract of
-        :func:`repro.graph.components.components_of_adjacency`, so every
-        backend hands the partition layer the same tie-breaks.
+        components are ordered by their smallest member, so every backend
+        hands the partition layer the same tie-breaks.
         """
         return _components_python(flat)
 
@@ -218,10 +202,6 @@ class DialBackend(ShortestPathBackend):
     """
 
     name = "dial"
-    #: the compact Edmonds-Karp is the fastest dependency-free flow
-    #: solver on the bench region population, matching this backend's
-    #: pure-python character
-    flow_method = "python_ek"
 
     _SCALE_CACHE = "dial_scale"
 
@@ -347,7 +327,6 @@ class CSRBackend(ShortestPathBackend):
     """
 
     name = "csr"
-    flow_method = "matrix"
 
     _DIST_CACHE = "csr_dist_rows"
     _ARRAY_CACHE = "csr_dist_arrays"

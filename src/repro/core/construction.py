@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.flat_build import ChildRecord, RelabelRecord, SubtreeResult, build_subtree
-from repro.flow.vertex_cut import check_flow_method
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
 from repro.utils.timer import Timer
@@ -159,12 +158,9 @@ class HC2LBuilder:
         ``"dial"``, or an instance); ``"auto"`` picks the CSR backend
         when scipy is available and the heap backend otherwise, and
         ``"dial"`` runs only when named.  Labels are bit-identical
-        across backends.
-    flow_method:
-        Max-flow solver for the balanced cuts - a name from
-        :data:`repro.flow.vertex_cut.FLOW_METHODS`, or ``"auto"`` to use
-        the backend's default.  Cuts (and therefore labels) are
-        bit-identical across methods.
+        across backends.  The balanced cuts' max-flow route does not
+        depend on the backend: it is chosen per region by
+        :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`.
     """
 
     def __init__(
@@ -174,7 +170,6 @@ class HC2LBuilder:
         tail_pruning: bool = True,
         max_depth: int = 60,
         backend: BackendSpec = "auto",
-        flow_method: str = "auto",
     ) -> None:
         self.beta = check_balance_parameter(beta)
         if leaf_size < 1:
@@ -183,7 +178,6 @@ class HC2LBuilder:
         self.tail_pruning = tail_pruning
         self.max_depth = max_depth
         self.backend: ShortestPathBackend = resolve_backend(backend)
-        self.flow_method = check_flow_method(flow_method)
 
     # ------------------------------------------------------------------ #
     def build(
@@ -217,5 +211,4 @@ class HC2LBuilder:
             tail_pruning=self.tail_pruning,
             max_depth=self.max_depth,
             backend=self.backend,
-            flow_method=self.flow_method,
         )

@@ -171,7 +171,6 @@ def node_step(
     max_depth: int,
     backend: ShortestPathBackend,
     timer: Timer,
-    flow_method: str = "auto",
 ) -> NodeStep:
     """Run one node of the interleaved construction over a CSR snapshot.
 
@@ -185,7 +184,7 @@ def node_step(
     if not force_leaf:
         cut_started = time.perf_counter()
         with timer.measure("hierarchy"):
-            cut_result = balanced_cut(flat, beta, backend=backend, flow_method=flow_method)
+            cut_result = balanced_cut(flat, beta, backend=backend)
         seconds_cut = time.perf_counter() - cut_started
         if not cut_result.part_a or not cut_result.part_b:
             force_leaf = True
@@ -274,7 +273,6 @@ def build_subtree(
     tail_pruning: bool,
     max_depth: int,
     backend: BackendSpec = None,
-    flow_method: str = "auto",
 ) -> SubtreeResult:
     """Build the whole hierarchy subtree rooted at ``flat``.
 
@@ -318,7 +316,6 @@ def build_subtree(
             max_depth=max_depth,
             backend=search,
             timer=timer,
-            flow_method=flow_method,
         )
         local = len(records)
         records.append((depth, bits, parent, side, step.is_leaf, n, step.ranking.ordered))
@@ -395,5 +392,4 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
         tail_pruning=bool(payload["tail_pruning"]),
         max_depth=int(payload["max_depth"]),
         backend=payload["backend"],
-        flow_method=str(payload["flow_method"]),
     )

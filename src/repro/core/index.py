@@ -73,11 +73,11 @@ class HC2LParameters:
         searches for integer-scalable weights, never picked by ``auto``),
         or ``"auto"`` (csr when scipy is importable, else heap).  Labels
         are bit-identical across backends.
-    flow_method:
-        Max-flow solver for the hierarchy phase's minimum vertex cuts -
-        one of :data:`repro.flow.vertex_cut.FLOW_METHODS`, or ``"auto"``
-        to let the backend pick.  Canonical cuts are unique across all
-        maximum flows, so labels are bit-identical across methods.
+
+    The hierarchy phase's minimum vertex cuts need no parameter: their
+    max-flow route is chosen per region from its size (see
+    :mod:`repro.flow.vertex_cut`), and canonical cuts are unique across
+    all maximum flows.
     """
 
     beta: float = 0.2
@@ -86,11 +86,9 @@ class HC2LParameters:
     contract: bool = True
     num_workers: int = 1
     backend: str = "auto"
-    flow_method: str = "auto"
 
     def __post_init__(self) -> None:
         from repro.core.backends import check_backend_name
-        from repro.flow.vertex_cut import check_flow_method
 
         check_balance_parameter(self.beta)
         if self.leaf_size < 1:
@@ -98,7 +96,6 @@ class HC2LParameters:
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
         check_backend_name(self.backend)
-        check_flow_method(self.flow_method)
 
 
 def _identity_contraction(graph: Graph) -> ContractedGraph:
@@ -212,7 +209,6 @@ class HC2LIndex:
                 tail_pruning=parameters.tail_pruning,
                 num_workers=parameters.num_workers,
                 backend=parameters.backend,
-                flow_method=parameters.flow_method,
             )
         else:
             builder = HC2LBuilder(
@@ -220,7 +216,6 @@ class HC2LIndex:
                 leaf_size=parameters.leaf_size,
                 tail_pruning=parameters.tail_pruning,
                 backend=parameters.backend,
-                flow_method=parameters.flow_method,
             )
         record: RelabelRecord = []
         hierarchy, flat, stats = builder.build(core, record)

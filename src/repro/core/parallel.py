@@ -69,7 +69,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
         num_workers: int = 4,
         parallel_threshold: int = 64,
         backend: BackendSpec = "auto",
-        flow_method: str = "auto",
     ) -> None:
         super().__init__(
             beta=beta,
@@ -77,7 +76,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
             tail_pruning=tail_pruning,
             max_depth=max_depth,
             backend=backend,
-            flow_method=flow_method,
         )
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -219,7 +217,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
             max_depth=self.max_depth,
             backend=self.backend,
             timer=stats.timer,
-            flow_method=self.flow_method,
         )
         event_index = len(events)
         ordered = step.ranking.ordered
@@ -305,7 +302,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
                 "max_depth": self.max_depth,
                 # ship by name: instances don't cross process boundaries
                 "backend": self.backend.name,
-                "flow_method": self.flow_method,
             }
             handle = executor.submit(build_subtree_payload, payload)
             stats.num_tasks += 1

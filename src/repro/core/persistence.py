@@ -34,6 +34,7 @@ in with ``allow_pickle=True`` (pickle can execute arbitrary code).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -97,9 +98,6 @@ def _index_header(index: "HC2LIndex", label_layout: str) -> dict:
             "num_workers": parameters.num_workers,
             # absent in pre-backend archives; HC2LParameters defaults them
             "backend": getattr(parameters, "backend", "auto"),
-            # absent before the flow-method switch existed; "auto" keeps
-            # legacy archives on the backend-selected solver
-            "flow_method": getattr(parameters, "flow_method", "auto"),
         },
         "construction_seconds": index.construction_seconds,
         "extra": dict(index._extra),
@@ -494,9 +492,12 @@ def _unpack_components(archive, header: dict) -> dict:
     parameters = dict(header["parameters"])
     if int(parameters.get("num_workers", 1)) < 1:
         parameters["num_workers"] = 1
-    # archives written while a thread-pool builder existed name its
-    # execution mode; every mode built the same labels, so it is dropped
-    parameters.pop("parallel_mode", None)
+    # older archives name parameters that have since been removed (the
+    # thread-pool builder's execution mode, the max-flow solver choice);
+    # none of them changed the labels, so keys that are no longer fields
+    # are dropped
+    known = {field.name for field in dataclasses.fields(HC2LParameters)}
+    parameters = {key: value for key, value in parameters.items() if key in known}
 
     return {
         "graph": graph,

@@ -1,18 +1,17 @@
-"""Maximum-flow / minimum-vertex-cut substrate.
+"""Minimum-vertex-cut substrate.
 
 The balanced cut step of the hierarchy construction (Algorithm 2 in the
 paper) reduces the minimal balanced vertex-separator problem to a minimum
 s-t *vertex* cut on the cut region, which in turn reduces to maximum flow
-on the standard split-vertex transformation and is solved with Dinitz's
-algorithm.  This package implements that machinery.
+on the standard split-vertex transformation.
+:func:`~repro.flow.vertex_cut.minimum_vertex_cut_region` solves it with
+scipy's ``maximum_flow`` on large regions and a compact Edmonds-Karp on
+small ones; the canonical cuts do not depend on the route.
 """
 
-from repro.flow.dinitz import DinitzMaxFlow, FlowNetwork
-from repro.flow.vertex_cut import MinVertexCutResult, minimum_st_vertex_cut
+from repro.flow.vertex_cut import MinVertexCutResult, minimum_vertex_cut_region
 
 __all__ = [
-    "FlowNetwork",
-    "DinitzMaxFlow",
-    "minimum_st_vertex_cut",
+    "minimum_vertex_cut_region",
     "MinVertexCutResult",
 ]

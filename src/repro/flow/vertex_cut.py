@@ -14,97 +14,27 @@ one closest to ``S`` (inner edges whose tail is residual-reachable from S)
 and the one closest to ``T``.  Both are returned so the caller can pick the
 more balanced option.
 
-Four max-flow solvers back the reduction, selected by ``method`` (the
-:data:`FLOW_METHODS` registry - ``HC2LParameters`` validation and the CLI
-consume the same tuple):
+One dispatch, chosen from the input, solves the reduction.  Regions of at
+least :data:`_MATRIX_SMALL_REGION` vertices go through
+``scipy.sparse.csgraph.maximum_flow`` (C speed) when scipy is importable;
+every other region runs a compact Edmonds-Karp over paired edge lists.
+The unit inner edges bound the flow value by the cut size,
+which is single digits on road networks, so augmenting-path solvers
+finish in a few rounds either way.
 
-``dinitz``
-    The reference pure-Python Dinitz solver (:mod:`repro.flow.dinitz`),
-    unchanged since the original reproduction.
-
-``matrix``
-    The split network as typed edge arrays, solved by
-    ``scipy.sparse.csgraph.maximum_flow`` (C speed) - or, without scipy,
-    by an Edmonds-Karp loop whose per-augmentation BFS runs as vectorised
-    numpy frontier sweeps.  This is the fast path the ``csr`` construction
-    backend routes the hierarchy phase through.  Regions below
-    :data:`_MATRIX_SMALL_REGION` run the compact Edmonds-Karp loop instead
-    (the sparse-constructor round trip dominates at that size).
-
-``python_ek``
-    The compact Edmonds-Karp loop on paired flat edge lists for *every*
-    region size.  Dependency-free; the default of the pure-python
-    backends and the small-region delegate of the other array methods.
-
-``push_relabel``
-    FIFO push-relabel with gap + global relabeling
-    (:mod:`repro.flow.push_relabel`) on the flat residual arrays, run to a
-    genuine maximum flow so residual reachability is canonical.  Regions
-    below :data:`_PUSH_RELABEL_SMALL_REGION` delegate to the compact
-    Edmonds-Karp loop, mirroring the ``matrix`` method.
-
-All solvers return the *same* canonical cuts: for any maximum flow, the
-set of nodes residual-reachable from the source is the unique minimal
-source side over all minimum cuts (and symmetrically for the sink), so the
-extracted vertex cuts do not depend on which maximum flow was found.  The
-partition-layer backend tests and the cross-solver fuzz wall pin this
-equality down on seeded graphs.
-
-Note on solver choice: the unit inner edges bound the flow value by the
-cut size, which is tiny in practice (single digits on the bench graphs).
-Augmenting-path solvers therefore finish in a handful of BFS rounds and
-the C-speed scipy Dinic is the fastest large-region route; push-relabel
-is provided as a correct, interchangeable kernel behind the switch, not
-as the default.
+The route only sets the speed: for any maximum flow, the set of nodes
+residual-reachable from the source is the unique minimal source side over
+all minimum cuts (and symmetrically for the sink), so the extracted vertex
+cuts do not depend on which maximum flow was found.  The test suite holds
+both routes against an independent Dinitz reference on seeded graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from repro.flow.dinitz import DinitzMaxFlow, FlowNetwork
-
-WorkingAdjacency = Dict[int, Dict[int, float]]
-
-#: Capacity standing in for "infinite" on outer edges of the Dinitz path;
-#: any value larger than the number of vertices works because inner edges
-#: bound the flow.
-_OUTER_CAPACITY = float("inf")
-
-#: Every max-flow solver the split-vertex reduction can run on.  This is
-#: the single registry: ``minimum_vertex_cut_region`` dispatch,
-#: ``HC2LParameters`` validation and the ``repro build --flow-method`` CLI
-#: choices all consume it (plus the ``"auto"`` sentinel below).
-FLOW_METHODS = ("dinitz", "matrix", "python_ek", "push_relabel")
-
-#: ``"auto"`` defers the choice to the shortest-path backend (heap and
-#: dial pick ``python_ek``, csr picks ``matrix``); it is valid everywhere
-#: a flow method is configured but never reaches
-#: ``minimum_vertex_cut_region`` itself.
-FLOW_METHOD_AUTO = "auto"
-
-FLOW_METHOD_CHOICES = (FLOW_METHOD_AUTO,) + FLOW_METHODS
-
-
-def check_flow_method(method: str, allow_auto: bool = True) -> str:
-    """Validate a flow-method name against the registry, loudly.
-
-    Raises a :class:`TypeError` for non-string specs and a
-    :class:`ValueError` naming the valid set otherwise.  Returns the
-    (unchanged) name so call sites can validate inline.
-    """
-    if not isinstance(method, str):
-        raise TypeError(
-            f"flow method must be a string, got {type(method).__name__}: {method!r}"
-        )
-    valid = FLOW_METHOD_CHOICES if allow_auto else FLOW_METHODS
-    if method not in valid:
-        raise ValueError(f"unknown flow method {method!r}; expected one of {valid}")
-    return method
-
 
 try:  # pragma: no cover - exercised via whichever env runs the suite
     from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -114,6 +44,14 @@ except ImportError:  # pragma: no cover
     _scipy_csr_matrix = None
     _scipy_maximum_flow = None
     _scipy_breadth_first_order = None
+
+#: Regions smaller than this solve faster with the compact Edmonds-Karp
+#: loop than with a scipy matrix round-trip (fixed sparse-constructor
+#: cost), so :func:`minimum_vertex_cut_region` sends only regions of at
+#: least this many vertices to scipy.  Measured on the 3.2k bench region
+#: population: with the aligned-residual scipy path and the early-exit
+#: BFS in the EK loop the crossover sits near 200.
+_MATRIX_SMALL_REGION = 192
 
 
 @dataclass
@@ -141,76 +79,28 @@ class MinVertexCutResult:
         return cuts
 
 
-def minimum_st_vertex_cut(
-    adjacency: WorkingAdjacency,
-    source_attached: Iterable[int],
-    sink_attached: Iterable[int],
-    method: str = "dinitz",
-) -> MinVertexCutResult:
-    """Minimum vertex cut separating the virtual terminals S and T.
-
-    Parameters
-    ----------
-    adjacency:
-        Working adjacency of the flow subgraph (the cut region plus the
-        border vertices ``C_A``/``C_B`` of Algorithm 2).  Every vertex in
-        this mapping may become a cut vertex.
-    source_attached:
-        Vertices receiving an edge from the virtual source ``S``
-        (``N_S`` in Algorithm 2).
-    sink_attached:
-        Vertices receiving an edge to the virtual sink ``T`` (``N_T``).
-    method:
-        One of :data:`FLOW_METHODS` (see the module docstring); all
-        produce identical cuts.
-
-    Returns
-    -------
-    MinVertexCutResult
-        The cut size and both canonical cuts.  When S and T are already
-        disconnected inside the region the cut is empty.
-    """
-    vertices: List[int] = sorted(adjacency)
-    index = {v: i for i, v in enumerate(vertices)}
-    tails: List[int] = []
-    heads: List[int] = []
-    for v in vertices:
-        vi = index[v]
-        for w in adjacency[v]:
-            wi = index.get(w)
-            if wi is None:
-                continue
-            # each undirected edge appears once per direction of travel
-            tails.append(vi)
-            heads.append(wi)
-    attach_s = sorted(index[v] for v in set(source_attached) if v in index)
-    attach_t = sorted(index[v] for v in set(sink_attached) if v in index)
-    return minimum_vertex_cut_region(
-        vertices, tails, heads, attach_s, attach_t, method=method
-    )
-
-
 def minimum_vertex_cut_region(
     vertices: Sequence[int],
     tails: Sequence[int],
     heads: Sequence[int],
     attach_s: Sequence[int],
     attach_t: Sequence[int],
-    method: str = "dinitz",
 ) -> MinVertexCutResult:
     """Minimum S-T vertex cut of a flow region given as edge arrays.
 
     ``vertices`` maps region-local ids to original vertex ids; ``tails`` /
     ``heads`` list every *directed* edge of the region (both directions of
     each undirected edge) in local ids; ``attach_s`` / ``attach_t`` are the
-    local ids attached to the virtual terminals.  This is the entry point
-    the array-based balanced cut uses - no dict adjacency is materialised.
+    local ids attached to the virtual terminals.  Returns the cut size and
+    both canonical cuts; when S and T are already disconnected inside the
+    region both cuts are empty.
     """
-    check_flow_method(method, allow_auto=False)
     k = len(vertices)
-
-    solver = _SOLVERS[method]
-    source_side, sink_side, flow_value = solver(k, tails, heads, attach_s, attach_t)
+    if k >= _MATRIX_SMALL_REGION and _scipy_maximum_flow is not None:
+        solve = _solve_matrix
+    else:
+        solve = _solve_python_ek
+    source_side, sink_side, flow_value = solve(k, tails, heads, attach_s, attach_t)
 
     # a cut vertex is one whose inner edge is saturated and separates the
     # reachable side from the rest; slicing the interleaved in/out masks
@@ -231,36 +121,6 @@ def minimum_vertex_cut_region(
 # --------------------------------------------------------------------- #
 # solvers
 # --------------------------------------------------------------------- #
-def _solve_dinitz(
-    k: int,
-    tails: Sequence[int],
-    heads: Sequence[int],
-    attach_s: Sequence[int],
-    attach_t: Sequence[int],
-) -> Tuple[Sequence[bool], Sequence[bool], float]:
-    """The reference Dinitz solver over a :class:`FlowNetwork`."""
-    source_node = 2 * k
-    sink_node = 2 * k + 1
-    network = FlowNetwork(2 * k + 2)
-    for i in range(k):
-        network.add_edge(2 * i, 2 * i + 1, 1.0)
-    for vi, wi in zip(tails, heads):
-        network.add_edge(2 * vi + 1, 2 * wi, _OUTER_CAPACITY)
-    for vi in attach_s:
-        network.add_edge(source_node, 2 * vi, _OUTER_CAPACITY)
-    for vi in attach_t:
-        network.add_edge(2 * vi + 1, sink_node, _OUTER_CAPACITY)
-
-    solver = DinitzMaxFlow(network, source_node, sink_node)
-    flow_value = solver.solve(flow_limit=float(k) + 1.0)
-    reach_source = solver.source_side()
-    reach_sink = solver.sink_side()
-    num_nodes = 2 * k + 2
-    source_side = [node in reach_source for node in range(num_nodes)]
-    sink_side = [node in reach_sink for node in range(num_nodes)]
-    return source_side, sink_side, flow_value
-
-
 def _split_network_arrays(
     k: int,
     tails: Sequence[int],
@@ -273,8 +133,7 @@ def _split_network_arrays(
     Capacities are integers: 1 on inner edges, ``k + 1`` (an unreachable
     bound - every augmenting path crosses a unit inner edge, so no edge
     ever carries more than ``k`` units) standing in for infinity on outer
-    and terminal edges.  Saturation behaviour therefore matches the
-    float-infinity Dinitz network exactly.
+    and terminal edges, which therefore never saturate.
     """
     big = k + 1
     tails = np.asarray(tails, dtype=np.int64)
@@ -293,20 +152,6 @@ def _split_network_arrays(
     return 2 * k + 2, src, dst, cap, 2 * k, 2 * k + 1
 
 
-#: Regions smaller than this solve faster with the compact Edmonds-Karp
-#: loop than with a scipy matrix round-trip (fixed sparse-constructor
-#: cost).  Measured on the 3.2k bench region population: with the
-#: aligned-residual scipy path and the early-exit BFS in the EK loop the
-#: crossover sits near 200 - the EK's cheap construction wins as long as
-#: the handful of augmenting BFS rounds stays cheap.
-_MATRIX_SMALL_REGION = 192
-
-#: The push-relabel kernel pays per-node bookkeeping that only amortises
-#: on larger regions; below this it delegates to the compact Edmonds-Karp
-#: loop, mirroring the ``matrix`` method's small-region route.
-_PUSH_RELABEL_SMALL_REGION = 64
-
-
 def _solve_matrix(
     k: int,
     tails: Sequence[int],
@@ -314,53 +159,15 @@ def _solve_matrix(
     attach_s: Sequence[int],
     attach_t: Sequence[int],
 ) -> Tuple[Sequence[bool], Sequence[bool], float]:
-    """Array-based solver family for the ``matrix`` method.
+    """Max flow via ``scipy.sparse.csgraph.maximum_flow`` (large regions).
 
-    Small regions run a compact Edmonds-Karp over paired edge arrays (the
-    flow value is bounded by the cut size, so only a handful of BFS rounds
-    run); larger regions go through ``scipy.sparse.csgraph.maximum_flow``
-    (or the numpy Edmonds-Karp without scipy).  All of them extract the
-    canonical cuts from residual reachability, which is identical for
-    every maximum flow - mixing solvers never changes a cut.
+    Residual reachability from both terminals then gives the canonical
+    cuts, as for the Edmonds-Karp loop.
     """
-    if k < _MATRIX_SMALL_REGION:
-        return _solve_python_ek(k, tails, heads, attach_s, attach_t)
     num_nodes, src, dst, cap, source, sink = _split_network_arrays(
         k, tails, heads, attach_s, attach_t
     )
-    if _scipy_maximum_flow is not None and _scipy_csr_matrix is not None:
-        flow_value, res_src, res_dst = _scipy_residual_edges(num_nodes, src, dst, cap, source, sink)
-    else:
-        flow_value, res_src, res_dst = _numpy_residual_edges(num_nodes, src, dst, cap, source, sink)
-    source_side = _reachable(num_nodes, res_src, res_dst, source)
-    sink_side = _reachable(num_nodes, res_dst, res_src, sink)  # reversed edges
-    return source_side, sink_side, float(flow_value)
-
-
-def _solve_push_relabel(
-    k: int,
-    tails: Sequence[int],
-    heads: Sequence[int],
-    attach_s: Sequence[int],
-    attach_t: Sequence[int],
-) -> Tuple[Sequence[bool], Sequence[bool], float]:
-    """FIFO push-relabel solver for the ``push_relabel`` method.
-
-    Large regions run the gap + global-relabel kernel of
-    :mod:`repro.flow.push_relabel` on the flat residual arrays; small
-    regions delegate to the compact Edmonds-Karp loop (same split as the
-    ``matrix`` method).  Cuts are canonical either way.
-    """
-    if k < _PUSH_RELABEL_SMALL_REGION:
-        return _solve_python_ek(k, tails, heads, attach_s, attach_t)
-    from repro.flow.push_relabel import push_relabel_max_flow
-
-    num_nodes, src, dst, cap, source, sink = _split_network_arrays(
-        k, tails, heads, attach_s, attach_t
-    )
-    flow_value, res_src, res_dst = push_relabel_max_flow(
-        num_nodes, src, dst, cap, source, sink
-    )
+    flow_value, res_src, res_dst = _scipy_residual_edges(num_nodes, src, dst, cap, source, sink)
     source_side = _reachable(num_nodes, res_src, res_dst, source)
     sink_side = _reachable(num_nodes, res_dst, res_src, sink)  # reversed edges
     return source_side, sink_side, float(flow_value)
@@ -452,7 +259,7 @@ def _solve_python_ek(
     while stack:
         v = stack.pop()
         # an edge u -> v is usable towards the sink iff its residual
-        # capacity is positive, so scan v's partner edges (as in Dinitz)
+        # capacity is positive, so scan v's partner edges
         for edge in adjacency[v]:
             if e_cap[edge ^ 1] > 0:
                 w = e_to[edge]
@@ -506,174 +313,28 @@ def _scipy_residual_edges(
     return int(result.flow_value), residual.row[positive], residual.col[positive]
 
 
-def _numpy_residual_edges(
-    num_nodes: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    cap: np.ndarray,
-    source: int,
-    sink: int,
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Edmonds-Karp with numpy frontier BFS (the scipy-free fast path).
-
-    Augmenting paths are found by a vectorised BFS that records, for every
-    newly reached node, the residual edge it was reached through; the path
-    walk-back and capacity update are short scalar loops (path length, not
-    graph size).  Unit inner capacities bound the number of augmentations
-    by the cut size, so only a handful of BFS rounds run per region.
-    """
-    # paired residual edges: forward edge 2e, reverse edge 2e + 1
-    e_to = np.empty(2 * len(src), dtype=np.int64)
-    e_to[0::2] = dst
-    e_to[1::2] = src
-    e_from = np.empty_like(e_to)
-    e_from[0::2] = src
-    e_from[1::2] = dst
-    e_cap = np.zeros(2 * len(src), dtype=np.int64)
-    e_cap[0::2] = cap
-
-    order = np.argsort(e_from, kind="stable")
-    sorted_edges = order  # edge ids grouped by tail node
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr[1:], e_from, 1)
-    np.cumsum(indptr, out=indptr)
-
-    total = 0
-    no_parent = 2 * len(src)  # larger than any edge id
-    while True:
-        parent_edge = np.full(num_nodes, no_parent, dtype=np.int64)
-        visited = np.zeros(num_nodes, dtype=bool)
-        visited[source] = True
-        frontier = np.asarray([source], dtype=np.int64)
-        while frontier.size and not visited[sink]:
-            edges = sorted_edges[_frontier_slots(indptr, frontier)]
-            usable = e_cap[edges] > 0
-            edges = edges[usable]
-            targets = e_to[edges]
-            fresh = ~visited[targets]
-            edges = edges[fresh]
-            targets = targets[fresh]
-            if edges.size == 0:
-                break
-            # several edges may reach the same node in one sweep; keep the
-            # lowest edge id per target (deterministic, any choice yields
-            # the same final cut)
-            np.minimum.at(parent_edge, targets, edges)
-            frontier = np.unique(targets)
-            visited[frontier] = True
-        if not visited[sink]:
-            break
-        # walk the augmenting path back from the sink
-        path: List[int] = []
-        node = sink
-        while node != source:
-            edge = int(parent_edge[node])
-            path.append(edge)
-            node = int(e_from[edge])
-        bottleneck = int(min(e_cap[edge] for edge in path))
-        for edge in path:
-            e_cap[edge] -= bottleneck
-            e_cap[edge ^ 1] += bottleneck
-        total += bottleneck
-
-    positive = e_cap > 0
-    return total, e_from[positive], e_to[positive]
-
-
-def _frontier_slots(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """Flat CSR slot indices of every entry owned by the frontier nodes.
-
-    The one subtle piece of index arithmetic both numpy BFS loops share:
-    for each node ``v`` in ``frontier`` it expands to the index range
-    ``indptr[v] .. indptr[v + 1] - 1``, concatenated.
-    """
-    counts = indptr[frontier + 1] - indptr[frontier]
-    return np.repeat(indptr[frontier], counts) + (
-        np.arange(int(counts.sum()), dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-
-
 def _reachable(num_nodes: int, src: np.ndarray, dst: np.ndarray, start: int) -> np.ndarray:
     """Boolean reachability mask over ``(src, dst)`` edges from ``start``.
 
-    With scipy available the scan runs through ``breadth_first_order`` on
-    a boolean CSR matrix (a C loop; ~5x faster than the numpy frontier
-    sweep on the large bench regions, where this scan used to be half the
-    scipy flow path's cost).  The numpy sweep remains the fallback.
+    The scan runs through scipy's ``breadth_first_order`` (a C loop) on a
+    boolean CSR matrix.
     """
-    if _scipy_breadth_first_order is not None and _scipy_csr_matrix is not None:
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        # build the CSR triple by counting sort instead of the COO
-        # constructor round-trip; residual edge lists arrive row-sorted
-        # from the aligned scipy path, so the argsort usually skips
-        if len(src) and np.any(np.diff(src) < 0):
-            order = np.argsort(src, kind="stable")
-            src = src[order]
-            dst = dst[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-        matrix = _scipy_csr_matrix(
-            (np.ones(len(src), dtype=np.int8), dst, indptr),
-            shape=(num_nodes, num_nodes),
-        )
-        nodes = _scipy_breadth_first_order(
-            matrix, start, directed=True, return_predecessors=False
-        )
-        seen = np.zeros(num_nodes, dtype=bool)
-        seen[nodes] = True
-        return seen
-    order = np.argsort(src, kind="stable")
-    dst = np.asarray(dst, dtype=np.int64)[order]
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    # build the CSR triple by counting sort instead of the COO
+    # constructor round-trip; residual edge lists arrive row-sorted
+    # from the aligned scipy path, so the argsort usually skips
+    if len(src) and np.any(np.diff(src) < 0):
+        order = np.argsort(src, kind="stable")
+        src = src[order]
+        dst = dst[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr[1:], np.asarray(src, dtype=np.int64), 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    matrix = _scipy_csr_matrix(
+        (np.ones(len(src), dtype=np.int8), dst, indptr),
+        shape=(num_nodes, num_nodes),
+    )
+    nodes = _scipy_breadth_first_order(matrix, start, directed=True, return_predecessors=False)
     seen = np.zeros(num_nodes, dtype=bool)
-    seen[start] = True
-    frontier = np.asarray([start], dtype=np.int64)
-    while frontier.size:
-        targets = dst[_frontier_slots(indptr, frontier)]
-        targets = np.unique(targets[~seen[targets]])
-        seen[targets] = True
-        frontier = targets
+    seen[nodes] = True
     return seen
-
-
-#: Method-name -> solver dispatch for :func:`minimum_vertex_cut_region`.
-#: Keys mirror :data:`FLOW_METHODS` exactly (checked by the test suite).
-_SOLVERS = {
-    "dinitz": _solve_dinitz,
-    "matrix": _solve_matrix,
-    "python_ek": _solve_python_ek,
-    "push_relabel": _solve_push_relabel,
-}
-
-
-def is_vertex_cut(
-    adjacency: WorkingAdjacency,
-    cut: Sequence[int],
-    side_a: Iterable[int],
-    side_b: Iterable[int],
-) -> bool:
-    """Check that removing ``cut`` disconnects every ``side_a`` vertex from ``side_b``.
-
-    Used by tests and by debug assertions in the hierarchy builder.
-    """
-    cut_set = set(cut)
-    targets = {v for v in side_b if v not in cut_set}
-    if not targets:
-        return True
-    seen: Set[int] = set()
-    stack = [v for v in side_a if v not in cut_set]
-    seen.update(stack)
-    while stack:
-        v = stack.pop()
-        if v in targets:
-            return False
-        for w in adjacency.get(v, ()):
-            if w in cut_set or w in seen or w not in adjacency:
-                continue
-            seen.add(w)
-            stack.append(w)
-    return True

@@ -7,7 +7,7 @@ connected-component computations, optionally restricted to a vertex subset.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.graph.graph import Graph
 
@@ -44,27 +44,6 @@ def connected_components(graph: Graph, allowed: Optional[Iterable[int]] = None) 
                 seen.add(w)
                 component.append(w)
                 stack.append(w)
-        components.append(sorted(component))
-    return components
-
-
-def components_of_adjacency(adjacency: Dict[int, Dict[int, float]]) -> List[List[int]]:
-    """Connected components of a dict-of-dicts working graph."""
-    seen: Set[int] = set()
-    components: List[List[int]] = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    component.append(w)
-                    stack.append(w)
         components.append(sorted(component))
     return components
 

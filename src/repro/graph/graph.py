@@ -267,26 +267,6 @@ class Graph:
             )
         return other
 
-    def adjacency_dict(self, vertices: Optional[Iterable[int]] = None) -> Dict[int, Dict[int, float]]:
-        """Return a mutable dict-of-dicts copy restricted to ``vertices``.
-
-        Neighbours keep the graph's adjacency order.  The flow layer's
-        dict entry points and the test oracles take this form.
-        """
-        if vertices is None:
-            member = None
-        else:
-            member = set(vertices)
-        result: Dict[int, Dict[int, float]] = {}
-        source = self.vertices() if member is None else member
-        for v in source:
-            nbrs = self._adj[v]
-            if member is None:
-                result[v] = dict(nbrs)
-            else:
-                result[v] = {w: wt for w, wt in nbrs.items() if w in member}
-        return result
-
     # ------------------------------------------------------------------ #
     # interop / debugging
     # ------------------------------------------------------------------ #

@@ -15,22 +15,22 @@ attachment sets are computed with vectorised edge-mask scans, the flow
 region is carved out of the CSR arrays without materialising a dict, and
 the component re-assignment uses the
 :class:`~repro.core.backends.ShortestPathBackend` component scan.  The
-backend also selects the max-flow solver (the compact Edmonds-Karp for
-the pure-python backends vs the scipy/numpy ``matrix`` path under csr);
-the canonical cuts are unique across all maximum flows, so every backend
-produces bit-identical cuts.
+max-flow route is chosen from the region alone (scipy on large regions,
+a compact Edmonds-Karp on small ones, see :mod:`repro.flow.vertex_cut`);
+the canonical cuts are unique across all maximum flows, so the route
+never changes a cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatWorkingGraph
-from repro.flow.vertex_cut import check_flow_method, minimum_vertex_cut_region
+from repro.flow.vertex_cut import minimum_vertex_cut_region
 from repro.partition.partition import balanced_partition
 from repro.utils.validation import check_balance_parameter
 
@@ -62,27 +62,20 @@ def balanced_cut(
     flat: FlatWorkingGraph,
     beta: float = 0.2,
     backend: BackendSpec = None,
-    flow_method: Optional[str] = None,
 ) -> BalancedCutResult:
     """Compute a balanced vertex cut of a snapshot (Algorithm 2).
 
     ``flat`` is the node's snapshot (the hierarchy builder shares it with
     the ranking and labelling passes); ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the seed
-    searches, component scans and the max-flow solver.  ``flow_method``
-    pins the max-flow solver to one of
-    :data:`repro.flow.vertex_cut.FLOW_METHODS`; ``None`` (or ``"auto"``)
-    defers to the backend's per-backend default - either way the cuts
-    are bit-identical, only the speed differs.  ``beta`` must lie in
-    ``(0, 0.5]`` (Definition 4.1) - validated here so an invalid balance
-    parameter fails loudly before any search runs.
+    searches and component scans.  The minimum vertex cut comes from
+    :func:`~repro.flow.vertex_cut.minimum_vertex_cut_region`, whose route
+    depends only on the region size and on whether scipy imports.
+    ``beta`` must lie in ``(0, 0.5]`` (Definition 4.1) - validated here so
+    an invalid balance parameter fails loudly before any search runs.
     """
     check_balance_parameter(beta)
     search = resolve_backend(backend)
-    if flow_method is None or flow_method == "auto":
-        flow_method = search.flow_method
-    else:
-        check_flow_method(flow_method, allow_auto=False)
 
     partition = balanced_partition(flat, beta=beta, backend=search)
     initial_a, cut_region, initial_b = (
@@ -136,14 +129,13 @@ def balanced_cut(
     edge_keep = flow_mask[tails] & flow_mask[indices]
     region_vertices = [flat.vertices[i] for i in region_dense.tolist()]
 
-    # Line 12: minimum s-t vertex cut via the backend-selected solver.
+    # Line 12: minimum s-t vertex cut of the flow region.
     result = minimum_vertex_cut_region(
         region_vertices,
         local[tails[edge_keep]],
         local[indices[edge_keep]],
         local[np.nonzero(attach_s)[0]],
         local[np.nonzero(attach_t)[0]],
-        method=flow_method,
     )
 
     # Lines 13-15 for each canonical cut, then keep the more balanced one.

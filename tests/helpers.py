@@ -15,6 +15,11 @@ from typing import List, Tuple
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
 
+try:
+    from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
+except ImportError:  # pragma: no cover - the scipy route then runs the loop
+    _scipy_maximum_flow = None
+
 INF = float("inf")
 
 
@@ -46,3 +51,27 @@ def random_query_pairs(graph: Graph, count: int, seed: int = 0) -> List[Tuple[in
     rng = random.Random(seed)
     n = graph.num_vertices
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+
+#: Every production max-flow route of ``minimum_vertex_cut_region`` as
+#: ``(size threshold, hide scipy's flow)``: a threshold of 0 sends every
+#: region to scipy, 10**9 sends every region to the Edmonds-Karp loop,
+#: and hiding scipy's flow sends every region to the loop whatever the
+#: threshold says.
+FLOW_ROUTES = {
+    "scipy": (0, False),
+    "python-ek": (10**9, False),
+    "python-ek-no-scipy": (0, True),
+    "python-ek-no-scipy-small": (10**9, True),
+}
+
+
+def force_flow_route(monkeypatch, route: str) -> None:
+    """Pin ``minimum_vertex_cut_region`` to one :data:`FLOW_ROUTES` entry."""
+    import repro.flow.vertex_cut as vertex_cut
+
+    threshold, hide_scipy = FLOW_ROUTES[route]
+    monkeypatch.setattr(vertex_cut, "_MATRIX_SMALL_REGION", threshold)
+    monkeypatch.setattr(
+        vertex_cut, "_scipy_maximum_flow", None if hide_scipy else _scipy_maximum_flow
+    )

@@ -8,17 +8,26 @@ independent of that machinery: they rebuild a ``dict[vertex, dict[neighbour,
 weight]]`` adjacency from a snapshot (:func:`adjacency_of`) and run
 textbook searches over it, so a test can hold the snapshot paths against
 code that shares none of their arrays.
+
+The same goes for the minimum vertex cuts: :func:`minimum_st_vertex_cut`
+solves the split-vertex reduction with a textbook Dinitz max-flow
+(:class:`DinitzMaxFlow`) over a dict adjacency, the reference both
+production routes of :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`
+are held against.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.flat import FlatWorkingGraph
+from repro.flow.vertex_cut import MinVertexCutResult
+from repro.graph.graph import Graph
 from repro.partition.cut import BalancedCutResult
 
 INF = float("inf")
@@ -37,6 +46,40 @@ def adjacency_of(snapshot: FlatWorkingGraph) -> Adjacency:
         for i in range(indptr[dense], indptr[dense + 1]):
             neighbours[vertices[indices[i]]] = weights[i]
     return adjacency
+
+
+def adjacency_dict(graph: Graph, vertices: Optional[Iterable[int]] = None) -> Adjacency:
+    """A dict adjacency of ``graph``, restricted to ``vertices`` when given.
+
+    Neighbours keep the graph's adjacency order; the result is a copy.
+    """
+    members = None if vertices is None else set(vertices)
+    source = graph.vertices() if members is None else members
+    return {
+        v: {w: weight for w, weight in graph.neighbors(v) if members is None or w in members}
+        for v in source
+    }
+
+
+def components_of_adjacency(adjacency: Adjacency) -> List[List[int]]:
+    """Connected components of a dict adjacency, each sorted, by smallest member."""
+    seen: Set[int] = set()
+    components: List[List[int]] = []
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        component = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    component.append(w)
+                    stack.append(w)
+        components.append(sorted(component))
+    return components
 
 
 def cut_distance_block(snapshot: FlatWorkingGraph, cut: Sequence[int]) -> np.ndarray:
@@ -255,3 +298,245 @@ def shortcuts_loop(
         ):
             shortcuts.append((b1, b2, d_true))
     return shortcuts
+
+
+# --------------------------------------------------------------------- #
+# minimum vertex cuts: Dinitz over the split-vertex network
+# --------------------------------------------------------------------- #
+class FlowNetwork:
+    """A directed flow network stored as paired residual edges.
+
+    Edges are appended in pairs: the forward edge at an even index and its
+    residual (reverse) edge at the following odd index, so ``index ^ 1``
+    addresses the partner edge.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.num_nodes = num_nodes
+        self.edge_to: List[int] = []
+        self.edge_cap: List[float] = []
+        self.adjacency: List[List[int]] = [[] for _ in range(num_nodes)]
+
+    def add_edge(self, u: int, v: int, capacity: float) -> int:
+        """Add a directed edge ``u -> v`` with ``capacity``; return its index."""
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        index = len(self.edge_to)
+        self.edge_to.append(v)
+        self.edge_cap.append(capacity)
+        self.adjacency[u].append(index)
+        self.edge_to.append(u)
+        self.edge_cap.append(0.0)
+        self.adjacency[v].append(index + 1)
+        return index
+
+    def residual_capacity(self, edge_index: int) -> float:
+        """Remaining capacity on edge ``edge_index``."""
+        return self.edge_cap[edge_index]
+
+
+class DinitzMaxFlow:
+    """Maximum s-t flow via Dinitz's algorithm (level graph + blocking flow)."""
+
+    def __init__(self, network: FlowNetwork, source: int, sink: int) -> None:
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        self.network = network
+        self.source = source
+        self.sink = sink
+        self.max_flow_value: Optional[float] = None
+
+    # ------------------------------------------------------------------ #
+    def solve(self, flow_limit: float = INF) -> float:
+        """Compute and return the maximum flow value (capped at ``flow_limit``)."""
+        total = 0.0
+        while total < flow_limit:
+            level = self._bfs_levels()
+            if level[self.sink] < 0:
+                break
+            iter_ptr = [0] * self.network.num_nodes
+            while total < flow_limit:
+                pushed = self._dfs_blocking(self.source, flow_limit - total, level, iter_ptr)
+                if pushed <= 0:
+                    break
+                total += pushed
+        self.max_flow_value = total
+        return total
+
+    def _bfs_levels(self) -> List[int]:
+        """Breadth-first levels in the residual graph (-1 = unreachable)."""
+        net = self.network
+        level = [-1] * net.num_nodes
+        level[self.source] = 0
+        queue = deque([self.source])
+        while queue:
+            v = queue.popleft()
+            for edge_index in net.adjacency[v]:
+                if net.edge_cap[edge_index] > 0:
+                    w = net.edge_to[edge_index]
+                    if level[w] < 0:
+                        level[w] = level[v] + 1
+                        queue.append(w)
+        return level
+
+    def _dfs_blocking(self, v: int, pushed: float, level: List[int], iter_ptr: List[int]) -> float:
+        """Push flow along one augmenting path of the level graph."""
+        if v == self.sink:
+            return pushed
+        net = self.network
+        adjacency = net.adjacency[v]
+        while iter_ptr[v] < len(adjacency):
+            edge_index = adjacency[iter_ptr[v]]
+            w = net.edge_to[edge_index]
+            cap = net.edge_cap[edge_index]
+            if cap > 0 and level[w] == level[v] + 1:
+                flow = self._dfs_blocking(w, min(pushed, cap), level, iter_ptr)
+                if flow > 0:
+                    net.edge_cap[edge_index] -= flow
+                    net.edge_cap[edge_index ^ 1] += flow
+                    return flow
+            iter_ptr[v] += 1
+        return 0.0
+
+    # ------------------------------------------------------------------ #
+    def source_side(self) -> Set[int]:
+        """Nodes reachable from the source in the residual graph (after solve)."""
+        net = self.network
+        seen = {self.source}
+        stack = [self.source]
+        while stack:
+            v = stack.pop()
+            for edge_index in net.adjacency[v]:
+                if net.edge_cap[edge_index] > 0:
+                    w = net.edge_to[edge_index]
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return seen
+
+    def sink_side(self) -> Set[int]:
+        """Nodes that can reach the sink in the residual graph (after solve)."""
+        net = self.network
+        seen = {self.sink}
+        stack = [self.sink]
+        while stack:
+            v = stack.pop()
+            # traverse edges backwards: an edge u -> v is usable towards the
+            # sink iff it still has residual capacity, so scan v's incident
+            # residual (odd/even partner) edges.
+            for edge_index in net.adjacency[v]:
+                partner = edge_index ^ 1
+                if net.edge_cap[partner] > 0:
+                    w = net.edge_to[edge_index]
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return seen
+
+
+def flow_region(
+    adjacency: Adjacency,
+    source_attached: Iterable[int],
+    sink_attached: Iterable[int],
+) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    """A dict adjacency as the edge arrays ``minimum_vertex_cut_region`` takes.
+
+    Returns ``(vertices, tails, heads, attach_s, attach_t)``: local ids are
+    positions in the sorted vertex list, every undirected edge appears once
+    per direction, and neighbours outside ``adjacency`` are dropped.
+    """
+    vertices = sorted(adjacency)
+    index = {v: i for i, v in enumerate(vertices)}
+    tails: List[int] = []
+    heads: List[int] = []
+    for v in vertices:
+        for w in adjacency[v]:
+            if w in index:
+                tails.append(index[v])
+                heads.append(index[w])
+    attach_s = sorted(index[v] for v in set(source_attached) if v in index)
+    attach_t = sorted(index[v] for v in set(sink_attached) if v in index)
+    return vertices, tails, heads, attach_s, attach_t
+
+
+def dinitz_vertex_cut_region(
+    vertices: Sequence[int],
+    tails: Sequence[int],
+    heads: Sequence[int],
+    attach_s: Sequence[int],
+    attach_t: Sequence[int],
+) -> MinVertexCutResult:
+    """Dinitz drop-in for :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`.
+
+    Same arguments and result.  Vertex ``i`` (local id) splits into nodes
+    ``2i`` (in) and ``2i + 1`` (out) joined by a unit edge; a cut vertex's
+    in-node is on one side of the residual-reachability boundary and its
+    out-node on the other.
+    """
+    k = len(vertices)
+    source_node, sink_node = 2 * k, 2 * k + 1
+    network = FlowNetwork(2 * k + 2)
+    for i in range(k):
+        network.add_edge(2 * i, 2 * i + 1, 1.0)
+    for vi, wi in zip(tails, heads):
+        network.add_edge(2 * int(vi) + 1, 2 * int(wi), INF)
+    for vi in attach_s:
+        network.add_edge(source_node, 2 * int(vi), INF)
+    for vi in attach_t:
+        network.add_edge(2 * int(vi) + 1, sink_node, INF)
+    solver = DinitzMaxFlow(network, source_node, sink_node)
+    flow_value = solver.solve(flow_limit=float(k) + 1.0)
+    reach_source = solver.source_side()
+    reach_sink = solver.sink_side()
+    return MinVertexCutResult(
+        cut_size=int(round(flow_value)),
+        cut_closest_to_source=sorted(
+            vertices[i]
+            for i in range(k)
+            if 2 * i in reach_source and 2 * i + 1 not in reach_source
+        ),
+        cut_closest_to_sink=sorted(
+            vertices[i]
+            for i in range(k)
+            if 2 * i + 1 in reach_sink and 2 * i not in reach_sink
+        ),
+    )
+
+
+def minimum_st_vertex_cut(
+    adjacency: Adjacency,
+    source_attached: Iterable[int],
+    sink_attached: Iterable[int],
+) -> MinVertexCutResult:
+    """Minimum vertex cut separating the virtual terminals S and T, via Dinitz.
+
+    Every vertex of ``adjacency`` may become a cut vertex; S feeds the
+    ``source_attached`` vertices and T drains the ``sink_attached`` ones.
+    """
+    return dinitz_vertex_cut_region(*flow_region(adjacency, source_attached, sink_attached))
+
+
+def is_vertex_cut(
+    adjacency: Adjacency,
+    cut: Sequence[int],
+    side_a: Iterable[int],
+    side_b: Iterable[int],
+) -> bool:
+    """Whether removing ``cut`` disconnects every ``side_a`` vertex from ``side_b``."""
+    cut_set = set(cut)
+    targets = {v for v in side_b if v not in cut_set}
+    if not targets:
+        return True
+    seen: Set[int] = set()
+    stack = [v for v in side_a if v not in cut_set]
+    seen.update(stack)
+    while stack:
+        v = stack.pop()
+        if v in targets:
+            return False
+        for w in adjacency.get(v, ()):
+            if w in cut_set or w in seen or w not in adjacency:
+                continue
+            seen.add(w)
+            stack.append(w)
+    return True

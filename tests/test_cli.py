@@ -43,6 +43,16 @@ class TestParser:
                 ["build", "--synthetic", "100", "-o", "x.idx", "--parallel-mode", "thread"]
             )
 
+    def test_flow_method_flag_removed(self, capsys):
+        # the max-flow route follows the region size; naming a solver is
+        # an argparse error, not a silently ignored flag
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["build", "--synthetic", "100", "-o", "x.idx", "--flow-method", "matrix"]
+            )
+        assert exit_info.value.code != 0
+        assert "unrecognized arguments: --flow-method matrix" in capsys.readouterr().err
+
 
 class TestBuildAndQuery:
     def test_build_from_dimacs_then_query(self, tmp_path, dimacs_file, capsys, small_oracle):

@@ -175,27 +175,31 @@ class TestDifferentialFuzz:
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
-class TestFlowMethodFuzz:
-    """Every max-flow solver builds bit-identical labels, end to end.
+class TestFlowRouteFuzz:
+    """Every max-flow route builds the labels the Dinitz oracle builds, end to end.
 
     The canonical minimum cuts are unique across all maximum flows, so
-    swapping the solver behind the balanced cuts must never change a
-    single label - across caterpillar, tree-heavy, sparse and
+    forcing the balanced cuts through either production route (scipy or
+    the Edmonds-Karp loop, with and without scipy's flow hidden) must
+    never change a single label against a build whose cuts come from the
+    Dinitz oracle - across caterpillar, tree-heavy, sparse and
     disconnected topologies, not just the conformance graphs.
     """
 
-    def test_flow_methods_build_identical_labels(self, case):
+    def test_flow_routes_same_labels(self, case, monkeypatch):
+        import repro.partition.cut as cut_module
+        from helpers import FLOW_ROUTES, force_flow_route
+        from oracles import dinitz_vertex_cut_region
         from repro.core.construction import HC2LBuilder
-        from repro.flow.vertex_cut import FLOW_METHODS
 
         graph = _fuzz_graph(case, seed=1)
-        reference = None
-        for method in FLOW_METHODS:
-            _, flat, _ = HC2LBuilder(leaf_size=4, flow_method=method).build(graph)
-            if reference is None:
-                reference = flat
-            else:
-                assert flat == reference, f"flow_method={method!r} changed the labels"
+        with monkeypatch.context() as oracle_cuts:
+            oracle_cuts.setattr(cut_module, "minimum_vertex_cut_region", dinitz_vertex_cut_region)
+            _, reference, _ = HC2LBuilder(leaf_size=4).build(graph)
+        for route in FLOW_ROUTES:
+            force_flow_route(monkeypatch, route)
+            _, flat, _ = HC2LBuilder(leaf_size=4).build(graph)
+            assert flat == reference, f"flow route {route!r} changed the labels"
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)

@@ -15,6 +15,7 @@ from repro.core.query import core_distance
 from repro.graph.builders import graph_from_edges
 
 from helpers import random_query_pairs
+from oracles import adjacency_dict
 
 
 def random_nested_labelling(seed: int, num_vertices: int = 12) -> HC2LLabelling:
@@ -213,7 +214,7 @@ class TestQueryEquivalence:
 class TestFlatWorkingGraph:
     def test_csr_matches_adjacency(self):
         graph = graph_from_edges([(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
-        adjacency = graph.adjacency_dict()
+        adjacency = adjacency_dict(graph)
         flat = root_snapshot(graph)
         assert flat.vertices == [0, 1, 2]
         for v in adjacency:

@@ -1,12 +1,16 @@
-"""Unit tests for Dinitz max-flow and the minimum s-t vertex cut reduction."""
+"""Unit tests for the Dinitz reference oracle: max-flow and the vertex cut reduction.
+
+The production routes are held against this oracle in
+``test_partition_backends.py``; here the oracle itself is checked against
+networkx and hand-made instances.
+"""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
-from repro.flow.dinitz import DinitzMaxFlow, FlowNetwork
-from repro.flow.vertex_cut import is_vertex_cut, minimum_st_vertex_cut
+from oracles import DinitzMaxFlow, FlowNetwork, is_vertex_cut, minimum_st_vertex_cut
 from repro.utils.rng import make_rng
 
 

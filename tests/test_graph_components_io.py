@@ -7,8 +7,8 @@ import gzip
 import pytest
 
 from repro.graph.builders import graph_from_edges
+from oracles import components_of_adjacency
 from repro.graph.components import (
-    components_of_adjacency,
     connected_components,
     is_connected,
     largest_component,

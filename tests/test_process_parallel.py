@@ -142,6 +142,14 @@ class TestParameterValidation:
         with pytest.raises(TypeError, match="parallel_mode"):
             HC2LParameters(parallel_mode="gpu")
 
+    def test_flow_method_parameter_removed(self):
+        # the max-flow route follows the region size, so the solver knob
+        # is gone from the parameters and both builders
+        with pytest.raises(TypeError, match="flow_method"):
+            HC2LParameters(flow_method="matrix")
+        with pytest.raises(TypeError, match="flow_method"):
+            ParallelHC2LBuilder(flow_method="matrix")
+
     def test_bad_worker_count_parameters(self):
         with pytest.raises(ValueError, match="num_workers must be >= 1"):
             HC2LParameters(num_workers=0)
@@ -202,6 +210,28 @@ class TestPersistenceRoundTrip:
         resaved = tmp_path / "resaved.npz"
         loaded.save(resaved)
         assert "parallel_mode" not in _read_header(resaved)["parameters"]
+
+    @pytest.mark.parametrize(
+        "flow_method", ["auto", "dinitz", "matrix", "python_ek", "push_relabel"]
+    )
+    def test_flow_method_archive_loads(self, small_graph, tmp_path, flow_method):
+        # archives saved while the max-flow solver was a parameter name it;
+        # labels never depended on the solver, so every value loads to the
+        # same index and re-saving drops the key
+        index = HC2LIndex.build(small_graph)
+        path = tmp_path / "solver.npz"
+        index.save(path)
+
+        def edit(header):
+            header["parameters"]["flow_method"] = flow_method
+
+        _rewrite_header(path, edit)
+        loaded = HC2LIndex.load(path)
+        assert loaded.parameters == index.parameters
+        assert loaded.flat_labelling() == index.flat_labelling()
+        resaved = tmp_path / "resaved.npz"
+        loaded.save(resaved)
+        assert "flow_method" not in _read_header(resaved)["parameters"]
 
 
 
