@@ -8,8 +8,7 @@ road-like graph and times the same random query workload through
 * the batch ``distances`` protocol call (vectorised where the method's
   structure allows - ``supports_batch`` is recorded per row), and
 * for HC2L additionally the serving layer: an LRU :class:`CachingOracle`
-  on a Zipf-skewed workload (with hit-rate), a :class:`CoalescingServer`
-  fed by concurrent scalar requests, the :class:`ShardRouter` over a
+  on a Zipf-skewed workload (with hit-rate), the :class:`ShardRouter` over a
   sharded on-disk layout swept across shard counts {1, 2, 4} (one row
   per count, with the router-overhead ratio vs. the monolithic engine),
   and the multi-process shard fleet in closed loop - concurrent TCP
@@ -42,7 +41,6 @@ import json
 import random
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -60,7 +58,7 @@ from repro.experiments.dynamic import update_latency_rows
 from repro.experiments.fleet import fleet_latency_rows
 from repro.experiments.sharding import boundary_locality_rows, router_overhead_rows
 from repro.experiments.workloads import neighborhood_pairs, skewed_pairs
-from repro.serving import CachingOracle, CoalescingServer
+from repro.serving import CachingOracle
 
 ORACLE_BUILDERS = {
     "HC2L": lambda graph: HC2LIndex.build(graph),
@@ -112,10 +110,8 @@ def bench_oracle(
     }
 
 
-def bench_serving_paths(index: HC2LIndex, graph, num_queries: int, seed: int) -> List[Dict[str, object]]:
-    """Rows for the cached and coalesced serving paths over HC2L."""
-    rows: List[Dict[str, object]] = []
-
+def bench_cache_row(index: HC2LIndex, graph, num_queries: int, seed: int) -> Dict[str, object]:
+    """The row for the cached serving path over HC2L (Zipf-skewed pairs)."""
     skewed = skewed_pairs(graph, num_queries, seed=seed, exponent=1.2)
     cached = CachingOracle(index)
     baseline = index.distances(skewed)
@@ -124,46 +120,14 @@ def bench_serving_paths(index: HC2LIndex, graph, num_queries: int, seed: int) ->
     cache_seconds = time.perf_counter() - cache_start
     if cached_result.tolist() != baseline.tolist():
         raise AssertionError("cached results diverged from the engine")
-    rows.append(
-        {
-            "oracle": "HC2L+cache",
-            "num_queries": len(skewed),
-            "workload": "skewed(zipf=1.2)",
-            "batch_queries_per_second": round(len(skewed) / cache_seconds, 1),
-            "batch_microseconds_per_query": round(cache_seconds / len(skewed) * 1e6, 3),
-            **cached.stats.as_dict(),
-        }
-    )
-
-    rng = random.Random(seed)
-    n = graph.num_vertices
-    coalesce_pairs = [
-        (rng.randrange(n), rng.randrange(n)) for _ in range(min(num_queries, 2000))
-    ]
-    server = CoalescingServer(index, window_seconds=0.0005)
-    expected = [index.distance(s, t) for s, t in coalesce_pairs]
-    coalesce_start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(lambda p: server.distance(*p), coalesce_pairs))
-    coalesce_seconds = time.perf_counter() - coalesce_start
-    if got != expected:
-        raise AssertionError("coalesced results diverged from the scalar path")
-    stats = server.stats()
-    rows.append(
-        {
-            "oracle": "HC2L+coalesce",
-            "num_queries": len(coalesce_pairs),
-            "workload": "concurrent scalar (8 threads)",
-            "queries_per_second": round(len(coalesce_pairs) / coalesce_seconds, 1),
-            "microseconds_per_query": round(
-                coalesce_seconds / len(coalesce_pairs) * 1e6, 3
-            ),
-            "batches": stats["batches"],
-            "mean_batch_size": round(stats["mean_batch_size"], 2),
-            "largest_batch": stats["largest_batch"],
-        }
-    )
-    return rows
+    return {
+        "oracle": "HC2L+cache",
+        "num_queries": len(skewed),
+        "workload": "skewed(zipf=1.2)",
+        "batch_queries_per_second": round(len(skewed) / cache_seconds, 1),
+        "batch_microseconds_per_query": round(cache_seconds / len(skewed) * 1e6, 3),
+        **cached.stats.as_dict(),
+    }
 
 
 def run_benchmark(
@@ -217,7 +181,7 @@ def run_benchmark(
 
     if hc2l_index is not None:
         try:
-            rows.extend(bench_serving_paths(hc2l_index, graph, num_queries, seed))
+            rows.append(bench_cache_row(hc2l_index, graph, num_queries, seed))
             counts = shard_counts if shard_counts is not None else [1, 2, 4]
             if counts:
                 print(f"  HC2L+router: sweeping shard counts {counts} ...")

@@ -114,21 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
             "inside one shard)"
         ),
     )
-    shard.add_argument(
-        "--allow-pickle",
-        action="store_true",
-        help="also accept legacy pickle index files (runs arbitrary code; trusted files only)",
-    )
 
     query = subparsers.add_parser("query", help="answer distance queries from a saved index")
     query.add_argument("index", help="path to an index written by 'repro build'")
     query.add_argument("pairs", nargs="*", help="queries as s,t pairs (e.g. 3,17 42,7)")
     query.add_argument("--stdin", action="store_true", help="read 's t' pairs from standard input")
-    query.add_argument(
-        "--allow-pickle",
-        action="store_true",
-        help="also accept legacy pickle index files (runs arbitrary code; trusted files only)",
-    )
     query.add_argument(
         "--mmap",
         action="store_true",
@@ -226,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity of the cross-worker shared cache during the sweep "
         "(default 4096; 0 disables it)",
     )
-    fleet_bench.add_argument(
-        "--allow-pickle",
-        action="store_true",
-        help="also accept legacy pickle index files (runs arbitrary code; trusted files only)",
-    )
 
     reload_parser = subparsers.add_parser(
         "reload",
@@ -318,7 +303,7 @@ def _parse_pairs(args: argparse.Namespace) -> List[tuple[int, int]]:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    index = HC2LIndex.load(args.index, allow_pickle=args.allow_pickle)
+    index = HC2LIndex.load(args.index)
     layout = index.save_sharded(
         args.index, num_shards=args.shards, boundaries=args.boundaries
     )
@@ -342,9 +327,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         oracle = ShardRouter(args.index)
     else:
-        oracle = HC2LIndex.load(
-            args.index, allow_pickle=args.allow_pickle, mmap_labels=args.mmap
-        )
+        oracle = HC2LIndex.load(args.index, mmap_labels=args.mmap)
     pairs = _parse_pairs(args)
     if not pairs:
         print("no query pairs given (pass s,t arguments or --stdin)", file=sys.stderr)
@@ -432,7 +415,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
 
     from repro.experiments.fleet import fleet_latency_rows
 
-    index = HC2LIndex.load(args.index, allow_pickle=args.allow_pickle)
+    index = HC2LIndex.load(args.index)
     worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
     if not worker_counts:
         print("no worker counts given", file=sys.stderr)

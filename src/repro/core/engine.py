@@ -77,16 +77,6 @@ class BatchResolver:
         else:  # pragma: no cover - needs a >62-level hierarchy
             self._vertex_bits = None
 
-    def __getstate__(self) -> dict:
-        """Drop the (unpicklable) lock; legacy pickle support only."""
-        state = self.__dict__.copy()
-        del state["_tree_resolver_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._tree_resolver_lock = threading.Lock()
-
     def validate_vertices(self, s: np.ndarray, t: np.ndarray) -> None:
         """Range-check both endpoint arrays (original vertex ids)."""
         n = self.contraction.num_original

@@ -488,22 +488,17 @@ class HC2LIndex:
         )
 
     @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        allow_pickle: bool = False,
-        mmap_labels: bool = False,
-    ) -> "HC2LIndex":
+    def load(cls, path: Union[str, Path], mmap_labels: bool = False) -> "HC2LIndex":
         """Load an index previously written by :meth:`save`.
 
-        Raises ``ValueError`` for files that are not compatible HC2L
-        archives.  ``allow_pickle=True`` additionally accepts legacy pickle
-        files (pickle can execute arbitrary code - only enable it for
-        trusted files).  ``mmap_labels=True`` maps the flat label buffers
-        from disk instead of reading them into memory, so multiple serving
-        processes loading the same index share one physical copy via the
-        page cache (see :mod:`repro.serving`).
+        Raises ``ValueError`` for anything that is not an intact archive in
+        the current format version (a damaged file, another file type, or
+        an archive written by an older build, which must be rebuilt).
+        ``mmap_labels=True`` maps the flat label buffers from disk instead
+        of reading them into memory, so multiple serving processes loading
+        the same index share one physical copy via the page cache (see
+        :mod:`repro.serving`).
         """
         from repro.core.persistence import load_index
 
-        return load_index(path, allow_pickle=allow_pickle, mmap_labels=mmap_labels)
+        return load_index(path, mmap_labels=mmap_labels)

@@ -16,8 +16,7 @@ This module holds
   metrics.  Construction and relabelling write
   :class:`~repro.core.flat.FlatLabelling` buffers directly; the nested
   form survives as the read-only :attr:`HC2LIndex.labelling
-  <repro.core.index.HC2LIndex.labelling>` view and the type inside
-  legacy pickled indexes.
+  <repro.core.index.HC2LIndex.labelling>` view.
 """
 
 from __future__ import annotations

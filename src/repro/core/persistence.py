@@ -25,19 +25,20 @@ vertex range for multi-worker serving:
   range (the same member names as the single archive, so the per-shard
   mmap sidecar machinery of :func:`mmap_label_arrays` applies unchanged).
 
-Loading validates headers first and raises a clear ``ValueError`` on
-anything that is not a compatible archive.  Version-1 single archives
-(written before the sharded layout existed) still load; pre-existing
-pickle files can also be read, but only when the caller explicitly opts
-in with ``allow_pickle=True`` (pickle can execute arbitrary code).
+Each format has exactly one readable version.  Loading raises a
+``ValueError`` naming the file for anything else: a damaged or foreign
+file, an archive or manifest written in another format version (rebuild
+the index; labels do not depend on the format version), a header whose
+parameters are not exactly :class:`~repro.core.index.HC2LParameters`'
+fields, or a manifest whose boundaries and shards disagree.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
-import pickle
 import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -55,20 +56,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.index import HC2LIndex
 
 FORMAT_NAME = "hc2l-index"
-#: current single-archive version; version 2 added the ``label_layout``
-#: header key (sharded layouts), version 3 persists the hierarchy's DFS
-#: subtree ranges (``hier_node_range_lo/hi`` + ``hier_core_position``) so
-#: hierarchy-aligned shard boundaries load without re-walking the tree
-FORMAT_VERSION = 3
-#: single-archive versions this build can read
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: the one single-archive version this build reads and writes; its header
+#: ``parameters`` are exactly the fields of HC2LParameters
+FORMAT_VERSION = 4
 
 SHARDED_FORMAT_NAME = "hc2l-index-shards"
-#: manifest version 2 added the ``vertex_order`` key (``identity`` for the
-#: classic core-id ranges, ``hierarchy`` for DFS-ordered subtree ranges);
-#: version-1 layouts still load and imply identity order
-SHARDED_FORMAT_VERSION = 2
-SUPPORTED_SHARDED_VERSIONS = (1, 2)
+#: the one manifest version this build reads and writes; every manifest
+#: carries ``vertex_order`` and ``generation``
+SHARDED_FORMAT_VERSION = 3
 #: accepted ``vertex_order`` manifest values
 VERTEX_ORDERS = ("identity", "hierarchy")
 MANIFEST_FILENAME = "manifest.json"
@@ -84,21 +79,12 @@ TREE_SIDECAR_META = "meta.json"
 # --------------------------------------------------------------------- #
 def _index_header(index: "HC2LIndex", label_layout: str) -> dict:
     """The JSON header shared by the single archive and the sharded base."""
-    parameters = index.parameters
     stats = index.stats
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "label_layout": label_layout,
-        "parameters": {
-            "beta": parameters.beta,
-            "leaf_size": parameters.leaf_size,
-            "tail_pruning": parameters.tail_pruning,
-            "contract": parameters.contract,
-            "num_workers": parameters.num_workers,
-            # absent in pre-backend archives; HC2LParameters defaults them
-            "backend": getattr(parameters, "backend", "auto"),
-        },
+        "parameters": dataclasses.asdict(index.parameters),
         "construction_seconds": index.construction_seconds,
         "extra": dict(index._extra),
         "stats": {
@@ -207,7 +193,7 @@ def _pack_hierarchy(arrays: Dict[str, np.ndarray], hierarchy: BalancedTreeHierar
 
     arrays["hier_vertex_node"] = np.asarray(hierarchy.vertex_node, dtype=np.int64)
 
-    # version 3: the DFS linearisation backing hierarchy-aligned shards
+    # the DFS linearisation backing hierarchy-aligned shards
     position = hierarchy.subtree_ranges()
     arrays["hier_core_position"] = np.asarray(position, dtype=np.int64)
     arrays["hier_node_range_lo"] = np.asarray([n.range_lo for n in nodes], dtype=np.int64)
@@ -217,16 +203,11 @@ def _pack_hierarchy(arrays: Dict[str, np.ndarray], hierarchy: BalancedTreeHierar
 # --------------------------------------------------------------------- #
 # load
 # --------------------------------------------------------------------- #
-def load_index(
-    path: Union[str, Path],
-    allow_pickle: bool = False,
-    mmap_labels: bool = False,
-) -> "HC2LIndex":
+def load_index(path: Union[str, Path], mmap_labels: bool = False) -> "HC2LIndex":
     """Load an index saved by :func:`save_index`.
 
-    Raises a descriptive ``ValueError`` when the file is not a (compatible)
-    HC2L archive.  With ``allow_pickle=True`` a file that is not an ``.npz``
-    archive is additionally tried as a legacy pickle.
+    Raises a ``ValueError`` naming ``path`` when the file is damaged, is
+    not an HC2L archive, or was written in another format version.
 
     With ``mmap_labels=True`` the flat label buffers - by far the largest
     arrays in the archive - are memory-mapped read-only instead of copied
@@ -237,19 +218,9 @@ def load_index(
     physical copy through the OS page cache.  Distances are bit-identical
     to an in-memory load.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as error:
-        if allow_pickle:
-            return _load_legacy_pickle(path)
-        raise ValueError(
-            f"{path} is not an HC2L .npz index archive ({error}); "
-            f"pass allow_pickle=True to read legacy pickle files"
-        ) from error
-
-    with archive:
+    with _reading(path), _open_npz(path) as archive:
         header = _validate_header(archive, path)
-        if header.get("label_layout", "inline") != "inline":
+        if header["label_layout"] != "inline":
             raise ValueError(
                 f"{path} is the base archive of a sharded layout (no inline "
                 f"labels); open it with repro.serving.ShardRouter or "
@@ -265,6 +236,41 @@ def load_index(
     return index
 
 
+@contextlib.contextmanager
+def _reading(path: Union[str, Path]):
+    """Report any failure to read ``path`` as a ``ValueError`` naming it.
+
+    A damaged member fails in whatever parses it first (zipfile, zlib,
+    numpy's header parser, json), before zipfile's CRC check at the
+    member's end, so every exception type is in play.
+    """
+    try:
+        yield
+    except Exception as error:
+        if isinstance(error, ValueError) and str(path) in str(error):
+            raise  # already a format error about this file
+        raise ValueError(
+            f"cannot read {path} as an HC2L .npz archive ({type(error).__name__}: {error})"
+        ) from error
+
+
+def _open_npz(path: Union[str, Path]):
+    """``np.load`` that never unpickles, nor suggests it for a foreign file."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except ValueError:  # neither a zip nor an .npy file
+        raise ValueError(f"{path} is not an HC2L .npz index archive") from None
+
+
+def _check_version(path: Union[str, Path], version, current: int) -> None:
+    if version != current:
+        raise ValueError(
+            f"{path} was written in format version {version}; this build reads "
+            f"only version {current}. Rebuild the index with 'repro build' "
+            f"(labels do not depend on the format version)."
+        )
+
+
 def _validate_header(archive, path: Union[str, Path]) -> dict:
     """Parse + validate the JSON header of a (single or base) archive."""
     if "header" not in archive.files:
@@ -274,36 +280,8 @@ def _validate_header(archive, path: Union[str, Path]) -> dict:
         raise ValueError(
             f"{path} has format {header.get('format')!r}, expected {FORMAT_NAME!r}"
         )
-    if header.get("version") not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"{path} has format version {header.get('version')!r}; "
-            f"this build reads versions {list(SUPPORTED_VERSIONS)}"
-        )
+    _check_version(path, header.get("version"), FORMAT_VERSION)
     return header
-
-
-def _load_legacy_pickle(path: Union[str, Path]) -> "HC2LIndex":
-    from repro.core.index import HC2LIndex
-
-    with open(path, "rb") as handle:
-        index = pickle.load(handle)
-    if not isinstance(index, HC2LIndex):
-        raise TypeError(f"{path} does not contain an HC2LIndex")
-    # Pickles restore __dict__ directly, bypassing __init__.  Files written
-    # when HC2LIndex stored nested labels (pre flat-primary storage) carry a
-    # 'labelling' instance attribute and lack the flat buffer; normalise so
-    # the loaded index satisfies the current storage invariants.
-    state = index.__dict__
-    nested = state.pop("labelling", None)
-    if state.get("_flat") is None:
-        if nested is None:
-            raise TypeError(f"{path} contains an HC2LIndex pickle without labels")
-        state["_flat"] = FlatLabelling.from_labelling(nested)
-    state.setdefault("_engine", None)
-    state.setdefault("_labelling_view", None)
-    state.setdefault("_extra", {})
-    state.setdefault("relabel_record", None)
-    return index
 
 
 def _unpack_graph(archive, prefix: str, num_vertices: int) -> Graph:
@@ -340,7 +318,7 @@ def mmap_label_arrays(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     stale = [name for name in LABEL_ARRAY_NAMES if is_stale(sidecar_dir / f"{name}.npy")]
     if stale:
         sidecar_dir.mkdir(parents=True, exist_ok=True)
-        with np.load(path, allow_pickle=False) as archive:
+        with _open_npz(path) as archive:
             for name in stale:
                 # write-then-rename so concurrent loaders never map a torn
                 # file; os.replace is atomic within one directory
@@ -456,9 +434,19 @@ def load_tree_sidecar(path: Union[str, Path], contraction: ContractedGraph, mmap
     )
 
 
-def _unpack_components(archive, header: dict) -> dict:
+def _unpack_components(archive, header: dict, path: Union[str, Path]) -> dict:
     """Everything in a (single or base) archive except the labels."""
     from repro.core.index import HC2LParameters
+
+    parameters = header["parameters"]
+    fields = {field.name for field in dataclasses.fields(HC2LParameters)}
+    unknown = sorted(set(parameters) - fields)
+    missing = sorted(fields - set(parameters))
+    if unknown or missing:
+        raise ValueError(
+            f"{path} header parameters do not match this build "
+            f"(unknown keys {unknown}, missing keys {missing})"
+        )
 
     graph = _unpack_graph(archive, "graph", int(header["graph_num_vertices"]))
     core = _unpack_graph(archive, "core", int(header["core_num_vertices"]))
@@ -486,19 +474,6 @@ def _unpack_components(archive, header: dict) -> dict:
         max_depth=int(stats_header["max_depth"]),
     )
 
-    # archives written before the parallel-mode rework stored
-    # ``num_workers: 0`` for sequential builds; HC2LParameters now
-    # requires >= 1, so normalise legacy headers on the way in
-    parameters = dict(header["parameters"])
-    if int(parameters.get("num_workers", 1)) < 1:
-        parameters["num_workers"] = 1
-    # older archives name parameters that have since been removed (the
-    # thread-pool builder's execution mode, the max-flow solver choice);
-    # none of them changed the labels, so keys that are no longer fields
-    # are dropped
-    known = {field.name for field in dataclasses.fields(HC2LParameters)}
-    parameters = {key: value for key, value in parameters.items() if key in known}
-
     return {
         "graph": graph,
         "parameters": HC2LParameters(**parameters),
@@ -511,15 +486,13 @@ def _unpack_components(archive, header: dict) -> dict:
 
 
 def _unpack_index(
-    archive, header: dict, path: Union[str, Path, None] = None, mmap_labels: bool = False
+    archive, header: dict, path: Union[str, Path], mmap_labels: bool = False
 ) -> "HC2LIndex":
     from repro.core.index import HC2LIndex
 
-    components = _unpack_components(archive, header)
+    components = _unpack_components(archive, header, path)
 
     if mmap_labels:
-        if path is None:
-            raise ValueError("mmap_labels requires the archive path")
         label_arrays = mmap_label_arrays(path)
     else:
         label_arrays = {name: archive[name] for name in LABEL_ARRAY_NAMES}
@@ -569,14 +542,12 @@ def _unpack_hierarchy(archive, num_vertices: int) -> BalancedTreeHierarchy:
             hierarchy.vertex_depth[v] = node.depth
             hierarchy.vertex_bits[v] = node.bits
 
-    if "hier_core_position" in archive.files:  # version >= 3
-        range_lo = archive["hier_node_range_lo"].tolist()
-        range_hi = archive["hier_node_range_hi"].tolist()
-        for node, lo, hi in zip(hierarchy.nodes, range_lo, range_hi):
-            node.range_lo = lo
-            node.range_hi = hi
-        hierarchy.set_core_positions(archive["hier_core_position"].tolist())
-    # older archives: subtree_ranges() recomputes the walk on first use
+    range_lo = archive["hier_node_range_lo"].tolist()
+    range_hi = archive["hier_node_range_hi"].tolist()
+    for node, lo, hi in zip(hierarchy.nodes, range_lo, range_hi):
+        node.range_lo = lo
+        node.range_hi = hi
+    hierarchy.set_core_positions(archive["hier_core_position"].tolist())
     return hierarchy
 
 
@@ -734,33 +705,65 @@ def load_manifest(path: Union[str, Path]) -> Tuple[Path, dict]:
             f"{shard_dir} is not a sharded index layout (no {MANIFEST_FILENAME}); "
             f"create one with save_index_sharded or 'repro shard'"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != SHARDED_FORMAT_NAME:
-        raise ValueError(
-            f"{manifest_path} has format {manifest.get('format')!r}, "
-            f"expected {SHARDED_FORMAT_NAME!r}"
-        )
-    if manifest.get("version") not in SUPPORTED_SHARDED_VERSIONS:
-        raise ValueError(
-            f"{manifest_path} has manifest version {manifest.get('version')!r}; "
-            f"this build reads versions {list(SUPPORTED_SHARDED_VERSIONS)}"
-        )
-    if manifest.setdefault("vertex_order", "identity") not in VERTEX_ORDERS:
-        raise ValueError(
-            f"{manifest_path} has vertex_order {manifest['vertex_order']!r}; "
-            f"this build reads {list(VERTEX_ORDERS)}"
-        )
-    # pre-generation manifests load as generation 0
-    generation = manifest.setdefault("generation", 0)
-    if not isinstance(generation, int) or generation < 0:
-        raise ValueError(
-            f"{manifest_path} has generation {generation!r}; "
-            f"expected a non-negative integer"
-        )
-    edges = manifest.get("boundaries", [])
-    if len(edges) != len(manifest.get("shards", [])) + 1:
-        raise ValueError(f"{manifest_path} boundaries do not match its shard list")
+    with _reading(manifest_path):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if manifest.get("format") != SHARDED_FORMAT_NAME:
+            raise ValueError(
+                f"{manifest_path} has format {manifest.get('format')!r}, "
+                f"expected {SHARDED_FORMAT_NAME!r}"
+            )
+        _check_version(manifest_path, manifest.get("version"), SHARDED_FORMAT_VERSION)
+        if manifest.get("vertex_order") not in VERTEX_ORDERS:
+            raise ValueError(
+                f"{manifest_path} has vertex_order {manifest.get('vertex_order')!r}; "
+                f"this build reads {list(VERTEX_ORDERS)}"
+            )
+        generation = manifest.get("generation")
+        if not _is_count(generation):
+            raise ValueError(
+                f"{manifest_path} has generation {generation!r}; "
+                f"expected a non-negative integer"
+            )
+        _check_shard_spans(manifest_path, manifest)
     return shard_dir, manifest
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_shard_spans(manifest_path: Path, manifest: dict) -> None:
+    """Check that the boundaries tile the core range and each shard spans its pair.
+
+    Edges run non-decreasing from 0 to ``core_num_vertices`` (empty shards
+    are legal: an even split makes them when shards outnumber vertices),
+    and shard ``k`` covers exactly ``[edges[k], edges[k + 1])``.
+    """
+    edges = manifest.get("boundaries")
+    shards = manifest.get("shards")
+    if not (
+        isinstance(edges, list) and isinstance(shards, list) and len(edges) == len(shards) + 1
+    ):
+        raise ValueError(f"{manifest_path} boundaries do not match its shard list")
+    core = manifest.get("core_num_vertices")
+    if (
+        not all(_is_count(edge) for edge in edges)
+        or edges[0] != 0
+        or edges[-1] != core
+        or any(a > b for a, b in zip(edges, edges[1:]))
+    ):
+        raise ValueError(
+            f"{manifest_path} boundaries {edges} do not run non-decreasing "
+            f"from 0 to core_num_vertices {core}"
+        )
+    for k, shard in enumerate(shards):
+        lo, hi = edges[k], edges[k + 1]
+        span = (shard.get("lo"), shard.get("hi"), shard.get("num_vertices"))
+        if span != (lo, hi, hi - lo):
+            raise ValueError(
+                f"{manifest_path} shard {k} has lo, hi, num_vertices {span}; "
+                f"its boundary pair needs {(lo, hi, hi - lo)}"
+            )
 
 
 def load_shard(path: Union[str, Path], shard_id: int, mmap: bool = False) -> FlatLabelling:
@@ -774,14 +777,27 @@ def load_shard(path: Union[str, Path], shard_id: int, mmap: bool = False) -> Fla
     shards = manifest["shards"]
     if not 0 <= shard_id < len(shards):
         raise ValueError(f"shard {shard_id} out of range; layout has {len(shards)} shards")
-    shard_path = shard_dir / shards[shard_id]["file"]
-    if mmap:
-        label_arrays = mmap_label_arrays(shard_path)
-    else:
-        with np.load(shard_path, allow_pickle=False) as archive:
-            label_arrays = {name: archive[name] for name in LABEL_ARRAY_NAMES}
+    shard = shards[shard_id]
+    shard_path = shard_dir / shard["file"]
+    with _reading(shard_path):
+        if mmap:
+            label_arrays = mmap_label_arrays(shard_path)
+        else:
+            with _open_npz(shard_path) as archive:
+                label_arrays = {name: archive[name] for name in LABEL_ARRAY_NAMES}
+    found = (
+        len(label_arrays["label_vertex_indptr"]) - 1,
+        len(label_arrays["label_level_indptr"]) - 1,
+        len(label_arrays["label_values"]),
+    )
+    expected = (shard["num_vertices"], shard["num_levels"], shard["num_entries"])
+    if found != expected:
+        raise ValueError(
+            f"{shard_path} holds (vertices, levels, entries) {found} but the "
+            f"manifest lists {expected} for shard {shard_id}"
+        )
     return FlatLabelling(
-        num_vertices=int(shards[shard_id]["num_vertices"]),
+        num_vertices=shard["num_vertices"],
         values=label_arrays["label_values"],
         level_indptr=label_arrays["label_level_indptr"],
         vertex_indptr=label_arrays["label_vertex_indptr"],
@@ -798,9 +814,9 @@ def load_sharded_components(path: Union[str, Path]) -> Tuple[dict, dict, Path]:
     """
     shard_dir, manifest = load_manifest(path)
     base_path = shard_dir / manifest["base"]
-    with np.load(base_path, allow_pickle=False) as archive:
+    with _reading(base_path), _open_npz(base_path) as archive:
         header = _validate_header(archive, base_path)
-        components = _unpack_components(archive, header)
+        components = _unpack_components(archive, header, base_path)
     expected = components["contraction"].core.num_vertices
     if int(manifest["core_num_vertices"]) != expected:
         raise ValueError(

@@ -178,8 +178,7 @@ class Graph:
         so a graph that outlives the reader (an index's core graph after
         construction) does not hold a copy of its edges for its lifetime.
         """
-        # getattr: graphs restored from legacy pickles predate the _csr slot
-        csr = getattr(self, "_csr", None)
+        csr = self._csr
         if csr is None:
             csr = CSRAdjacency.from_adjacency(self._adj)
             if cache:

@@ -72,7 +72,7 @@ class BalancedTreeHierarchy:
         #: bitstring of each vertex's node
         self.vertex_bits: List[int] = [0] * num_vertices
         #: DFS position of each vertex (see :meth:`subtree_ranges`); lazily
-        #: computed, or restored directly from a version-3 archive
+        #: computed, or restored directly from a saved archive
         self._core_position: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
@@ -255,7 +255,7 @@ class BalancedTreeHierarchy:
         stores *hierarchy-aligned* - a shard boundary placed at a subtree
         edge never splits the vertices the construction's cuts grouped
         together.  Computed once and cached (the hierarchy is append-only
-        after construction); version-3 archives persist the result so
+        after construction); saved archives persist the result so
         loading skips the walk.
         """
         if self._core_position is not None:

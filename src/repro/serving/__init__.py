@@ -5,8 +5,6 @@ the pieces that turn a built index into a query service:
 
 * :class:`CachingOracle` - LRU caches over ``(s, t)`` pairs and hot
   ``one_to_many`` rows, with hit-rate accounting for skewed workloads.
-* :class:`CoalescingServer` - gathers concurrent scalar requests and
-  answers them with one vectorised ``distances`` call.
 * :func:`load_index_mmap` - memory-mapped label loading so multiple
   serving processes share one physical copy of a large labelling.
 * :class:`ShardRouter` - a :class:`DistanceOracle` over the sharded
@@ -15,18 +13,19 @@ the pieces that turn a built index into a query service:
   order.
 * :mod:`repro.serving.fleet` - the multi-process deployment shape: an
   asyncio :class:`FleetServer` front door (TCP + in-process async +
-  the synchronous :class:`FleetOracle` facade) placing batches onto a
-  pool of shard-owning worker processes by their majority shard.
+  the synchronous :class:`FleetOracle` facade) that coalesces concurrent
+  scalar requests and places batches onto a pool of shard-owning worker
+  processes by their majority shard.
 
-All layers compose: a typical fleet shards the index once, and each
-worker opens a router (mapping only the shards it is routed), wraps it in
-a cache, and fronts it with a coalescer.  Every layer preserves
+All layers compose: a typical fleet shards the index once, each worker
+opens a router (mapping only the shards it is routed), and the front
+door coalesces concurrent scalars into batches for them; in one process,
+``CachingOracle(load_index_mmap(path))`` is the stack.  Every layer preserves
 bit-identical answers - the conformance and serving test suites assert
 ``==`` against the bare engine, not ``approx``.
 """
 
 from repro.serving.cache import CacheStats, CachingOracle
-from repro.serving.coalesce import CoalescingServer
 from repro.serving.fleet import (
     BatchPlacer,
     FleetClient,
@@ -43,7 +42,6 @@ __all__ = [
     "BatchPlacer",
     "CacheStats",
     "CachingOracle",
-    "CoalescingServer",
     "FleetClient",
     "FleetOracle",
     "FleetServer",

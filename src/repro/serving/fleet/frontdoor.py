@@ -1,11 +1,9 @@
 """The fleet front door: asyncio request plane over the worker pool.
 
-:class:`FleetServer` is the asyncio successor of the thread-based
-:class:`~repro.serving.coalesce.CoalescingServer`: concurrent scalar
+:class:`FleetServer` is the coalescer for concurrent clients: scalar
 ``distance`` calls park on ``asyncio.Future``\\ s, a single flusher task
 drains them after a coalescing window into one placed batch, and batch
-calls go straight to placement - no leader election, no condition
-variables, one event loop.  Answers are **bit-identical** to the
+calls go straight to placement - one event loop, no locks.  Answers are **bit-identical** to the
 monolithic :class:`~repro.core.engine.QueryEngine`: placement only
 decides *which worker* runs the exact same routed min-plus.
 
@@ -121,7 +119,7 @@ class FleetServer:
         in the same event-loop tick.
     max_batch:
         Cap on how many coalesced scalars one flush drains into a single
-        placed batch (same knob as ``CoalescingServer.max_batch``).
+        placed batch.
     majority_threshold:
         See :class:`~repro.serving.fleet.placement.BatchPlacer`.
     max_retries:
@@ -210,7 +208,7 @@ class FleetServer:
             self.contraction,
             self.hierarchy,
             manifest["boundaries"],
-            manifest.get("vertex_order", "identity"),
+            manifest["vertex_order"],
         )
         self.placer = BatchPlacer(
             owner_shard, self.pool.worker_of_shard, majority_threshold=majority_threshold
@@ -480,7 +478,7 @@ class FleetServer:
     @property
     def generation(self) -> int:
         """Index generation the fleet is currently serving."""
-        return int(self.manifest.get("generation", 0))
+        return self.manifest["generation"]
 
     async def reload(self, timeout: float = 120.0) -> Dict[str, object]:
         """Hot-swap the whole fleet onto the generation currently on disk.
@@ -523,7 +521,7 @@ class FleetServer:
                     self.contraction,
                     self.hierarchy,
                     manifest["boundaries"],
-                    manifest.get("vertex_order", "identity"),
+                    manifest["vertex_order"],
                 )
                 self.placer = BatchPlacer(
                     owner_shard,

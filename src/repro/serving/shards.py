@@ -21,8 +21,7 @@ protocol and returns **bit-identical** answers to the monolithic
 :class:`~repro.core.engine.QueryEngine`: the fan-out performs exactly the
 same float64 additions and minima, only gathered from per-shard buffers.
 It therefore composes under :class:`~repro.serving.cache.CachingOracle`
-and :class:`~repro.serving.coalesce.CoalescingServer` with zero changes
-to either.
+and the fleet's workers with zero changes to either.
 """
 
 from __future__ import annotations
@@ -102,10 +101,10 @@ class ShardRouter(BatchMixin):
         self.path = shard_dir
         self._mmap = mmap
         self.stats = RouterStats()
-        # guards lazy shard loading and the stats counters: the router is
-        # documented to sit under the thread-based CoalescingServer, so
-        # concurrent distances() calls must not double-load a shard or
-        # lose counter increments (the numpy reads themselves are safe)
+        # guards lazy shard loading, hot swaps and the stats counters:
+        # distances() is safe for concurrent callers, which must not
+        # double-load a shard or lose counter increments (the numpy reads
+        # themselves are safe)
         self._lock = threading.Lock()
         # hot-swap coordination: queries register in _active between
         # _begin_query/_end_query; reload_generation raises _reloading,
@@ -133,7 +132,7 @@ class ShardRouter(BatchMixin):
         self.resolver = BatchResolver(self.contraction, self.hierarchy)
         #: how label rows are ordered on disk: "identity" (classic core-id
         #: ranges) or "hierarchy" (DFS subtree ranges)
-        self.vertex_order: str = manifest.get("vertex_order", "identity")
+        self.vertex_order: str = manifest["vertex_order"]
         if self.vertex_order == "hierarchy":
             # storage position of each core vertex; the base archive of a
             # hierarchy layout persists the DFS walk, so these are exactly
@@ -163,7 +162,7 @@ class ShardRouter(BatchMixin):
     @property
     def generation(self) -> int:
         """Generation of the layout this router is currently serving."""
-        return int(self.manifest.get("generation", 0))
+        return self.manifest["generation"]
 
     def reload_generation(self) -> int:
         """Hot-swap onto the generation currently on disk; returns it.
@@ -184,7 +183,7 @@ class ShardRouter(BatchMixin):
                 self._swap.wait()
             if self._closed:
                 raise RuntimeError(f"ShardRouter over {self.path} is closed")
-            if int(manifest.get("generation", 0)) < self.generation:
+            if manifest["generation"] < self.generation:
                 return self.generation  # raced with a newer reload
             old_shards: List[Optional[FlatLabelling]] = []
             self._reloading = True
@@ -260,10 +259,10 @@ class ShardRouter(BatchMixin):
                         f"{manifest['boundaries']} != {self.manifest['boundaries']}) "
                         f"since this router opened; re-open the ShardRouter"
                     )
-                if int(manifest.get("generation", 0)) != self.generation:
+                if manifest["generation"] != self.generation:
                     raise RuntimeError(
                         f"{self.path} moved to generation "
-                        f"{manifest.get('generation', 0)} since this router "
+                        f"{manifest['generation']} since this router "
                         f"adopted generation {self.generation}; call "
                         f"reload_generation() to hot-swap"
                     )

@@ -9,8 +9,11 @@ in this explicitly importable module; only fixtures stay in the conftest.
 
 from __future__ import annotations
 
+import json
 import random
 from typing import List, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
@@ -75,3 +78,16 @@ def force_flow_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(
         vertex_cut, "_scipy_maximum_flow", None if hide_scipy else _scipy_maximum_flow
     )
+
+
+def rewrite_archive(path, drop=(), edit_header=None) -> None:
+    """Rewrite the ``.npz`` archive at ``path`` without the ``drop`` members,
+    its JSON header passed through ``edit_header(header)`` when given."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files if name not in drop}
+    if edit_header is not None:
+        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
+        edit_header(header)
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)

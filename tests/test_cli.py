@@ -53,6 +53,14 @@ class TestParser:
         assert exit_info.value.code != 0
         assert "unrecognized arguments: --flow-method matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["query", "shard", "fleet-bench"])
+    def test_allow_pickle_flag_removed(self, command, capsys):
+        # the loader never unpickles, so there is no opt-in to ask for
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "index.npz", "--allow-pickle"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --allow-pickle" in capsys.readouterr().err
+
 
 class TestBuildAndQuery:
     def test_build_from_dimacs_then_query(self, tmp_path, dimacs_file, capsys, small_oracle):

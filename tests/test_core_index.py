@@ -206,10 +206,9 @@ class TestMetricsAndPersistence:
         path = tmp_path / "junk.pickle"
         with open(path, "wb") as handle:
             pickle.dump({"not": "an index"}, handle)
-        # not an .npz archive: refused outright unless pickle is opted into
+        # not an .npz archive: refused, and there is no opt-in to unpickle it
         with pytest.raises(ValueError):
             HC2LIndex.load(path)
-        # with the explicit opt-in the pickle is read but fails the type check
         with pytest.raises(TypeError):
             HC2LIndex.load(path, allow_pickle=True)
 

@@ -105,19 +105,16 @@ class TestGenerationPersistence:
         with pytest.raises(ValueError, match="generation"):
             dyn_index.save_sharded(tmp_path / "idx.npz", num_shards=2, generation=-1)
 
-    def test_legacy_manifest_loads_as_generation_zero(self, dyn_index, tmp_path):
+    def test_manifest_without_generation_rejected(self, dyn_index, tmp_path):
         layout = dyn_index.save_sharded(tmp_path / "idx.npz", num_shards=2)
         manifest_path = layout / MANIFEST_FILENAME
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         del manifest["generation"]
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        _, loaded = load_manifest(layout)
-        assert loaded["generation"] == 0
-        router = ShardRouter(tmp_path / "idx.npz")
-        try:
-            assert router.generation == 0
-        finally:
-            router.close()
+        with pytest.raises(ValueError, match="generation None"):
+            load_manifest(layout)
+        with pytest.raises(ValueError, match="generation None"):
+            ShardRouter(tmp_path / "idx.npz")
 
     def test_invalid_generation_value_rejected_on_load(self, dyn_index, tmp_path):
         layout = dyn_index.save_sharded(tmp_path / "idx.npz", num_shards=2)

@@ -156,19 +156,6 @@ class TestHierarchyShardedLayout:
         rebuilt = load_index_sharded(path)
         assert rebuilt.flat_labelling() == built_index.flat_labelling()
 
-    def test_version_1_manifests_still_load(self, built_index, small_graph, tmp_path):
-        path = tmp_path / "index.npz"
-        layout = save_index_sharded(built_index, path, num_shards=2)
-        manifest_path = layout / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["version"] = 1
-        manifest.pop("vertex_order")  # v1 manifests predate the key
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        router = ShardRouter(path)
-        assert router.vertex_order == "identity"
-        pairs = random_query_pairs(small_graph, 40, seed=3)
-        assert router.distances(pairs).tolist() == built_index.distances(pairs).tolist()
-
     def test_unknown_vertex_order_rejected(self, built_index, tmp_path):
         path = tmp_path / "index.npz"
         layout = save_index_sharded(built_index, path, num_shards=2)

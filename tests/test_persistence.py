@@ -1,9 +1,13 @@
-"""The versioned on-disk formats: round-trips, validation, legacy pickle,
-and the sharded layout (manifest + base + per-shard archives)."""
+"""The versioned on-disk formats: round-trips, validation, the one
+readable version, refused pickles, and the sharded layout (manifest +
+base + per-shard archives)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from repro.core.persistence import (
     shard_directory,
 )
 
-from helpers import random_query_pairs
+from helpers import random_query_pairs, rewrite_archive
 
 
 @pytest.fixture(scope="module")
@@ -126,51 +130,75 @@ class TestValidation:
             HC2LIndex.load(tmp_path / "does-not-exist.npz")
 
 
-class TestVersionCompatibility:
-    def test_version_1_archives_still_load(self, small_graph, built_index, tmp_path):
-        """Archives written before the sharded layout (version 1) load fine."""
-        path = tmp_path / "v1.npz"
+class TestOneFormatVersion:
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_archives_raise_rebuild_error(self, built_index, tmp_path, version):
+        path = tmp_path / f"v{version}.npz"
         built_index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["version"] = 1
-        header.pop("label_layout", None)  # v1 headers predate the key
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        loaded = HC2LIndex.load(path)
-        pairs = random_query_pairs(small_graph, 30, seed=9)
-        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
+        rewrite_archive(path, edit_header=lambda header: header.update(version=version))
+        with pytest.raises(ValueError) as caught:
+            HC2LIndex.load(path)
+        assert str(caught.value) == (
+            f"{path} was written in format version {version}; this build reads "
+            f"only version 4. Rebuild the index with 'repro build' (labels do not "
+            f"depend on the format version)."
+        )
 
-    def test_version_2_archives_still_load(self, small_graph, built_index, tmp_path):
-        """Archives written before the subtree ranges (version 2) load fine."""
-        path = tmp_path / "v2.npz"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_manifests_raise_rebuild_error(self, built_index, tmp_path, version):
+        from repro.serving import ShardRouter
+
+        path = tmp_path / "index.npz"
+        layout = save_index_sharded(built_index, path, num_shards=2)
+        manifest_path = layout / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = version
+        manifest_path.write_text(json.dumps(manifest))
+        message = (
+            f"{manifest_path} was written in format version {version}; this build "
+            f"reads only version 3. Rebuild the index with 'repro build'"
+        )
+        for load in (load_manifest, load_index_sharded, ShardRouter):
+            with pytest.raises(ValueError) as caught:
+                load(path)
+            assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p.update(flow_method="dinitz"), "flow_method"),
+            (lambda p: p.update(parallel_mode="thread"), "parallel_mode"),
+            (lambda p: p.pop("backend"), "backend"),
+            (lambda p: p.pop("num_workers"), "num_workers"),
+        ],
+        ids=["extra-flow_method", "extra-parallel_mode", "missing-backend", "missing-num_workers"],
+    )
+    def test_parameter_keys_must_match(self, built_index, tmp_path, edit, named):
+        path = tmp_path / "index.npz"
         built_index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["version"] = 2
-        # v2 archives predate the persisted DFS linearisation
-        for name in ("hier_core_position", "hier_node_range_lo", "hier_node_range_hi"):
-            arrays.pop(name)
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        loaded = HC2LIndex.load(path)
-        pairs = random_query_pairs(small_graph, 30, seed=9)
-        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
-        # the DFS linearisation is recomputed on demand and matches
-        assert loaded.hierarchy.subtree_ranges() == built_index.hierarchy.subtree_ranges()
+        rewrite_archive(path, edit_header=lambda header: edit(header["parameters"]))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*'{named}'"):
+            HC2LIndex.load(path)
 
-    def test_current_archives_declare_version_3(self, built_index, tmp_path):
-        path = tmp_path / "v3.npz"
+    def test_current_archives_declare_version_4(self, built_index, tmp_path):
+        path = tmp_path / "v4.npz"
         built_index.save(path)
         with np.load(path, allow_pickle=False) as archive:
             header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
             assert "hier_core_position" in archive.files
-        assert header["version"] == FORMAT_VERSION == 3
+        assert header["version"] == FORMAT_VERSION == 4
         assert header["label_layout"] == "inline"
+        assert header["parameters"] == dataclasses.asdict(built_index.parameters)
+
+    def test_save_load_save_is_member_identical(self, built_index, tmp_path):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        built_index.save(first)
+        HC2LIndex.load(first).save(second)
+        with np.load(first, allow_pickle=False) as a, np.load(second, allow_pickle=False) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype, name
+                assert np.array_equal(a[name], b[name]), name
 
 
 class TestShardedLayout:
@@ -272,63 +300,12 @@ class TestShardedLayout:
 
 
 class TestLegacyPickle:
-    def test_legacy_pickle_behind_flag(self, small_graph, built_index, tmp_path):
-        import pickle
-
-        path = tmp_path / "legacy.pickle"
-        with open(path, "wb") as handle:
-            pickle.dump(built_index, handle)
-        # refused by default ...
-        with pytest.raises(ValueError):
-            HC2LIndex.load(path)
-        # ... accepted with the explicit opt-in
-        loaded = HC2LIndex.load(path, allow_pickle=True)
-        for s, t in random_query_pairs(small_graph, 25, seed=5):
-            assert loaded.distance(s, t) == built_index.distance(s, t)
-
-    def test_pre_flat_storage_pickle_normalised(self, small_graph, built_index, tmp_path):
-        """Pickles from the nested-label era load and answer queries.
-
-        Old-format pickles restore ``__dict__`` directly: a ``labelling``
-        instance attribute, no ``_flat`` / ``_engine``.  The loader must
-        rebuild the flat-primary storage from that state.
-        """
-        import pickle
-
-        legacy = object.__new__(HC2LIndex)
-        legacy.__dict__ = {
-            "graph": built_index.graph,
-            "parameters": built_index.parameters,
-            "contraction": built_index.contraction,
-            "hierarchy": built_index.hierarchy,
-            "labelling": built_index.flat_labelling().to_labelling(),
-            "stats": built_index.stats,
-            "construction_seconds": built_index.construction_seconds,
-            "_extra": {},
-        }
-        path = tmp_path / "pre-flat.pickle"
-        with open(path, "wb") as handle:
-            pickle.dump(legacy, handle)
-        loaded = HC2LIndex.load(path, allow_pickle=True)
-        pairs = random_query_pairs(small_graph, 25, seed=8)
-        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
-        assert loaded.labelling.labels == built_index.labelling.labels
-
-    def test_pickled_non_index_rejected(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "junk.pickle"
-        with open(path, "wb") as handle:
-            pickle.dump([1, 2, 3], handle)
-        with pytest.raises(TypeError):
-            HC2LIndex.load(path, allow_pickle=True)
-
-    def test_graph_without_csr_slot_still_searchable(self):
-        """Graphs from pre-CSR pickles lack the _csr slot; csr() must cope."""
-        from repro.graph.graph import Graph
-        from repro.graph.search import dijkstra
-
-        legacy = object.__new__(Graph)
-        legacy._adj = [{1: 2.0}, {0: 2.0}]
-        legacy._num_edges = 1
-        assert dijkstra(legacy, 0)[1] == 2.0
+    def test_pickled_non_index_rejected(self, built_index, tmp_path):
+        """A pickle, of an index or of anything else, is never unpickled."""
+        for name, payload in (("graph.pickle", built_index.graph), ("junk.pickle", [1, 2, 3])):
+            path = tmp_path / name
+            with open(path, "wb") as handle:
+                pickle.dump(payload, handle)
+            with pytest.raises(ValueError, match=re.escape(str(path))) as caught:
+                HC2LIndex.load(path)
+            assert "pickle" not in str(caught.value).replace(str(path), "")

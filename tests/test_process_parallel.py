@@ -28,17 +28,6 @@ def _read_header(path) -> dict:
         return json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
 
 
-def _rewrite_header(path, edit) -> None:
-    """Rewrite an archive's JSON header in place through ``edit(header)``."""
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-    edit(header)
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8).copy()
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-
-
 def _hierarchy_signature(hierarchy):
     return [
         (n.depth, n.bits, n.cut, n.parent, n.left, n.right, n.subtree_size, n.is_leaf)
@@ -172,67 +161,6 @@ class TestPersistenceRoundTrip:
         loaded = HC2LIndex.load(path)
         assert loaded.parameters.num_workers == 2
         assert loaded.flat_labelling() == index.flat_labelling()
-
-    def test_legacy_header_defaults(self, small_graph, tmp_path):
-        # an archive carrying a nonsensical num_workers (older sequential
-        # builds stored 0) must load with today's defaults instead of
-        # tripping the validation
-        index = HC2LIndex.build(small_graph)
-        path = tmp_path / "legacy.npz"
-        index.save(path)
-
-        def edit(header):
-            header["parameters"]["num_workers"] = 0
-
-        _rewrite_header(path, edit)
-        loaded = HC2LIndex.load(path)
-        assert loaded.parameters.num_workers == 1
-        assert loaded.flat_labelling() == index.flat_labelling()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_thread_mode_archive_loads(self, small_graph, query_pairs_small, tmp_path, workers):
-        # every archive saved while the thread-pool builder existed stores
-        # ``parallel_mode: "thread"``; it must load and answer exactly as
-        # before, and re-saving drops the key
-        index = HC2LIndex.build(small_graph, num_workers=workers)
-        path = tmp_path / "thread.npz"
-        index.save(path)
-
-        def edit(header):
-            header["parameters"]["parallel_mode"] = "thread"
-
-        _rewrite_header(path, edit)
-        loaded = HC2LIndex.load(path)
-        assert loaded.parameters == index.parameters
-        assert loaded.flat_labelling() == index.flat_labelling()
-        pairs = np.asarray(query_pairs_small, dtype=np.int64)
-        assert loaded.distances(pairs).tolist() == index.distances(pairs).tolist()
-        resaved = tmp_path / "resaved.npz"
-        loaded.save(resaved)
-        assert "parallel_mode" not in _read_header(resaved)["parameters"]
-
-    @pytest.mark.parametrize(
-        "flow_method", ["auto", "dinitz", "matrix", "python_ek", "push_relabel"]
-    )
-    def test_flow_method_archive_loads(self, small_graph, tmp_path, flow_method):
-        # archives saved while the max-flow solver was a parameter name it;
-        # labels never depended on the solver, so every value loads to the
-        # same index and re-saving drops the key
-        index = HC2LIndex.build(small_graph)
-        path = tmp_path / "solver.npz"
-        index.save(path)
-
-        def edit(header):
-            header["parameters"]["flow_method"] = flow_method
-
-        _rewrite_header(path, edit)
-        loaded = HC2LIndex.load(path)
-        assert loaded.parameters == index.parameters
-        assert loaded.flat_labelling() == index.flat_labelling()
-        resaved = tmp_path / "resaved.npz"
-        loaded.save(resaved)
-        assert "flow_method" not in _read_header(resaved)["parameters"]
-
 
 
 class TestStreamingAssembly:

@@ -1,4 +1,4 @@
-"""Serving layer: caching, coalescing, mmap loading, single-copy storage.
+"""Serving layer: caching, mmap loading, single-copy storage.
 
 Every serving path must return *bit-identical* answers to the bare
 engine - the assertions use ``==``, not ``approx``.
@@ -6,15 +6,13 @@ engine - the assertions use ``==``, not ``approx``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
 from repro.core.index import HC2LIndex
 from repro.core.labelling import HC2LLabelling
 from repro.experiments.workloads import random_pairs, skewed_pairs
-from repro.serving import CachingOracle, CoalescingServer, load_index_mmap
+from repro.serving import CachingOracle, load_index_mmap
 
 
 @pytest.fixture(scope="module")
@@ -173,65 +171,6 @@ class TestCachingOracle:
 
 
 # --------------------------------------------------------------------- #
-# CoalescingServer
-# --------------------------------------------------------------------- #
-class TestCoalescingServer:
-    def test_submit_flush_matches_direct_batch(self, index, small_graph):
-        server = CoalescingServer(index, window_seconds=0.0)
-        pairs = random_pairs(small_graph, 64, seed=9)
-        requests = [server.submit(s, t) for s, t in pairs]
-        assert server.pending == len(pairs)
-        assert server.flush() == len(pairs)
-        direct = index.distances(pairs)
-        assert [r.result() for r in requests] == direct.tolist()
-        stats = server.stats()
-        assert stats["requests"] == len(pairs)
-        assert stats["batches"] == 1
-        assert stats["largest_batch"] == len(pairs)
-
-    def test_concurrent_requests_identical_to_scalar(self, index, small_graph):
-        server = CoalescingServer(index, window_seconds=0.002)
-        pairs = random_pairs(small_graph, 200, seed=21)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda p: server.distance(*p), pairs))
-        assert results == [index.distance(s, t) for s, t in pairs]
-        stats = server.stats()
-        assert stats["requests"] == len(pairs)
-        assert 1 <= stats["batches"] <= stats["requests"]
-
-    def test_max_batch_splits_large_flushes(self, index, small_graph):
-        server = CoalescingServer(index, window_seconds=0.0, max_batch=10)
-        pairs = random_pairs(small_graph, 25, seed=31)
-        requests = [server.submit(s, t) for s, t in pairs]
-        assert server.flush() == len(pairs)
-        assert server.stats()["batches"] == 3
-        assert server.largest_batch <= 10
-        assert [r.result() for r in requests] == index.distances(pairs).tolist()
-
-    def test_batched_entry_point_bypasses_queue(self, index, small_graph):
-        server = CoalescingServer(index)
-        pairs = random_pairs(small_graph, 30, seed=41)
-        assert server.distances(pairs).tolist() == index.distances(pairs).tolist()
-        assert server.stats()["requests"] == 0
-
-    def test_shared_fate_on_invalid_vertex(self, index, small_graph):
-        server = CoalescingServer(index, window_seconds=0.0)
-        good = server.submit(0, 1)
-        bad = server.submit(0, small_graph.num_vertices + 5)
-        server.flush()
-        with pytest.raises(ValueError):
-            bad.result()
-        with pytest.raises(ValueError):
-            good.result()  # same batch, same fate
-
-    def test_invalid_parameters_rejected(self, index):
-        with pytest.raises(ValueError):
-            CoalescingServer(index, window_seconds=-1.0)
-        with pytest.raises(ValueError):
-            CoalescingServer(index, max_batch=0)
-
-
-# --------------------------------------------------------------------- #
 # mmap-backed loading
 # --------------------------------------------------------------------- #
 class TestMmapLoading:
@@ -331,10 +270,10 @@ class TestSingleCopyStorage:
 # composed stack
 # --------------------------------------------------------------------- #
 def test_full_serving_stack_identical_answers(index, small_graph, tmp_path):
-    """mmap load -> cache -> coalescer returns the bare engine's answers."""
+    """mmap load -> cache returns the bare engine's answers."""
     path = tmp_path / "index.npz"
     index.save(path)
-    stack = CoalescingServer(CachingOracle(load_index_mmap(path)), window_seconds=0.0)
+    stack = CachingOracle(load_index_mmap(path))
     pairs = random_pairs(small_graph, 120, seed=17)
     direct = index.distances(pairs).tolist()
     assert stack.distances(pairs).tolist() == direct

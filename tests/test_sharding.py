@@ -14,7 +14,7 @@ import pytest
 from repro.core.index import HC2LIndex
 from repro.experiments.sharding import router_overhead_rows
 from repro.experiments.workloads import random_pairs
-from repro.serving import CachingOracle, CoalescingServer, ShardRouter
+from repro.serving import CachingOracle, ShardRouter
 
 from repro import cli
 
@@ -91,7 +91,7 @@ class TestRouterOperations:
 
 
 class TestComposition:
-    """CachingOracle and CoalescingServer need zero changes over the router."""
+    """CachingOracle needs zero changes over the router."""
 
     def test_cached_router_identical(self, layout_path, index, small_graph):
         cached = CachingOracle(ShardRouter(layout_path))
@@ -102,17 +102,12 @@ class TestComposition:
         assert cached.stats.pair_hits > 0
         assert cached.index_size_bytes == index.index_size_bytes
 
-    def test_coalescing_router_identical(self, layout_path, index, small_graph):
-        server = CoalescingServer(ShardRouter(layout_path), window_seconds=0.0)
-        pairs = random_pairs(small_graph, 50, seed=6)
-        requests = [server.submit(s, t) for s, t in pairs]
-        server.flush()
-        assert [r.result() for r in requests] == index.distances(pairs).tolist()
-
     def test_full_stack_over_shards(self, layout_path, index, small_graph):
-        stack = CoalescingServer(CachingOracle(ShardRouter(layout_path)), window_seconds=0.0)
+        stack = CachingOracle(ShardRouter(layout_path))
         pairs = random_pairs(small_graph, 80, seed=7)
-        assert stack.distances(pairs).tolist() == index.distances(pairs).tolist()
+        direct = index.distances(pairs).tolist()
+        assert stack.distances(pairs).tolist() == direct
+        assert [stack.distance(s, t) for s, t in pairs[:15]] == direct[:15]
 
 
 class TestCLI:
