@@ -10,6 +10,7 @@ serial heap build exactly - not approximately.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.labelling import HC2LLabelling
 from repro.core.parallel import ParallelHC2LBuilder
 
-from helpers import assert_distance_equal
+from helpers import assert_distance_equal, rewrite_archive
 
 
 def _read_header(path) -> dict:
@@ -160,6 +161,50 @@ class TestPersistenceRoundTrip:
         assert "parallel_mode" not in _read_header(path)["parameters"]
         loaded = HC2LIndex.load(path)
         assert loaded.parameters.num_workers == 2
+        assert loaded.flat_labelling() == index.flat_labelling()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thread_mode_archive_loads(self, small_graph, query_pairs_small, tmp_path, workers):
+        # archives saved while the thread-pool builder existed store
+        # ``parallel_mode: "thread"``; such a header is refused by name, and
+        # the same archive without that key loads and answers as before
+        index = HC2LIndex.build(small_graph, num_workers=workers)
+        path = tmp_path / "thread.npz"
+        index.save(path)
+
+        rewrite_archive(
+            path, edit_header=lambda header: header["parameters"].update(parallel_mode="thread")
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*'parallel_mode'"):
+            HC2LIndex.load(path)
+
+        rewrite_archive(path, edit_header=lambda header: header["parameters"].pop("parallel_mode"))
+        loaded = HC2LIndex.load(path)
+        assert loaded.parameters == index.parameters
+        assert loaded.flat_labelling() == index.flat_labelling()
+        pairs = np.asarray(query_pairs_small, dtype=np.int64)
+        assert loaded.distances(pairs).tolist() == index.distances(pairs).tolist()
+
+    @pytest.mark.parametrize(
+        "flow_method", ["auto", "dinitz", "matrix", "python_ek", "push_relabel"]
+    )
+    def test_flow_method_archive_loads(self, small_graph, tmp_path, flow_method):
+        # archives saved while the max-flow solver was a parameter name it;
+        # every value is refused by name, and the same archive without that
+        # key loads to the same index (labels never depended on the solver)
+        index = HC2LIndex.build(small_graph)
+        path = tmp_path / "solver.npz"
+        index.save(path)
+
+        rewrite_archive(
+            path, edit_header=lambda header: header["parameters"].update(flow_method=flow_method)
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*'flow_method'"):
+            HC2LIndex.load(path)
+
+        rewrite_archive(path, edit_header=lambda header: header["parameters"].pop("flow_method"))
+        loaded = HC2LIndex.load(path)
+        assert loaded.parameters == index.parameters
         assert loaded.flat_labelling() == index.flat_labelling()
 
 
