@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro import RoadNetworkSpec, synthetic_road_network
-from repro.core.backends import BACKEND_NAMES, resolve_backend, scipy_available
+from repro.core.backends import BACKEND_NAMES, resolve_backend
 from repro.core.construction import ConstructionStats, HC2LBuilder
 from repro.core.flat import FlatLabelling
 from repro.core.parallel import ParallelHC2LBuilder
@@ -308,7 +308,6 @@ def run_benchmark(
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "leaf_size": leaf_size,
-        "scipy_available": scipy_available(),
         # headline numbers kept top-level for cross-PR continuity
         "heap_total_seconds": heap_row["total_seconds"] if heap_row else None,
         "csr_total_seconds": csr_row["total_seconds"] if csr_row else None,

@@ -25,25 +25,25 @@ def test_tail_pruning_ablation(benchmark, primary_dataset):
 
     pruned, naive = benchmark.pedantic(build_both, rounds=1, iterations=1)
 
-    assert pruned.labelling.total_entries() < naive.labelling.total_entries()
+    assert pruned.flat_labelling().total_entries() < naive.flat_labelling().total_entries()
     for s, t in pairs[:200]:
         assert abs(pruned.distance(s, t) - naive.distance(s, t)) <= 1e-6 * max(
             1.0, naive.distance(s, t) if naive.distance(s, t) != float("inf") else 1.0
         ) or (pruned.distance(s, t) == naive.distance(s, t))
 
-    growth = naive.labelling.total_entries() / pruned.labelling.total_entries() - 1.0
+    growth = naive.flat_labelling().total_entries() / pruned.flat_labelling().total_entries() - 1.0
     rows = [
         {
             "dataset": name,
             "variant": "tail pruning",
-            "label_entries": pruned.labelling.total_entries(),
+            "label_entries": pruned.flat_labelling().total_entries(),
             "label_size_bytes": pruned.label_size_bytes(),
             "construction_seconds": round(pruned.construction_seconds, 3),
         },
         {
             "dataset": name,
             "variant": "no tail pruning",
-            "label_entries": naive.labelling.total_entries(),
+            "label_entries": naive.flat_labelling().total_entries(),
             "label_size_bytes": naive.label_size_bytes(),
             "construction_seconds": round(naive.construction_seconds, 3),
         },

@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "shortest-path backend for the construction searches: heap "
-            "(pure-Python Dijkstra), csr (batched scipy/numpy searches), "
+            "(pure-Python Dijkstra), csr (batched scipy searches), "
             "dial (opt-in bucket-queue searches for integer-scalable "
-            "weights; slower than heap on road graphs), or auto (csr when "
-            "scipy is available, else heap; the default)"
+            "weights; slower than heap on road graphs), or auto (csr; "
+            "the default)"
         ),
     )
     build.add_argument(

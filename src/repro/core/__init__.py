@@ -15,10 +15,8 @@ from repro.core.backends import (
     HeapBackend,
     ShortestPathBackend,
     resolve_backend,
-    scipy_available,
 )
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.labelling import HC2LLabelling
 from repro.core.construction import HC2LBuilder, ConstructionStats
 from repro.core.oracle import BatchMixin, DistanceOracle
 from repro.core.parallel import ParallelHC2LBuilder
@@ -26,7 +24,6 @@ from repro.core.parallel import ParallelHC2LBuilder
 __all__ = [
     "HC2LIndex",
     "HC2LParameters",
-    "HC2LLabelling",
     "HC2LBuilder",
     "ParallelHC2LBuilder",
     "ConstructionStats",
@@ -36,5 +33,4 @@ __all__ = [
     "HeapBackend",
     "CSRBackend",
     "resolve_backend",
-    "scipy_available",
 ]

@@ -22,18 +22,17 @@ search implementation.  Three backends ship:
     float64 addition of such dyadic weights is exact while sums stay
     under ``2**53``, the bucket distances reproduce the heap Dijkstra's
     float sums *bit-identically*; non-eligible snapshots fall back to
-    the ``csr`` searches (or ``heap`` without scipy).  Algorithm 4
-    pruneability flags are recovered by the same shortest-path-DAG pass
-    the ``csr`` backend uses.  Each search allocates a ring of up to
-    ``max_scaled_weight + 1`` buckets, which dwarfs the few dozen
-    vertices of a typical recursion node: on the 3.2k integer bench
-    graph a ``dial`` build is about 3x slower than a ``heap`` one.
+    the ``csr`` searches.  Algorithm 4 pruneability flags are recovered
+    by the same shortest-path-DAG pass the ``csr`` backend uses.  Each
+    search allocates a ring of up to ``max_scaled_weight + 1`` buckets,
+    which dwarfs the few dozen vertices of a typical recursion node: on
+    the 3.2k integer bench graph a ``dial`` build is about 3x slower than
+    a ``heap`` one.
 
 ``csr``
     Heap-free searches over the CSR snapshot: distances come from one
     *batched* ``scipy.sparse.csgraph.dijkstra`` call per node (all cut /
-    border sources at once, C speed) - or, when scipy is missing, from a
-    vectorised numpy Bellman-Ford sweep - and the pruneability flags are
+    border sources at once, C speed), and the pruneability flags are
     recovered from the finished distance arrays by the shortest-path-DAG
     pass of :func:`~repro.core.pruned_dijkstra.prune_flags_from_distances`.
     Because the ranking and labelling passes search from the same cut
@@ -53,7 +52,7 @@ results, mixing is safe.
 ``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` /
 ``"dial"`` names used by :class:`~repro.core.index.HC2LParameters` and
 the CLI's ``repro build --backend`` to backend instances; ``auto`` picks
-``csr`` when scipy is importable and ``heap`` otherwise.
+``csr``.
 """
 
 from __future__ import annotations
@@ -62,6 +61,9 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import connected_components as _scipy_components
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.core.flat import FlatWorkingGraph
 from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_distances
@@ -69,20 +71,6 @@ from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_di
 INF = float("inf")
 
 BACKEND_NAMES = ("auto", "heap", "csr", "dial")
-
-try:  # pragma: no cover - exercised via whichever env runs the suite
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import connected_components as _scipy_components
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-except ImportError:  # pragma: no cover
-    _scipy_csr_matrix = None
-    _scipy_components = None
-    _scipy_dijkstra = None
-
-
-def scipy_available() -> bool:
-    """Whether the scipy csgraph routines can back the ``csr`` backend."""
-    return _scipy_dijkstra is not None
 
 
 class ShortestPathBackend:
@@ -187,8 +175,8 @@ class DialBackend(ShortestPathBackend):
 
     Non-eligible snapshots (and snapshots above ``max_vertices``, where
     the batched C-speed scipy searches win regardless of weight shape)
-    run on the fallback backend: ``csr`` when scipy is importable,
-    ``heap`` otherwise, both bit-identical anyway.  Algorithm 4
+    run on the fallback backend, ``csr`` unless another is injected; the
+    distances are bit-identical anyway.  Algorithm 4
     pruneability flags come from the same finished-distance DAG pass the
     ``csr`` backend uses, so no flag logic is duplicated.
 
@@ -197,8 +185,8 @@ class DialBackend(ShortestPathBackend):
     node's snapshot many times, the detection sweep runs once.
 
     Only an explicit ``backend="dial"`` selects this class: ``auto``
-    resolves to ``csr`` or ``heap``, and ``csr`` delegates its tiny
-    snapshots to the heap.
+    resolves to ``csr``, and ``csr`` delegates its tiny snapshots to the
+    heap.
     """
 
     name = "dial"
@@ -221,7 +209,7 @@ class DialBackend(ShortestPathBackend):
     def fallback(self) -> ShortestPathBackend:
         """Backend for non-eligible snapshots (lazy to avoid ctor cycles)."""
         if self._fallback is None:
-            self._fallback = CSRBackend() if scipy_available() else HeapBackend()
+            self._fallback = CSRBackend()
         return self._fallback
 
     # ------------------------------------------------------------------ #
@@ -315,7 +303,7 @@ class DialBackend(ShortestPathBackend):
 
 
 class CSRBackend(ShortestPathBackend):
-    """Heap-free searches over the CSR snapshot (scipy or numpy).
+    """Heap-free searches over the CSR snapshot (scipy csgraph).
 
     Parameters
     ----------
@@ -365,14 +353,12 @@ class CSRBackend(ShortestPathBackend):
             listed = flat.cache.get(self._DIST_CACHE, {}).get(source)  # type: ignore[union-attr]
             if listed is not None:
                 row = np.asarray(listed, dtype=np.float64)
-            elif _scipy_dijkstra is not None:
+            else:
                 matrix = self._snapshot_matrix(flat)
                 row = np.asarray(
                     _scipy_dijkstra(matrix, directed=True, indices=[source]),
                     dtype=np.float64,
                 ).ravel()
-            else:
-                row = _numpy_multi_source(flat, [source])[0]
             cache[source] = row
         return row
 
@@ -394,8 +380,6 @@ class CSRBackend(ShortestPathBackend):
         return dists, prunes
 
     def components(self, flat: FlatWorkingGraph) -> List[List[int]]:
-        if _scipy_components is None or _scipy_csr_matrix is None:
-            return _components_python(flat)
         matrix = flat.cache.get(self._MATRIX_CACHE)
         if matrix is None:
             # delegated (tiny or zero-weight) snapshots never build a
@@ -414,9 +398,7 @@ class CSRBackend(ShortestPathBackend):
     def components_masked(
         self, flat: FlatWorkingGraph, keep: np.ndarray
     ) -> List[List[int]]:
-        if _scipy_components is None or _scipy_csr_matrix is None:
-            return super().components_masked(flat, keep)
-        keep = np.asarray(keep, dtype=bool)
+        keep =np.asarray(keep, dtype=bool)
         sub_dense = np.nonzero(keep)[0]
         m = len(sub_dense)
         if m == 0:
@@ -510,14 +492,11 @@ class CSRBackend(ShortestPathBackend):
                     cache[source] = array_rows[source].tolist()
                 missing = [s for s in missing if s not in cache]
         if missing:
-            if _scipy_dijkstra is not None:
-                matrix = self._snapshot_matrix(flat)
-                # the snapshot already stores both directions of every
-                # undirected edge, so treat it as a (symmetric) digraph
-                block = _scipy_dijkstra(matrix, directed=True, indices=missing)
-                block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-            else:
-                block = _numpy_multi_source(flat, missing)
+            matrix = self._snapshot_matrix(flat)
+            # the snapshot already stores both directions of every
+            # undirected edge, so treat it as a (symmetric) digraph
+            block = _scipy_dijkstra(matrix, directed=True, indices=missing)
+            block = np.atleast_2d(np.asarray(block, dtype=np.float64))
             for source, row in zip(missing, block):
                 # plain lists: the flag pass and the label-assembly loops
                 # index per element, which is several times faster on
@@ -585,29 +564,6 @@ def _components_python(flat: FlatWorkingGraph) -> List[List[int]]:
     return components
 
 
-def _numpy_multi_source(flat: FlatWorkingGraph, sources: Sequence[int]) -> np.ndarray:
-    """Vectorised Bellman-Ford sweeps (the scipy-free ``csr`` fallback).
-
-    Converges in (longest shortest-path hop count) sweeps of one
-    ``np.minimum.at`` scatter each; every relaxation performs the same
-    ``dist[u] + w`` float64 addition as Dijkstra, and the fixpoint takes
-    the same minima, so the resulting distances are bit-identical.
-    """
-    indptr, indices, weights = flat.csr_arrays()
-    n = len(flat.vertices)
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    block = np.full((len(sources), n), INF, dtype=np.float64)
-    for row, source in zip(block, sources):
-        row[source] = 0.0
-        while True:
-            previous = row.copy()
-            candidates = row[tails] + weights
-            np.minimum.at(row, indices, candidates)
-            if np.array_equal(row, previous):
-                break
-    return block
-
-
 # --------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------- #
@@ -626,9 +582,8 @@ _BACKEND_FACTORIES = {
 def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
     """Map a backend name (or instance, or ``None``) to a backend instance.
 
-    ``"auto"`` (and ``None``) pick ``csr`` when scipy is importable and
-    ``heap`` otherwise; explicit ``"csr"`` works without scipy through
-    the numpy fallback, and ``"dial"`` is only ever an explicit choice.
+    ``"auto"`` (and ``None``) pick ``csr``; ``"dial"`` is only ever an
+    explicit choice.
     Instances pass through untouched, so callers can inject a tuned
     :class:`CSRBackend` directly.  Anything that is not a name, an
     instance, or ``None`` raises a :class:`TypeError` - a boolean or a
@@ -638,7 +593,7 @@ def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
         return spec
     name = check_backend_name("auto" if spec is None else spec)
     if name == "auto":
-        name = "csr" if scipy_available() else "heap"
+        name = "csr"
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _BACKEND_FACTORIES[name]()

@@ -155,9 +155,8 @@ class HC2LBuilder:
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         construction searches (``"auto"``, ``"heap"``, ``"csr"``,
-        ``"dial"``, or an instance); ``"auto"`` picks the CSR backend
-        when scipy is available and the heap backend otherwise, and
-        ``"dial"`` runs only when named.  Labels are bit-identical
+        ``"dial"``, or an instance); ``"auto"`` picks the CSR backend,
+        and ``"dial"`` runs only when named.  Labels are bit-identical
         across backends.  The balanced cuts' max-flow route does not
         depend on the backend: it is chosen per region by
         :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`.

@@ -577,12 +577,10 @@ class DynamicHC2LIndex:
     This mirrors the strategy sketched in Section 5.4: construction of the
     hierarchy is weight-independent, so only distance values are refreshed.
 
-    The flush path never mutates label storage in place.  ``HC2LIndex``
-    keeps its flat buffers as the single source of truth (assigning or
-    appending to ``index.labelling`` raises), so the relabelling pass
-    builds a fresh labelling and swaps the whole index - every derived
-    structure (flat buffers, batch engine, nested view) is invalidated
-    together instead of silently desyncing.
+    The flush path never mutates label storage in place: the relabelling
+    pass builds fresh flat buffers and swaps the whole index, so the
+    buffers and the query engine over them change together instead of
+    silently desyncing.
 
     Implements the batch-first :class:`repro.core.oracle.DistanceOracle`
     protocol by flushing and delegating to the underlying index.

@@ -227,7 +227,22 @@ class QueryEngine:
         resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
         if resolved is not None:
             return resolved
-        return offset + self._core_distance(core_s, core_t)
+        return offset + self._core_scan(core_s, core_t)[0]
+
+    def distance_with_hub_count(self, s: int, t: int) -> Tuple[float, int]:
+        """Distance plus the number of label entries scanned (Table 3 metric).
+
+        The hub count is the length of the shared prefix the min-plus scan
+        ran over; pairs resolved inside an attachment tree scan none.
+        """
+        n = self.contraction.num_original
+        check_vertex(s, n, "s")
+        check_vertex(t, n, "t")
+        resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
+        if resolved is not None:
+            return resolved, 0
+        value, hubs = self._core_scan(core_s, core_t)
+        return offset + value, hubs
 
     def _ensure_scalar_state(self) -> None:
         """Build the Python-list mirror the per-pair path iterates over.
@@ -240,10 +255,14 @@ class QueryEngine:
             self._vertex_indptr_list = self.flat.vertex_indptr.tolist()
             self._values_list = self.flat.values.tolist()
 
-    def _core_distance(self, s: int, t: int) -> float:
-        """Min-plus scan over the flat buffer for two core vertices."""
+    def _core_scan(self, s: int, t: int) -> Tuple[float, int]:
+        """Min-plus scan over the flat buffer for two core vertices.
+
+        Returns ``(distance, shared prefix length)``; the distance is
+        ``inf`` when the prefix is empty (an empty cut separates them).
+        """
         if s == t:
-            return 0.0
+            return 0.0, 0
         if self._values_list is None:
             self._ensure_scalar_state()
         depth = self.hierarchy.lca_depth(s, t)
@@ -259,7 +278,7 @@ class QueryEngine:
             candidate = values[start_s + i] + values[start_t + i]
             if candidate < best:
                 best = candidate
-        return best
+        return best, length
 
     # ------------------------------------------------------------------ #
     # batch path

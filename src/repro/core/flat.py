@@ -3,15 +3,14 @@
 The paper's C++ implementation owes much of its query speed to the label
 layout: per-vertex distance arrays are contiguous ``double`` buffers with
 no hub identifiers, so a query is a linear scan over two cache-resident
-slabs.  The original reproduction stored labels as nested Python lists
-(``List[List[List[float]]]``), which scatters every distance value behind
-three pointer indirections.  This module provides the flat counterparts:
+slabs.  This module provides that layout and its graph-side counterpart:
 
 * :class:`FlatLabelling` - all per-vertex, per-level distance arrays
-  packed into a single ``float64`` buffer plus two integer index arrays,
-  with a lossless round-trip from/to :class:`~repro.core.labelling.HC2LLabelling`.
-  It is the storage backend the batch :class:`~repro.core.engine.QueryEngine`
-  vectorises over and the payload of the versioned on-disk format.
+  packed into a single ``float64`` buffer plus two integer index arrays.
+  It is the one label store: construction and relabelling write it, the
+  :class:`~repro.core.engine.QueryEngine` reads it, it carries the size
+  metrics of Tables 2-4, and it is the payload of the versioned on-disk
+  format.
   A labelling is also a *composable partition*: :meth:`FlatLabelling.slice_vertices`
   carves out a self-contained labelling for a contiguous vertex range
   (re-based index arrays, same dtype contracts), :meth:`FlatLabelling.partition`
@@ -25,15 +24,11 @@ three pointer indirections.  This module provides the flat counterparts:
   :meth:`FlatWorkingGraph.induce` and
   :meth:`FlatWorkingGraph.overlay_shortcuts`.
 """
-
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (labelling imports us)
-    from repro.core.labelling import HC2LLabelling
 
 INF = float("inf")
 
@@ -99,45 +94,6 @@ class FlatLabelling:
                     f"between serving processes must be mapped read-only "
                     f"(mmap_mode='r') so no shard can mutate shared pages"
                 )
-
-    # ------------------------------------------------------------------ #
-    # conversions
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_labelling(cls, labelling: "HC2LLabelling") -> "FlatLabelling":
-        """Pack a nested :class:`HC2LLabelling` into flat buffers (lossless)."""
-        n = labelling.num_vertices
-        vertex_indptr = np.empty(n + 1, dtype=np.int64)
-        vertex_indptr[0] = 0
-        lengths: List[int] = []
-        for v, levels in enumerate(labelling.labels):
-            for array in levels:
-                lengths.append(len(array))
-            vertex_indptr[v + 1] = len(lengths)
-        level_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        level_indptr[1:] = np.cumsum(np.asarray(lengths, dtype=np.int64))
-        values = np.empty(int(level_indptr[-1]), dtype=np.float64)
-        position = 0
-        for levels in labelling.labels:
-            for array in levels:
-                values[position : position + len(array)] = array
-                position += len(array)
-        return cls(n, values, level_indptr, vertex_indptr)
-
-    def to_labelling(self) -> "HC2LLabelling":
-        """Unpack into the nested list representation (lossless round-trip)."""
-        from repro.core.labelling import HC2LLabelling
-
-        values = self.values.tolist()
-        level_indptr = self.level_indptr.tolist()
-        vertex_indptr = self.vertex_indptr.tolist()
-        labels: List[List[List[float]]] = []
-        for v in range(self.num_vertices):
-            levels: List[List[float]] = []
-            for k in range(vertex_indptr[v], vertex_indptr[v + 1]):
-                levels.append(values[level_indptr[k] : level_indptr[k + 1]])
-            labels.append(levels)
-        return HC2LLabelling(num_vertices=self.num_vertices, labels=labels)
 
     # ------------------------------------------------------------------ #
     # partitioning (the basis of the sharded store)
@@ -357,7 +313,7 @@ class FlatLabelling:
         )
 
     # ------------------------------------------------------------------ #
-    # element access (mirrors HC2LLabelling)
+    # element access
     # ------------------------------------------------------------------ #
     def num_levels(self, vertex: int) -> int:
         """Number of levels stored for ``vertex`` (= node depth + 1)."""
@@ -375,7 +331,7 @@ class FlatLabelling:
         return self.values[int(self.level_indptr[k]) : int(self.level_indptr[k + 1])]
 
     # ------------------------------------------------------------------ #
-    # size metrics (mirror HC2LLabelling so either backend feeds Tables 2-4)
+    # size metrics (Tables 2-4)
     # ------------------------------------------------------------------ #
     def total_entries(self) -> int:
         """Total number of stored distance values."""
@@ -388,7 +344,12 @@ class FlatLabelling:
         return int(end - start)
 
     def size_bytes(self) -> int:
-        """Approximate labelling size in bytes (same model as the nested form)."""
+        """Approximate labelling size in bytes.
+
+        Each distance value costs 8 bytes; each per-level array carries a
+        2-byte length prefix; each vertex carries an 8-byte offset into the
+        label storage.  Hub identifiers are *not* stored (Section 4.2.2).
+        """
         level_overhead = 2 * (len(self.level_indptr) - 1)
         return self.total_entries() * 8 + level_overhead + 8 * self.num_vertices
 

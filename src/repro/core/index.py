@@ -14,14 +14,11 @@ Label storage
 -------------
 The **only** label store is the flat, contiguous
 :class:`~repro.core.flat.FlatLabelling` buffer (one ``float64`` array plus
-two index arrays) - the layout the batch :class:`~repro.core.engine.QueryEngine`
-vectorises over and the payload of the on-disk format.  Construction and
-the dynamic relabelling pass (:func:`repro.core.dynamic.relabel`) both
-write the flat buffers directly; :attr:`HC2LIndex.labelling` materialises
-a read-oriented nested :class:`~repro.core.labelling.HC2LLabelling` view
-on demand (cached, invalidated by :meth:`replace_labelling`).  A serving
-deployment that only issues batch queries therefore holds the labels
-exactly once.
+two index arrays, no hub ids; Section 4.2.2) - the layout the
+:class:`~repro.core.engine.QueryEngine` reads and the payload of the
+on-disk format.  Construction and the dynamic relabelling pass
+(:func:`repro.core.dynamic.relabel`) both write the flat buffers
+directly, so an index holds its labels exactly once.
 """
 
 from __future__ import annotations
@@ -36,12 +33,10 @@ from repro.core.construction import ConstructionStats, HC2LBuilder
 from repro.core.engine import QueryEngine
 from repro.core.flat import FlatLabelling
 from repro.core.flat_build import RelabelRecord
-from repro.core.labelling import HC2LLabelling
-from repro.core.query import core_distance_with_stats
 from repro.graph.contraction import ContractedGraph, contract_degree_one
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
-from repro.utils.validation import check_balance_parameter, check_vertex
+from repro.utils.validation import check_balance_parameter
 
 INF = float("inf")
 
@@ -68,11 +63,10 @@ class HC2LParameters:
         Labels are bit-identical across worker counts.
     backend:
         Shortest-path backend for the construction searches: ``"heap"``
-        (pure-Python binary heap), ``"csr"`` (batched scipy / numpy
-        searches over the CSR snapshot), ``"dial"`` (opt-in bucket-queue
-        searches for integer-scalable weights, never picked by ``auto``),
-        or ``"auto"`` (csr when scipy is importable, else heap).  Labels
-        are bit-identical across backends.
+        (pure-Python binary heap), ``"csr"`` (batched scipy searches over
+        the CSR snapshot), ``"dial"`` (opt-in bucket-queue searches for
+        integer-scalable weights, never picked by ``auto``), or ``"auto"``
+        (csr).  Labels are bit-identical across backends.
 
     The hierarchy phase's minimum vertex cuts need no parameter: their
     max-flow route is chosen per region from its size (see
@@ -114,24 +108,6 @@ def _identity_contraction(graph: Graph) -> ContractedGraph:
     )
 
 
-class _LabellingView(HC2LLabelling):
-    """Read-oriented nested view materialised from the flat buffers.
-
-    The view is a snapshot: writing to it cannot reach the flat buffers
-    the queries run over, so the mutating entry point raises instead of
-    silently desyncing.  Use :meth:`HC2LIndex.replace_labelling` to swap
-    in changed labels.
-    """
-
-    def append_level(self, vertex: int, array: Sequence[float]) -> None:
-        raise RuntimeError(
-            "HC2LIndex.labelling is a materialised view of the flat label "
-            "buffers; mutating it would silently desync the query engine. "
-            "Build a new HC2LLabelling and call index.replace_labelling(...) "
-            "instead."
-        )
-
-
 class HC2LIndex:
     """A built hierarchical cut 2-hop labelling index.
 
@@ -168,7 +144,6 @@ class HC2LIndex:
         #: the single authoritative copy of the labels (flat buffers)
         self._flat: FlatLabelling = flat
         self._engine: Optional[QueryEngine] = None
-        self._labelling_view: Optional[HC2LLabelling] = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -239,56 +214,6 @@ class HC2LIndex:
         return self._flat
 
     @property
-    def labelling(self) -> HC2LLabelling:
-        """Nested list view of the labels, materialised on demand.
-
-        The view is cached until :meth:`replace_labelling` swaps the
-        labels; it is *derived* state - the flat buffers stay the single
-        source of truth the query engine reads.  Mutating the view raises
-        (see :class:`_LabellingView`).
-        """
-        view = self._labelling_view
-        if view is None:
-            nested = self._flat.to_labelling()
-            view = _LabellingView(num_vertices=nested.num_vertices, labels=nested.labels)
-            self._labelling_view = view
-        return view
-
-    @labelling.setter
-    def labelling(self, value: object) -> None:
-        raise AttributeError(
-            "HC2LIndex.labelling cannot be assigned directly; call "
-            "index.replace_labelling(new_labelling) so the flat buffers and "
-            "query engine are refreshed together."
-        )
-
-    def replace_labelling(self, labelling: Union[HC2LLabelling, FlatLabelling]) -> None:
-        """Swap in new labels and invalidate every derived query structure.
-
-        This is the supported mutation path for dynamic updates
-        (:mod:`repro.core.dynamic`): the flat buffers are rebuilt, and the
-        cached batch engine and nested view are dropped so no caller can
-        observe stale distances.
-        """
-        if isinstance(labelling, FlatLabelling):
-            flat = labelling
-        elif isinstance(labelling, HC2LLabelling):
-            flat = FlatLabelling.from_labelling(labelling)
-        else:
-            raise TypeError(
-                f"expected HC2LLabelling or FlatLabelling, got {type(labelling).__name__}"
-            )
-        expected = self.contraction.core.num_vertices
-        if flat.num_vertices != expected:
-            raise ValueError(
-                f"labelling covers {flat.num_vertices} vertices but the core "
-                f"graph has {expected}"
-            )
-        self._flat = flat
-        self._engine = None
-        self._labelling_view = None
-
-    @property
     def engine(self) -> QueryEngine:
         """The batch query engine over the flat label storage (cached)."""
         if getattr(self, "_closed", False):
@@ -314,10 +239,9 @@ class HC2LIndex:
         if getattr(self, "_closed", False):
             return
         self._closed = True
-        # the engine and nested view alias the flat buffers - drop them
-        # before closing so the memmaps have no remaining exporters
+        # the engine aliases the flat buffers - drop it before closing so
+        # the memmaps have no remaining exporters
         self._engine = None
-        self._labelling_view = None
         self._flat.close()
 
     def __enter__(self) -> "HC2LIndex":
@@ -377,16 +301,7 @@ class HC2LIndex:
 
     def distance_with_hub_count(self, s: int, t: int) -> Tuple[float, int]:
         """Distance plus the number of label entries scanned (Table 3 metric)."""
-        if getattr(self, "_closed", False):
-            raise RuntimeError("this HC2LIndex is closed")
-        n = self.contraction.num_original
-        check_vertex(s, n, "s")
-        check_vertex(t, n, "t")
-        resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
-        if resolved is not None:
-            return resolved, 0
-        value, hubs = core_distance_with_stats(self.hierarchy, self._flat, core_s, core_t)
-        return offset + value, hubs
+        return self.engine.distance_with_hub_count(s, t)
 
     # ------------------------------------------------------------------ #
     # metrics (feed Tables 2-5)

@@ -7,22 +7,16 @@ stored (no hub identifiers), which halves the storage compared to generic
 2-hop labels.  Tail pruning (Algorithm 5) truncates each array to the
 prefix required for correctness.
 
-This module holds
-
-* :func:`node_distance_arrays` - Algorithm 5 for a single tree node
-  (both the tail-pruned and the naive variant used as the upper bound of
-  Section 4.2.1), and
-* :class:`HC2LLabelling` - the nested per-vertex container plus size
-  metrics.  Construction and relabelling write
-  :class:`~repro.core.flat.FlatLabelling` buffers directly; the nested
-  form survives as the read-only :attr:`HC2LIndex.labelling
-  <repro.core.index.HC2LIndex.labelling>` view.
+This module holds :func:`node_distance_arrays`, Algorithm 5 for a single
+tree node (both the tail-pruned and the naive variant used as the upper
+bound of Section 4.2.1).  Construction and relabelling pack its arrays
+into :class:`~repro.core.flat.FlatLabelling`, the one label store, which
+also carries the size metrics of Tables 2-4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -96,65 +90,3 @@ def node_distance_arrays(
         v: dist_matrix[: lengths[j], j].tolist() for j, v in enumerate(vertices)
     }
     return arrays, dist_matrix
-
-
-@dataclass
-class HC2LLabelling:
-    """Per-vertex hierarchical cut 2-hop labels.
-
-    ``labels[v]`` is a list of distance arrays, one per level of the
-    root-to-node path of ``v`` in the hierarchy (index = node depth).
-    """
-
-    num_vertices: int
-    labels: List[List[List[float]]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = [[] for _ in range(self.num_vertices)]
-
-    def append_level(self, vertex: int, array: Sequence[float]) -> None:
-        """Append the distance array of the next level for ``vertex``."""
-        self.labels[vertex].append(list(array))
-
-    def level_array(self, vertex: int, depth: int) -> List[float]:
-        """Distance array of ``vertex`` at hierarchy depth ``depth``."""
-        return self.labels[vertex][depth]
-
-    def num_levels(self, vertex: int) -> int:
-        """Number of levels stored for ``vertex`` (= node depth + 1)."""
-        return len(self.labels[vertex])
-
-    # ------------------------------------------------------------------ #
-    # size metrics (Tables 2-4)
-    # ------------------------------------------------------------------ #
-    def total_entries(self) -> int:
-        """Total number of stored distance values."""
-        return sum(len(array) for levels in self.labels for array in levels)
-
-    def entries_of(self, vertex: int) -> int:
-        """Number of distance values stored for one vertex."""
-        return sum(len(array) for array in self.labels[vertex])
-
-    def size_bytes(self) -> int:
-        """Approximate labelling size in bytes.
-
-        Each distance value costs 8 bytes; each per-level array carries a
-        2-byte length prefix; each vertex carries an 8-byte offset into the
-        label storage.  Hub identifiers are *not* stored (Section 4.2.2).
-        """
-        entries = self.total_entries()
-        level_overhead = sum(len(levels) * 2 for levels in self.labels)
-        return entries * 8 + level_overhead + 8 * self.num_vertices
-
-    def average_label_entries(self) -> float:
-        """Mean number of stored distance values per vertex."""
-        if self.num_vertices == 0:
-            return 0.0
-        return self.total_entries() / self.num_vertices
-
-    def max_label_entries(self) -> int:
-        """Largest per-vertex label, in distance values."""
-        if self.num_vertices == 0:
-            return 0
-        return max(self.entries_of(v) for v in range(self.num_vertices))

@@ -40,6 +40,7 @@ import dataclasses
 import json
 import os
 import shutil
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -70,7 +71,7 @@ MANIFEST_FILENAME = "manifest.json"
 BASE_FILENAME = "base.npz"
 
 TREE_SIDECAR_FORMAT = "hc2l-tree-resolver"
-TREE_SIDECAR_VERSION = 1
+TREE_SIDECAR_VERSION = 2
 TREE_SIDECAR_META = "meta.json"
 
 
@@ -353,11 +354,12 @@ def save_tree_sidecar(index: "HC2LIndex", path: Union[str, Path]) -> Path:
     path = Path(path)
     sidecar_dir = tree_sidecar_directory(path)
     sidecar_dir.mkdir(parents=True, exist_ok=True)
-    arrays = resolver.state_arrays()
-    for name, array in arrays.items():
+    checksums = {}
+    for name, array in resolver.state_arrays().items():
         final = sidecar_dir / f"{name}.npy"
         temporary = sidecar_dir / f".{name}.{os.getpid()}.tmp.npy"
         np.save(temporary, np.ascontiguousarray(array))
+        checksums[name] = zlib.crc32(temporary.read_bytes())
         os.replace(temporary, final)  # concurrent loaders never map a torn file
     archive_stat = path.stat() if path.exists() else None
     meta = {
@@ -370,6 +372,8 @@ def save_tree_sidecar(index: "HC2LIndex", path: Union[str, Path]) -> Path:
         # filesystem mtime granularity
         "archive_mtime_ns": archive_stat.st_mtime_ns if archive_stat else None,
         "archive_size": archive_stat.st_size if archive_stat else None,
+        # CRC-32 of each .npy file: a truncated or damaged member fails it
+        "crc32": checksums,
     }
     meta_path = sidecar_dir / TREE_SIDECAR_META
     temporary = sidecar_dir / f".{TREE_SIDECAR_META}.{os.getpid()}.tmp"
@@ -384,11 +388,12 @@ def load_tree_sidecar(path: Union[str, Path], contraction: ContractedGraph, mmap
 
     Returns a ready :class:`~repro.core.tree_resolve.TreeDistanceResolver`
     or ``None`` when no sidecar exists, it has an unknown format/version,
-    it disagrees with the index (vertex count, member set), or the archive
-    was rewritten since the sidecar was saved (the meta file records the
-    archive's exact mtime and size at save time, so a rewrite - even
-    within the filesystem's mtime granularity window - invalidates the
-    sidecar).
+    a member file is missing or fails its recorded CRC-32 (truncated or
+    damaged), it disagrees with the index (vertex count, member set), or
+    the archive was rewritten since the sidecar was saved (the meta file
+    records the archive's exact mtime and size at save time, so a rewrite
+    - even within the filesystem's mtime granularity window - invalidates
+    the sidecar).  The caller then builds the resolver lazily.
     """
     from repro.core.tree_resolve import TreeDistanceResolver
 
@@ -413,10 +418,13 @@ def load_tree_sidecar(path: Union[str, Path], contraction: ContractedGraph, mmap
         or meta.get("archive_size") != archive_stat.st_size
     ):
         return None
+    checksums = meta.get("crc32")
+    if not isinstance(checksums, dict):
+        return None
     arrays = {}
     for name in TreeDistanceResolver.STATE_ARRAY_NAMES:
         array_path = sidecar_dir / f"{name}.npy"
-        if not array_path.exists():
+        if not array_path.exists() or zlib.crc32(array_path.read_bytes()) != checksums.get(name):
             return None
         arrays[name] = np.load(array_path, mmap_mode="r" if mmap else None)
     if len(arrays["members"]) != int(meta.get("num_members", -1)):
@@ -596,9 +604,12 @@ def save_index_sharded(
     in the manifest for hot-swap serving
     (:meth:`repro.serving.shards.ShardRouter.reload_generation`).  With
     ``generation=None`` the writer bumps the generation of any manifest
-    already present at the layout (a fresh layout starts at 0); the
-    manifest's atomic tmp+rename means readers see either the old complete
-    generation or the new one, never a torn mix.
+    already present at the layout (a fresh layout starts at 0), and
+    raises a ``ValueError`` naming that manifest when it cannot read its
+    generation: restarting the counter would make a live router take the
+    new layout for an older one.  An explicit ``generation`` overrides.
+    The manifest's atomic tmp+rename means readers see either the old
+    complete generation or the new one, never a torn mix.
     """
     from repro.hierarchy.tree import derive_shard_boundaries
 
@@ -608,9 +619,13 @@ def save_index_sharded(
         if existing.exists():
             try:
                 previous = json.loads(existing.read_text(encoding="utf-8"))
-                generation = int(previous.get("generation", 0)) + 1
-            except (ValueError, TypeError, json.JSONDecodeError):
-                pass  # corrupt manifest: restart the counter at 0
+                generation = int(previous["generation"]) + 1
+            except (ValueError, TypeError, KeyError) as error:
+                raise ValueError(
+                    f"cannot read the generation of the existing manifest "
+                    f"{existing} ({error!r}); pass generation= explicitly to "
+                    f"overwrite the layout"
+                ) from error
     generation = int(generation)
     if generation < 0:
         raise ValueError(f"generation must be non-negative, got {generation}")

@@ -16,11 +16,11 @@ more balanced option.
 
 One dispatch, chosen from the input, solves the reduction.  Regions of at
 least :data:`_MATRIX_SMALL_REGION` vertices go through
-``scipy.sparse.csgraph.maximum_flow`` (C speed) when scipy is importable;
-every other region runs a compact Edmonds-Karp over paired edge lists.
-The unit inner edges bound the flow value by the cut size,
-which is single digits on road networks, so augmenting-path solvers
-finish in a few rounds either way.
+``scipy.sparse.csgraph.maximum_flow`` (C speed); every other region
+runs a compact Edmonds-Karp over paired edge lists.  The unit inner
+edges bound the flow value by the cut size, which is single digits on
+road networks, so augmenting-path solvers finish in a few rounds either
+way.
 
 The route only sets the speed: for any maximum flow, the set of nodes
 residual-reachable from the source is the unique minimal source side over
@@ -35,15 +35,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised via whichever env runs the suite
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
-    from scipy.sparse.csgraph import breadth_first_order as _scipy_breadth_first_order
-except ImportError:  # pragma: no cover
-    _scipy_csr_matrix = None
-    _scipy_maximum_flow = None
-    _scipy_breadth_first_order = None
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _scipy_breadth_first_order
+from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
 #: Regions smaller than this solve faster with the compact Edmonds-Karp
 #: loop than with a scipy matrix round-trip (fixed sparse-constructor
@@ -96,7 +90,7 @@ def minimum_vertex_cut_region(
     region both cuts are empty.
     """
     k = len(vertices)
-    if k >= _MATRIX_SMALL_REGION and _scipy_maximum_flow is not None:
+    if k >= _MATRIX_SMALL_REGION:
         solve = _solve_matrix
     else:
         solve = _solve_python_ek

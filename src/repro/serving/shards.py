@@ -37,7 +37,6 @@ from repro.core.engine import BatchResolver
 from repro.core.flat import FlatLabelling
 from repro.core.oracle import BatchMixin, as_pair_array, pairs_from_source
 from repro.core.persistence import load_manifest, load_shard, load_sharded_components
-from repro.core.query import min_plus_prefix
 from repro.utils.validation import check_vertex
 
 INF = float("inf")
@@ -348,17 +347,25 @@ class ShardRouter(BatchMixin):
             self._end_query()
 
     def _core_scalar(self, core_s: int, core_t: int) -> Tuple[float, int]:
-        """Min-plus over the (possibly distinct) shards of two core vertices."""
-        depth = self.hierarchy.lca_depth(core_s, core_t)
-        return min_plus_prefix(
-            self._level_list(core_s, depth), self._level_list(core_t, depth)
-        )
+        """Min-plus over the (possibly distinct) shards of two core vertices.
 
-    def _level_list(self, core_vertex: int, depth: int) -> List[float]:
+        Returns ``(distance, shared prefix length)`` like the engine's
+        scalar scan, bit for bit: the same float64 sums, and their minimum
+        does not depend on the order they are compared in.
+        """
+        depth = self.hierarchy.lca_depth(core_s, core_t)
+        view_s = self._level_view(core_s, depth)
+        view_t = self._level_view(core_t, depth)
+        length = min(len(view_s), len(view_t))
+        if length == 0:
+            return INF, 0
+        return float((view_s[:length] + view_t[:length]).min()), length
+
+    def _level_view(self, core_vertex: int, depth: int) -> np.ndarray:
         position = self.positions_of(np.asarray([core_vertex], dtype=np.int64))
         shard_id = int(self._shards_of_positions(position)[0])
         local = int(position[0]) - int(self._edges[shard_id])
-        return self._shard(shard_id).level_array(local, depth)
+        return self._shard(shard_id).level_view(local, depth)
 
     # ------------------------------------------------------------------ #
     # batch path

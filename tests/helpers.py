@@ -15,13 +15,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.flat import FlatLabelling
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
-
-try:
-    from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
-except ImportError:  # pragma: no cover - the scipy route then runs the loop
-    _scipy_maximum_flow = None
 
 INF = float("inf")
 
@@ -56,16 +52,12 @@ def random_query_pairs(graph: Graph, count: int, seed: int = 0) -> List[Tuple[in
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
-#: Every production max-flow route of ``minimum_vertex_cut_region`` as
-#: ``(size threshold, hide scipy's flow)``: a threshold of 0 sends every
-#: region to scipy, 10**9 sends every region to the Edmonds-Karp loop,
-#: and hiding scipy's flow sends every region to the loop whatever the
-#: threshold says.
+#: Every production max-flow route of ``minimum_vertex_cut_region`` as its
+#: region-size threshold: 0 sends every region to scipy, 10**9 sends every
+#: region to the Edmonds-Karp loop.
 FLOW_ROUTES = {
-    "scipy": (0, False),
-    "python-ek": (10**9, False),
-    "python-ek-no-scipy": (0, True),
-    "python-ek-no-scipy-small": (10**9, True),
+    "scipy": 0,
+    "python-ek": 10**9,
 }
 
 
@@ -73,11 +65,25 @@ def force_flow_route(monkeypatch, route: str) -> None:
     """Pin ``minimum_vertex_cut_region`` to one :data:`FLOW_ROUTES` entry."""
     import repro.flow.vertex_cut as vertex_cut
 
-    threshold, hide_scipy = FLOW_ROUTES[route]
-    monkeypatch.setattr(vertex_cut, "_MATRIX_SMALL_REGION", threshold)
-    monkeypatch.setattr(
-        vertex_cut, "_scipy_maximum_flow", None if hide_scipy else _scipy_maximum_flow
-    )
+    monkeypatch.setattr(vertex_cut, "_MATRIX_SMALL_REGION", FLOW_ROUTES[route])
+
+
+def label_levels(flat: FlatLabelling) -> List[List[List[float]]]:
+    """The labels as per-vertex level lists: ``[v][depth]`` is a list of floats.
+
+    The inverse of :func:`repro.core.flat_build.fragment_from_levels`, read
+    straight off the three buffers so tests can compare labels as lists.
+    """
+    values = flat.values.tolist()
+    level_indptr = flat.level_indptr.tolist()
+    vertex_indptr = flat.vertex_indptr.tolist()
+    return [
+        [
+            values[level_indptr[k] : level_indptr[k + 1]]
+            for k in range(vertex_indptr[v], vertex_indptr[v + 1])
+        ]
+        for v in range(flat.num_vertices)
+    ]
 
 
 def rewrite_archive(path, drop=(), edit_header=None) -> None:

@@ -14,6 +14,11 @@ solves the split-vertex reduction with a textbook Dinitz max-flow
 (:class:`DinitzMaxFlow`) over a dict adjacency, the reference both
 production routes of :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`
 are held against.
+
+For queries, :func:`min_plus_prefix` is Equation 7's per-pair scan over
+two plain level lists, the reference the engine's scalar and batch scans
+(and their hub counts) are held against; :func:`hub_vertices_for_query`
+names the cut vertices such a scan ranges over.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 from repro.core.flat import FlatWorkingGraph
 from repro.flow.vertex_cut import MinVertexCutResult
 from repro.graph.graph import Graph
+from repro.hierarchy.tree import BalancedTreeHierarchy
 from repro.partition.cut import BalancedCutResult
 
 INF = float("inf")
@@ -540,3 +546,31 @@ def is_vertex_cut(
             seen.add(w)
             stack.append(w)
     return True
+
+
+def min_plus_prefix(array_s: Sequence[float], array_t: Sequence[float]) -> Tuple[float, int]:
+    """Minimum of ``array_s[i] + array_t[i]`` over the shared prefix.
+
+    Returns ``(value, positions_scanned)``; the value is ``inf`` when the
+    shared prefix is empty (the two vertices are separated by an empty cut,
+    i.e. disconnected).
+    """
+    length = min(len(array_s), len(array_t))
+    best = INF
+    for i in range(length):
+        candidate = array_s[i] + array_t[i]
+        if candidate < best:
+            best = candidate
+    return best, length
+
+
+def hub_vertices_for_query(hierarchy: BalancedTreeHierarchy, s: int, t: int) -> List[int]:
+    """The cut vertices a query between core vertices ``s`` and ``t`` scans."""
+    if s == t:
+        return []
+    depth = hierarchy.lca_depth(s, t)
+    node = hierarchy.node_of(s)
+    while node.depth > depth:
+        assert node.parent is not None
+        node = hierarchy.nodes[node.parent]
+    return list(node.cut)

@@ -1,9 +1,13 @@
-"""Damaged archives and inconsistent manifests, as known-answer tables.
+"""Damaged archives, manifests and sidecars, as known-answer tables.
 
 Each table row is ``(damage, expected error)``: the damage is applied to
 a freshly saved file, and loading must raise a ``ValueError`` that names
 the damaged file and matches the expected text.  A router over a damaged
-or inconsistent layout must never answer a query.
+or inconsistent layout must never answer a query.  Two files are handled
+differently: an unreadable manifest stops the next save's generation
+bump (a restarted counter would look older to a live router), and a
+damaged tree sidecar is ignored, because the resolver it caches can be
+rebuilt from the archive.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from repro.core.persistence import (
     load_index_sharded,
     load_manifest,
     load_shard,
+    load_tree_sidecar,
     save_index_sharded,
+    tree_sidecar_directory,
 )
 from repro.serving import ShardRouter
 
@@ -244,3 +250,91 @@ def test_empty_shards_are_legal(built_index, small_graph, pairs, tmp_path):
     finally:
         router.close()
     assert load_index_sharded(path).flat_labelling() == built_index.flat_labelling()
+
+
+# --------------------------------------------------------------------- #
+# sharded layout: the generation counter never restarts
+# --------------------------------------------------------------------- #
+#: (unreadable manifest.json text, expected error text)
+UNREADABLE_MANIFESTS = [
+    ("not-json", "{broken", r"JSONDecodeError"),
+    ("no-generation", "{}", r"KeyError"),
+    ("generation-not-a-number", '{"generation": "x"}', r"ValueError"),
+    ("not-an-object", "[1]", r"TypeError"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [row[1:] for row in UNREADABLE_MANIFESTS], ids=[row[0] for row in UNREADABLE_MANIFESTS]
+)
+def test_unreadable_manifest_stops_the_generation_bump(built_index, tmp_path, text, expected):
+    path = tmp_path / "index.npz"
+    save_index_sharded(built_index, path, num_shards=2)
+    layout = save_index_sharded(built_index, path, num_shards=2)
+    _, manifest = load_manifest(path)
+    assert manifest["generation"] == 1
+    manifest_path = layout / MANIFEST_FILENAME
+    manifest_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(manifest_path)) + r".*" + expected):
+        save_index_sharded(built_index, path, num_shards=2)
+    assert manifest_path.read_text(encoding="utf-8") == text  # nothing was written
+    # an explicit generation still overrides the unreadable counter
+    save_index_sharded(built_index, path, num_shards=2, generation=2)
+    assert load_manifest(path)[1]["generation"] == 2
+
+
+# --------------------------------------------------------------------- #
+# tree sidecar: damage falls back to the lazily built resolver
+# --------------------------------------------------------------------- #
+def _flip_last_byte(path) -> None:
+    _flip_at(path, path.stat().st_size - 1)
+
+
+def _flip_in_npy_header(path) -> None:
+    _flip_at(path, 20)  # inside the .npy header's dict literal
+
+
+#: (sidecar member, damage)
+SIDECAR_DAMAGE = [
+    ("truncated-euler", "euler.npy", _truncate_half),
+    ("truncated-table", "table.npy", _truncate_half),
+    ("truncated-members", "members.npy", _cut_last_30_bytes),
+    ("flipped-euler-data", "euler.npy", _flip_last_byte),
+    ("flipped-first-data", "first.npy", _flip_last_byte),
+    ("flipped-depth-header", "euler_depth.npy", _flip_in_npy_header),
+    ("flipped-local-header", "local.npy", _flip_in_npy_header),
+]
+
+
+def _same_root_pairs(index):
+    """Pairs answered by the tree resolver: both ends in one attachment tree."""
+    contraction = index.contraction
+    trees = {}
+    for v in range(contraction.num_original):
+        trees.setdefault(contraction.root[v], []).append(v)
+    pairs = [
+        (members[i], members[j])
+        for members in trees.values()
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    ]
+    assert pairs, "the fixture graph needs contracted vertices"
+    return pairs[:200]
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["in-memory", "mmap"])
+@pytest.mark.parametrize(
+    "member, damage", [row[1:] for row in SIDECAR_DAMAGE], ids=[row[0] for row in SIDECAR_DAMAGE]
+)
+def test_damaged_tree_sidecar_is_ignored(built_index, pairs, tmp_path, member, damage, mmap):
+    path = tmp_path / "index.npz"
+    built_index.save(path, tree_sidecar=True)
+    queries = _same_root_pairs(built_index) + list(pairs)
+    expected = HC2LIndex.load(path, mmap_labels=mmap).distances(queries).tolist()
+    assert load_tree_sidecar(path, built_index.contraction, mmap=mmap) is not None
+    damage(tree_sidecar_directory(path) / member)
+    assert load_tree_sidecar(path, built_index.contraction, mmap=mmap) is None
+    loaded = HC2LIndex.load(path, mmap_labels=mmap)
+    assert loaded.engine.resolver._tree_resolver is None  # built lazily instead
+    assert loaded.distances(queries).tolist() == expected
+    assert [loaded.distance(s, t) for s, t in queries[:40]] == expected[:40]

@@ -1,12 +1,11 @@
-"""Shortest-path backend seam: bit-identity, fallbacks and selection.
+"""Shortest-path backend seam: bit-identity, delegation and selection.
 
 The construction backends (:mod:`repro.core.backends`) promise that the
 labels they build are **bit-identical** regardless of which backend ran
 the searches - that is what makes ``auto`` safe as a default and the
 heap/csr split safe to mix mid-build.  These tests pin that promise on
-random graphs, cover the scipy-free numpy fallback and the zero-weight
-delegation guard, and check the selection plumbing end to end
-(parameters, persistence header, CLI flag).
+random graphs, cover the zero-weight delegation guard, and check the
+selection plumbing end to end (parameters, persistence header, CLI flag).
 """
 
 from __future__ import annotations
@@ -16,14 +15,12 @@ import random
 import numpy as np
 import pytest
 
-import repro.core.backends as backends_module
 from repro.core.backends import (
     CSRBackend,
     DialBackend,
     HeapBackend,
     check_backend_name,
     resolve_backend,
-    scipy_available,
 )
 from repro.core.construction import HC2LBuilder, root_snapshot
 from repro.core.dynamic import DynamicHC2LIndex
@@ -59,17 +56,6 @@ class TestBackendBitIdentity:
         graph = _random_graph(seed)
         heap_index = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         # min_vertices=0 forces the batched searches even on leaf nodes
-        builder = HC2LBuilder(leaf_size=4, backend=CSRBackend(min_vertices=0))
-        _, labelling, _ = builder.build(heap_index.contraction.core)
-        assert labelling == heap_index.flat_labelling()
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_numpy_fallback_matches_heap(self, seed, monkeypatch):
-        """With scipy masked out, the Bellman-Ford fallback must agree too."""
-        monkeypatch.setattr(backends_module, "_scipy_dijkstra", None)
-        monkeypatch.setattr(backends_module, "_scipy_csr_matrix", None)
-        graph = _random_graph(seed, n_lo=15, n_hi=40)
-        heap_index = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         builder = HC2LBuilder(leaf_size=4, backend=CSRBackend(min_vertices=0))
         _, labelling, _ = builder.build(heap_index.contraction.core)
         assert labelling == heap_index.flat_labelling()
@@ -139,9 +125,8 @@ class TestBackendSelection:
         assert resolve_backend("heap").name == "heap"
         assert resolve_backend("csr").name == "csr"
         assert resolve_backend("dial").name == "dial"
-        expected_auto = "csr" if scipy_available() else "heap"
-        assert resolve_backend("auto").name == expected_auto
-        assert resolve_backend(None).name == expected_auto
+        assert resolve_backend("auto").name == "csr"
+        assert resolve_backend(None).name == "csr"
         instance = CSRBackend(min_vertices=7)
         assert resolve_backend(instance) is instance
 
@@ -162,12 +147,7 @@ class TestBackendSelection:
             with pytest.raises(TypeError, match="must be a string"):
                 check_backend_name(spec)
         # None stays the documented "pick for me" spelling
-        assert resolve_backend(None).name in ("csr", "heap")
-
-    def test_auto_without_scipy_resolves_to_heap(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "scipy_available", lambda: False)
-        assert resolve_backend("auto").name == "heap"
-        assert resolve_backend(None).name == "heap"
+        assert resolve_backend(None).name == "csr"
 
     def test_parameters_round_trip_through_archive(self, tmp_path):
         graph = _random_graph(9, n_lo=12, n_hi=20)

@@ -9,11 +9,11 @@ import pytest
 
 from repro.core.construction import HC2LBuilder
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.query import hub_vertices_for_query, min_plus_prefix
 from repro.graph.builders import graph_from_edges, grid_graph, path_graph, star_graph
 from repro.graph.graph import Graph
 
-from helpers import assert_distance_equal, random_query_pairs
+from helpers import assert_distance_equal, label_levels, random_query_pairs
+from oracles import hub_vertices_for_query, min_plus_prefix
 
 INF = float("inf")
 
@@ -140,7 +140,9 @@ class TestTailPruningEffect:
     def test_tail_pruning_reduces_label_size(self, medium_graph):
         pruned = HC2LIndex.build(medium_graph, tail_pruning=True)
         naive = HC2LIndex.build(medium_graph, tail_pruning=False)
-        assert pruned.labelling.total_entries() < naive.labelling.total_entries()
+        assert (
+            pruned.flat_labelling().total_entries() < naive.flat_labelling().total_entries()
+        )
 
     def test_tail_pruning_keeps_answers(self, medium_graph, query_pairs_medium):
         pruned = HC2LIndex.build(medium_graph, tail_pruning=True)
@@ -176,7 +178,7 @@ class TestMetricsAndPersistence:
     def test_label_size_positive_and_consistent(self, small_graph):
         index = HC2LIndex.build(small_graph)
         assert index.label_size_bytes() > 0
-        assert index.label_size_bytes() >= index.labelling.size_bytes()
+        assert index.label_size_bytes() >= index.flat_labelling().size_bytes()
         assert index.lca_storage_bytes() == 8 * index.contraction.core.num_vertices
 
     def test_distance_with_hub_count(self, small_graph, small_oracle):
@@ -237,6 +239,26 @@ class TestQueryHelpers:
                 continue
             hubs = hub_vertices_for_query(hierarchy, s, t)
             assert hubs == hierarchy.lca_node(s, t).cut
+
+    @pytest.mark.parametrize("tail_pruning", [True, False])
+    def test_engine_hub_counts_match_reference(self, medium_graph, tail_pruning):
+        """The engine's (distance, hub count) is the reference scan's, and
+        the count never exceeds the LCA cut (equals it without pruning)."""
+        index = HC2LIndex.build(medium_graph, contract=False, tail_pruning=tail_pruning)
+        levels = label_levels(index.flat_labelling())
+        hierarchy = index.hierarchy
+        for s, t in random_query_pairs(medium_graph, 60, seed=4):
+            value, hubs = index.distance_with_hub_count(s, t)
+            assert value == index.distance(s, t)
+            if s == t:
+                assert (value, hubs) == (0.0, 0)
+                continue
+            depth = hierarchy.lca_depth(s, t)
+            assert (value, hubs) == min_plus_prefix(levels[s][depth], levels[t][depth])
+            cut_size = len(hub_vertices_for_query(hierarchy, s, t))
+            assert hubs <= cut_size
+            if not tail_pruning:
+                assert hubs == cut_size
 
 
 class TestGridStructure:

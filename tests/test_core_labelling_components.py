@@ -6,7 +6,8 @@ import pytest
 
 from oracles import adjacency_of, dijkstra_adjacency, dist_and_prune
 from repro.core.construction import root_snapshot
-from repro.core.labelling import HC2LLabelling, node_distance_arrays
+from repro.core.flat_build import fragment_from_levels
+from repro.core.labelling import node_distance_arrays
 from repro.core.pruned_dijkstra import dist_and_prune_dense
 from repro.core.ranking import rank_cut_vertices
 from repro.graph.builders import graph_from_edges, path_graph
@@ -142,26 +143,25 @@ class TestNodeDistanceArrays:
 
 
 class TestLabellingContainer:
+    """Level lists packed by ``fragment_from_levels`` read back per level."""
+
     def test_append_and_access(self):
-        labelling = HC2LLabelling(3)
-        labelling.append_level(0, [1.0, 2.0])
-        labelling.append_level(0, [3.0])
-        labelling.append_level(1, [])
+        labelling = fragment_from_levels([[[1.0, 2.0], [3.0]], [[]], []])
         assert labelling.num_levels(0) == 2
+        assert labelling.num_levels(1) == 1
         assert labelling.level_array(0, 1) == [3.0]
+        assert labelling.level_array(1, 0) == []
         assert labelling.entries_of(0) == 3
         assert labelling.total_entries() == 3
 
     def test_size_accounting(self):
-        labelling = HC2LLabelling(2)
-        labelling.append_level(0, [1.0, 2.0, 3.0])
-        labelling.append_level(1, [4.0])
+        labelling = fragment_from_levels([[[1.0, 2.0, 3.0]], [[4.0]]])
         assert labelling.size_bytes() == 4 * 8 + 2 * 2 + 2 * 8
         assert labelling.average_label_entries() == 2.0
         assert labelling.max_label_entries() == 3
 
     def test_empty_labelling(self):
-        labelling = HC2LLabelling(0)
+        labelling = fragment_from_levels([])
         assert labelling.total_entries() == 0
         assert labelling.average_label_entries() == 0.0
         assert labelling.max_label_entries() == 0

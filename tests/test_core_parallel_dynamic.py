@@ -31,7 +31,7 @@ class TestParallelBuilder:
         # the two builders process the same cuts, so structural metrics match
         assert parallel.tree_height() == sequential.tree_height()
         assert parallel.max_cut_size() == sequential.max_cut_size()
-        assert parallel.labelling.total_entries() == sequential.labelling.total_entries()
+        assert parallel.flat_labelling().total_entries() == sequential.flat_labelling().total_entries()
         # worker processes run the serial recursion on subtrees: the labels
         # are the same bits, not merely the same size
         assert parallel.flat_labelling() == sequential.flat_labelling()

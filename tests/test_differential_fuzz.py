@@ -180,10 +180,10 @@ class TestFlowRouteFuzz:
 
     The canonical minimum cuts are unique across all maximum flows, so
     forcing the balanced cuts through either production route (scipy or
-    the Edmonds-Karp loop, with and without scipy's flow hidden) must
-    never change a single label against a build whose cuts come from the
-    Dinitz oracle - across caterpillar, tree-heavy, sparse and
-    disconnected topologies, not just the conformance graphs.
+    the Edmonds-Karp loop) must never change a single label against a
+    build whose cuts come from the Dinitz oracle - across caterpillar,
+    tree-heavy, sparse and disconnected topologies, not just the
+    conformance graphs.
     """
 
     def test_flow_routes_same_labels(self, case, monkeypatch):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import threading
 import zlib
 from typing import List, Tuple
@@ -125,13 +126,17 @@ class TestGenerationPersistence:
         with pytest.raises(ValueError, match="generation"):
             load_manifest(layout)
 
-    def test_corrupt_manifest_restarts_counter(self, dyn_index, tmp_path):
+    def test_corrupt_manifest_refuses_to_restart_counter(self, dyn_index, tmp_path):
         path = tmp_path / "idx.npz"
+        dyn_index.save_sharded(path, num_shards=2)
         layout = dyn_index.save_sharded(path, num_shards=2)
         (layout / MANIFEST_FILENAME).write_text("{not json", encoding="utf-8")
-        layout = dyn_index.save_sharded(path, num_shards=2)
+        # restarting at 0 would look older than generation 1 to a live router
+        with pytest.raises(ValueError, match=re.escape(str(layout / MANIFEST_FILENAME))):
+            dyn_index.save_sharded(path, num_shards=2)
+        layout = dyn_index.save_sharded(path, num_shards=2, generation=2)
         _, manifest = load_manifest(layout)
-        assert manifest["generation"] == 0
+        assert manifest["generation"] == 2
 
 
 # --------------------------------------------------------------------- #

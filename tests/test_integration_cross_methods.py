@@ -105,5 +105,5 @@ class TestPaperShapeExpectations:
     def test_parallel_and_sequential_builds_identical_labels(self, all_indexes):
         sequential = all_indexes["HC2L"]
         parallel = all_indexes["HC2L_p"]
-        assert sequential.labelling.total_entries() == parallel.labelling.total_entries()
+        assert sequential.flat_labelling().total_entries() == parallel.flat_labelling().total_entries()
         assert sequential.tree_height() == parallel.tree_height()

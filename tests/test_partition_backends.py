@@ -8,10 +8,9 @@ pin down bit-identical cuts across
 * the ``heap`` and ``csr`` backends (seed searches, component scans),
 * both max-flow routes of ``minimum_vertex_cut_region`` - scipy
   ``maximum_flow`` and the compact Edmonds-Karp, each forced through the
-  region-size threshold, with and without scipy's flow hidden - against
-  the Dinitz oracle of ``oracles.py`` (the canonical minimum cuts are
-  unique across all maximum flows, which is what makes the routes
-  interchangeable).
+  region-size threshold - against the Dinitz oracle of ``oracles.py``
+  (the canonical minimum cuts are unique across all maximum flows, which
+  is what makes the routes interchangeable).
 
 CI runs this module as a dedicated smoke step so partition-layer backend
 drift fails loudly, separately from the rest of the suite.
@@ -102,26 +101,6 @@ class TestCutBackendEquality:
         assert reference.part_b == fast.part_b
         assert separates(flat, fast)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_csr_without_scipy_matches(self, seed, monkeypatch):
-        import repro.core.backends as backends_module
-
-        monkeypatch.setattr(backends_module, "_scipy_dijkstra", None)
-        monkeypatch.setattr(backends_module, "_scipy_csr_matrix", None)
-        monkeypatch.setattr(backends_module, "_scipy_components", None)
-        monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", None)
-        # every region is large enough for scipy, which is hidden: the
-        # dispatch must fall back to the Edmonds-Karp loop
-        monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 0)
-        flat = _seeded_snapshot(seed)
-        reference = balanced_cut(flat, backend=HeapBackend())
-        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
-        assert (reference.part_a, reference.cut, reference.part_b) == (
-            fast.part_a,
-            fast.cut,
-            fast.part_b,
-        )
-
     def test_road_network_cuts_are_identical(self):
         network = synthetic_road_network(
             RoadNetworkSpec("cut-smoke", num_vertices=350, seed=2024)
@@ -165,8 +144,6 @@ class TestFlowSolverEquality:
 
     def test_dispatch_follows_region_size(self, monkeypatch):
         """scipy's flow runs exactly on regions of at least the threshold."""
-        if vertex_cut_module._scipy_maximum_flow is None:
-            pytest.skip("scipy is not installed")
         calls = []
         scipy_flow = vertex_cut_module._scipy_maximum_flow
 

@@ -18,10 +18,10 @@ import pytest
 from repro.core.construction import HC2LBuilder
 from repro.core.flat import FlatLabelling
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.labelling import HC2LLabelling
+from repro.core.flat_build import fragment_from_levels
 from repro.core.parallel import ParallelHC2LBuilder
 
-from helpers import assert_distance_equal, rewrite_archive
+from helpers import assert_distance_equal, label_levels, rewrite_archive
 
 
 def _read_header(path) -> dict:
@@ -210,21 +210,14 @@ class TestPersistenceRoundTrip:
 
 class TestStreamingAssembly:
     def test_merge_levels_concatenates_per_vertex(self):
-        left = FlatLabelling.from_labelling(
-            HC2LLabelling(num_vertices=2, labels=[[[1.0]], [[2.0, 3.0]]])
-        )
-        right = FlatLabelling.from_labelling(
-            HC2LLabelling(num_vertices=2, labels=[[[4.0], []], [[5.0]]])
-        )
+        left = fragment_from_levels([[[1.0]], [[2.0, 3.0]]])
+        right = fragment_from_levels([[[4.0], []], [[5.0]]])
         merged = left.merge_levels(right)
-        nested = merged.to_labelling()
-        assert nested.labels == [[[1.0], [4.0], []], [[2.0, 3.0], [5.0]]]
+        assert label_levels(merged) == [[[1.0], [4.0], []], [[2.0, 3.0], [5.0]]]
 
     def test_merge_levels_rejects_size_mismatch(self):
-        a = FlatLabelling.from_labelling(HC2LLabelling(num_vertices=1, labels=[[[1.0]]]))
-        b = FlatLabelling.from_labelling(
-            HC2LLabelling(num_vertices=2, labels=[[[1.0]], [[2.0]]])
-        )
+        a = fragment_from_levels([[[1.0]]])
+        b = fragment_from_levels([[[1.0]], [[2.0]]])
         with pytest.raises(ValueError):
             a.merge_levels(b)
 

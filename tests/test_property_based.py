@@ -162,7 +162,7 @@ class TestHC2LProperties:
     def test_tail_pruning_never_changes_answers(self, graph):
         pruned = HC2LIndex.build(graph, tail_pruning=True)
         naive = HC2LIndex.build(graph, tail_pruning=False)
-        assert pruned.labelling.total_entries() <= naive.labelling.total_entries()
+        assert pruned.flat_labelling().total_entries() <= naive.flat_labelling().total_entries()
         for s in graph.vertices():
             for t in graph.vertices():
                 a, b = pruned.distance(s, t), naive.distance(s, t)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.index import HC2LIndex
-from repro.core.labelling import HC2LLabelling
 from repro.experiments.workloads import random_pairs, skewed_pairs
 from repro.serving import CachingOracle, load_index_mmap
 
@@ -212,15 +211,14 @@ class TestMmapLoading:
 
 
 # --------------------------------------------------------------------- #
-# single-copy label storage + mutation guard
+# single-copy label storage
 # --------------------------------------------------------------------- #
 class TestSingleCopyStorage:
     def test_batch_query_keeps_exactly_one_label_copy(self, small_graph):
         index = HC2LIndex.build(small_graph)
         index.distances([(0, 5), (3, 9), (7, 7)])
-        # the flat buffers are the only materialised labels: no nested view,
-        # no scalar list mirror inside the engine
-        assert index._labelling_view is None
+        # the flat buffers are the only materialised labels: no scalar list
+        # mirror inside the engine
         assert index.engine._values_list is None
         assert index.engine.flat is index.flat_labelling()
 
@@ -230,40 +228,6 @@ class TestSingleCopyStorage:
         assert index.engine._values_list is None
         index.distance(0, 5)
         assert index.engine._values_list is not None
-        # the nested view still does not exist
-        assert index._labelling_view is None
-
-    def test_labelling_view_matches_flat_and_is_cached(self, index):
-        view = index.labelling
-        assert view is index.labelling
-        assert view.total_entries() == index.flat_labelling().total_entries()
-
-    def test_direct_assignment_rejected(self, small_graph):
-        index = HC2LIndex.build(small_graph)
-        with pytest.raises(AttributeError, match="replace_labelling"):
-            index.labelling = HC2LLabelling(3)
-
-    def test_view_mutation_rejected(self, small_graph):
-        index = HC2LIndex.build(small_graph)
-        with pytest.raises(RuntimeError, match="replace_labelling"):
-            index.labelling.append_level(0, [1.0])
-
-    def test_replace_labelling_invalidates_engine(self, small_graph):
-        index = HC2LIndex.build(small_graph)
-        before = index.distance(0, 9)
-        engine_before = index.engine
-        nested = index.flat_labelling().to_labelling()
-        replacement = HC2LLabelling(num_vertices=nested.num_vertices, labels=nested.labels)
-        index.replace_labelling(replacement)
-        assert index.engine is not engine_before
-        assert index.distance(0, 9) == before
-
-    def test_replace_labelling_rejects_wrong_shape(self, small_graph):
-        index = HC2LIndex.build(small_graph)
-        with pytest.raises(ValueError):
-            index.replace_labelling(HC2LLabelling(2))
-        with pytest.raises(TypeError):
-            index.replace_labelling([[1.0]])
 
 
 # --------------------------------------------------------------------- #
