@@ -19,8 +19,9 @@ Five subcommands cover the typical workflow of a downstream user:
 ``serve``
     Serve a sharded layout through the multi-process fleet: an asyncio
     TCP front door placing batches onto shard-owning worker processes
-    (``--wire`` picks the response framing, ``--shared-cache-slots``
-    enables the cross-worker shared-memory pair cache).
+    (each request is answered in the framing it arrived in - JSON or
+    binary; ``--shared-cache-slots`` enables the cross-worker
+    shared-memory pair cache).
 ``fleet-bench``
     Run the closed-loop fleet benchmark (p50/p99 latency and
     majority-placement hit rate per worker count and wire mode, plus a
@@ -143,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--queries", type=int, default=1000, help="random query count (default 1000)")
 
     serve = subparsers.add_parser(
-        "serve", help="serve a sharded layout through the multi-process fleet over TCP"
+        "serve",
+        help="serve a sharded layout through the multi-process fleet over TCP "
+        "(each request is answered in the JSON or binary framing it arrived in)",
     )
     serve.add_argument("index", help="index whose sharded layout ('repro shard') to serve")
     serve.add_argument("--workers", type=int, default=2, help="worker process count (default 2)")
@@ -168,13 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port-file",
         default=None,
         help="write 'host port' to this file once the listener is bound",
-    )
-    serve.add_argument(
-        "--wire",
-        choices=["json", "binary"],
-        default="binary",
-        help="TCP response framing for array ops (default binary; JSON "
-        "requests always get JSON replies)",
     )
     serve.add_argument(
         "--shared-cache-slots",
@@ -378,7 +374,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
-        wire=args.wire,
         shared_cache_slots=args.shared_cache_slots,
     )
     try:
@@ -390,7 +385,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"fleet serving {args.index} on {host}:{port} with "
-            f"{args.workers} workers (wire={args.wire}, {cache})"
+            f"{args.workers} workers ({cache})"
         )
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as handle:

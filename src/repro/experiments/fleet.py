@@ -162,7 +162,6 @@ def _wire_phase_rows(
     with FleetOracle(
         path,
         num_workers=num_workers,
-        wire=wire,
         shared_cache_slots=shared_cache_slots,
     ) as fleet:
         # bit-identity wall before anything is timed (also warms the
@@ -264,7 +263,7 @@ def _shared_cache_rows(
     # the cache disabled measures the off-fleet once instead of twice
     for slots in dict.fromkeys((shared_cache_slots, 0)):
         with FleetOracle(
-            path, num_workers=num_workers, wire=wire, shared_cache_slots=slots
+            path, num_workers=num_workers, shared_cache_slots=slots
         ) as fleet:
             for batch, baseline in zip(batches, baselines):
                 if fleet.distances(batch).tolist() != baseline.tolist():

@@ -11,10 +11,12 @@ processes, each serving shards through the lazy-mmap
 to the monolithic engine; the fleet only changes *where* they are
 computed.
 
-The TCP plane speaks two framings (:mod:`repro.serving.fleet.protocol`):
-JSON for control ops and netcat-style clients, and a binary frame type
-that moves ``distances`` / ``one_to_many`` / ``many_to_many`` payloads
-as raw ndarray bytes.  Workers optionally share one
+Both hops - client to front door over TCP, front door to worker over a
+socket pair - speak one frame protocol
+(:mod:`repro.serving.fleet.protocol`): JSON for control ops, errors and
+netcat-style clients, and a binary frame type that moves ``distances`` /
+``one_to_many`` / ``many_to_many`` payloads as raw ndarray bytes; each
+request is answered in the framing it arrived in.  Workers optionally share one
 :class:`~repro.serving.shm_cache.SharedPairCache`, so a hot pair pays
 the label min-plus once per *fleet* instead of once per worker.
 """

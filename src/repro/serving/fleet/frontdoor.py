@@ -10,8 +10,9 @@ decides *which worker* runs the exact same routed min-plus.
 Requests enter three ways, all meeting in :meth:`FleetServer.distances`:
 
 * in-process ``await server.distance(s, t)`` / ``server.distances(pairs)``;
-* over TCP via the length-prefixed JSON frames of
-  :mod:`repro.serving.fleet.protocol` (see :class:`FleetClient`);
+* over TCP via the length-prefixed JSON and binary frames of
+  :mod:`repro.serving.fleet.protocol` (see :class:`FleetClient`), each
+  answered in the framing it arrived in;
 * through the synchronous :class:`~repro.serving.fleet.oracle.FleetOracle`
   facade, which gives the fleet the ordinary ``DistanceOracle`` shape.
 
@@ -42,29 +43,23 @@ from repro.serving.fleet.protocol import (
     BinaryMessage,
     encode_binary_frame,
     encode_frame,
-    error_to_wire,
+    error_frame,
     read_frame,
-    wire_to_error,
+    unpack_reply,
     write_frame,
 )
 from repro.serving.shm_cache import SharedPairCache
 
 INF = float("inf")
 
-#: wire modes a fleet endpoint can speak (see protocol module docs)
+#: request framings a FleetClient can send (see protocol module docs)
 WIRE_MODES = ("json", "binary")
 
-#: most pairs one worker pipe message may carry: a distances request is
+#: most pairs one worker request frame may carry: a distances request is
 #: 16 bytes per pair (the reply only 8) plus a small header, so the
 #: request side hits the frame cap first - batches above this are
-#: chunked in the front door, never refused at the pipe
+#: chunked in the front door, never refused on the worker hop
 _PIPE_PAIR_CHUNK = (MAX_FRAME_BYTES - 1024) // 16
-
-
-def _validate_wire(wire) -> str:
-    if not isinstance(wire, str) or wire not in WIRE_MODES:
-        raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
-    return wire
 
 
 class FleetStats:
@@ -88,7 +83,6 @@ class FleetStats:
             shared_cache = {"enabled": False}
         return {
             "num_workers": server.pool.num_workers,
-            "wire": server.wire,
             "generation": server.generation,
             "reloads": server._reloads,
             "shared_cache": shared_cache,
@@ -125,11 +119,6 @@ class FleetServer:
     max_retries:
         Crash-retry budget per request (see
         :class:`~repro.serving.fleet.worker.WorkerHandle`).
-    wire:
-        TCP response framing for the array ops: ``"binary"`` (default)
-        answers binary requests in kind, ``"json"`` forces JSON replies
-        even for binary requests (the negotiated fallback).  JSON
-        requests always get JSON replies in either mode.
     shared_cache_slots:
         Capacity of the cross-worker shared-memory pair cache
         (:class:`~repro.serving.shm_cache.SharedPairCache`); ``0``
@@ -146,7 +135,6 @@ class FleetServer:
         majority_threshold: float = 0.75,
         max_retries: int = 1,
         mmap: bool = True,
-        wire: str = "binary",
         shared_cache_slots: int = 0,
     ) -> None:
         # loud validation, HC2LParameters style: a serving tier must refuse
@@ -163,7 +151,6 @@ class FleetServer:
             raise ValueError(f"max_batch must be an int >= 1, got {max_batch!r}")
         if isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 0:
             raise ValueError(f"max_retries must be an int >= 0, got {max_retries!r}")
-        self.wire = _validate_wire(wire)
         if (
             isinstance(shared_cache_slots, bool)
             or not isinstance(shared_cache_slots, (int, np.integer))
@@ -265,13 +252,23 @@ class FleetServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self, timeout: float = 60.0) -> "FleetServer":
-        """Spawn the pool and wait until every worker answers a ping."""
+        """Spawn the pool and wait until every worker answers a ping.
+
+        A worker that cannot open the layout answers the ping with its
+        setup error, which is raised here after the pool is stopped.
+        """
         if self._started:
             return self
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.pool.start)
         self._started = True
-        await self.pool.ping_all(timeout=timeout)
+        try:
+            await self.pool.start()
+            await self.pool.ping_all(timeout=timeout)
+        except BaseException:
+            self._closed = True
+            await self.pool.shutdown()
+            if self.shared_cache is not None:
+                self.shared_cache.close()
+            raise
         return self
 
     async def aclose(self, timeout: float = 10.0) -> None:
@@ -294,8 +291,7 @@ class FleetServer:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lambda: self.pool.shutdown(timeout=timeout))
+        await self.pool.shutdown(timeout=timeout)
         if self.shared_cache is not None:
             self.shared_cache.close()
 
@@ -429,11 +425,11 @@ class FleetServer:
                 self._idle.set()
 
     async def _submit_distances(self, worker: int, pair_array: np.ndarray) -> np.ndarray:
-        """Ship one placed batch to its worker, chunked under the pipe cap.
+        """Ship one placed batch to its worker, chunked under the frame cap.
 
-        The chunks queue back to back on the worker's dispatcher, so a
-        giant ``many_to_many`` grid degrades to a few pipe round trips
-        instead of a frame-cap error.
+        The chunks queue back to back on the worker's stream, so a giant
+        ``many_to_many`` grid degrades to a few worker round trips instead
+        of a frame-cap error.
         """
         if len(pair_array) <= _PIPE_PAIR_CHUNK:
             result = await self.pool.submit(
@@ -541,7 +537,7 @@ class FleetServer:
     ) -> Dict[str, List[int]]:
         """Ping every worker; optionally kick unresponsive ones.
 
-        A kicked worker's dispatcher restarts the process and *retries the
+        A kicked worker's serving task restarts the process and *retries the
         ping*, so with ``restart_unhealthy=True`` a hung-but-recoverable
         worker comes back healthy within one call.
         """
@@ -639,17 +635,13 @@ class FleetServer:
                     # not strand the peer's pending future
                     frame = encode_frame({"id": request_id, "ok": True, "value": value})
                 except BaseException as error:  # noqa: BLE001 - shipped to the peer
-                    frame = encode_frame(
-                        {"id": request_id, "ok": False, "error": error_to_wire(error)}
-                    )
+                    frame = error_frame(request_id, error)
         except BaseException as error:  # noqa: BLE001 - last resort
             # a fire-and-forget task must never swallow a request: if even
             # the error reply can't be encoded, drop the connection so the
             # client fails its pending futures instead of hanging
             try:
-                frame = encode_frame(
-                    {"id": request_id, "ok": False, "error": error_to_wire(error)}
-                )
+                frame = error_frame(request_id, error)
             except Exception:
                 writer.close()
                 return
@@ -661,11 +653,9 @@ class FleetServer:
             pass  # peer gone; nothing to tell
 
     async def _serve_binary(self, request: BinaryMessage) -> bytes:
-        """Serve one binary request; errors always fall back to JSON.
+        """Serve one binary request: a binary ok-reply, or a JSON error.
 
-        In ``wire="binary"`` mode the ok-reply is a binary frame viewing
-        the result buffer; in ``wire="json"`` mode (the negotiated
-        fallback) the same request gets an ordinary JSON reply.  Reply
+        The ok-reply is a binary frame viewing the result buffer.  Reply
         encoding happens inside the same try as the query, so a result
         over the frame cap answers with a JSON error frame.
         """
@@ -673,17 +663,11 @@ class FleetServer:
             if request.kind != KIND_REQUEST:
                 raise ValueError("expected a binary request frame, got a response kind")
             value = await self._apply_binary(request)
-            if self.wire == "binary":
-                return encode_binary_frame(
-                    KIND_RESPONSE, request.op, request.request_id, [value]
-                )
-            return encode_frame(
-                {"id": request.request_id, "ok": True, "value": value.tolist()}
+            return encode_binary_frame(
+                KIND_RESPONSE, request.op, request.request_id, [value]
             )
         except BaseException as error:  # noqa: BLE001 - shipped to the peer
-            return encode_frame(
-                {"id": request.request_id, "ok": False, "error": error_to_wire(error)}
-            )
+            return error_frame(request.request_id, error)
 
     async def _apply_binary(self, request: BinaryMessage) -> np.ndarray:
         """Execute one binary request; returns the raw ndarray result."""
@@ -747,10 +731,10 @@ class FleetClient:
     :func:`~repro.serving.fleet.protocol.wire_to_error`).
 
     ``wire="binary"`` sends the array ops (``distances`` /
-    ``one_to_many`` / ``many_to_many``) as binary frames; the reply may
-    come back binary (server in binary mode) or JSON (negotiated
-    fallback) - both resolve to the same float64 arrays.  Control ops
-    are always JSON.
+    ``one_to_many`` / ``many_to_many``) as binary frames and gets binary
+    ok-replies back; ``wire="json"`` sends and receives JSON.  Both
+    resolve to the same float64 arrays.  Control ops and errors are
+    always JSON.
     """
 
     def __init__(
@@ -759,7 +743,9 @@ class FleetClient:
         writer: asyncio.StreamWriter,
         wire: str = "json",
     ) -> None:
-        self.wire = _validate_wire(wire)
+        if not isinstance(wire, str) or wire not in WIRE_MODES:
+            raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
+        self.wire = wire
         self._reader = reader
         self._writer = writer
         self._write_lock = asyncio.Lock()
@@ -778,19 +764,14 @@ class FleetClient:
                 reply = await read_frame(self._reader)
                 if reply is None:
                     break
-                if isinstance(reply, BinaryMessage):
-                    future = self._pending.pop(reply.request_id, None)
-                    if future is None or future.done():
-                        continue
-                    future.set_result(reply.arrays[0] if reply.arrays else None)
-                    continue
-                future = self._pending.pop(reply.get("id"), None)
+                request_id, value, error = unpack_reply(reply)
+                future = self._pending.pop(request_id, None)
                 if future is None or future.done():
                     continue
-                if reply.get("ok"):
-                    future.set_result(reply.get("value"))
+                if error is not None:
+                    future.set_exception(error)
                 else:
-                    future.set_exception(wire_to_error(reply.get("error", {})))
+                    future.set_result(value)
         except (ConnectionError, ValueError, OSError) as error:
             self._fail_pending(error)
         else:
@@ -819,7 +800,7 @@ class FleetClient:
         return await future
 
     async def _request_binary(self, op: str, arrays: List[np.ndarray]):
-        """Send one binary request; the reply may be binary or JSON."""
+        """Send one binary request; the reply is binary (or a JSON error)."""
         request_id, future = self._register()
         frame = encode_binary_frame(KIND_REQUEST, op, request_id, arrays)
         async with self._write_lock:

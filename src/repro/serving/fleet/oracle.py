@@ -26,15 +26,17 @@ class FleetOracle:
 
     Construction is synchronous and *started*: when ``__init__`` returns,
     the loop thread is running, every worker process has answered a ping,
-    and the oracle is ready to serve.  ``close()`` drains and stops
-    everything; the instance also works as a context manager.
+    and the oracle is ready to serve.  A worker that cannot open the
+    layout makes ``__init__`` raise that worker's setup error (type and
+    text).  ``close()`` drains and stops everything; the instance also
+    works as a context manager.
 
     Server options pass through ``**server_options`` - notably
-    ``wire="json"|"binary"`` (TCP response framing) and
     ``shared_cache_slots`` (cross-worker shared-memory pair cache; the
     in-process oracle surface benefits from it too, since workers consult
     the cache on every ``distances`` batch regardless of how the request
-    arrived).
+    arrived).  The loop thread is the facade's only thread: the fleet
+    itself (front door, worker handles) runs as tasks on its loop.
     """
 
     def __init__(
@@ -72,11 +74,6 @@ class FleetOracle:
     @property
     def supports_batch(self) -> bool:
         return True
-
-    @property
-    def wire(self) -> str:
-        """TCP response framing of the underlying server."""
-        return self.server.wire
 
     @property
     def index_size_bytes(self) -> int:

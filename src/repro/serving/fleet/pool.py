@@ -7,10 +7,10 @@ the hierarchy-aligned boundaries of PR 5 - contiguous shards are
 contiguous DFS ranges, so one worker owns one connected slice of the
 hierarchy and neighbourhood traffic stays on it.
 
-The pool's blocking calls (``start``, ``shutdown``, ``health``) are meant
-to run in an executor when driven from the asyncio front door; the
-per-request path (:meth:`submit`) never blocks - it queues onto the
-worker's dispatcher thread and returns a future on the caller's loop.
+Everything runs on the front door's event loop: :meth:`start` and
+:meth:`shutdown` are coroutines (process spawn and reaping go to the
+loop's executor), and the per-request path (:meth:`submit`) never
+blocks - it queues onto the worker's serving task and returns a future.
 """
 
 from __future__ import annotations
@@ -84,27 +84,31 @@ class WorkerPool:
         return len(self.workers)
 
     # ------------------------------------------------------------------ #
-    # lifecycle (blocking; run in an executor from async code)
+    # lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Spawn every worker process and dispatcher thread."""
+    async def start(self) -> None:
+        """Spawn every worker process and its serving task."""
         if self._started:
             return
-        for worker in self.workers:
-            worker.start()
         self._started = True
+        # every start runs to its end, so shutdown() finds each spawned worker
+        results = await asyncio.gather(
+            *(worker.start() for worker in self.workers), return_exceptions=True
+        )
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
 
-    def shutdown(self, timeout: float = 10.0) -> None:
+    async def shutdown(self, timeout: float = 10.0) -> None:
         """Graceful drain: every queued request finishes, then workers exit."""
         if not self._started:
             return
-        for worker in self.workers:
-            worker.close(timeout=timeout)
+        await asyncio.gather(*(worker.close(timeout=timeout) for worker in self.workers))
         self._started = False
 
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill one worker process (tests, unhealthy-worker recovery);
-        its dispatcher restarts it on the next request."""
+        its serving task restarts it on the next request."""
         self.workers[worker_id].kill()
 
     # ------------------------------------------------------------------ #
@@ -114,9 +118,8 @@ class WorkerPool:
         """Queue ``request`` on ``worker_id``; resolves on the running loop."""
         if not self._started:
             raise RuntimeError("WorkerPool is not started")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self.workers[worker_id].submit(request, future, loop)
+        future = asyncio.get_running_loop().create_future()
+        self.workers[worker_id].submit(request, future)
         return future
 
     async def ping_all(self, timeout: float = 30.0) -> List[dict]:

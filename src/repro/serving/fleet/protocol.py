@@ -1,9 +1,11 @@
-"""Wire protocol of the fleet front door: length-prefixed JSON + binary frames.
+"""The fleet's frame protocol: length-prefixed JSON + binary frames.
 
-The :class:`~repro.serving.fleet.frontdoor.FleetServer` speaks a
-deliberately small protocol over TCP so that any client - another Python
-process, a load generator, ``netcat`` plus a JSON encoder - can talk to
-it without importing this package:
+One framing serves both hops of the fleet.  The
+:class:`~repro.serving.fleet.frontdoor.FleetServer` speaks it over TCP so
+that any client - another Python process, a load generator, ``netcat``
+plus a JSON encoder - can talk to it without importing this package, and
+each :class:`~repro.serving.fleet.worker.WorkerHandle` speaks it to its
+worker process over a ``socket.socketpair`` stream:
 
 * every message is one **frame**: a 4-byte big-endian unsigned length
   followed by that many payload bytes;
@@ -19,10 +21,9 @@ it without importing this package:
   ``np.frombuffer`` views with no per-float boxing.  Only the
   array-valued ops (``distances``, ``one_to_many``, ``many_to_many``)
   have a binary form; control ops (``ping``, ``stats``, ``health``,
-  ``reload``) and
-  every error reply stay JSON, and a server may always answer a binary
-  request with a JSON frame (the negotiated fallback), so JSON-only
-  clients keep working unchanged.
+  ``reload``) and every error reply stay JSON.  A request is answered in
+  the framing it arrived in, so JSON-only clients never see a binary
+  frame.
 
 Binary frame byte layout (everything after the 4-byte length prefix,
 header fields big-endian, array data little-endian)::
@@ -50,15 +51,9 @@ The ops mirror the :class:`~repro.core.oracle.DistanceOracle` surface:
 ``hub_count`` plus the fleet-management ops ``stats``, ``health``,
 ``ping`` and ``reload`` (hot-swap every worker onto the index generation
 currently on disk; always JSON, answers with the new generation and the
-per-worker replies).  Errors re-raise client-side as the same builtin exception
+per-worker replies).  Errors re-raise at the receiving end as the same builtin exception
 type where possible (``ValueError`` for a bad vertex id stays a
 ``ValueError``), so a remote fleet behaves like an in-process oracle.
-
-This module also provides the **pipe codec** used on the
-worker <-> dispatcher hop (:mod:`repro.serving.fleet.worker`): ndarray
-payloads ship as the same binary layout via ``Connection.send_bytes``
-(no pickling of numeric data), everything else falls back to pickle -
-pickle streams start with ``0x80``, so the magic byte disambiguates.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ import asyncio
 import builtins
 import json
 import math
-import pickle
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -82,7 +76,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: first payload byte of a binary frame; JSON object frames start with
-#: ``{`` (0x7B) and pickle streams with 0x80, so the three never collide
+#: ``{`` (0x7B), so the two never collide
 BINARY_MAGIC = 0xB1
 BINARY_VERSION = 1
 
@@ -272,13 +266,21 @@ def encode_binary_frame(
 # --------------------------------------------------------------------- #
 # stream I/O (both frame kinds)
 # --------------------------------------------------------------------- #
+def decode_payload(payload) -> Union[dict, BinaryMessage]:
+    """Decode one payload: a ``dict`` (JSON) or :class:`BinaryMessage`, by first byte."""
+    if payload and payload[0] == BINARY_MAGIC:
+        return decode_binary_payload(payload)
+    message = json.loads(payload.decode("utf-8"))
+    if not isinstance(message, dict):
+        raise ValueError(f"expected a JSON object frame, got {type(message).__name__}")
+    return message
+
+
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Union[dict, BinaryMessage]]:
     """Read one frame; ``None`` on a clean EOF between frames.
 
-    Returns a ``dict`` for JSON frames and a :class:`BinaryMessage` for
-    binary frames (dispatched on the first payload byte).  A connection
-    dropped mid-frame raises ``ConnectionError`` - a half message must
-    never be silently treated as a clean shutdown.
+    A connection dropped mid-frame raises ``ConnectionError`` - a half
+    message must never be silently treated as a clean shutdown.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -292,50 +294,33 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Union[dict, Binar
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise ConnectionError("connection closed mid-frame (payload)") from error
-    if payload and payload[0] == BINARY_MAGIC:
-        return decode_binary_payload(payload)
-    message = json.loads(payload.decode("utf-8"))
-    if not isinstance(message, dict):
-        raise ValueError(f"expected a JSON object frame, got {type(message).__name__}")
-    return message
+    return decode_payload(payload)
+
+
+def recv_frame(stream) -> Optional[Union[dict, BinaryMessage]]:
+    """Blocking :func:`read_frame` over a binary file such as ``sock.makefile("rb")``.
+
+    The worker side of a hop.  Same contract: ``None`` on a clean EOF
+    between frames, ``ConnectionError`` on an EOF mid-frame,
+    ``ValueError`` on a frame that breaks the cap or does not decode.
+    """
+    prefix = stream.read(_LENGTH.size)
+    if not prefix:
+        return None
+    if len(prefix) < _LENGTH.size:
+        raise ConnectionError("connection closed mid-frame (length prefix)")
+    (length,) = _LENGTH.unpack(prefix)
+    check_frame_length(length)
+    payload = stream.read(length)
+    if len(payload) < length:
+        raise ConnectionError("connection closed mid-frame (payload)")
+    return decode_payload(payload)
 
 
 async def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
     """Write one JSON frame and flush it."""
     writer.write(encode_frame(message))
     await writer.drain()
-
-
-# --------------------------------------------------------------------- #
-# pipe codec (worker <-> dispatcher hop)
-# --------------------------------------------------------------------- #
-def encode_pipe_message(message: dict) -> bytes:
-    """Encode one pipe message: ndarray payloads binary, the rest pickle.
-
-    A ``distances`` request's pair array and an ok-reply's ndarray value
-    travel as raw buffer bytes (the same layout as the TCP binary frame,
-    minus the length prefix - the pipe frames messages itself); control
-    ops, error replies and non-array values fall back to pickle.
-    """
-    if message.get("op") == "distances" and isinstance(message.get("pairs"), np.ndarray):
-        return encode_binary_payload(KIND_REQUEST, "distances", 0, [message["pairs"]])
-    if message.get("ok") is True and isinstance(message.get("value"), np.ndarray):
-        return encode_binary_payload(KIND_RESPONSE, "distances", 0, [message["value"]])
-    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_pipe_message(data: bytes) -> dict:
-    """Decode one pipe message (binary or pickle, by magic byte)."""
-    if data and data[0] == BINARY_MAGIC:
-        frame = decode_binary_payload(data)
-        if len(frame.arrays) != 1:
-            raise ValueError(
-                f"pipe frames carry exactly one array, got {len(frame.arrays)}"
-            )
-        if frame.kind == KIND_REQUEST:
-            return {"op": frame.op, "pairs": frame.arrays[0]}
-        return {"ok": True, "value": frame.arrays[0]}
-    return pickle.loads(data)
 
 
 # --------------------------------------------------------------------- #
@@ -364,3 +349,21 @@ def wire_to_error(wire: dict) -> Exception:
     ):
         return candidate(message)
     return RuntimeError(f"{name}: {message}")
+
+
+def error_frame(request_id, error: BaseException) -> bytes:
+    """The JSON error reply to one request (errors never travel binary)."""
+    return encode_frame({"id": request_id, "ok": False, "error": error_to_wire(error)})
+
+
+def unpack_reply(reply: Union[dict, BinaryMessage]):
+    """``(request id, value, error)`` of one reply frame, from either hop.
+
+    A binary frame is an ok-reply carrying its array; a JSON frame
+    carries its ``value`` or an error rebuilt by :func:`wire_to_error`.
+    """
+    if isinstance(reply, BinaryMessage):
+        return reply.request_id, (reply.arrays[0] if reply.arrays else None), None
+    if reply.get("ok"):
+        return reply.get("id"), reply.get("value"), None
+    return reply.get("id"), None, wire_to_error(reply.get("error", {}))

@@ -6,14 +6,17 @@ this module covers everything that can go *wrong*: worker crashes
 mid-batch (restart + retry, then a loud error once the budget is gone),
 front-door shutdown with requests in flight (drain completes), oracle
 exceptions propagating to awaiting clients instead of hanging futures,
-deterministic mmap release through the new ``close()`` seams, and the
-framing rules of the TCP protocol.
+workers that cannot open their layout, abandoned requests on a worker's
+stream, deterministic mmap release through the ``close()`` seams, and
+the framing rules of the TCP protocol.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +178,68 @@ class TestFailurePaths:
             assert worker.stats.restarts == 1
             # the restarted worker keeps serving afterwards
             assert fleet.distance(0, 10) >= 0.0
+
+    @pytest.mark.parametrize(
+        "how,exitcode", [("crash-hook", 13), ("kill_worker", -9)]
+    )
+    def test_crash_error_names_the_exit_code(self, fleet_layout, how, exitcode):
+        """WorkerCrashError says how the worker process ended: 13 from the
+        ``__crash__`` hook's ``os._exit``, -9 (SIGKILL) after kill_worker."""
+        with FleetOracle(fleet_layout, num_workers=2, max_retries=0) as fleet:
+            pool = fleet.server.pool
+
+            async def request():
+                if how == "crash-hook":
+                    return await pool.submit(0, {"op": "__crash__"})
+                fleet.kill_worker(0)
+                return await pool.submit(0, {"op": "ping"})
+
+            with pytest.raises(WorkerCrashError, match=rf"\(exit code {exitcode}\)"):
+                fleet._run(request())
+
+    def test_abandoned_requests_do_not_desync_the_stream(
+        self, fleet, fleet_index, workload
+    ):
+        """A caller that abandons its future - cancelled in flight, or timed
+        out in ``wait_for`` as ``health()`` does - must not shift its reply
+        onto a later request: the next batch on that worker gets its own
+        answers."""
+        big = np.tile(np.asarray(workload), (50, 1))  # long enough to be in flight
+        pairs = np.asarray(workload[:17])
+        pool = fleet.server.pool
+        worker = pool.workers[0]
+
+        async def abandon_then_query():
+            cancelled = pool.submit(0, {"op": "distances", "pairs": big})
+            while not worker._busy:  # wait until it is on the stream
+                await asyncio.sleep(0)
+            cancelled.cancel()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    pool.submit(0, {"op": "distances", "pairs": big}), timeout=1e-3
+                )
+            return await pool.submit(0, {"op": "distances", "pairs": pairs})
+
+        restarts = fleet.stats()["restarts"]
+        got = fleet._run(abandon_then_query())
+        assert got.tolist() == fleet_index.distances(pairs).tolist()
+        assert fleet.stats()["restarts"] == restarts
+
+    def test_worker_setup_error_reaches_the_caller(self, fleet_index, tmp_path):
+        """A worker that cannot open its layout answers with the reason.
+        The front door reads only the manifest and the base, so a truncated
+        shard archive shows only in the workers: their ValueError, naming
+        the file, must come out of FleetOracle(...) within the start
+        timeout instead of a dead stream and a restart loop."""
+        path = tmp_path / "index.npz"
+        fleet_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+        shard = tmp_path / "index.npz.shards" / "shard-0001.npz"
+        data = shard.read_bytes()
+        shard.write_bytes(data[: len(data) // 2])
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="shard-0001.npz"):
+            FleetOracle(path, num_workers=2, start_timeout=30.0)
+        assert time.monotonic() - started < 30.0
 
     def test_queued_requests_survive_a_crashing_neighbor(self, fleet_layout, fleet_index):
         """A __crash__ op queued ahead of a real batch must not take the
@@ -381,10 +446,6 @@ class TestFrontDoorValidation:
             FleetServer(fleet_layout, num_workers=True)
         with pytest.raises(ValueError, match="exceeds num_shards"):
             FleetServer(fleet_layout, num_workers=9)
-        with pytest.raises(ValueError, match="wire"):
-            FleetServer(fleet_layout, wire="msgpack")
-        with pytest.raises(ValueError, match="wire"):
-            FleetServer(fleet_layout, wire=1)
         with pytest.raises(ValueError, match="shared_cache_slots"):
             FleetServer(fleet_layout, shared_cache_slots=-1)
         with pytest.raises(ValueError, match="shared_cache_slots"):
@@ -452,33 +513,9 @@ class TestDeterministicRelease:
 
 
 # --------------------------------------------------------------------- #
-# wire negotiation and the shared cross-worker cache
+# fleet stats and the shared cross-worker cache
 # --------------------------------------------------------------------- #
 class TestWireAndSharedCache:
-    def test_json_wire_server_answers_binary_clients_in_json(
-        self, fleet_layout, fleet_index, workload
-    ):
-        """The negotiated fallback: a ``wire="json"`` server answers a
-        binary request with a JSON frame, and the binary client resolves
-        it to the same float64 arrays - callers cannot tell."""
-        baseline = fleet_index.distances(workload)
-        with FleetOracle(fleet_layout, num_workers=2, wire="json") as fleet:
-            assert fleet.wire == "json"
-            host, port = fleet.start_tcp()
-
-            async def drive():
-                async with await FleetClient.connect(host, port, wire="binary") as client:
-                    batch = await client.distances(workload)
-                    assert batch.dtype == np.float64
-                    assert batch.tolist() == baseline.tolist()
-                    matrix = await client.many_to_many([0, 5], [9, 11, 13])
-                    assert (
-                        matrix.tolist()
-                        == fleet_index.many_to_many([0, 5], [9, 11, 13]).tolist()
-                    )
-
-            fleet._run(drive())
-
     def test_stats_report_wire_and_shared_cache(self, fleet_layout, workload):
         with FleetOracle(
             fleet_layout, num_workers=2, shared_cache_slots=256
@@ -486,7 +523,9 @@ class TestWireAndSharedCache:
             fleet.distances(workload)
             fleet.distances(workload)  # the repeat hits the shared cache
             stats = fleet.stats()
-            assert stats["wire"] == "binary"
+            # requests are answered in the framing they arrived in, so
+            # the server has no wire mode left to report
+            assert "wire" not in stats
             cache = stats["shared_cache"]
             assert cache["enabled"] is True
             assert cache["slots"] == 256
@@ -543,17 +582,18 @@ class TestWireAndSharedCache:
 
 
 # --------------------------------------------------------------------- #
-# codec failure paths (pipe + TCP reply encoding)
+# codec failure paths (worker hop + TCP reply encoding)
 # --------------------------------------------------------------------- #
 class TestCodecFailurePaths:
     """A codec error must fail exactly one request - never a hung future,
-    a dead dispatcher thread, or a spurious worker restart."""
+    a dead serving task, or a spurious worker restart."""
 
     def test_dispatcher_survives_pipe_encode_error(
         self, fleet, fleet_index, workload, monkeypatch
     ):
-        """A request over the pipe frame cap resolves with ValueError and
-        the dispatcher keeps serving on the same worker (no restart)."""
+        """A request frame over the cap resolves with ValueError and the
+        worker's serving task keeps serving on the same worker (no
+        restart)."""
         from repro.serving.fleet import protocol as protocol_module
 
         baseline = fleet_index.distances(workload)
@@ -569,7 +609,7 @@ class TestCodecFailurePaths:
         with pytest.raises(ValueError, match="byte limit"):
             fleet._run(submit_big())
         monkeypatch.undo()
-        # the same dispatcher thread still answers, and nothing restarted
+        # the same serving task still answers, and nothing restarted
         assert fleet.distances(workload).tolist() == baseline.tolist()
         assert fleet.stats()["restarts"] == restarts_before
 
@@ -577,50 +617,56 @@ class TestCodecFailurePaths:
         self, fleet_layout, monkeypatch
     ):
         """A worker whose *reply* breaks the codec ships the error back
-        instead of dying (runs worker_main in-process on a fake pipe)."""
+        instead of dying (runs worker_main in-process on a fake socket)."""
         from repro.serving.fleet import protocol as protocol_module
-        from repro.serving.fleet.worker import worker_main
+        from repro.serving.fleet import worker as worker_module
 
         pairs = np.zeros((64, 2), dtype=np.int64)
-        request = protocol_module.encode_pipe_message(
-            {"op": "distances", "pairs": pairs}
-        )
+        requests = protocol_module.encode_binary_frame(
+            protocol_module.KIND_REQUEST, "distances", 7, [pairs]
+        ) + encode_frame({"id": 8, "op": "ping"})
 
-        class FakeConn:
-            def __init__(self, requests):
-                self.requests = list(requests)
-                self.sent = []
+        class FakeSocket:
+            """Reads ``data`` then EOF; records what is sent."""
 
-            def recv_bytes(self):
-                if self.requests:
-                    return self.requests.pop(0)
-                raise EOFError
+            def __init__(self, data):
+                self.incoming = io.BytesIO(data)
+                self.sent = bytearray()
+                self.closed = False
 
-            def send_bytes(self, data):
-                self.sent.append(data)
+            def makefile(self, mode):
+                return self.incoming
+
+            def sendall(self, data):
+                self.sent += data
 
             def close(self):
-                pass
+                self.closed = True
 
-        conn = FakeConn([request, protocol_module.encode_pipe_message({"op": "ping"})])
-        # the request above was encoded under the real cap; the 512-byte
-        # ndarray reply now exceeds the shrunken one
-        monkeypatch.setattr(protocol_module, "MAX_FRAME_BYTES", 128)
-        worker_main(str(fleet_layout), 0, conn, owned_shards=[0])
+        def refuse_encode(*args, **kwargs):
+            raise ValueError("synthetic: reply over the frame byte limit")
+
+        sock = FakeSocket(requests)
+        monkeypatch.setattr(worker_module, "encode_binary_frame", refuse_encode)
+        worker_module.worker_main(str(fleet_layout), 0, sock, owned_shards=[0])
         monkeypatch.undo()
-        assert len(conn.sent) == 2
-        reply = protocol_module.decode_pipe_message(conn.sent[0])
+        assert sock.closed
+        replies = io.BytesIO(bytes(sock.sent))
+        reply = protocol_module.recv_frame(replies)
+        assert reply["id"] == 7
         assert reply["ok"] is False
-        assert isinstance(reply["error"], ValueError)
-        assert "byte limit" in str(reply["error"])
+        assert reply["error"]["type"] == "ValueError"
+        assert "byte limit" in reply["error"]["message"]
         # the worker survived the failed reply and served the next request
-        follow_up = protocol_module.decode_pipe_message(conn.sent[1])
+        follow_up = protocol_module.recv_frame(replies)
+        assert follow_up["id"] == 8
         assert follow_up["ok"] is True
+        assert protocol_module.recv_frame(replies) is None
 
     def test_large_batches_chunk_under_the_pipe_cap(
         self, fleet, fleet_index, workload, monkeypatch
     ):
-        """Batches above the per-message pair budget split into pipe-sized
+        """Batches above the per-frame pair budget split into frame-sized
         chunks and reassemble bit-identically (so a many_to_many grid over
         the frame cap degrades to extra round trips, not an error)."""
         from repro.serving.fleet import frontdoor as frontdoor_module

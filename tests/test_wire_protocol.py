@@ -1,4 +1,4 @@
-"""Binary wire framing: round trips, fuzzed corruption, the pipe codec.
+"""Frame protocol: binary round trips, fuzzed corruption, both readers.
 
 The binary frame moves raw ndarray bytes, so a malformed frame is a
 memory-safety question, not just a correctness one: every truncation,
@@ -6,15 +6,17 @@ bad dtype code, oversized declared shape or trailing byte must raise
 ``ValueError`` (mid-stream EOF: ``ConnectionError``) - never a silently
 zero-filled or short array.  This module fuzzes
 :func:`decode_binary_payload` with systematically corrupted frames and
-pins the shared frame-length cap, the JSON/binary stream dispatch and
-the worker-pipe codec.
+pins the shared frame-length cap and the JSON/binary stream dispatch of
+both frame readers: :func:`read_frame` on asyncio streams (TCP clients,
+the front door, the worker handles) and its blocking twin
+:func:`recv_frame` on the worker's socket.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import math
-import pickle
 import struct
 
 import numpy as np
@@ -29,12 +31,11 @@ from repro.serving.fleet.protocol import (
     BinaryMessage,
     check_frame_length,
     decode_binary_payload,
-    decode_pipe_message,
     encode_binary_frame,
     encode_binary_payload,
     encode_frame,
-    encode_pipe_message,
     read_frame,
+    recv_frame,
 )
 
 
@@ -155,7 +156,7 @@ class TestBinaryFuzz:
 
     def test_bad_magic_version_kind_op(self, valid_payload):
         corrupt = bytearray(valid_payload)
-        corrupt[0] = 0x7C  # not JSON, not binary, not pickle
+        corrupt[0] = 0x7C  # not JSON, not binary
         with pytest.raises(ValueError, match="magic"):
             decode_binary_payload(bytes(corrupt))
         corrupt = bytearray(valid_payload)
@@ -280,43 +281,39 @@ class TestStreamDispatch:
             _read_one(frame)
 
 
-class TestPipeCodec:
-    def test_distances_request_and_reply_travel_binary(self):
-        pairs = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        data = encode_pipe_message({"op": "distances", "pairs": pairs})
-        assert data[0] == BINARY_MAGIC
-        decoded = decode_pipe_message(data)
-        assert decoded["op"] == "distances"
-        assert decoded["pairs"].tolist() == pairs.tolist()
+class TestBlockingReader:
+    """``recv_frame`` (the worker side of the hop) keeps read_frame's rules."""
 
-        values = np.array([0.5, math.inf])
-        data = encode_pipe_message({"ok": True, "value": values})
-        assert data[0] == BINARY_MAGIC
-        decoded = decode_pipe_message(data)
-        assert decoded["ok"] is True
-        assert decoded["value"].tobytes() == values.tobytes()
-
-    def test_control_and_error_messages_fall_back_to_pickle(self):
-        for message in (
-            {"op": "ping"},
-            {"ok": False, "error": ValueError("bad")},
-            {"ok": True, "value": [1.0, 2.0]},  # non-ndarray value
-            {"op": "hub_count", "s": 1, "t": 2},
-        ):
-            data = encode_pipe_message(message)
-            assert data[0] == pickle.dumps({})[0]  # pickle magic, not 0xB1
-            decoded = decode_pipe_message(data)
-            if "error" in message:
-                assert isinstance(decoded["error"], ValueError)
-            else:
-                assert decoded == message
-
-    def test_multi_array_pipe_frame_rejected(self):
-        data = encode_binary_payload(
-            KIND_REQUEST,
-            "many_to_many",
-            0,
-            [np.array([1], dtype=np.int64), np.array([2], dtype=np.int64)],
+    def test_json_and_binary_frames_then_clean_eof(self):
+        pairs = np.array([[0, 1], [2, 3]], dtype=np.int64)
+        stream = io.BytesIO(
+            encode_frame({"id": 1, "op": "ping"})
+            + encode_binary_frame(KIND_REQUEST, "distances", 2, [pairs])
         )
-        with pytest.raises(ValueError, match="exactly one array"):
-            decode_pipe_message(data)
+        first, second, third = recv_frame(stream), recv_frame(stream), recv_frame(stream)
+        assert first == {"id": 1, "op": "ping"}
+        assert isinstance(second, BinaryMessage)
+        assert (second.kind, second.op, second.request_id) == (KIND_REQUEST, "distances", 2)
+        assert second.arrays[0].tolist() == pairs.tolist()
+        assert third is None  # clean EOF between frames
+
+    def test_every_cut_frame_is_a_connection_error(self):
+        frame = encode_binary_frame(
+            KIND_RESPONSE, "distances", 1, [np.arange(4, dtype=np.float64)]
+        )
+        for cut in range(1, len(frame)):
+            part = "length prefix" if cut < 4 else "payload"
+            with pytest.raises(ConnectionError, match=part):
+                recv_frame(io.BytesIO(frame[:cut]))
+
+    def test_oversized_length_prefix_refused(self):
+        with pytest.raises(ValueError, match="byte limit"):
+            recv_frame(io.BytesIO(struct.pack(">I", MAX_FRAME_BYTES + 1)))
+
+    def test_corrupt_payloads_raise_value_error(self):
+        payload = encode_binary_payload(
+            KIND_RESPONSE, "distances", 1, [np.arange(8, dtype=np.float64)]
+        )[:-8]
+        for bad in (payload, b"[]", b"{not json", b"\xff\xfe"):
+            with pytest.raises(ValueError):
+                recv_frame(io.BytesIO(struct.pack(">I", len(bad)) + bad))
