@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the default)"
         ),
     )
-    build.add_argument(
-        "--tree-sidecar",
-        action="store_true",
-        help=(
-            "also persist the Euler-tour tree resolver next to the index "
-            "(<output>.tree/) so mmap-loading workers skip the per-process "
-            "rebuild"
-        ),
-    )
 
     shard = subparsers.add_parser(
         "shard", help="split a saved index into a sharded layout for multi-worker serving"
@@ -128,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--shards",
         action="store_true",
-        help="serve from the sharded layout written by 'repro shard' (lazily mmap-loads shards)",
+        help="serve from the sharded layout written by 'repro shard' (maps every shard read-only)",
     )
 
     compare = subparsers.add_parser("compare", help="compare HC2L against baselines on one graph")
@@ -272,7 +263,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         backend=args.backend,
     )
-    index.save(args.output, tree_sidecar=args.tree_sidecar)
+    index.save(args.output)
     summary = index.describe()
     print(f"saved to {args.output}")
     print(

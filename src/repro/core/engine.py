@@ -114,15 +114,6 @@ class BatchResolver:
         offsets = self._dist_to_root[s[core_mask]] + self._dist_to_root[t[core_mask]]
         return out, core_mask, cs, ct, offsets
 
-    def attach_tree_resolver(self, resolver: TreeDistanceResolver) -> None:
-        """Install a pre-built (e.g. sidecar-loaded) Euler-tour resolver.
-
-        Serving processes that load the persisted tour sidecar skip the
-        lazy per-process rebuild; answers are bit-identical either way.
-        """
-        with self._tree_resolver_lock:
-            self._tree_resolver = resolver
-
     @property
     def tree_resolver(self) -> TreeDistanceResolver:
         """The Euler-tour LCA structure over the attachment trees.

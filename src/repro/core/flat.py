@@ -38,7 +38,8 @@ def _as_contiguous(array, dtype) -> np.ndarray:
 
     Unlike ``np.ascontiguousarray`` this keeps ndarray subclasses - in
     particular the read-only ``np.memmap`` buffers of an mmap-loaded index
-    (see :mod:`repro.serving.mmap`) - instead of silently reboxing them.
+    (see :func:`repro.core.persistence.mmap_label_arrays`) - instead of
+    silently reboxing them.
     """
     result = np.asanyarray(array)
     if result.dtype != dtype or not result.flags.c_contiguous:

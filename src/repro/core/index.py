@@ -230,9 +230,9 @@ class HC2LIndex:
     def close(self) -> None:
         """Release the label buffers, closing any backing memory maps.
 
-        Matters for mmap-loaded indexes (:func:`repro.serving.mmap.load_index_mmap`):
-        worker processes that recycle an index must unmap the ``.npy``
-        sidecars deterministically instead of waiting for GC.  The cached
+        Matters for indexes loaded with ``mmap_labels=True``: worker
+        processes that recycle an index must unmap the ``.npy`` sidecars
+        deterministically instead of waiting for GC.  The cached
         query engine holds direct references into the buffers, so it is
         dropped first; afterwards every query raises ``RuntimeError``.
         """
@@ -249,15 +249,6 @@ class HC2LIndex:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def attach_tree_resolver(self, resolver) -> None:
-        """Install a pre-built Euler-tour tree resolver on the engine.
-
-        Used by the mmap load path when a persisted sidecar
-        (:func:`repro.core.persistence.save_tree_sidecar`) is present, so
-        serving skips the per-process tour rebuild.
-        """
-        self.engine.resolver.attach_tree_resolver(resolver)
 
     # ------------------------------------------------------------------ #
     # queries (DistanceOracle protocol)
@@ -363,21 +354,15 @@ class HC2LIndex:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path: Union[str, Path], tree_sidecar: bool = False) -> None:
+    def save(self, path: Union[str, Path]) -> None:
         """Serialise the index to ``path`` (versioned ``.npz`` format).
 
         The archive stores the flat label buffers plus typed arrays for the
         graph, contraction and hierarchy; see :mod:`repro.core.persistence`.
-        With ``tree_sidecar=True`` the Euler-tour tree resolver is also
-        persisted under ``<path>.tree/`` so mmap loads skip the
-        per-process rebuild (see
-        :func:`repro.core.persistence.save_tree_sidecar`).
         """
-        from repro.core.persistence import save_index, save_tree_sidecar
+        from repro.core.persistence import save_index
 
         save_index(self, path)
-        if tree_sidecar:
-            save_tree_sidecar(self, path)
 
     def save_sharded(
         self,

@@ -40,7 +40,6 @@ import dataclasses
 import json
 import os
 import shutil
-import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,11 +68,6 @@ SHARDED_FORMAT_VERSION = 3
 VERTEX_ORDERS = ("identity", "hierarchy")
 MANIFEST_FILENAME = "manifest.json"
 BASE_FILENAME = "base.npz"
-
-TREE_SIDECAR_FORMAT = "hc2l-tree-resolver"
-TREE_SIDECAR_VERSION = 2
-TREE_SIDECAR_META = "meta.json"
-
 
 # --------------------------------------------------------------------- #
 # save
@@ -115,8 +109,8 @@ def _base_arrays(index: "HC2LIndex", label_layout: str) -> Dict[str, np.ndarray]
 
 
 def _write_npz(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> None:
-    # write-then-rename so a concurrent reader (e.g. a ShardRouter lazily
-    # loading a shard while the layout is being rewritten) never opens a
+    # write-then-rename so a concurrent reader (e.g. a ShardRouter
+    # mapping a shard while the layout is being rewritten) never opens a
     # torn archive; the open handle also stops np.savez from appending
     # ".npz" to paths with a different extension
     path = Path(path)
@@ -227,14 +221,7 @@ def load_index(path: Union[str, Path], mmap_labels: bool = False) -> "HC2LIndex"
                 f"labels); open it with repro.serving.ShardRouter or "
                 f"load_index_sharded instead"
             )
-        index = _unpack_index(archive, header, path=path, mmap_labels=mmap_labels)
-    if mmap_labels:
-        # the mmap path is the shared-page serving entry point: also map
-        # the Euler-tour sidecar when a fresh one sits next to the labels
-        resolver = load_tree_sidecar(path, index.contraction, mmap=True)
-        if resolver is not None:
-            index.attach_tree_resolver(resolver)
-    return index
+        return _unpack_index(archive, header, path=path, mmap_labels=mmap_labels)
 
 
 @contextlib.contextmanager
@@ -318,128 +305,22 @@ def mmap_label_arrays(path: Union[str, Path]) -> Dict[str, np.ndarray]:
 
     stale = [name for name in LABEL_ARRAY_NAMES if is_stale(sidecar_dir / f"{name}.npy")]
     if stale:
-        sidecar_dir.mkdir(parents=True, exist_ok=True)
+        # read every stale member before touching the disk, so a damaged
+        # archive raises without leaving an empty sidecar directory behind
         with _open_npz(path) as archive:
-            for name in stale:
-                # write-then-rename so concurrent loaders never map a torn
-                # file; os.replace is atomic within one directory
-                final = sidecar_dir / f"{name}.npy"
-                temporary = sidecar_dir / f".{name}.{os.getpid()}.tmp.npy"
-                np.save(temporary, archive[name])
-                os.replace(temporary, final)
+            arrays = {name: archive[name] for name in stale}
+        sidecar_dir.mkdir(parents=True, exist_ok=True)
+        for name, array in arrays.items():
+            # write-then-rename so concurrent loaders never map a torn
+            # file; os.replace is atomic within one directory
+            final = sidecar_dir / f"{name}.npy"
+            temporary = sidecar_dir / f".{name}.{os.getpid()}.tmp.npy"
+            np.save(temporary, array)
+            os.replace(temporary, final)
     return {
         name: np.load(sidecar_dir / f"{name}.npy", mmap_mode="r")
         for name in LABEL_ARRAY_NAMES
     }
-
-
-def tree_sidecar_directory(path: Union[str, Path]) -> Path:
-    """The ``<path>.tree/`` sidecar directory of an index path."""
-    return Path(str(path) + ".tree")
-
-
-def save_tree_sidecar(index: "HC2LIndex", path: Union[str, Path]) -> Path:
-    """Persist the Euler-tour tree resolver next to the index at ``path``.
-
-    The :class:`~repro.core.tree_resolve.TreeDistanceResolver` is normally
-    rebuilt lazily per process (a full walk over every contracted vertex);
-    persisting its arrays as versioned ``.npy`` sidecars under
-    ``<path>.tree/`` shaves that cold-start cost for tree-heavy serving
-    workloads - ``load_index(..., mmap_labels=True)`` maps them read-only,
-    so co-located workers share one physical copy of the tour.  Answers
-    are bit-identical to a freshly built resolver.  Returns the sidecar
-    directory.
-    """
-    resolver = index.engine.resolver.tree_resolver
-    path = Path(path)
-    sidecar_dir = tree_sidecar_directory(path)
-    sidecar_dir.mkdir(parents=True, exist_ok=True)
-    checksums = {}
-    for name, array in resolver.state_arrays().items():
-        final = sidecar_dir / f"{name}.npy"
-        temporary = sidecar_dir / f".{name}.{os.getpid()}.tmp.npy"
-        np.save(temporary, np.ascontiguousarray(array))
-        checksums[name] = zlib.crc32(temporary.read_bytes())
-        os.replace(temporary, final)  # concurrent loaders never map a torn file
-    archive_stat = path.stat() if path.exists() else None
-    meta = {
-        "format": TREE_SIDECAR_FORMAT,
-        "version": TREE_SIDECAR_VERSION,
-        "num_members": resolver.num_members,
-        "num_original": index.contraction.num_original,
-        # identity of the archive this sidecar belongs to; mtime *equality*
-        # (not ordering) makes the staleness check immune to coarse
-        # filesystem mtime granularity
-        "archive_mtime_ns": archive_stat.st_mtime_ns if archive_stat else None,
-        "archive_size": archive_stat.st_size if archive_stat else None,
-        # CRC-32 of each .npy file: a truncated or damaged member fails it
-        "crc32": checksums,
-    }
-    meta_path = sidecar_dir / TREE_SIDECAR_META
-    temporary = sidecar_dir / f".{TREE_SIDECAR_META}.{os.getpid()}.tmp"
-    temporary.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    # the meta file is written last: its presence marks a complete sidecar
-    os.replace(temporary, meta_path)
-    return sidecar_dir
-
-
-def load_tree_sidecar(path: Union[str, Path], contraction: ContractedGraph, mmap: bool = True):
-    """Load the tree-resolver sidecar of the index at ``path``, if usable.
-
-    Returns a ready :class:`~repro.core.tree_resolve.TreeDistanceResolver`
-    or ``None`` when no sidecar exists, it has an unknown format/version,
-    a member file is missing or fails its recorded CRC-32 (truncated or
-    damaged), it disagrees with the index (vertex count, member set), or
-    the archive was rewritten since the sidecar was saved (the meta file
-    records the archive's exact mtime and size at save time, so a rewrite
-    - even within the filesystem's mtime granularity window - invalidates
-    the sidecar).  The caller then builds the resolver lazily.
-    """
-    from repro.core.tree_resolve import TreeDistanceResolver
-
-    path = Path(path)
-    sidecar_dir = tree_sidecar_directory(path)
-    meta_path = sidecar_dir / TREE_SIDECAR_META
-    if not meta_path.exists() or not path.exists():
-        return None
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError:
-        return None
-    if (
-        meta.get("format") != TREE_SIDECAR_FORMAT
-        or meta.get("version") != TREE_SIDECAR_VERSION
-        or int(meta.get("num_original", -1)) != contraction.num_original
-    ):
-        return None
-    archive_stat = path.stat()
-    if (
-        meta.get("archive_mtime_ns") != archive_stat.st_mtime_ns
-        or meta.get("archive_size") != archive_stat.st_size
-    ):
-        return None
-    checksums = meta.get("crc32")
-    if not isinstance(checksums, dict):
-        return None
-    arrays = {}
-    for name in TreeDistanceResolver.STATE_ARRAY_NAMES:
-        array_path = sidecar_dir / f"{name}.npy"
-        if not array_path.exists() or zlib.crc32(array_path.read_bytes()) != checksums.get(name):
-            return None
-        arrays[name] = np.load(array_path, mmap_mode="r" if mmap else None)
-    if len(arrays["members"]) != int(meta.get("num_members", -1)):
-        return None
-    # the member set is fully determined by the contraction; a mismatch
-    # means the sidecar belongs to a different index (e.g. one built with
-    # contraction disabled on the same graph)
-    root = np.asarray(contraction.root, dtype=np.int64)
-    contracted = np.nonzero(root != np.arange(len(root), dtype=np.int64))[0]
-    expected_members = np.unique(np.concatenate([contracted, root[contracted]]))
-    if not np.array_equal(np.asarray(arrays["members"]), expected_members):
-        return None
-    return TreeDistanceResolver.from_state(
-        np.asarray(contraction.dist_to_root, dtype=np.float64), arrays
-    )
 
 
 def _unpack_components(archive, header: dict, path: Union[str, Path]) -> dict:
@@ -825,7 +706,7 @@ def load_sharded_components(path: Union[str, Path]) -> Tuple[dict, dict, Path]:
     Returns ``(components, manifest, layout_directory)`` where
     ``components`` holds graph / contraction / hierarchy / stats /
     parameters - everything a :class:`~repro.serving.shards.ShardRouter`
-    needs besides the lazily-loaded shard labellings.
+    needs besides the shard labellings it maps itself.
     """
     shard_dir, manifest = load_manifest(path)
     base_path = shard_dir / manifest["base"]

@@ -23,6 +23,10 @@ table gathers (the RMQ) and three ``dist_to_root`` gathers.  The final
 arithmetic performs exactly the float64 operations of the scalar walk -
 ``dist_to_root[u] + dist_to_root[v] - 2.0 * dist_to_root[lca]`` - so the
 results are bit-identical (the regression suite asserts ``==``).
+
+The structure is never persisted: each process derives it from the
+contraction arrays it already loaded, on the first batch that needs it
+(:attr:`~repro.core.engine.BatchResolver.tree_resolver`).
 """
 
 from __future__ import annotations
@@ -140,48 +144,6 @@ class TreeDistanceResolver:
         self._euler_depth = euler_depth
         self._first = first
         self._table = _build_sparse_table(euler_depth)
-
-    # ------------------------------------------------------------------ #
-    #: names of the derived arrays a persisted sidecar stores
-    STATE_ARRAY_NAMES = ("members", "local", "euler", "euler_depth", "first", "table")
-
-    def state_arrays(self) -> dict:
-        """The derived Euler-tour state as plain arrays (for persistence).
-
-        ``dist_to_root`` is *not* included - it belongs to the contraction
-        (already persisted with the index); a sidecar therefore only adds
-        the tour structure that is otherwise rebuilt per process.
-        """
-        return {
-            "members": self._members,
-            "local": self._local,
-            "euler": self._euler,
-            "euler_depth": self._euler_depth,
-            "first": self._first,
-            "table": self._table,
-        }
-
-    @classmethod
-    def from_state(cls, dist_to_root: np.ndarray, arrays: dict) -> "TreeDistanceResolver":
-        """Rebuild a resolver from persisted :meth:`state_arrays` buffers.
-
-        The arrays are used as-is (read-only memory maps stay memory
-        maps), so a mmap-loaded sidecar shares one physical copy of the
-        tour across serving processes.  Answers are bit-identical to a
-        freshly built resolver: the final arithmetic only reads
-        ``dist_to_root`` values gathered through these arrays.
-        """
-        resolver = cls.__new__(cls)
-        resolver._dist_to_root = np.asarray(dist_to_root, dtype=np.float64)
-        # asanyarray keeps read-only np.memmap buffers memory-mapped
-        # instead of silently copying them into the process
-        resolver._members = np.asanyarray(arrays["members"], dtype=np.int64)
-        resolver._local = np.asanyarray(arrays["local"], dtype=np.int64)
-        resolver._euler = np.asanyarray(arrays["euler"], dtype=np.int64)
-        resolver._euler_depth = np.asanyarray(arrays["euler_depth"], dtype=np.int64)
-        resolver._first = np.asanyarray(arrays["first"], dtype=np.int64)
-        resolver._table = np.asanyarray(arrays["table"], dtype=np.int64)
-        return resolver
 
     @property
     def num_members(self) -> int:

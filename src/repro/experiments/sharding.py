@@ -1,7 +1,7 @@
 """Shard-router overhead measurement (serving-scale experiment).
 
 The :class:`~repro.serving.shards.ShardRouter` buys horizontal capacity -
-per-range label shards, lazy mmap loading, per-source-shard fan-out - at
+per-range label shards, read-only mmap loading, per-source-shard fan-out - at
 the cost of extra routing work per batch (shard lookups, per-shard
 gathers, result re-assembly).  This workload quantifies that cost: it
 shards a built index at several shard counts, replays the same query
@@ -33,9 +33,10 @@ def router_overhead_rows(
     """Measure the shard router against the monolithic engine.
 
     Shards ``index`` under ``workdir`` at each count in ``shard_counts``
-    and times the same ``pairs`` batch through a preloaded
-    :class:`ShardRouter` (shard load time excluded - a serving worker
-    pays it once, not per batch).  Raises ``AssertionError`` if any
+    and times the same ``pairs`` batch through a
+    :class:`ShardRouter` (shard load time excluded - the router maps
+    every shard when it opens, and a serving worker pays that once, not
+    per batch).  Raises ``AssertionError`` if any
     router answer diverges from the engine.  Returns one row per shard
     count with the batch latency, the overhead ratio relative to the
     monolithic batch path, and the fan-out statistics of one
@@ -57,7 +58,7 @@ def router_overhead_rows(
     rows: List[Dict[str, object]] = []
     for count in shard_counts:
         index.save_sharded(path, num_shards=count)
-        router = ShardRouter(path, preload=True)
+        router = ShardRouter(path)
         answers = router.distances(pairs)
         if answers.tolist() != baseline.tolist():
             raise AssertionError(
@@ -101,7 +102,7 @@ def boundary_locality_rows(
     """Compare shard-boundary layouts on the cross-shard pair fraction.
 
     Shards ``index`` once per mode under ``workdir`` and replays the same
-    ``pairs`` batch through a preloaded router, verifying the answers are
+    ``pairs`` batch through a router, verifying the answers are
     bit-identical to the monolithic engine (the layouts only move label
     bytes around).  Returns one row per mode carrying the router stats -
     most importantly ``cross_shard_fraction``, the locality metric the
@@ -116,7 +117,7 @@ def boundary_locality_rows(
     for mode in modes:
         path = workdir / f"boundaries-{mode}.npz"
         index.save_sharded(path, num_shards=num_shards, boundaries=mode)
-        router = ShardRouter(path, preload=True)
+        router = ShardRouter(path)
         answers = router.distances(pairs)
         if answers.tolist() != baseline.tolist():
             raise AssertionError(

@@ -6,7 +6,7 @@ batch distance requests (in-process async, or over a length-prefixed TCP
 protocol), coalesces concurrent scalars with ``asyncio.Future``\\ s, and
 places each batch - whole when it has a clear majority shard, split and
 gathered when genuinely cross-worker - onto a pool of long-lived worker
-processes, each serving shards through the lazy-mmap
+processes, each serving every shard through a read-only-mmap
 :class:`~repro.serving.shards.ShardRouter`.  Answers stay bit-identical
 to the monolithic engine; the fleet only changes *where* they are
 computed.

@@ -134,7 +134,6 @@ class FleetServer:
         max_batch: int = 4096,
         majority_threshold: float = 0.75,
         max_retries: int = 1,
-        mmap: bool = True,
         shared_cache_slots: int = 0,
     ) -> None:
         # loud validation, HC2LParameters style: a serving tier must refuse
@@ -183,7 +182,6 @@ class FleetServer:
                 shard_dir,
                 num_shards=num_shards,
                 num_workers=num_workers,
-                mmap=mmap,
                 max_retries=max_retries,
                 cache_name=self.shared_cache.name if self.shared_cache else None,
             )

@@ -9,9 +9,10 @@ splitting every batch by source vertex (what a naive scatter would do),
 the :class:`BatchPlacer` computes the **majority worker** of a batch -
 the worker owning the shard that most of the batch's source vertices live
 in - and routes the batch there *whole* whenever the majority is clear
-enough.  The owning worker lazily mmaps any foreign shard the minority
-pairs touch (shared pages, no copies), so answers stay bit-identical
-while the common case becomes a single-worker round trip.
+enough.  Every worker maps every shard read-only (shared pages, no
+copies), so the minority pairs' foreign shards are already at hand:
+answers stay bit-identical while the common case becomes a
+single-worker round trip.
 
 Only a *genuinely cross-worker* batch - one with no sufficiently large
 majority - falls back to split-and-gather across the owning workers.

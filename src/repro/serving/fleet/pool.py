@@ -54,7 +54,6 @@ class WorkerPool:
         path: Union[str, Path],
         num_shards: int,
         num_workers: int,
-        mmap: bool = True,
         max_retries: int = 1,
         cache_name: Optional[str] = None,
     ) -> None:
@@ -71,7 +70,6 @@ class WorkerPool:
                 worker_id,
                 owned,
                 ctx=ctx,
-                mmap=mmap,
                 max_retries=max_retries,
                 cache_name=cache_name,
             )

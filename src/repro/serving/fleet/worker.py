@@ -2,15 +2,12 @@
 
 One worker = one long-lived process running :func:`worker_main`: it opens
 a :class:`~repro.serving.shards.ShardRouter` over the sharded layout
-(read-only mmaps - co-located workers share label pages through the
-page cache), pins every shard of the adopted generation, and then
-answers requests over one end of a ``socket.socketpair``.
-Ownership is a placement concept, not a correctness one: every worker
-maps all shards and can answer every query bit-identically -
-locality-aware placement just makes the cross-worker path the rare one.
-Pinning all shards up front also keeps the adopted generation fully
-servable while a newer generation is being written to disk (a lazy load
-would refuse to mix generations).
+(which maps every shard read-only - co-located workers share label pages
+through the page cache) and then answers requests over one end of a
+``socket.socketpair``.  Ownership is a placement concept, not a
+correctness one: every worker maps all shards and can answer every query
+bit-identically - locality-aware placement just makes the cross-worker
+path the rare one.
 
 The socket carries the same frames as the TCP front door
 (:mod:`repro.serving.fleet.protocol`): a ``distances`` request's pair
@@ -66,13 +63,12 @@ def worker_main(
     worker_id: int,
     sock: socket.socket,
     owned_shards: Sequence[int],
-    mmap: bool = True,
     cache_name: Optional[str] = None,
 ) -> None:
     """Entry point of one worker process.
 
     Opens the router (and the shared pair cache, when the front door
-    created one), pins every shard, then answers frames on ``sock`` until
+    created one), then answers frames on ``sock`` until
     the stream closes or a ``shutdown`` op arrives.  Every exception
     raised by the router is caught and shipped back to the parent as an
     error reply - the worker never dies because a *query* was bad, only
@@ -82,17 +78,9 @@ def worker_main(
     """
     router = cache = setup_error = None
     try:
-        router = ShardRouter(path, mmap=mmap)
+        router = ShardRouter(path)
         if cache_name:
             cache = SharedPairCache.attach(cache_name, counter_row=worker_id)
-        # Pin every shard, not just the owned ones (mmap cost: file handles,
-        # not resident pages).  Owned shards are where this worker's batches
-        # land, but a split batch can target any shard, and lazily loading
-        # one after a newer generation was written to disk would (correctly)
-        # refuse to mix generations - the adopted generation must stay fully
-        # servable until the reload lands.
-        for shard_id in range(router.num_shards):
-            router._shard(shard_id)
     except Exception as error:  # noqa: BLE001 - answered to every request
         setup_error = error
     stream = sock.makefile("rb")
@@ -151,17 +139,11 @@ def _answer(router, cache, request: dict, worker_id: int, owned_shards):
         return {
             "worker_id": worker_id,
             "pid": os.getpid(),
-            "loaded_shards": router.loaded_shard_ids,
             "owned_shards": [int(s) for s in owned_shards],
         }
     if op == "reload":
-        # hot-swap onto the generation currently on disk, then re-pin
-        # every shard so no post-swap query pays the mmap cost or races
-        # the next generation's disk write
-        generation = router.reload_generation()
-        for shard_id in range(router.num_shards):
-            router._shard(shard_id)
-        return {"worker_id": worker_id, "generation": generation}
+        # hot-swap onto the generation currently on disk
+        return {"worker_id": worker_id, "generation": router.reload_generation()}
     raise ValueError(f"unknown worker op {op!r}; expected one of {WORKER_OPS}")
 
 
@@ -204,7 +186,6 @@ class WorkerHandle:
         worker_id: int,
         owned_shards: Sequence[int],
         ctx,
-        mmap: bool = True,
         max_retries: int = 1,
         cache_name: Optional[str] = None,
     ) -> None:
@@ -216,7 +197,6 @@ class WorkerHandle:
         self.max_retries = int(max_retries)
         self.cache_name = cache_name
         self._ctx = ctx
-        self._mmap = mmap
         self._queue: asyncio.Queue = asyncio.Queue()
         self._busy = False  # set by the serving task around one request
         self._next_id = 0
@@ -249,7 +229,6 @@ class WorkerHandle:
                     self.worker_id,
                     child_sock,
                     list(self.stats.owned_shards),
-                    self._mmap,
                     self.cache_name,
                 ),
                 name=f"fleet-worker-{self.worker_id}",

@@ -6,9 +6,10 @@ one process and one memory budget.  The sharded on-disk layout
 buffers by core vertex range; :class:`ShardRouter` serves queries over
 that layout:
 
-* shards are **mmap-loaded lazily** - a worker touching only part of the
-  vertex space maps only those shards, and co-located workers mapping the
-  same shard share one physical copy through the page cache;
+* every shard of the adopted generation is **mapped read-only** when the
+  router adopts it, so co-located workers mapping the same shard share
+  one physical copy through the page cache, and a damaged shard fails
+  the open rather than a query;
 * batches are **split by the shard owning each source vertex**, fanned
   out as one vectorised min-plus call per source shard (targets are
   gathered per-shard inside the call), and re-assembled in input order;
@@ -50,7 +51,6 @@ class RouterStats:
     core_pairs: int = 0
     cross_shard_pairs: int = 0
     fanout_calls: int = 0
-    shard_loads: int = 0
     reloads: int = 0
     pairs_per_shard: Dict[int, int] = field(default_factory=dict)
 
@@ -72,7 +72,6 @@ class RouterStats:
             "cross_shard_pairs": self.cross_shard_pairs,
             "cross_shard_fraction": round(self.cross_shard_fraction(), 4),
             "fanout_calls": self.fanout_calls,
-            "shard_loads": self.shard_loads,
             "reloads": self.reloads,
         }
 
@@ -85,25 +84,20 @@ class ShardRouter(BatchMixin):
     path:
         The index path, its ``<path>.shards/`` layout directory, or the
         ``manifest.json`` inside it.
-    mmap:
-        Map each shard's label buffers read-only from ``.npy`` sidecars
-        (the default; co-located workers share pages) instead of copying
-        them into the process.
-    preload:
-        Load every shard eagerly instead of on first touch.
+
+    The router maps every shard of a generation read-only (from ``.npy``
+    sidecars, so co-located workers share pages) when it adopts that
+    generation: at construction and in :meth:`reload_generation`.  A
+    damaged shard therefore fails the open, never a later query.
     """
 
-    def __init__(
-        self, path: Union[str, Path], mmap: bool = True, preload: bool = False
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         components, manifest, shard_dir = load_sharded_components(path)
         self.path = shard_dir
-        self._mmap = mmap
         self.stats = RouterStats()
-        # guards lazy shard loading, hot swaps and the stats counters:
-        # distances() is safe for concurrent callers, which must not
-        # double-load a shard or lose counter increments (the numpy reads
-        # themselves are safe)
+        # guards hot swaps and the stats counters: distances() is safe for
+        # concurrent callers, which must not lose counter increments (the
+        # numpy reads themselves are safe)
         self._lock = threading.Lock()
         # hot-swap coordination: queries register in _active between
         # _begin_query/_end_query; reload_generation raises _reloading,
@@ -114,14 +108,37 @@ class ShardRouter(BatchMixin):
         self._active = 0
         self._reloading = False
         self._closed = False
-        self._adopt(components, manifest)
-        if preload:
-            for shard_id in range(self.num_shards):
-                self._shard(shard_id)
+        self._adopt(components, manifest, self._map_shards(manifest))
 
-    def _adopt(self, components: dict, manifest: dict) -> None:
-        """Point the router at one generation's components (caller holds the
-        lock when swapping a live router; construction runs unlocked)."""
+    def _map_shards(self, manifest: dict) -> List[FlatLabelling]:
+        """Map every shard of ``manifest``'s generation read-only.
+
+        Shard files keep their names across generations, so a generation
+        published while the maps were made may have replaced some of them:
+        the manifest is read once more afterwards, and a moved generation
+        fails loudly instead of serving a mix of two.
+        """
+        shards: List[FlatLabelling] = []
+        try:
+            for shard_id in range(len(manifest["shards"])):
+                shards.append(load_shard(self.path, shard_id, mmap=True))
+            _, current = load_manifest(self.path)
+            if current["generation"] != manifest["generation"]:
+                raise RuntimeError(
+                    f"{self.path} moved to generation {current['generation']} "
+                    f"while this router mapped generation {manifest['generation']}; "
+                    f"call reload_generation() to adopt the new one"
+                )
+        except BaseException:
+            for shard in shards:
+                shard.close()
+            raise
+        return shards
+
+    def _adopt(self, components: dict, manifest: dict, shards: List[FlatLabelling]) -> None:
+        """Point the router at one generation's components and mapped shards
+        (caller holds the lock when swapping a live router; construction
+        runs unlocked)."""
         self.manifest = manifest
         self.graph = components["graph"]
         self.parameters = components["parameters"]
@@ -143,7 +160,7 @@ class ShardRouter(BatchMixin):
             self._position = None
         #: shard edge sequence over storage positions ([0, b1, ..., m])
         self._edges = np.asarray(manifest["boundaries"], dtype=np.int64)
-        self._shards: List[Optional[FlatLabelling]] = [None] * (len(self._edges) - 1)
+        self._shards = shards
 
     # ------------------------------------------------------------------ #
     # shard management
@@ -151,12 +168,7 @@ class ShardRouter(BatchMixin):
     @property
     def num_shards(self) -> int:
         """Number of shards in the layout."""
-        return len(self._shards)
-
-    @property
-    def loaded_shard_ids(self) -> List[int]:
-        """Ids of the shards this router has loaded so far."""
-        return [k for k, shard in enumerate(self._shards) if shard is not None]
+        return len(self._edges) - 1
 
     @property
     def generation(self) -> int:
@@ -166,38 +178,40 @@ class ShardRouter(BatchMixin):
     def reload_generation(self) -> int:
         """Hot-swap onto the generation currently on disk; returns it.
 
-        Reads the new manifest and base components *outside* the router
-        lock (the slow part), then drains in-flight batches off the old
-        mmaps and flips every generation-dependent field - graph,
-        contraction, hierarchy, resolver, boundaries, shard table -
-        atomically behind the lock.  Queries arriving during the flip
-        queue behind it instead of erroring; the old shard mappings are
-        closed only after the swap, so the drained batches finished on a
-        consistent snapshot.  Concurrent reloads serialise; a reload that
-        lost the race to a newer generation is a no-op.
+        Reads the new manifest and base components and maps every new
+        shard *outside* the router lock (the slow part), then drains
+        in-flight batches off the old mmaps and flips every
+        generation-dependent field - graph, contraction, hierarchy,
+        resolver, boundaries, shard table - atomically behind the lock.
+        Queries arriving during the flip queue behind it instead of
+        erroring; the old shard mappings are closed only after the swap,
+        so the drained batches finished on a consistent snapshot.
+        Concurrent reloads serialise; a reload that lost the race to a
+        newer generation is a no-op.
         """
         components, manifest, _ = load_sharded_components(self.path)
+        shards = self._map_shards(manifest)
         with self._swap:
             while self._reloading:
                 self._swap.wait()
-            if self._closed:
-                raise RuntimeError(f"ShardRouter over {self.path} is closed")
-            if manifest["generation"] < self.generation:
-                return self.generation  # raced with a newer reload
-            old_shards: List[Optional[FlatLabelling]] = []
-            self._reloading = True
-            try:
-                while self._active > 0:  # drain in-flight batches
-                    self._swap.wait()
-                old_shards = self._shards
-                self._adopt(components, manifest)
-                self.stats.reloads += 1
-            finally:
-                self._reloading = False
-                self._swap.notify_all()
-        for shard in old_shards:
-            if shard is not None:
-                shard.close()
+            closed = self._closed
+            if closed or manifest["generation"] < self.generation:
+                unused = shards  # closed, or raced with a newer reload
+            else:
+                self._reloading = True
+                try:
+                    while self._active > 0:  # drain in-flight batches
+                        self._swap.wait()
+                    unused = self._shards
+                    self._adopt(components, manifest, shards)
+                    self.stats.reloads += 1
+                finally:
+                    self._reloading = False
+                    self._swap.notify_all()
+        for shard in unused:
+            shard.close()
+        if closed:
+            raise RuntimeError(f"ShardRouter over {self.path} is closed")
         return self.generation
 
     def _begin_query(self) -> None:
@@ -215,60 +229,29 @@ class ShardRouter(BatchMixin):
                 self._swap.notify_all()
 
     def close(self) -> None:
-        """Release every loaded shard, closing mmap handles deterministically.
+        """Release every mapped shard, closing mmap handles deterministically.
 
         Fleet workers recycle routers on restart; waiting for GC to drop
         the last reference keeps label files mapped (and on some platforms
-        their descriptors open) for an unbounded time.  After ``close``
-        the router raises ``RuntimeError`` on any further query.
+        their descriptors open) for an unbounded time.  Batches already in
+        flight finish first; after ``close`` the router raises
+        ``RuntimeError`` on any further query.
         """
-        with self._lock:
+        with self._swap:
             if self._closed:
                 return
             self._closed = True
-            shards, self._shards = self._shards, [None] * self.num_shards
+            while self._active > 0:  # drain in-flight batches
+                self._swap.wait()
+            shards, self._shards = self._shards, []
         for shard in shards:
-            if shard is not None:
-                shard.close()
+            shard.close()
 
     def __enter__(self) -> "ShardRouter":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _shard(self, shard_id: int) -> FlatLabelling:
-        if self._closed:
-            raise RuntimeError(f"ShardRouter over {self.path} is closed")
-        shard = self._shards[shard_id]
-        if shard is None:
-            with self._lock:
-                shard = self._shards[shard_id]
-                if shard is not None:  # lost the race; another thread loaded it
-                    return shard
-                # the router's local-id arithmetic and label snapshot are
-                # pinned to the manifest read at construction (or the last
-                # reload); if the layout was re-sharded or a new generation
-                # was written since, lazily loading a rewritten shard would
-                # silently mix two generations - fail loudly instead
-                _, manifest = load_manifest(self.path)
-                if manifest["boundaries"] != self.manifest["boundaries"]:
-                    raise RuntimeError(
-                        f"{self.path} was re-sharded (boundaries "
-                        f"{manifest['boundaries']} != {self.manifest['boundaries']}) "
-                        f"since this router opened; re-open the ShardRouter"
-                    )
-                if manifest["generation"] != self.generation:
-                    raise RuntimeError(
-                        f"{self.path} moved to generation "
-                        f"{manifest['generation']} since this router "
-                        f"adopted generation {self.generation}; call "
-                        f"reload_generation() to hot-swap"
-                    )
-                shard = load_shard(self.path, shard_id, mmap=self._mmap)
-                self._shards[shard_id] = shard
-                self.stats.shard_loads += 1
-        return shard
 
     def positions_of(self, core_vertices: np.ndarray) -> np.ndarray:
         """Storage position of each core vertex (identity unless the layout
@@ -365,7 +348,7 @@ class ShardRouter(BatchMixin):
         position = self.positions_of(np.asarray([core_vertex], dtype=np.int64))
         shard_id = int(self._shards_of_positions(position)[0])
         local = int(position[0]) - int(self._edges[shard_id])
-        return self._shard(shard_id).level_view(local, depth)
+        return self._shards[shard_id].level_view(local, depth)
 
     # ------------------------------------------------------------------ #
     # batch path
@@ -463,7 +446,7 @@ class ShardRouter(BatchMixin):
         router).  Performs exactly the engine's grouped gather +
         ``minimum.reduceat``, so results are bit-identical.
         """
-        source = self._shard(source_shard_id)
+        source = self._shards[source_shard_id]
         k_s = source.vertex_indptr[ps - self._edges[source_shard_id]] + depth
         start_s = source.level_indptr[k_s]
         len_s = source.level_indptr[k_s + 1] - start_s
@@ -471,7 +454,7 @@ class ShardRouter(BatchMixin):
         start_t = np.empty(len(pt), dtype=np.int64)
         len_t = np.empty(len(pt), dtype=np.int64)
         for shard_id in np.unique(target_shard).tolist():
-            shard = self._shard(int(shard_id))
+            shard = self._shards[int(shard_id)]
             mask = target_shard == shard_id
             k_t = shard.vertex_indptr[pt[mask] - self._edges[shard_id]] + depth[mask]
             start_t[mask] = shard.level_indptr[k_t]
@@ -492,9 +475,7 @@ class ShardRouter(BatchMixin):
         for shard_id in np.unique(target_shard).tolist():
             selection = element_shard == shard_id
             if selection.any():
-                target_values[selection] = self._shard(int(shard_id)).values[
-                    idx_t[selection]
-                ]
+                target_values[selection] = self._shards[int(shard_id)].values[idx_t[selection]]
         sums = source_values + target_values
 
         nonempty = lengths > 0
@@ -502,7 +483,4 @@ class ShardRouter(BatchMixin):
         return result
 
     def __repr__(self) -> str:
-        return (
-            f"ShardRouter(path={str(self.path)!r}, num_shards={self.num_shards}, "
-            f"loaded={len(self.loaded_shard_ids)})"
-        )
+        return f"ShardRouter(path={str(self.path)!r}, num_shards={self.num_shards})"

@@ -1,13 +1,12 @@
-"""Damaged archives, manifests and sidecars, as known-answer tables.
+"""Damaged archives and manifests, as known-answer tables.
 
 Each table row is ``(damage, expected error)``: the damage is applied to
 a freshly saved file, and loading must raise a ``ValueError`` that names
-the damaged file and matches the expected text.  A router over a damaged
-or inconsistent layout must never answer a query.  Two files are handled
-differently: an unreadable manifest stops the next save's generation
-bump (a restarted counter would look older to a live router), and a
-damaged tree sidecar is ignored, because the resolver it caches can be
-rebuilt from the archive.
+the damaged file and matches the expected text.  A failed mmap load
+leaves no ``.mmap/`` sidecar directory behind.  A router over a damaged
+or inconsistent layout refuses to open, so it never answers a query.
+An unreadable manifest is handled differently: it stops the next save's
+generation bump (a restarted counter would look older to a live router).
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from repro.core.persistence import (
     load_index_sharded,
     load_manifest,
     load_shard,
-    load_tree_sidecar,
     save_index_sharded,
-    tree_sidecar_directory,
 )
 from repro.serving import ShardRouter
 
@@ -111,6 +108,7 @@ def test_damaged_archive_raises_value_error(built_index, tmp_path, damage, expec
     damage(path)
     with pytest.raises(ValueError, match=re.escape(str(path)) + r".*" + expected):
         load_index(path, mmap_labels=mmap_labels)
+    assert not (tmp_path / "index.npz.mmap").exists()
 
 
 def test_any_flipped_byte_raises_or_loads_the_same_index(built_index, pairs, tmp_path):
@@ -153,17 +151,16 @@ LAYOUT_DAMAGE = [
     [row[1:] for row in LAYOUT_DAMAGE],
     ids=[row[0] for row in LAYOUT_DAMAGE],
 )
-def test_damaged_layout_never_answers(built_index, pairs, tmp_path, filename, damage, expected):
+def test_damaged_layout_never_answers(built_index, tmp_path, filename, damage, expected):
     path = tmp_path / "index.npz"
     layout = save_index_sharded(built_index, path, num_shards=2)
     damage(layout / filename)
     message = re.escape(str(layout / filename)) + r".*" + expected
     with pytest.raises(ValueError, match=message):
         load_index_sharded(path)
-    for mmap in (False, True):
-        with pytest.raises(ValueError, match=message):
-            router = ShardRouter(path, mmap=mmap)
-            router.distances(pairs)
+    with pytest.raises(ValueError, match=message):
+        ShardRouter(path)
+    assert not (layout / f"{filename}.mmap").exists()
     if filename.startswith("shard-"):
         with pytest.raises(ValueError, match=message):
             load_shard(path, int(filename[6:10]))
@@ -222,7 +219,7 @@ MANIFEST_DAMAGE = [
 @pytest.mark.parametrize(
     "edit, expected", [row[1:] for row in MANIFEST_DAMAGE], ids=[row[0] for row in MANIFEST_DAMAGE]
 )
-def test_inconsistent_manifest_never_answers(built_index, pairs, tmp_path, edit, expected):
+def test_inconsistent_manifest_never_answers(built_index, tmp_path, edit, expected):
     path = tmp_path / "index.npz"
     layout = save_index_sharded(built_index, path, num_shards=2)
     manifest_path = layout / MANIFEST_FILENAME
@@ -231,10 +228,8 @@ def test_inconsistent_manifest_never_answers(built_index, pairs, tmp_path, edit,
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ValueError, match=expected):
         load_index_sharded(path)
-    for preload in (False, True):
-        with pytest.raises(ValueError, match=expected):
-            router = ShardRouter(path, preload=preload)
-            router.distances(pairs)
+    with pytest.raises(ValueError, match=expected):
+        ShardRouter(path)
 
 
 def test_empty_shards_are_legal(built_index, small_graph, pairs, tmp_path):
@@ -244,7 +239,7 @@ def test_empty_shards_are_legal(built_index, small_graph, pairs, tmp_path):
     save_index_sharded(built_index, path, boundaries=[0, 0, n // 2, n, n])
     _, manifest = load_manifest(path)
     assert [shard["num_vertices"] for shard in manifest["shards"]][::3] == [0, 0]
-    router = ShardRouter(path, preload=True)
+    router = ShardRouter(path)
     try:
         assert router.distances(pairs).tolist() == built_index.distances(pairs).tolist()
     finally:
@@ -281,60 +276,3 @@ def test_unreadable_manifest_stops_the_generation_bump(built_index, tmp_path, te
     # an explicit generation still overrides the unreadable counter
     save_index_sharded(built_index, path, num_shards=2, generation=2)
     assert load_manifest(path)[1]["generation"] == 2
-
-
-# --------------------------------------------------------------------- #
-# tree sidecar: damage falls back to the lazily built resolver
-# --------------------------------------------------------------------- #
-def _flip_last_byte(path) -> None:
-    _flip_at(path, path.stat().st_size - 1)
-
-
-def _flip_in_npy_header(path) -> None:
-    _flip_at(path, 20)  # inside the .npy header's dict literal
-
-
-#: (sidecar member, damage)
-SIDECAR_DAMAGE = [
-    ("truncated-euler", "euler.npy", _truncate_half),
-    ("truncated-table", "table.npy", _truncate_half),
-    ("truncated-members", "members.npy", _cut_last_30_bytes),
-    ("flipped-euler-data", "euler.npy", _flip_last_byte),
-    ("flipped-first-data", "first.npy", _flip_last_byte),
-    ("flipped-depth-header", "euler_depth.npy", _flip_in_npy_header),
-    ("flipped-local-header", "local.npy", _flip_in_npy_header),
-]
-
-
-def _same_root_pairs(index):
-    """Pairs answered by the tree resolver: both ends in one attachment tree."""
-    contraction = index.contraction
-    trees = {}
-    for v in range(contraction.num_original):
-        trees.setdefault(contraction.root[v], []).append(v)
-    pairs = [
-        (members[i], members[j])
-        for members in trees.values()
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ]
-    assert pairs, "the fixture graph needs contracted vertices"
-    return pairs[:200]
-
-
-@pytest.mark.parametrize("mmap", [False, True], ids=["in-memory", "mmap"])
-@pytest.mark.parametrize(
-    "member, damage", [row[1:] for row in SIDECAR_DAMAGE], ids=[row[0] for row in SIDECAR_DAMAGE]
-)
-def test_damaged_tree_sidecar_is_ignored(built_index, pairs, tmp_path, member, damage, mmap):
-    path = tmp_path / "index.npz"
-    built_index.save(path, tree_sidecar=True)
-    queries = _same_root_pairs(built_index) + list(pairs)
-    expected = HC2LIndex.load(path, mmap_labels=mmap).distances(queries).tolist()
-    assert load_tree_sidecar(path, built_index.contraction, mmap=mmap) is not None
-    damage(tree_sidecar_directory(path) / member)
-    assert load_tree_sidecar(path, built_index.contraction, mmap=mmap) is None
-    loaded = HC2LIndex.load(path, mmap_labels=mmap)
-    assert loaded.engine.resolver._tree_resolver is None  # built lazily instead
-    assert loaded.distances(queries).tolist() == expected
-    assert [loaded.distance(s, t) for s, t in queries[:40]] == expected[:40]

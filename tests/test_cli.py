@@ -53,6 +53,16 @@ class TestParser:
         assert exit_info.value.code != 0
         assert "unrecognized arguments: --flow-method matrix" in capsys.readouterr().err
 
+    def test_tree_sidecar_flag_removed(self, capsys):
+        # every process rebuilds the tree resolver from the archive; there
+        # is no second on-disk copy of it to ask for
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["build", "--synthetic", "100", "-o", "x.idx", "--tree-sidecar"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tree-sidecar" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["query", "shard", "fleet-bench"])
     def test_allow_pickle_flag_removed(self, command, capsys):
         # the loader never unpickles, so there is no opt-in to ask for
@@ -85,16 +95,6 @@ class TestBuildAndQuery:
         assert index_path.exists()
         out = capsys.readouterr().out
         assert "construction" in out
-
-    def test_build_with_tree_sidecar(self, tmp_path, dimacs_file, capsys):
-        from repro.core.persistence import tree_sidecar_directory
-
-        index_path = tmp_path / "sidecar.idx"
-        code = main(
-            ["build", "--graph", str(dimacs_file), "-o", str(index_path), "--tree-sidecar"]
-        )
-        assert code == 0
-        assert (tree_sidecar_directory(index_path) / "meta.json").exists()
 
     @pytest.mark.parametrize("mode", ["even", "hierarchy"])
     def test_shard_boundaries_modes(self, tmp_path, dimacs_file, capsys, mode, small_oracle):

@@ -5,8 +5,10 @@ Covers the zero-downtime update pipeline end to end:
 * manifest ``generation`` round trip, auto-bump on resave, back-compat
   with generation-less manifests, corrupt-manifest counter restart;
 * :meth:`ShardRouter.reload_generation` - answers flip atomically,
-  concurrent queries never error mid-swap, a lazy shard load against a
-  newer on-disk generation refuses loudly instead of mixing generations;
+  concurrent queries never error mid-swap, a router keeps serving its
+  adopted generation from every shard while a newer one sits on disk,
+  and a generation published while shards are being mapped is refused
+  loudly instead of mixed in;
 * the shared pair cache epoch - advancing it hides every cached entry
   from every attachment at once, republish works;
 * a live two-worker fleet generation flip under concurrent callers with
@@ -36,7 +38,12 @@ import pytest
 from repro.cli import main
 from repro.core.dynamic import DynamicHC2LIndex, relabel
 from repro.core.index import HC2LIndex
-from repro.core.persistence import MANIFEST_FILENAME, load_manifest, shard_directory
+from repro.core.persistence import (
+    MANIFEST_FILENAME,
+    load_manifest,
+    load_shard,
+    shard_directory,
+)
 from repro.experiments.dynamic import clustered_edge_changes, integerised
 from repro.graph.builders import caterpillar_graph, graph_from_edges
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
@@ -175,21 +182,58 @@ class TestRouterReload:
         finally:
             router.close()
 
-    def test_lazy_shard_load_refuses_newer_disk_generation(
+    def test_adopted_generation_serves_every_shard_until_reload(
         self, dyn_graph, dyn_index, tmp_path
     ):
         path = tmp_path / "idx.npz"
         dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+        rng = random.Random(17)
+        n = dyn_graph.num_vertices
+        pairs = [(s, rng.randrange(n)) for s in range(n)]  # every source
+        new_index = relabel(dyn_index, _reweight(dyn_graph, 3.0))
         router = ShardRouter(path)
         try:
-            router._shard(0)  # loaded under generation 0
-            dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
-            with pytest.raises(RuntimeError, match="reload_generation"):
-                router._shard(3)  # would silently mix generations
-            router.reload_generation()
-            router._shard(3)  # healthy again after the swap
+            new_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+            # generation 1 is on disk; the router still serves generation 0
+            assert router.distances(pairs).tolist() == dyn_index.distances(pairs).tolist()
+            assert sorted(router.stats.pairs_per_shard) == list(range(router.num_shards))
+            assert router.reload_generation() == 1
+            assert router.distances(pairs).tolist() == new_index.distances(pairs).tolist()
         finally:
             router.close()
+
+    @pytest.mark.parametrize("step", ["open", "reload"])
+    def test_generation_published_while_mapping_is_refused(
+        self, dyn_graph, dyn_index, tmp_path, monkeypatch, step
+    ):
+        path = tmp_path / "idx.npz"
+        dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+        router = ShardRouter(path) if step == "reload" else None
+        map_shard = load_shard
+        published = []
+
+        def publish_then_map(*args, **kwargs):
+            if not published:  # a writer lands between two shard maps
+                dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+                published.append(True)
+            return map_shard(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.shards.load_shard", publish_then_map)
+        with pytest.raises(RuntimeError, match=r"moved to generation 1 .*reload_generation\(\)"):
+            if router is None:
+                ShardRouter(path)
+            else:
+                router.reload_generation()
+        assert published
+        if router is not None:
+            try:
+                # the refused reload left the adopted generation in service
+                assert router.generation == 0
+                pairs = _probe_pairs(dyn_graph)
+                assert router.distances(pairs).tolist() == dyn_index.distances(pairs).tolist()
+                assert router.reload_generation() == 1  # no writer this time
+            finally:
+                router.close()
 
     def test_concurrent_queries_never_error_across_swaps(
         self, dyn_graph, dyn_index, tmp_path
@@ -204,11 +248,8 @@ class TestRouterReload:
             tuple(new_index.distances(pairs).tolist()),
         }
         router = ShardRouter(path)
-        # warm the shards the pairs touch first: a router refuses to load
-        # a cold shard once the disk moved to a newer generation (pinned by
-        # test_lazy_shard_load_refuses_newer_disk_generation), so threads
-        # still making their first loads when generation 1 lands would
-        # fail on scheduling alone; queries across the swap are the point
+        # one answer before the hammer starts: the freshly opened router
+        # already serves generation 0 from every shard it mapped
         assert tuple(router.distances(pairs).tolist()) in allowed
         errors: List[BaseException] = []
         stop = threading.Event()

@@ -32,7 +32,6 @@ from repro.serving.fleet.protocol import (
     error_to_wire,
     wire_to_error,
 )
-from repro.serving.mmap import load_index_mmap
 from repro.serving.shards import ShardRouter
 
 
@@ -474,11 +473,11 @@ class TestFrontDoorValidation:
 # --------------------------------------------------------------------- #
 class TestDeterministicRelease:
     def test_shard_router_close_releases_and_guards(self, fleet_layout, fleet_index):
-        with ShardRouter(fleet_layout, preload=True) as router:
-            shards = [s for s in router._shards if s is not None]
+        with ShardRouter(fleet_layout) as router:
+            shards = router._shards
             assert len(shards) == router.num_shards
             values_maps = [s.values._mmap for s in shards if hasattr(s.values, "_mmap")]
-            assert values_maps, "preloaded shards should be mmap-backed"
+            assert values_maps, "every shard should be mmap-backed from the open"
             assert router.distance(0, 10) == fleet_index.distance(0, 10)
         for mapping in values_maps:
             assert mapping.closed
@@ -491,7 +490,7 @@ class TestDeterministicRelease:
     def test_mmap_index_close_releases_and_guards(self, fleet_index, tmp_path):
         path = tmp_path / "mono.npz"
         fleet_index.save(path)
-        index = load_index_mmap(path)
+        index = HC2LIndex.load(path, mmap_labels=True)
         flat = index.flat_labelling()
         mapping = flat.values._mmap
         assert index.distance(0, 10) == fleet_index.distance(0, 10)

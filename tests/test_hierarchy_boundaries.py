@@ -1,4 +1,4 @@
-"""Hierarchy-aligned shard boundaries, label reordering and sidecars.
+"""Hierarchy-aligned shard boundaries and label reordering.
 
 Covers the serving-side payoff of the hierarchy phase:
 
@@ -10,15 +10,13 @@ Covers the serving-side payoff of the hierarchy phase:
 * the sharded on-disk format: hierarchy layouts answer bit-identically,
   reassemble losslessly, version-1 manifests still load, and
 * the fixture criterion: on neighbourhood-style traffic the hierarchy
-  layout's cross-shard pair fraction is at most the even layout's,
-* the persisted Euler-tour tree resolver sidecar used by the mmap path.
+  layout's cross-shard pair fraction is at most the even layout's.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from helpers import random_query_pairs
@@ -27,10 +25,7 @@ from repro.core.index import HC2LIndex
 from repro.core.persistence import (
     load_index_sharded,
     load_manifest,
-    load_tree_sidecar,
     save_index_sharded,
-    save_tree_sidecar,
-    tree_sidecar_directory,
 )
 from repro.experiments.sharding import boundary_locality_rows
 from repro.experiments.workloads import neighborhood_pairs
@@ -192,54 +187,3 @@ class TestCrossShardFraction:
         stats = router.stats.as_dict()
         assert 0.0 <= stats["cross_shard_fraction"] <= 1.0
 
-
-class TestTreeSidecar:
-    def test_sidecar_round_trip(self, built_index, small_graph, tmp_path):
-        path = tmp_path / "index.npz"
-        built_index.save(path, tree_sidecar=True)
-        sidecar = tree_sidecar_directory(path)
-        assert (sidecar / "meta.json").exists()
-        resolver = load_tree_sidecar(path, built_index.contraction)
-        assert resolver is not None
-        fresh = built_index.engine.resolver.tree_resolver
-        assert resolver.num_members == fresh.num_members
-        for name, array in resolver.state_arrays().items():
-            assert np.array_equal(array, fresh.state_arrays()[name]), name
-
-    def test_mmap_load_uses_the_sidecar(self, built_index, small_graph, tmp_path):
-        path = tmp_path / "index.npz"
-        built_index.save(path, tree_sidecar=True)
-        loaded = HC2LIndex.load(path, mmap_labels=True)
-        # the resolver is pre-installed (no lazy build) and mmap-backed
-        installed = loaded.engine.resolver._tree_resolver
-        assert installed is not None
-        assert isinstance(installed.state_arrays()["euler"], np.memmap)
-        pairs = random_query_pairs(small_graph, 120, seed=13)
-        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
-
-    def test_missing_sidecar_is_fine(self, built_index, small_graph, tmp_path):
-        path = tmp_path / "index.npz"
-        built_index.save(path)
-        assert load_tree_sidecar(path, built_index.contraction) is None
-        loaded = HC2LIndex.load(path, mmap_labels=True)
-        assert loaded.engine.resolver._tree_resolver is None
-        pairs = random_query_pairs(small_graph, 40, seed=2)
-        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
-
-    def test_stale_sidecar_is_ignored(self, built_index, tmp_path):
-        import os
-        import time
-
-        path = tmp_path / "index.npz"
-        built_index.save(path, tree_sidecar=True)
-        # rewriting the archive after the sidecar invalidates it
-        time.sleep(0.02)
-        built_index.save(path)
-        os.utime(path)  # ensure the archive mtime moves past the sidecar's
-        assert load_tree_sidecar(path, built_index.contraction) is None
-
-    def test_wrong_index_is_rejected(self, built_index, small_graph, tmp_path):
-        path = tmp_path / "index.npz"
-        built_index.save(path, tree_sidecar=True)
-        other = HC2LIndex.build(small_graph, leaf_size=9, contract=False)
-        assert load_tree_sidecar(path, other.contraction) is None

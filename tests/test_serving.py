@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.index import HC2LIndex
 from repro.experiments.workloads import random_pairs, skewed_pairs
-from repro.serving import CachingOracle, load_index_mmap
+from repro.serving import CachingOracle
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ class TestMmapLoading:
         path = tmp_path / "index.npz"
         index.save(path)
         in_memory = HC2LIndex.load(path)
-        mapped = load_index_mmap(path)
+        mapped = HC2LIndex.load(path, mmap_labels=True)
         pairs = random_pairs(small_graph, 200, seed=13)
         assert mapped.distances(pairs).tolist() == in_memory.distances(pairs).tolist()
         assert mapped.distances(pairs).tolist() == index.distances(pairs).tolist()
@@ -187,7 +187,7 @@ class TestMmapLoading:
     def test_labels_are_memory_mapped(self, index, tmp_path):
         path = tmp_path / "index.npz"
         index.save(path)
-        mapped = load_index_mmap(path)
+        mapped = HC2LIndex.load(path, mmap_labels=True)
         flat = mapped.flat_labelling()
         assert isinstance(flat.values, np.memmap)
         assert isinstance(flat.level_indptr, np.memmap)
@@ -197,10 +197,10 @@ class TestMmapLoading:
     def test_sidecars_reused_across_loads(self, index, tmp_path):
         path = tmp_path / "index.npz"
         index.save(path)
-        load_index_mmap(path)
+        HC2LIndex.load(path, mmap_labels=True)
         sidecar = tmp_path / "index.npz.mmap" / "label_values.npy"
         first_mtime = sidecar.stat().st_mtime_ns
-        load_index_mmap(path)
+        HC2LIndex.load(path, mmap_labels=True)
         assert sidecar.stat().st_mtime_ns == first_mtime
 
     def test_load_flag_on_index_class(self, index, tmp_path):
@@ -237,7 +237,7 @@ def test_full_serving_stack_identical_answers(index, small_graph, tmp_path):
     """mmap load -> cache returns the bare engine's answers."""
     path = tmp_path / "index.npz"
     index.save(path)
-    stack = CachingOracle(load_index_mmap(path))
+    stack = CachingOracle(HC2LIndex.load(path, mmap_labels=True))
     pairs = random_pairs(small_graph, 120, seed=17)
     direct = index.distances(pairs).tolist()
     assert stack.distances(pairs).tolist() == direct

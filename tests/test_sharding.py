@@ -1,4 +1,4 @@
-"""ShardRouter behaviour: lazy mmap loading, routing stats, composition
+"""ShardRouter behaviour: read-only shard maps, routing stats, composition
 with the serving layers, the CLI surface, and the overhead harness.
 
 Bit-identity with the monolithic engine is asserted exhaustively in the
@@ -33,35 +33,12 @@ def layout_path(index, tmp_path_factory):
 
 
 class TestRouterOperations:
-    def test_shards_load_lazily(self, layout_path, index):
-        router = ShardRouter(layout_path)
-        assert router.loaded_shard_ids == []
-        # a query touching one shard's vertices maps only what it needs
-        core_to_original = index.contraction.core_to_original
-        lo_vertex = core_to_original[0]
-        router.distance(lo_vertex, lo_vertex)  # same-vertex: no shard needed
-        assert router.loaded_shard_ids == []
-        router.distances([(lo_vertex, core_to_original[1])])
-        assert 0 < len(router.loaded_shard_ids) < router.num_shards
-        assert router.stats.shard_loads == len(router.loaded_shard_ids)
-
-    def test_preload_maps_everything(self, layout_path):
-        router = ShardRouter(layout_path, preload=True)
-        assert router.loaded_shard_ids == list(range(router.num_shards))
-
     def test_shard_buffers_are_read_only_memmaps(self, layout_path, small_graph):
-        router = ShardRouter(layout_path, preload=True)
-        for shard_id in router.loaded_shard_ids:
-            shard = router._shard(shard_id)
+        router = ShardRouter(layout_path)
+        assert len(router._shards) == router.num_shards
+        for shard in router._shards:
             assert isinstance(shard.values, np.memmap)
             assert not shard.values.flags.writeable
-
-    def test_in_memory_mode(self, layout_path, index, small_graph):
-        router = ShardRouter(layout_path, mmap=False, preload=True)
-        shard = router._shard(0)
-        assert not isinstance(shard.values, np.memmap)
-        pairs = random_pairs(small_graph, 100, seed=2)
-        assert router.distances(pairs).tolist() == index.distances(pairs).tolist()
 
     def test_routing_stats_accounting(self, layout_path, small_graph):
         router = ShardRouter(layout_path)
@@ -71,7 +48,7 @@ class TestRouterOperations:
         assert stats.batches == 1
         assert stats.core_pairs > 0
         assert stats.cross_shard_pairs > 0  # random traffic crosses 3 shards
-        assert stats.fanout_calls >= len(router.loaded_shard_ids)
+        assert stats.fanout_calls >= 1
         assert sum(stats.pairs_per_shard.values()) <= stats.core_pairs
         as_dict = stats.as_dict()
         assert as_dict["batches"] == 1
@@ -80,14 +57,20 @@ class TestRouterOperations:
         router = ShardRouter(layout_path)
         assert "num_shards=3" in repr(router)
 
-    def test_live_reshard_fails_loudly_not_silently(self, index, tmp_path):
-        """A router must not mix boundaries from two layout generations."""
+    def test_live_reshard_keeps_the_adopted_layout(self, index, small_graph, tmp_path):
+        """A re-shard on disk never mixes boundaries into a live router: it
+        keeps answering from the shards it mapped until it reloads."""
         path = tmp_path / "live.npz"
         index.save_sharded(path, num_shards=3)
-        router = ShardRouter(path)  # pins the 3-shard boundaries, loads lazily
-        index.save_sharded(path, num_shards=2)  # concurrent re-shard
-        with pytest.raises(RuntimeError, match="re-open"):
-            router.distances([(0, 5)])
+        pairs = random_pairs(small_graph, 100, seed=4)
+        expected = index.distances(pairs).tolist()
+        with ShardRouter(path) as router:  # maps the 3-shard generation
+            index.save_sharded(path, num_shards=2)  # concurrent re-shard
+            assert router.num_shards == 3
+            assert router.distances(pairs).tolist() == expected
+            assert router.reload_generation() == 1
+            assert router.num_shards == 2
+            assert router.distances(pairs).tolist() == expected
 
 
 class TestComposition:
