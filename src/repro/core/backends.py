@@ -33,8 +33,13 @@ search implementation.  Three backends ship:
     Heap-free searches over the CSR snapshot: distances come from one
     *batched* ``scipy.sparse.csgraph.dijkstra`` call per node (all cut /
     border sources at once, C speed), and the pruneability flags are
-    recovered from the finished distance arrays by the shortest-path-DAG
-    pass of :func:`~repro.core.pruned_dijkstra.prune_flags_from_distances`.
+    recovered from the finished distance arrays by reachability in the
+    shortest-path DAG.  Snapshots of at least
+    ``_BATCHED_FLAGS_MIN_VERTICES`` vertices get every cut vertex's flags
+    from one scipy breadth-first search over the stacked per-root DAGs
+    (:func:`~repro.core.pruned_dijkstra.prune_flags_batch`, distance rows
+    kept as arrays); smaller ones run the per-root worklist of
+    :func:`~repro.core.pruned_dijkstra.prune_flags_from_distances`.
     Because the ranking and labelling passes search from the same cut
     vertices, the per-source distance rows are cached on the node's
     :class:`~repro.core.flat.FlatWorkingGraph` snapshot, halving the
@@ -66,9 +71,22 @@ from scipy.sparse.csgraph import connected_components as _scipy_components
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.core.flat import FlatWorkingGraph
-from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_distances
+from repro.core.pruned_dijkstra import (
+    dist_and_prune_dense,
+    has_zero_weight,
+    prune_flags_batch,
+    prune_flags_from_distances,
+)
 
 INF = float("inf")
+
+#: Snapshots of at least this many vertices get their pruneability flags
+#: from one batched pass over all roots (:func:`prune_flags_batch`);
+#: smaller ones run the per-root worklist, whose fixed cost is lower.
+#: ``benchmarks/bench_prune_flags.py`` records the crossover: on the
+#: perfbench graphs the two tie at 128-255 vertices and the batched pass
+#: is ahead from 256 up.
+_BATCHED_FLAGS_MIN_VERTICES = 256
 
 BACKEND_NAMES = ("auto", "heap", "csr", "dial")
 
@@ -127,7 +145,7 @@ class ShortestPathBackend:
         flat: FlatWorkingGraph,
         roots: Sequence[int],
         prune_sets: Sequence[Sequence[int]],
-    ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
+    ) -> Tuple[Sequence[Sequence[float]], Sequence[Sequence[bool]]]:
         """Distances + Algorithm 4 pruneability flags for a batch of roots.
 
         ``prune_sets[i]`` is the prune set of ``roots[i]`` (the ranking
@@ -150,7 +168,7 @@ class HeapBackend(ShortestPathBackend):
         flat: FlatWorkingGraph,
         roots: Sequence[int],
         prune_sets: Sequence[Sequence[int]],
-    ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
+    ) -> Tuple[Sequence[Sequence[float]], Sequence[Sequence[bool]]]:
         dists: List[Sequence[float]] = []
         prunes: List[Sequence[bool]] = []
         for root, prune_ids in zip(roots, prune_sets):
@@ -177,8 +195,9 @@ class DialBackend(ShortestPathBackend):
     the batched C-speed scipy searches win regardless of weight shape)
     run on the fallback backend, ``csr`` unless another is injected; the
     distances are bit-identical anyway.  Algorithm 4
-    pruneability flags come from the same finished-distance DAG pass the
-    ``csr`` backend uses, so no flag logic is duplicated.
+    pruneability flags go through the same size dispatch
+    (``_prune_flags``) the ``csr`` backend uses, so no flag logic is
+    duplicated.
 
     The eligibility verdict (and the scaled integer weights) is cached on
     the snapshot under :data:`_SCALE_CACHE`; the builder touches each
@@ -224,19 +243,14 @@ class DialBackend(ShortestPathBackend):
         flat: FlatWorkingGraph,
         roots: Sequence[int],
         prune_sets: Sequence[Sequence[int]],
-    ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
+    ) -> Tuple[Sequence[Sequence[float]], Sequence[Sequence[bool]]]:
         scale = self._scale(flat)
         if scale is None:
             return self.fallback.dist_and_prune_many(flat, roots, prune_sets)
-        dists: List[Sequence[float]] = []
-        prunes: List[Sequence[bool]] = []
-        for root, prune_ids in zip(roots, prune_sets):
-            dist = self._sssp(flat, scale, int(root))
-            dists.append(dist)
-            # eligibility guarantees strictly positive weights, so the
-            # DAG flag-recovery pass applies
-            prunes.append(prune_flags_from_distances(flat, root, prune_ids, dist))
-        return dists, prunes
+        dists = [self._sssp(flat, scale, int(root)) for root in roots]
+        # eligibility guarantees strictly positive weights, so the
+        # distance-derived flag passes apply
+        return dists, _prune_flags(flat, roots, prune_sets, dists)
 
     # ------------------------------------------------------------------ #
     def _scale(self, flat: FlatWorkingGraph) -> Optional[Tuple[int, int, List[int]]]:
@@ -367,17 +381,11 @@ class CSRBackend(ShortestPathBackend):
         flat: FlatWorkingGraph,
         roots: Sequence[int],
         prune_sets: Sequence[Sequence[int]],
-    ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
+    ) -> Tuple[Sequence[Sequence[float]], Sequence[Sequence[bool]]]:
         if self._delegate(flat):
             return self._heap.dist_and_prune_many(flat, roots, prune_sets)
-        rows = self._distance_rows(flat, roots)
-        dists: List[Sequence[float]] = []
-        prunes: List[Sequence[bool]] = []
-        for root, prune_ids in zip(roots, prune_sets):
-            dist = rows[root]
-            dists.append(dist)
-            prunes.append(prune_flags_from_distances(flat, root, prune_ids, dist))
-        return dists, prunes
+        dists = self._distance_block(flat, roots)
+        return dists, _prune_flags(flat, roots, prune_sets, dists)
 
     def components(self, flat: FlatWorkingGraph) -> List[List[int]]:
         matrix = flat.cache.get(self._MATRIX_CACHE)
@@ -453,15 +461,7 @@ class CSRBackend(ShortestPathBackend):
         # scipy's sparse matrices treat explicit zeros as missing edges;
         # zero-weight edges are legal in Graph, so route them to the
         # heap searches
-        return self._zero_weight(flat)
-
-    @staticmethod
-    def _zero_weight(flat: FlatWorkingGraph) -> bool:
-        """Cached "does this snapshot carry a zero-weight edge" check."""
-        if "has_zero_weight" not in flat.cache:
-            weights = flat.weights
-            flat.cache["has_zero_weight"] = bool(weights) and min(weights) == 0.0
-        return bool(flat.cache["has_zero_weight"])
+        return has_zero_weight(flat)
 
     def _snapshot_matrix(self, flat: FlatWorkingGraph):
         """The snapshot's weighted scipy CSR matrix, cached on the snapshot."""
@@ -473,15 +473,35 @@ class CSRBackend(ShortestPathBackend):
             flat.cache[self._MATRIX_CACHE] = matrix
         return matrix
 
+    def _distance_block(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> np.ndarray:
+        """Distance rows for ``sources`` as one ``(k, n)`` float64 array.
+
+        The array-side twin of :meth:`_distance_rows`: rows live in the
+        snapshot's array cache (shared with :meth:`sssp_array`), so the
+        ranking and labelling passes search once per cut vertex, and the
+        batched flag pass never sees a row converted to a list.
+        """
+        cache: Dict[int, np.ndarray] = flat.cache.setdefault(self._ARRAY_CACHE, {})  # type: ignore[assignment]
+        missing = sorted({int(s) for s in sources if s not in cache})
+        if missing:
+            listed: Dict[int, List[float]] = flat.cache.get(self._DIST_CACHE, {})  # type: ignore[assignment]
+            for source in [s for s in missing if s in listed]:
+                cache[source] = np.asarray(listed[source], dtype=np.float64)
+            missing = [s for s in missing if s not in cache]
+        if missing:
+            matrix = self._snapshot_matrix(flat)
+            block = _scipy_dijkstra(matrix, directed=True, indices=missing)
+            for source, row in zip(missing, np.atleast_2d(block)):
+                cache[source] = row
+        return np.array([cache[int(s)] for s in sources], dtype=np.float64).reshape(
+            len(sources), len(flat.vertices)
+        )
+
     def _distance_rows(
         self, flat: FlatWorkingGraph, sources: Sequence[int]
     ) -> Dict[int, List[float]]:
-        """Distance rows for ``sources``, cached on the snapshot.
-
-        The ranking and labelling passes search from the same cut
-        vertices; whichever runs first pays for the batched scipy call,
-        the second hits the cache.
-        """
+        """Distance rows for ``sources`` as lists (:meth:`sssp_many`),
+        cached on the snapshot."""
         cache: Dict[int, List[float]] = flat.cache.setdefault(self._DIST_CACHE, {})  # type: ignore[assignment]
         missing = sorted({int(s) for s in sources if s not in cache})
         if missing:
@@ -498,11 +518,29 @@ class CSRBackend(ShortestPathBackend):
             block = _scipy_dijkstra(matrix, directed=True, indices=missing)
             block = np.atleast_2d(np.asarray(block, dtype=np.float64))
             for source, row in zip(missing, block):
-                # plain lists: the flag pass and the label-assembly loops
-                # index per element, which is several times faster on
-                # lists than on numpy scalars
                 cache[source] = row.tolist()
         return cache
+
+
+def _prune_flags(
+    flat: FlatWorkingGraph,
+    roots: Sequence[int],
+    prune_sets: Sequence[Sequence[int]],
+    dists: Sequence[Sequence[float]],
+) -> Sequence[Sequence[bool]]:
+    """Algorithm 4 flags from finished distance rows, ``dists[i]`` from ``roots[i]``.
+
+    The one flag dispatch of the distance-first backends (``csr`` and
+    ``dial``): large snapshots run :func:`prune_flags_batch` over all
+    roots at once, small ones the per-root worklist.  Both compute the
+    same shortest-path-DAG reachability, so the flags are identical.
+    """
+    if len(flat.vertices) >= _BATCHED_FLAGS_MIN_VERTICES:
+        return prune_flags_batch(flat, roots, prune_sets, np.asarray(dists, dtype=np.float64))
+    return [
+        prune_flags_from_distances(flat, root, prune_ids, dist)
+        for root, prune_ids, dist in zip(roots, prune_sets, dists)
+    ]
 
 
 def _components_python_masked(

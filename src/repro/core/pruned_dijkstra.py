@@ -8,17 +8,23 @@ entries win, which makes the flag mean "there exists a shortest path
 through P" rather than "the particular tree path found goes through P" -
 exactly the semantics required by the tail-pruning rule (Definition 4.18).
 
-Two implementations of that semantics live here:
+Three implementations of that semantics live here:
 
 * :func:`dist_and_prune_dense` - the heap-based search computing
-  distances and flags in one pass (the classic form), and
-* :func:`prune_flags_from_distances` - the flag half alone, derived from an
-  *already computed* distance array by one pass over the shortest-path DAG
-  in ascending distance order.  This is what lets the CSR backend
-  (:mod:`repro.core.backends`) obtain the distances from a heap-free
-  vectorised search (one batched ``scipy.sparse.csgraph`` call for all of
-  a node's cut vertices) and still produce flags - and therefore labels -
-  bit-identical to the heap search.
+  distances and flags in one pass (the classic form);
+* :func:`prune_flags_from_distances` - the flag half alone for one root,
+  derived from an *already computed* distance array by a worklist over
+  the shortest-path DAG; and
+* :func:`prune_flags_batch` - the same flags for *all* of a node's roots
+  at once: the per-root DAGs are stacked into one scipy graph and a
+  single breadth-first search from a super-source reaches exactly the
+  flagged (root, vertex) pairs.
+
+The last two are what let the CSR backend (:mod:`repro.core.backends`)
+obtain the distances from one batched ``scipy.sparse.csgraph`` call for
+all of a node's cut vertices and still produce flags - and therefore
+labels - bit-identical to the heap search.  The backend picks the
+worklist on small snapshots and the batched pass on large ones.
 """
 
 from __future__ import annotations
@@ -27,10 +33,36 @@ import heapq
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.core.flat import FlatWorkingGraph
 
 INF = float("inf")
+
+
+def has_zero_weight(flat: FlatWorkingGraph) -> bool:
+    """Whether the snapshot carries a zero-weight edge (cached on it).
+
+    The csr backend's delegation check and both distance-derived flag
+    passes read the same cache entry, so the O(E) scan runs once per
+    node, not once per cut vertex.
+    """
+    found = flat.cache.get("has_zero_weight")
+    if found is None:
+        weights = flat.csr_arrays()[2]
+        found = bool(weights.size) and float(weights.min()) == 0.0
+        flat.cache["has_zero_weight"] = found
+    return bool(found)
+
+
+def _reject_zero_weight(flat: FlatWorkingGraph, name: str) -> None:
+    if has_zero_weight(flat):
+        raise ValueError(
+            f"{name} requires strictly positive edge weights (zero-weight "
+            f"ties make the heap search's flags order-dependent); run "
+            f"dist_and_prune_dense instead"
+        )
 
 
 def dist_and_prune_dense(
@@ -113,20 +145,9 @@ def prune_flags_from_distances(
     ``csr`` backend) route zero-weight snapshots to the heap search
     instead.
     """
+    _reject_zero_weight(flat, "prune_flags_from_distances")
     n = len(flat.vertices)
     indptr, indices, weights = flat.indptr, flat.indices, flat.weights
-    # cached on the snapshot (same key the csr backend's delegation check
-    # writes), so the O(E) scan runs once per node, not once per cut vertex
-    has_zero_weight = flat.cache.get("has_zero_weight")
-    if has_zero_weight is None:
-        has_zero_weight = bool(weights) and min(weights) == 0.0
-        flat.cache["has_zero_weight"] = has_zero_weight
-    if has_zero_weight:
-        raise ValueError(
-            "prune_flags_from_distances requires strictly positive edge "
-            "weights (zero-weight ties make the heap search's flags "
-            "order-dependent); run dist_and_prune_dense instead"
-        )
     dist_list: List[float] = (
         dist if isinstance(dist, list) else np.asarray(dist, dtype=np.float64).tolist()
     )
@@ -158,3 +179,80 @@ def prune_flags_from_distances(
                 through[c] = True
                 stack.append(c)
     return through
+
+
+def prune_flags_batch(
+    flat: FlatWorkingGraph,
+    roots: Sequence[int],
+    prune_sets: Sequence[Sequence[int]],
+    block: np.ndarray,
+) -> np.ndarray:
+    """:func:`prune_flags_from_distances` for every root in one pass.
+
+    ``block`` is the ``(k, n)`` float64 array of exact distance rows,
+    row ``i`` from ``roots[i]``; ``prune_sets[i]`` is that root's prune
+    set.  Returns the ``(k, n)`` bool flag block, row ``i`` equal to
+    ``prune_flags_from_distances(flat, roots[i], prune_sets[i],
+    block[i])``.
+
+    Flags are reachability in the shortest-path DAG (see
+    :func:`prune_flags_from_distances`), so any traversal order gives the
+    same answer.  Here the ``k`` per-root DAGs become one directed graph
+    on ``k * n + 1`` vertices: vertex ``i * n + v`` is ``v`` in root
+    ``i``'s DAG, and the extra last vertex is a super-source with an arc
+    to every tight child of every prune vertex (the root itself and
+    prune vertices it cannot reach excepted - ``inf + w == inf`` would
+    otherwise count unreached arcs as tight).  One scipy breadth-first
+    search from the super-source then reaches exactly the flagged
+    ``(root, vertex)`` pairs.  Zero-weight snapshots are rejected like
+    the worklist rejects them.
+    """
+    _reject_zero_weight(flat, "prune_flags_batch")
+    n = len(flat.vertices)
+    k = len(roots)
+    _, heads, weights = flat.csr_arrays()
+    tails = flat.tails()
+    num_arcs = len(heads)
+    # tight[i, e]: arc e lies in root i's shortest-path DAG.  Built one
+    # row at a time into reused buffers; three (k, E) float gathers at
+    # once would dominate the pass's peak memory on the largest nodes.
+    tight = np.empty((k, num_arcs), dtype=bool)
+    via = np.empty(num_arcs, dtype=np.float64)
+    reached = np.empty(num_arcs, dtype=np.float64)
+    for i in range(k):
+        row = block[i]
+        np.take(row, tails, out=via)
+        np.add(via, weights, out=via)
+        np.take(row, heads, out=reached)
+        np.equal(via, reached, out=tight[i])
+    # row-major order of the (k, E) mask is (root, tail) order, i.e. the
+    # stacked graph's CSR order: no sort needed
+    flat_arcs = np.flatnonzero(tight)
+    arc_root = np.repeat(np.arange(k, dtype=np.int64), np.count_nonzero(tight, axis=1))
+    del tight
+    arc = flat_arcs - arc_root * num_arcs
+    stacked_tail = arc_root * n + tails[arc]
+    stacked_head = arc_root * n + heads[arc]
+    source = k * n
+    stacked_indptr = np.zeros(source + 2, dtype=np.int64)
+    np.cumsum(np.bincount(stacked_tail, minlength=source), out=stacked_indptr[1:-1])
+    # the super-source's row: the stacked rows of every seeding prune vertex
+    seeds = np.zeros((k, n), dtype=bool)
+    for i, prune_ids in enumerate(prune_sets):
+        seeds[i, np.asarray(prune_ids, dtype=np.int64)] = True
+    seeds[np.arange(k), np.asarray(roots, dtype=np.int64)] = False
+    seeds &= np.isfinite(block)
+    seed_rows = np.flatnonzero(seeds)
+    starts = stacked_indptr[seed_rows]
+    lengths = stacked_indptr[seed_rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+    stacked_indptr[-1] = stacked_indptr[-2] + len(positions)
+    columns = np.concatenate([stacked_head, stacked_head[positions]])
+    graph = csr_matrix(
+        (np.ones(len(columns)), columns, stacked_indptr), shape=(source + 1, source + 1)
+    )
+    order = breadth_first_order(graph, source, directed=True, return_predecessors=False)
+    flags = np.zeros(source + 1, dtype=bool)
+    flags[order] = True
+    return flags[:source].reshape(k, n)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.flat import FlatWorkingGraph
 
@@ -56,7 +58,7 @@ def rank_cut_vertices(
     prune_sets = [[c for c in cut_dense if c != v_dense] for v_dense in cut_dense]
     _, prunes = search.dist_and_prune_many(flat, cut_dense, prune_sets)
     coverage: Dict[int, int] = {
-        v: int(sum(through)) for v, through in zip(cut_list, prunes)
+        v: int(np.count_nonzero(through)) for v, through in zip(cut_list, prunes)
     }
     ordered = sorted(cut_list, key=lambda v: (coverage[v], v))
     return CutRanking(ordered=ordered, coverage=coverage)

@@ -68,6 +68,22 @@ def force_flow_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(vertex_cut, "_MATRIX_SMALL_REGION", FLOW_ROUTES[route])
 
 
+#: Every production prune-flag route of the distance-first backends as its
+#: snapshot-size threshold: 0 sends every snapshot to the batched pass,
+#: 10**9 sends every snapshot to the per-root worklist.
+PRUNE_ROUTES = {
+    "batched": 0,
+    "worklist": 10**9,
+}
+
+
+def force_prune_route(monkeypatch, route: str) -> None:
+    """Pin the csr/dial flag dispatch to one :data:`PRUNE_ROUTES` entry."""
+    import repro.core.backends as backends
+
+    monkeypatch.setattr(backends, "_BATCHED_FLAGS_MIN_VERTICES", PRUNE_ROUTES[route])
+
+
 def label_levels(flat: FlatLabelling) -> List[List[List[float]]]:
     """The labels as per-vertex level lists: ``[v][depth]`` is a list of floats.
 

@@ -26,11 +26,28 @@ from repro.core.construction import HC2LBuilder, root_snapshot
 from repro.core.dynamic import DynamicHC2LIndex
 from repro.core.flat import FlatWorkingGraph
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_distances
+from repro.core.dynamic import relabel
+from repro.core.pruned_dijkstra import (
+    dist_and_prune_dense,
+    prune_flags_batch,
+    prune_flags_from_distances,
+)
 from repro.experiments.dynamic import clustered_edge_changes, integerised
 from repro.graph.builders import graph_from_edges
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 from repro.graph.graph import Graph
+from test_golden_labels import (
+    CASES,
+    GOLDEN,
+    GOLDEN_RELABEL,
+    GRAPHS,
+    RELABEL_CASES,
+    RELABEL_GRAPHS,
+    label_digest,
+    relabel_digest,
+)
+
+from helpers import force_prune_route
 
 INF = float("inf")
 
@@ -90,12 +107,20 @@ class TestPruneFlagRecovery:
         flat = _flat_for(graph)
         rng = random.Random(seed)
         n = len(flat.vertices)
+        roots, prune_sets, rows, expected = [], [], [], []
         for _ in range(6):
             root = rng.randrange(n)
             prune_ids = [v for v in range(n) if rng.random() < 0.2 and v != root]
             dist, through = dist_and_prune_dense(flat, root, prune_ids)
             recovered = prune_flags_from_distances(flat, root, prune_ids, dist)
             assert recovered == through
+            roots.append(root)
+            prune_sets.append(prune_ids)
+            rows.append(dist)
+            expected.append(through)
+        # all six roots in one batched pass, each with its own prune set
+        batched = prune_flags_batch(flat, roots, prune_sets, np.asarray(rows))
+        assert batched.tolist() == expected
 
     def test_zero_weight_ties_are_rejected(self):
         """Zero-weight ties make the heap's flags settle-order dependent, so
@@ -111,6 +136,18 @@ class TestPruneFlagRecovery:
         with pytest.raises(ValueError, match="strictly positive"):
             prune_flags_from_distances(flat, 0, [5], dist)
 
+    def test_zero_weight_ties_are_rejected_by_the_batched_pass(self):
+        """The batched pass refuses zero-weight snapshots exactly like the
+        worklist: its flags are the same distance-derived reachability."""
+        edges = [
+            (0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.0), (3, 4, 0.0),
+            (0, 5, 1.0), (5, 2, 0.0), (4, 6, 2.0), (0, 6, 3.0),
+        ]
+        flat = _flat_for(graph_from_edges(edges, num_vertices=7))
+        dist, _ = dist_and_prune_dense(flat, 0, [5])
+        with pytest.raises(ValueError, match="strictly positive"):
+            prune_flags_batch(flat, [0], [[5]], np.asarray([dist]))
+
     def test_unreachable_vertices_stay_unflagged(self):
         graph = graph_from_edges([(0, 1, 1.0), (2, 3, 1.0)], num_vertices=4)
         flat = _flat_for(graph)
@@ -118,6 +155,82 @@ class TestPruneFlagRecovery:
         recovered = prune_flags_from_distances(flat, 0, [1], dist)
         assert recovered == through
         assert recovered[2] is False and recovered[3] is False
+
+
+#: (name, edges, vertex count, root, prune set, expected flags).  The
+#: weights are dyadic floats, so path sums are exact and a tie is a tie;
+#: the non-dyadic row checks that a near-tie is not taken for one.
+FLAG_TABLE = [
+    # 3 is reached by two tied shortest paths; one runs through prune
+    # vertex 1, which is enough to flag 3 and everything behind it
+    ("diamond-tie", [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+     5, 0, [1], [False, False, False, True, True]),
+    ("dyadic-tie", [(0, 1, 0.5), (1, 2, 0.25), (0, 2, 0.75), (2, 3, 1.0)],
+     4, 0, [1], [False, False, True, True]),
+    # 0.1 + 0.2 != 0.3 in float64: the detour through 1 is not a tie
+    ("non-dyadic-near-tie", [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)],
+     3, 0, [1], [False, False, False]),
+    # prune vertex 2 lies behind prune vertex 1, so it is flagged itself
+    ("prune-behind-prune", [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+     4, 0, [1, 2], [False, False, True, True]),
+    # the root never seeds: every path starts at it
+    ("root-in-prune-set", [(0, 1, 1.0), (1, 2, 1.0)],
+     3, 0, [0], [False, False, False]),
+    ("empty-prune-set", [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
+     4, 0, [], [False, False, False, False]),
+    # prune vertex 2 is unreachable: inf + w == inf must not seed 3 and 4
+    ("unreached-prune-vertex", [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+     5, 0, [2], [False, False, False, False, False]),
+]
+
+
+class TestPruneFlagTable:
+    """Known answers for the three flag computations, one row per rule."""
+
+    @pytest.mark.parametrize(
+        "edges, num_vertices, root, prune_ids, expected",
+        [row[1:] for row in FLAG_TABLE],
+        ids=[row[0] for row in FLAG_TABLE],
+    )
+    def test_flags(self, edges, num_vertices, root, prune_ids, expected):
+        flat = _flat_for(graph_from_edges(edges, num_vertices=num_vertices))
+        assert flat.vertices == list(range(num_vertices))
+        dist, through = dist_and_prune_dense(flat, root, prune_ids)
+        worklist = prune_flags_from_distances(flat, root, prune_ids, dist)
+        batched = prune_flags_batch(flat, [root], [prune_ids], np.asarray([dist]))
+        assert through == expected
+        assert worklist == expected
+        assert batched.tolist() == [expected]
+
+
+class TestBatchedRouteGolden:
+    """The batched flag pass, forced onto every snapshot the csr backend
+    searches, reproduces the golden build and relabel digests (the shipped
+    size threshold sends only the largest golden snapshots through it)."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_build_matches_golden(self, case, monkeypatch):
+        force_prune_route(monkeypatch, "batched")
+        graph_name, overrides = CASES[case]
+        index = HC2LIndex.build(GRAPHS[graph_name](), backend="csr", **overrides)
+        assert label_digest(index) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(RELABEL_CASES))
+    def test_relabel_matches_golden(self, case, monkeypatch):
+        force_prune_route(monkeypatch, "batched")
+        graph_name, overrides, change_set, scoped = RELABEL_CASES[case]
+        graph = RELABEL_GRAPHS[graph_name]()
+        index = HC2LIndex.build(graph, backend="csr", **overrides)
+        changed = change_set(graph, index)
+        result = relabel(index, graph.reweighted(changed), changed_edges=changed if scoped else None)
+        extra = result.describe()
+        observed = (
+            relabel_digest(result),
+            extra.get("relabel_scoped", 0.0),
+            extra.get("relabel_nodes_recomputed", 0.0),
+            extra.get("relabel_nodes_spliced", 0.0),
+        )
+        assert observed == GOLDEN_RELABEL[case]
 
 
 class TestBackendSelection:

@@ -203,6 +203,45 @@ class TestFlowRouteFuzz:
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
+class TestPruneRouteFuzz:
+    """Every prune-flag route builds and relabels the heap search's labels.
+
+    The flags are reachability in each root's shortest-path DAG, so the
+    per-root worklist and the batched pass over all of a node's roots must
+    agree bit for bit.  The csr backend runs every snapshot here (no
+    tiny-snapshot delegation), and each route is forced through the
+    snapshot-size threshold for a build and one scoped relabel.
+    """
+
+    def test_prune_routes_same_labels(self, case, monkeypatch):
+        from helpers import PRUNE_ROUTES, force_prune_route
+        from repro.core.backends import resolve_backend
+        from repro.core.dynamic import relabel
+
+        graph = _fuzz_graph(case, seed=1)
+        rng = random.Random(zlib.crc32(case.encode()))
+        edges = list(graph.edges())
+        changed = {
+            (u, v): w * float(rng.randrange(2, 6))
+            for u, v, w in rng.sample(edges, min(5, len(edges)))
+        }
+        new_graph = graph.reweighted(changed)
+        built = HC2LIndex.build(graph, leaf_size=4, backend="heap")
+        relabelled = relabel(built, new_graph, changed_edges=changed)
+        monkeypatch.setattr(resolve_backend("csr"), "min_vertices", 0)
+        for route in PRUNE_ROUTES:
+            force_prune_route(monkeypatch, route)
+            index = HC2LIndex.build(graph, leaf_size=4, backend="csr")
+            assert index.flat_labelling() == built.flat_labelling(), (
+                f"prune route {route!r} changed the built labels"
+            )
+            again = relabel(index, new_graph, changed_edges=changed)
+            assert again.flat_labelling() == relabelled.flat_labelling(), (
+                f"prune route {route!r} changed the relabelled labels"
+            )
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
 @pytest.mark.parametrize("seed", [0, 2])
 class TestDialBackendFuzz:
     """Dial bucket-queue construction against the heap reference.
