@@ -42,8 +42,9 @@ search implementation.  Three backends ship:
     :func:`~repro.core.pruned_dijkstra.prune_flags_from_distances`.
     Because the ranking and labelling passes search from the same cut
     vertices, the per-source distance rows are cached on the node's
-    :class:`~repro.core.flat.FlatWorkingGraph` snapshot, halving the
-    distance work per node.  Both Dijkstra variants perform the same
+    :class:`~repro.core.flat.FlatWorkingGraph` snapshot as float64 arrays,
+    halving the distance work per node; every caller gets its rows as
+    one ``(sources x snapshot)`` array, never as lists.  Both Dijkstra variants perform the same
     ``dist[u] + w`` float64 relaxations, so distances - and therefore
     labels - are bit-identical to the heap backend (asserted by the
     backend-equivalence tests).
@@ -103,8 +104,15 @@ class ShortestPathBackend:
 
     name: str = "abstract"
 
-    def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
-        """Single-source distance rows for a batch of sources."""
+    def sssp_many(
+        self, flat: FlatWorkingGraph, sources: Sequence[int]
+    ) -> Sequence[Sequence[float]]:
+        """Single-source distance rows for a batch of sources.
+
+        Rows come as lists or, from array-native backends, as one
+        ``(sources x snapshot)`` float64 array; callers read them through
+        ``np.asarray``.
+        """
         raise NotImplementedError
 
     def sssp_array(self, flat: FlatWorkingGraph, source: int) -> np.ndarray:
@@ -232,7 +240,9 @@ class DialBackend(ShortestPathBackend):
         return self._fallback
 
     # ------------------------------------------------------------------ #
-    def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
+    def sssp_many(
+        self, flat: FlatWorkingGraph, sources: Sequence[int]
+    ) -> Sequence[Sequence[float]]:
         scale = self._scale(flat)
         if scale is None:
             return self.fallback.sssp_many(flat, sources)
@@ -330,7 +340,6 @@ class CSRBackend(ShortestPathBackend):
 
     name = "csr"
 
-    _DIST_CACHE = "csr_dist_rows"
     _ARRAY_CACHE = "csr_dist_arrays"
     _MATRIX_CACHE = "csr_matrix"
 
@@ -351,11 +360,12 @@ class CSRBackend(ShortestPathBackend):
         self._heap = HeapBackend()
 
     # ------------------------------------------------------------------ #
-    def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
+    def sssp_many(
+        self, flat: FlatWorkingGraph, sources: Sequence[int]
+    ) -> Sequence[Sequence[float]]:
         if self._delegate(flat):
             return self._heap.sssp_many(flat, sources)
-        rows = self._distance_rows(flat, sources)
-        return [rows[source] for source in sources]
+        return self._distance_block(flat, sources)
 
     def sssp_array(self, flat: FlatWorkingGraph, source: int) -> np.ndarray:
         if self._delegate(flat):
@@ -364,15 +374,11 @@ class CSRBackend(ShortestPathBackend):
         cache: Dict[int, np.ndarray] = flat.cache.setdefault(self._ARRAY_CACHE, {})  # type: ignore[assignment]
         row = cache.get(source)
         if row is None:
-            listed = flat.cache.get(self._DIST_CACHE, {}).get(source)  # type: ignore[union-attr]
-            if listed is not None:
-                row = np.asarray(listed, dtype=np.float64)
-            else:
-                matrix = self._snapshot_matrix(flat)
-                row = np.asarray(
-                    _scipy_dijkstra(matrix, directed=True, indices=[source]),
-                    dtype=np.float64,
-                ).ravel()
+            matrix = self._snapshot_matrix(flat)
+            row = np.asarray(
+                _scipy_dijkstra(matrix, directed=True, indices=[source]),
+                dtype=np.float64,
+            ).ravel()
             cache[source] = row
         return row
 
@@ -476,50 +482,22 @@ class CSRBackend(ShortestPathBackend):
     def _distance_block(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources`` as one ``(k, n)`` float64 array.
 
-        The array-side twin of :meth:`_distance_rows`: rows live in the
-        snapshot's array cache (shared with :meth:`sssp_array`), so the
-        ranking and labelling passes search once per cut vertex, and the
-        batched flag pass never sees a row converted to a list.
+        Rows live in the snapshot's array cache (shared with
+        :meth:`sssp_array`), so the ranking and labelling passes search
+        once per cut vertex.
         """
         cache: Dict[int, np.ndarray] = flat.cache.setdefault(self._ARRAY_CACHE, {})  # type: ignore[assignment]
         missing = sorted({int(s) for s in sources if s not in cache})
         if missing:
-            listed: Dict[int, List[float]] = flat.cache.get(self._DIST_CACHE, {})  # type: ignore[assignment]
-            for source in [s for s in missing if s in listed]:
-                cache[source] = np.asarray(listed[source], dtype=np.float64)
-            missing = [s for s in missing if s not in cache]
-        if missing:
             matrix = self._snapshot_matrix(flat)
+            # the snapshot already stores both directions of every
+            # undirected edge, so treat it as a (symmetric) digraph
             block = _scipy_dijkstra(matrix, directed=True, indices=missing)
             for source, row in zip(missing, np.atleast_2d(block)):
                 cache[source] = row
         return np.array([cache[int(s)] for s in sources], dtype=np.float64).reshape(
             len(sources), len(flat.vertices)
         )
-
-    def _distance_rows(
-        self, flat: FlatWorkingGraph, sources: Sequence[int]
-    ) -> Dict[int, List[float]]:
-        """Distance rows for ``sources`` as lists (:meth:`sssp_many`),
-        cached on the snapshot."""
-        cache: Dict[int, List[float]] = flat.cache.setdefault(self._DIST_CACHE, {})  # type: ignore[assignment]
-        missing = sorted({int(s) for s in sources if s not in cache})
-        if missing:
-            # rows the seed searches already hold as arrays just convert
-            array_rows: Dict[int, np.ndarray] = flat.cache.get(self._ARRAY_CACHE, {})  # type: ignore[assignment]
-            if array_rows:
-                for source in [s for s in missing if s in array_rows]:
-                    cache[source] = array_rows[source].tolist()
-                missing = [s for s in missing if s not in cache]
-        if missing:
-            matrix = self._snapshot_matrix(flat)
-            # the snapshot already stores both directions of every
-            # undirected edge, so treat it as a (symmetric) digraph
-            block = _scipy_dijkstra(matrix, directed=True, indices=missing)
-            block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-            for source, row in zip(missing, block):
-                cache[source] = row.tolist()
-        return cache
 
 
 def _prune_flags(

@@ -11,8 +11,21 @@ expensive balanced-cut computations entirely.
 Each recomputed node runs the construction's own per-node sequence
 (:func:`repro.core.flat_build.label_node` and
 :func:`repro.core.flat_build.shortcut_child`) on the inherited cut and
-partitions, and the labels are packed straight into a
-:class:`~repro.core.flat.FlatLabelling`.
+partitions.  Its level leaves as a :class:`~repro.core.labelling.LevelPiece`
+(the node's distance block cut to one length per vertex), and one numpy
+gather (:func:`~repro.core.labelling.pack_levels`) packs the recomputed
+pieces into a :class:`~repro.core.flat.FlatLabelling` under which the
+spliced subtrees keep their old levels; no level is ever a per-vertex list.
+
+An epoch copies no graph.  :meth:`~repro.graph.graph.Graph.reweighted`
+shares every adjacency row but the changed edges' endpoints' with its
+parent (copy-on-write on both sides) and hands the derived graph its
+parent's CSR arrays with the changed arcs patched, so
+:meth:`DynamicHC2LIndex.flush`, the reweighted core, the topology check
+and both root snapshots read cached CSR arrays instead of rebuilding them
+from dicts.  The price is one CSR view kept per reweighted graph (about
+1.2 MB on the 10k-vertex perfbench ``query-float`` graph); a freshly built
+index's core graph keeps none.
 
 A scoped relabel splices the old levels of every subtree whose snapshot
 did not change.  It reads the old side from the index's
@@ -46,14 +59,9 @@ import numpy as np
 from repro.core.backends import ShortestPathBackend, resolve_backend
 from repro.core.construction import ConstructionStats, root_snapshot
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.flat_build import (
-    ChildRecord,
-    RelabelRecord,
-    fragment_from_levels,
-    label_node,
-    shortcut_child,
-)
+from repro.core.flat_build import ChildRecord, RelabelRecord, label_node, shortcut_child
 from repro.core.index import HC2LIndex, HC2LParameters, _identity_contraction
+from repro.core.labelling import LevelPiece, level_piece, pack_levels
 from repro.graph.contraction import ContractedGraph
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy, TreeNode
@@ -132,11 +140,14 @@ def relabel(
     )
     walk = _RelabelWalk(index, resolve_backend(getattr(index.parameters, "backend", "auto")), scoped)
     with walk.stats.timer.measure("snapshot"):
-        old_root = root_snapshot(old.core)
-        new_root = _patched_snapshot(old_root, core_changes)
+        # a reweighted core holds its parent's CSR with the changed arcs
+        # patched, and its parent keeps the CSR it was derived from, so
+        # neither root is rebuilt from adjacency dicts
+        new_root = root_snapshot(contraction.core)
+        old_root = root_snapshot(old.core) if scoped else None
     for root in hierarchy.nodes:
         if root.parent is None:
-            walk.visit(root, new_root, old_root if scoped else None)
+            walk.visit(root, new_root, old_root)
 
     extra: Dict[str, float] = {}
     if scoped:
@@ -277,25 +288,6 @@ def _reweighted_contraction(
     )
 
 
-def _patched_snapshot(
-    root: FlatWorkingGraph, changes: Sequence[Tuple[int, int, float]]
-) -> FlatWorkingGraph:
-    """``root`` with both arcs of every changed core edge reweighted.
-
-    The reweighted core graph keeps the old one's edge order, so this is
-    exactly its root snapshot, made without a second CSR build.
-    """
-    if not changes:
-        return root
-    indptr, indices, weights = root.csr_arrays()
-    weights = weights.copy()
-    for u, v, weight in changes:
-        for tail, head in ((u, v), (v, u)):
-            lo = int(indptr[tail])
-            weights[lo + int(np.flatnonzero(indices[lo : indptr[tail + 1]] == head)[0])] = weight
-    return FlatWorkingGraph(root.vertices, indptr, indices, weights)
-
-
 def _scoping_pays(
     hierarchy: BalancedTreeHierarchy, core_changes: Sequence[Tuple[int, int, float]]
 ) -> bool:
@@ -344,7 +336,7 @@ class _RelabelWalk:
     snapshot (the full pass, or below a crossing shortcut) every node is
     recomputed.
 
-    Recomputed levels collect in per-vertex lists; a vertex of a spliced
+    Recomputed levels collect as level pieces; a vertex of a spliced
     subtree keeps its old levels below them.  :attr:`record` starts as
     the old record (a spliced subtree keeps its entries) and every
     recomputed node writes its children's entries.
@@ -362,17 +354,15 @@ class _RelabelWalk:
         self.tail_pruning = index.parameters.tail_pruning
         self.backend = backend
         self.stats = ConstructionStats()
-        #: recomputed levels per core vertex, from depth 0 down; a vertex
-        #: keeps its old levels below the recomputed ones
-        self.levels: List[List[List[float]]] = [
-            [] for _ in range(self.old_labels.num_vertices)
-        ]
+        #: the recomputed nodes' levels; a vertex keeps its old levels
+        #: below the recomputed ones
+        self.levels: List[LevelPiece] = []
         self.recomputed = 0
         self.spliced = 0
 
     def labels(self) -> FlatLabelling:
         """The relabelled flat labels: recomputed levels, then spliced ones."""
-        labels = fragment_from_levels(self.levels)
+        labels = pack_levels(self.levels, self.old_labels.num_vertices)
         if self.spliced:
             labels = self.old_labels.replace_leading_levels(labels)
         return labels
@@ -399,8 +389,13 @@ class _RelabelWalk:
         The node's distance block dies on return, before the walk descends.
         """
         stats, backend = self.stats, self.backend
+        # each child's region as one array: mapped to dense ids four times
+        # below, which a large snapshot does by one search per call
         children = [
-            (self.old_hierarchy.nodes[i], self.old_hierarchy.subtree_vertices(i))
+            (
+                self.old_hierarchy.nodes[i],
+                np.asarray(self.old_hierarchy.subtree_vertices(i), dtype=np.int64),
+            )
             for i in (node.left, node.right)
             if i is not None
         ]
@@ -416,7 +411,7 @@ class _RelabelWalk:
         # Tail truncation would give the extension entries (appended below)
         # different positions in different vertices' arrays, breaking the
         # min-plus prefix alignment, so it is disabled on affected nodes.
-        ranking, arrays, hub_distances = label_node(
+        ranking, lengths, hub_distances = label_node(
             new,
             node.cut,
             tail_pruning=self.tail_pruning and not extension,
@@ -424,16 +419,16 @@ class _RelabelWalk:
             timer=stats.timer,
         )
         if extension:
+            # every array is whole here, so the extension hubs' rows extend
+            # them all at the same positions
             with stats.timer.measure("labelling"):
                 rows = np.asarray(
                     backend.sssp_many(new, new.dense_ids(extension)), dtype=np.float64
                 )
-                for j, vertex in enumerate(new.vertices):
-                    arrays[vertex].extend(rows[:, j].tolist())
                 hub_distances = np.vstack([hub_distances, rows])
+                lengths = lengths + len(extension)
         self.hierarchy.nodes[node.index].cut = list(ranking.ordered)
-        for vertex in new.vertices:
-            self.levels[vertex].append(arrays[vertex])
+        self.levels.append(level_piece(new.vertices, node.depth, lengths, hub_distances))
         stats.num_nodes += 1
         if node.is_leaf:
             stats.num_leaves += 1
@@ -517,7 +512,7 @@ def _same_edges(a: FlatWorkingGraph, b: FlatWorkingGraph) -> bool:
 
 
 def _crossing_extension(
-    flat: FlatWorkingGraph, children: Sequence[Tuple[TreeNode, List[int]]]
+    flat: FlatWorkingGraph, children: Sequence[Tuple[TreeNode, np.ndarray]]
 ) -> List[int]:
     """Endpoints of snapshot edges that cross between a node's two children.
 
@@ -587,6 +582,7 @@ class DynamicHC2LIndex:
     """
 
     def __init__(self, graph: Graph, parameters: Optional[HC2LParameters] = None, **overrides: object) -> None:
+        # copy-on-write: later writes to the caller's graph never reach it
         self._graph = graph.copy()
         self._index = HC2LIndex.build(self._graph, parameters, **overrides)
         self._pending: Dict[Tuple[int, int], float] = {}

@@ -26,11 +26,18 @@ slabs.  This module provides that layout and its graph-side counterpart:
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 INF = float("inf")
+
+#: Snapshots of at least this many vertices map original ids to dense ids
+#: by one binary search over their sorted vertex array (whole partitions at
+#: once) and never build the :attr:`FlatWorkingGraph.dense_id` dict for it;
+#: smaller ones, the bulk of a build's snapshots, keep the dict, whose
+#: lookups beat numpy's per-call overhead there.
+_SEARCHED_IDS_MIN_VERTICES = 256
 
 
 def _as_contiguous(array, dtype) -> np.ndarray:
@@ -437,7 +444,10 @@ class FlatWorkingGraph:
     accumulates across the recursion.
     """
 
-    __slots__ = ("vertices", "dense_id", "_indptr", "_indices", "_weights", "cache", "_np_csr")
+    __slots__ = (
+        "vertices", "_dense_id", "_vertex_array", "_indptr", "_indices", "_weights", "cache",
+        "_np_csr",
+    )
 
     def __init__(
         self,
@@ -454,8 +464,8 @@ class FlatWorkingGraph:
         """
         #: dense id -> original vertex id, in sorted original-id order
         self.vertices: List[int] = list(vertices)
-        #: original vertex id -> dense id
-        self.dense_id: Dict[int, int] = {v: i for i, v in enumerate(self.vertices)}
+        self._dense_id: Optional[Dict[int, int]] = None
+        self._vertex_array: Optional[np.ndarray] = None
         self._indptr: Optional[List[int]] = None
         self._indices: Optional[List[int]] = None
         self._weights: Optional[List[float]] = None
@@ -492,6 +502,23 @@ class FlatWorkingGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @property
+    def dense_id(self) -> Dict[int, int]:
+        """Original vertex id -> dense id (built on first use)."""
+        if self._dense_id is None:
+            self._dense_id = {v: i for i, v in enumerate(self.vertices)}
+        return self._dense_id
+
+    @property
+    def vertex_array(self) -> np.ndarray:
+        """:attr:`vertices` as an ascending int64 array (built on first use)."""
+        if self._vertex_array is None:
+            array = np.asarray(self.vertices, dtype=np.int64)
+            if (array[1:] <= array[:-1]).any():
+                raise ValueError("snapshot vertices must be sorted ascending")
+            self._vertex_array = array
+        return self._vertex_array
+
     def induce(self, members: Sequence[int]) -> "FlatWorkingGraph":
         """The snapshot induced on ``members`` (original vertex ids).
 
@@ -515,7 +542,10 @@ class FlatWorkingGraph:
         np.cumsum(np.bincount(new_tails, minlength=len(member_dense)), out=new_indptr[1:])
         new_indices = new_id[indices[edge_keep]]
         new_weights = weights[edge_keep]
-        vertex_list = [self.vertices[i] for i in member_dense.tolist()]
+        if n >= _SEARCHED_IDS_MIN_VERTICES:
+            vertex_list = self.vertex_array[member_dense].tolist()
+        else:
+            vertex_list = [self.vertices[i] for i in member_dense.tolist()]
         return FlatWorkingGraph(vertex_list, new_indptr, new_indices, new_weights)
 
     def overlay_shortcuts(self, shortcuts: Sequence) -> "FlatWorkingGraph":
@@ -532,7 +562,7 @@ class FlatWorkingGraph:
             return snapshot
         indptr, indices, weights = snapshot.csr_arrays()
         weights = weights.copy()
-        dense_id = snapshot.dense_id
+        ends = snapshot._dense_or_missing([end for sc in shortcuts for end in (sc.u, sc.v)])
 
         def edge_position(tail: int, head: int) -> int:
             for i in range(int(indptr[tail]), int(indptr[tail + 1])):
@@ -542,10 +572,9 @@ class FlatWorkingGraph:
 
         #: per dense vertex, the (head, weight) edges appended by shortcuts
         extras: Dict[int, List[Tuple[int, float]]] = {}
-        for shortcut in shortcuts:
-            du = dense_id.get(shortcut.u)
-            dv = dense_id.get(shortcut.v)
-            if du is None or dv is None:
+        for k, shortcut in enumerate(shortcuts):
+            du, dv = ends[2 * k], ends[2 * k + 1]
+            if du < 0 or dv < 0:
                 continue
             position = edge_position(du, dv)
             if position >= 0:
@@ -581,16 +610,54 @@ class FlatWorkingGraph:
                     new_weights[base + offset] = weight
             indptr, indices, weights = new_indptr, new_indices, new_weights
 
-        return FlatWorkingGraph(snapshot.vertices, indptr, indices, weights)
+        overlaid = FlatWorkingGraph(snapshot.vertices, indptr, indices, weights)
+        overlaid._dense_id = snapshot._dense_id
+        overlaid._vertex_array = snapshot._vertex_array
+        return overlaid
 
     def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(indptr, indices, weights)`` triple as typed numpy arrays."""
         return self._np_csr
 
-    def dense_ids(self, vertices: Sequence[int]) -> List[int]:
-        """Dense ids of a sequence of original vertex ids."""
-        dense_id = self.dense_id
-        return [dense_id[v] for v in vertices]
+    def dense_ids(self, vertices: Sequence[int]) -> Union[List[int], np.ndarray]:
+        """Dense ids of a collection of original vertex ids.
+
+        Small snapshots look each id up in :attr:`dense_id` and return a
+        list; snapshots of at least ``_SEARCHED_IDS_MIN_VERTICES`` vertices
+        map the whole collection with one ``np.searchsorted`` and return an
+        int64 array (cheapest when ``vertices`` already is one).  Either
+        result indexes numpy arrays alike.  A non-member raises
+        ``KeyError``.
+        """
+        if len(self.vertices) < _SEARCHED_IDS_MIN_VERTICES:
+            dense_id = self.dense_id
+            if isinstance(vertices, np.ndarray):
+                vertices = vertices.tolist()
+            return [dense_id[v] for v in vertices]
+        dense = self._searched_ids(vertices)
+        if (dense < 0).any():
+            raise KeyError(int(np.asarray(list(vertices))[np.argmax(dense < 0)]))
+        return dense
+
+    def _dense_or_missing(self, vertices: Sequence[int]) -> List[int]:
+        """Dense ids of ``vertices`` as a list, ``-1`` for non-members."""
+        if len(self.vertices) < _SEARCHED_IDS_MIN_VERTICES:
+            get = self.dense_id.get
+            return [get(v, -1) for v in vertices]
+        return self._searched_ids(vertices).tolist()
+
+    def _searched_ids(self, vertices: Sequence[int]) -> np.ndarray:
+        """Dense ids by binary search over :attr:`vertex_array`, ``-1`` for non-members."""
+        if isinstance(vertices, np.ndarray):
+            ids = vertices.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
+        array = self.vertex_array
+        dense = np.searchsorted(array, ids)
+        found = dense < len(array)
+        found[found] = array[dense[found]] == ids[found]
+        dense[~found] = -1
+        return dense
 
     def tails(self) -> np.ndarray:
         """Dense tail id of every CSR edge, cached on the snapshot.

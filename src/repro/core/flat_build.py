@@ -23,7 +23,8 @@ for the process-parallel builder:
   (:func:`repro.core.construction.graft_subtree`), their
   :class:`ChildRecord` entries, and one
   :class:`~repro.core.flat.FlatLabelling` fragment holding the subtree's
-  label levels in the snapshot's vertex order.
+  label levels in the snapshot's vertex order, packed in one gather from
+  the nodes' :class:`~repro.core.labelling.LevelPiece` levels.
   :meth:`HC2LBuilder.build <repro.core.construction.HC2LBuilder.build>`
   is a single call of it on the root snapshot.
 * :func:`build_subtree_payload` - the process-pool entry point; rebuilds
@@ -41,14 +42,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.labelling import node_distance_arrays
+from repro.core.labelling import LevelPiece, level_piece, node_distance_arrays, pack_levels
 from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.partition.cut import balanced_cut
 from repro.partition.shortcuts import (
@@ -95,7 +95,8 @@ class NodeStep:
     """
 
     ranking: CutRanking
-    arrays: Dict[int, List[float]]
+    #: the node's label level over every snapshot vertex
+    level: LevelPiece
     is_leaf: bool
     children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]]
     #: wall-clock seconds the balanced cut took (0.0 for leaves); feeds
@@ -110,19 +111,20 @@ def label_node(
     tail_pruning: bool,
     backend: ShortestPathBackend,
     timer: Timer,
-) -> Tuple[CutRanking, Dict[int, List[float]], np.ndarray]:
+) -> Tuple[CutRanking, np.ndarray, np.ndarray]:
     """Rank ``cut`` (Equation 6) and compute the node's distance arrays.
 
-    Returns the ranking, every snapshot vertex's distance array for this
-    node, and the ``(ranked cut x snapshot)`` distance block (the input
-    of Algorithm 3).
+    Returns the ranking, every snapshot vertex's array length and the
+    ``(ranked cut x snapshot)`` distance block whose leading rows those
+    arrays are (:func:`~repro.core.labelling.node_distance_arrays`); the
+    block is also the input of Algorithm 3.
     """
     with timer.measure("labelling"):
         ranking = rank_cut_vertices(flat, cut, backend=backend)
-        arrays, cut_distances = node_distance_arrays(
+        lengths, cut_distances = node_distance_arrays(
             flat, ranking, tail_pruning, backend=backend
         )
-    return ranking, arrays, cut_distances
+    return ranking, lengths, cut_distances
 
 
 def shortcut_child(
@@ -175,7 +177,8 @@ def node_step(
     """Run one node of the interleaved construction over a CSR snapshot.
 
     Cut the subgraph, then :func:`label_node` and, unless the node is a
-    leaf, one :func:`shortcut_child` per side - no recursion.
+    leaf, one :func:`shortcut_child` per side - no recursion.  The node's
+    distance block dies here; its level leaves as a compact piece.
     """
     n = len(flat.vertices)
     force_leaf = n <= leaf_size or depth >= max_depth
@@ -190,7 +193,7 @@ def node_step(
             force_leaf = True
 
     cut = list(flat.vertices) if force_leaf else cut_result.cut
-    ranking, arrays, cut_distances = label_node(
+    ranking, lengths, cut_distances = label_node(
         flat, cut, tail_pruning=tail_pruning, backend=backend, timer=timer
     )
     children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]] = []
@@ -202,34 +205,11 @@ def node_step(
             children.append((child, side, bit, record))
     return NodeStep(
         ranking=ranking,
-        arrays=arrays,
+        level=level_piece(flat.vertices, depth, lengths, cut_distances),
         is_leaf=force_leaf,
         children=children,
         seconds_cut=seconds_cut,
     )
-
-
-def fragment_from_levels(levels_per_vertex: Sequence[List[List[float]]]) -> FlatLabelling:
-    """Pack per-vertex level lists into a :class:`FlatLabelling` fragment.
-
-    Position ``p`` of the fragment holds the levels of
-    ``levels_per_vertex[p]`` (the caller fixes the vertex order); empty
-    level arrays survive as zero-length levels (a vertex below an empty
-    cut still records that depth).
-    """
-    n = len(levels_per_vertex)
-    level_counts = np.fromiter(
-        (len(levels) for levels in levels_per_vertex), dtype=np.int64, count=n
-    )
-    vertex_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(level_counts, out=vertex_indptr[1:])
-    all_arrays = [array for levels in levels_per_vertex for array in levels]
-    lengths = np.fromiter(map(len, all_arrays), dtype=np.int64, count=len(all_arrays))
-    level_indptr = np.zeros(len(all_arrays) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=level_indptr[1:])
-    total = int(level_indptr[-1])
-    values = np.fromiter(chain.from_iterable(all_arrays), dtype=np.float64, count=total)
-    return FlatLabelling(n, values, level_indptr, vertex_indptr)
 
 
 @dataclass
@@ -276,7 +256,7 @@ def build_subtree(
 ) -> SubtreeResult:
     """Build the whole hierarchy subtree rooted at ``flat``.
 
-    Accumulates node records and per-vertex label levels locally; the
+    Accumulates node records and the nodes' level pieces locally; the
     caller (the serial builder, a worker process or the parallel
     builder's inline path) grafts the returned :class:`SubtreeResult`
     into the global hierarchy.
@@ -285,7 +265,7 @@ def build_subtree(
     timer = Timer()
     records: List[Tuple[int, int, int, Optional[str], bool, int, List[int]]] = []
     child_records: RelabelRecord = []
-    labels: Dict[int, List[List[float]]] = {v: [] for v in flat.vertices}
+    levels: List[LevelPiece] = []
     counters = {
         "num_leaves": 0,
         "num_empty_cuts": 0,
@@ -324,8 +304,7 @@ def build_subtree(
             counters["num_leaves"] += 1
         elif not step.ranking.ordered:
             counters["num_empty_cuts"] += 1
-        for v in flat.vertices:
-            labels[v].append(step.arrays[v])
+        levels.append(step.level)
         counters["num_shortcuts"] += sum(len(child[3].shortcuts) for child in step.children)
         node_timings.append(
             (depth, n, time.perf_counter() - node_started, step.seconds_cut)
@@ -347,9 +326,7 @@ def build_subtree(
         raise AssertionError(
             f"subtree cuts cover {covered} of {len(flat.vertices)} vertices"
         )
-    # pack in snapshot vertex order, releasing each vertex's level lists
-    # as they are consumed
-    fragment = fragment_from_levels([labels.pop(v) for v in flat.vertices])
+    fragment = pack_levels(levels, len(flat.vertices), flat.vertex_array)
     return SubtreeResult(
         depths=[r[0] for r in records],
         bits=[r[1] for r in records],

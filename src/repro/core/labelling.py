@@ -9,19 +9,22 @@ prefix required for correctness.
 
 This module holds :func:`node_distance_arrays`, Algorithm 5 for a single
 tree node (both the tail-pruned and the naive variant used as the upper
-bound of Section 4.2.1).  Construction and relabelling pack its arrays
-into :class:`~repro.core.flat.FlatLabelling`, the one label store, which
-also carries the size metrics of Tables 2-4.
+bound of Section 4.2.1), and the level packer: a node's level is its
+``(hubs x snapshot)`` distance block cut to one length per vertex
+(:func:`level_piece`), and :func:`pack_levels` gathers any set of such
+pieces into :class:`~repro.core.flat.FlatLabelling`, the one label store,
+which also carries the size metrics of Tables 2-4.  No level ever exists
+as a per-vertex Python list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backends import BackendSpec, resolve_backend
-from repro.core.flat import FlatWorkingGraph
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.ranking import CutRanking
 
 
@@ -30,8 +33,8 @@ def node_distance_arrays(
     ranking: CutRanking,
     tail_pruning: bool = True,
     backend: BackendSpec = None,
-) -> Tuple[Dict[int, List[float]], np.ndarray]:
-    """Compute the per-vertex distance arrays for one tree node (Algorithm 5).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Compute one tree node's distance arrays (Algorithm 5).
 
     Parameters
     ----------
@@ -50,18 +53,18 @@ def node_distance_arrays(
 
     Returns
     -------
-    (arrays, cut_distances)
-        ``arrays`` maps every vertex of the subgraph to its (possibly
-        tail-pruned) distance array for this node.  ``cut_distances`` is
-        the ``(ranked cut x snapshot)`` float64 block of single-source
-        distances (row ``i`` from ``ranking.ordered[i]``, column ``j`` to
-        dense vertex ``j``, ``inf`` where unreached), which the shortcut
-        computation (Algorithm 3) reads at the border columns.
+    (lengths, cut_distances)
+        ``cut_distances`` is the ``(ranked cut x snapshot)`` float64 block
+        of single-source distances (row ``i`` from ``ranking.ordered[i]``,
+        column ``j`` to dense vertex ``j``, ``inf`` where unreached), which
+        the shortcut computation (Algorithm 3) reads at the border columns.
+        ``lengths[j]`` (int64) is how many leading rows of column ``j`` form
+        dense vertex ``j``'s (possibly tail-pruned) distance array.
     """
     ordered_cut = ranking.ordered
-    vertices = flat.vertices
+    n = len(flat.vertices)
     if not ordered_cut:
-        return {v: [] for v in vertices}, np.empty((0, len(vertices)), dtype=np.float64)
+        return np.zeros(n, dtype=np.int64), np.empty((0, n), dtype=np.float64)
 
     search = resolve_backend(backend)
     cut_dense = flat.dense_ids(ordered_cut)
@@ -74,19 +77,81 @@ def node_distance_arrays(
     # Tail pruning (Definition 4.18): keep, per vertex, the prefix up to
     # the last search whose shortest path does NOT run through an
     # earlier-ranked cut vertex.  Vectorised over the (search, vertex)
-    # flag matrix; the values extracted are exactly the search distances,
-    # so the arrays are bit-identical to the per-pair assembly.
-    if tail_pruning:
-        not_pruned = ~np.asarray(prunes, dtype=bool)
-        any_kept = not_pruned.any(axis=0)
-        keep = np.where(
-            any_kept, num_searches - 1 - np.argmax(not_pruned[::-1, :], axis=0), 0
-        )
-        lengths = (keep + 1).tolist()
-    else:
-        lengths = [num_searches] * len(vertices)
+    # flag matrix; the values kept are exactly the search distances.
+    if not tail_pruning:
+        return np.full(n, num_searches, dtype=np.int64), dist_matrix
+    not_pruned = ~np.asarray(prunes, dtype=bool)
+    any_kept = not_pruned.any(axis=0)
+    keep = np.where(any_kept, num_searches - 1 - np.argmax(not_pruned[::-1, :], axis=0), 0)
+    return (keep + 1).astype(np.int64), dist_matrix
 
-    arrays: Dict[int, List[float]] = {
-        v: dist_matrix[: lengths[j], j].tolist() for j, v in enumerate(vertices)
-    }
-    return arrays, dist_matrix
+
+class LevelPiece(NamedTuple):
+    """One hierarchy node's label level over its snapshot's vertices.
+
+    Vertex ``vertices[j]`` owns the array at depth ``depth`` whose
+    ``lengths[j]`` values follow those of ``vertices[:j]`` in ``values``.
+    """
+
+    #: vertex ids (int64), one per snapshot vertex
+    vertices: np.ndarray
+    depth: int
+    #: array length per vertex (int64)
+    lengths: np.ndarray
+    #: every vertex's array, concatenated in ``vertices`` order (float64)
+    values: np.ndarray
+
+
+def level_piece(
+    vertices: Sequence[int], depth: int, lengths: np.ndarray, block: np.ndarray
+) -> LevelPiece:
+    """The level of a node whose ``(hubs x snapshot)`` distance block is ``block``.
+
+    Vertex ``j``'s array is ``block[:lengths[j], j]``; the row-major read of
+    ``block.T`` under the ``arange(hubs) < lengths`` mask lays every array
+    out contiguously, in vertex order.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    values = block.T[np.arange(block.shape[0]) < lengths[:, None]]
+    return LevelPiece(np.asarray(vertices, dtype=np.int64), depth, lengths, values)
+
+
+def pack_levels(
+    pieces: Sequence[LevelPiece],
+    num_vertices: int,
+    vertices: Optional[np.ndarray] = None,
+) -> FlatLabelling:
+    """Gather level pieces into one :class:`~repro.core.flat.FlatLabelling`.
+
+    Position ``p`` of the result holds the levels of vertex ``vertices[p]``
+    (``vertices`` ascends; by default position ``p`` is vertex ``p``),
+    ordered by depth.  Each vertex owns one level per piece covering it,
+    zero-length levels included; the pieces may come in any order.  Level
+    arrays are byte-identical to the pieces' values.
+    """
+    if not pieces:
+        return FlatLabelling(
+            num_vertices,
+            np.empty(0, dtype=np.float64),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(num_vertices + 1, dtype=np.int64),
+        )
+    ids = np.concatenate([piece.vertices for piece in pieces])
+    positions = ids if vertices is None else np.searchsorted(vertices, ids)
+    depths = np.repeat(
+        np.array([piece.depth for piece in pieces], dtype=np.int64),
+        [len(piece.vertices) for piece in pieces],
+    )
+    lengths = np.concatenate([piece.lengths for piece in pieces])
+    values = np.concatenate([piece.values for piece in pieces])
+    starts = np.cumsum(lengths) - lengths
+    order = np.lexsort((depths, positions))
+    lengths = lengths[order]
+    level_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=level_indptr[1:])
+    gather = np.repeat(starts[order] - level_indptr[:-1], lengths) + np.arange(
+        int(level_indptr[-1]), dtype=np.int64
+    )
+    vertex_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(positions, minlength=num_vertices), out=vertex_indptr[1:])
+    return FlatLabelling(num_vertices, values[gather], level_indptr, vertex_indptr)

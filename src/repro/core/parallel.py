@@ -8,14 +8,15 @@ units: the induced CSR arrays travel as numpy buffers (cheap to pickle,
 no ``Graph`` objects cross the boundary), each worker runs the
 construction recursion of :mod:`repro.core.flat_build` - the same one the
 serial :class:`~repro.core.construction.HC2LBuilder` runs - and the
-coordinator streams the returned label fragments into one flat
+coordinator packs the levels of the nodes it expanded itself and merges
+the returned label fragments under them into one flat
 :class:`~repro.core.flat.FlatLabelling`.  Processes sidestep the GIL, at
 the price of pickling each unit in and its label block out - below the
 size crossover (small graphs, ``num_vertices <= parallel_threshold``) the
 builder simply runs the serial build.  The top of the hierarchy is
 expanded inline (child snapshots are derived from the parent CSR plus
-the shortcut overlay), and peak memory is bounded by the frontier of
-in-flight units rather than the whole labelling.
+the shortcut overlay), and its levels are kept as compact
+:class:`~repro.core.labelling.LevelPiece` arrays.
 
 Labels are bit-identical to the serial build for every worker count;
 ``tests/test_process_parallel.py`` pins the backend x workers matrix and
@@ -44,9 +45,9 @@ from repro.core.flat_build import (
     RelabelRecord,
     SubtreeResult,
     build_subtree_payload,
-    fragment_from_levels,
     node_step,
 )
+from repro.core.labelling import LevelPiece, pack_levels
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
 
@@ -103,17 +104,15 @@ class ParallelHC2LBuilder(HC2LBuilder):
         # floor stops units too small to amortise their pickling
         ship_max = max(self.parallel_threshold, -(-n_total // (4 * self.num_workers)))
 
-        #: vertex -> label levels of already-processed ancestor nodes, for
-        #: vertices whose own cut level has not been reached yet.  Entries
-        #: are popped the moment a vertex enters a fragment, so this holds
-        #: only the frontier of in-flight subtrees, never the whole graph.
-        prefix: Dict[int, List[List[float]]] = {}
+        #: the levels of the nodes expanded inline (every vertex below
+        #: them, in a unit or not, owns one level per such ancestor)
+        levels: List[LevelPiece] = []
         #: preorder construction events ("node" for inline nodes, "unit"
         #: for shipped subtrees); replayed in order during assembly so
         #: hierarchy node indices match the sequential build exactly
         events: List[Tuple] = []
-        #: per-fragment (vertex ids, FlatLabelling) pairs; unit slots are
-        #: reserved at submission and filled when the result is merged
+        #: per-unit (vertex ids, FlatLabelling) pairs; slots are reserved
+        #: at submission and filled when the result is grafted
         fragments: List[Optional[Tuple[np.ndarray, FlatLabelling]]] = []
 
         limit = sys.getrecursionlimit()
@@ -121,12 +120,8 @@ class ParallelHC2LBuilder(HC2LBuilder):
         try:
             with ProcessPoolExecutor(max_workers=self.num_workers) as executor:
                 self._expand(
-                    root, 0, 0, -1, None, None, stats, prefix, fragments, events, executor, ship_max
+                    root, 0, 0, -1, None, None, stats, levels, fragments, events, executor, ship_max
                 )
-                if prefix:
-                    raise AssertionError(
-                        f"{len(prefix)} vertices never reached a label fragment"
-                    )
                 # replay the events in preorder: inline nodes go straight
                 # into the hierarchy, unit results are awaited and grafted
                 event_to_hier: Dict[int, int] = {}
@@ -140,38 +135,37 @@ class ParallelHC2LBuilder(HC2LBuilder):
                         if record is not None:
                             record.append(entry)
                     else:
-                        _, slot, handle, prefix_frag, unit_vertices, parent_event, side, entry = event
+                        _, slot, handle, unit_vertices, parent_event, side, entry = event
                         result: SubtreeResult = (
                             handle.result() if isinstance(handle, Future) else handle
                         )
                         parent_idx = event_to_hier[parent_event] if parent_event >= 0 else None
                         graft_subtree(hierarchy, stats, result, parent_idx, side, record, entry)
-                        # both fragments follow the unit snapshot's vertex
-                        # order: inherited ancestor levels first, then the
-                        # subtree's own
-                        fragments[slot] = (
-                            unit_vertices,
-                            prefix_frag.merge_levels(result.labels),
-                        )
+                        fragments[slot] = (unit_vertices, result.labels)
         finally:
             sys.setrecursionlimit(limit)
 
         with stats.timer.measure("flatten"):
-            order_concat = (
-                np.concatenate([fragment[0] for fragment in fragments])
-                if fragments
-                else np.empty(0, dtype=np.int64)
-            )
+            # the units' levels in vertex-id order; a vertex of an inline
+            # cut belongs to no unit and holds none of them
+            inline_cuts = [
+                np.asarray(event[3], dtype=np.int64) for event in events if event[0] == "node"
+            ]
+            order_concat = np.concatenate([fragment[0] for fragment in fragments] + inline_cuts)
             if not np.array_equal(
                 np.sort(order_concat), np.arange(n_total, dtype=np.int64)
             ):
                 raise AssertionError(
-                    "label fragments do not cover every vertex exactly once"
+                    "units and inline cuts do not cover every vertex exactly once"
                 )
-            flat_all = FlatLabelling.concat([fragment[1] for fragment in fragments])
+            num_inline = n_total - sum(len(fragment[0]) for fragment in fragments)
+            units = FlatLabelling.concat(
+                [fragment[1] for fragment in fragments] + [pack_levels([], num_inline)]
+            )
             perm = np.empty(n_total, dtype=np.int64)
             perm[order_concat] = np.arange(n_total, dtype=np.int64)
-            labelling = flat_all.reorder(perm)
+            # every vertex: the inline ancestors' levels, then its unit's
+            labelling = pack_levels(levels, n_total).merge_levels(units.reorder(perm))
         return hierarchy, labelling, stats
 
     def _expand(
@@ -183,7 +177,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
         side: Optional[str],
         entry: Optional[ChildRecord],
         stats: ConstructionStats,
-        prefix: Dict[int, List[List[float]]],
+        levels: List[LevelPiece],
         fragments: List[Optional[Tuple[np.ndarray, FlatLabelling]]],
         events: List[Tuple],
         executor: ProcessPoolExecutor,
@@ -202,8 +196,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
             return
         if n <= ship_max:
             self._spawn_unit(
-                flat, depth, bits, parent_event, side, entry, stats, prefix, fragments, events,
-                executor,
+                flat, depth, bits, parent_event, side, entry, stats, fragments, events, executor
             )
             return
         node_started = time.perf_counter()
@@ -225,28 +218,13 @@ class ParallelHC2LBuilder(HC2LBuilder):
             stats.num_leaves += 1
         elif not ordered:
             stats.num_empty_cuts += 1
-        # vertices assigned to this node's cut have their full label now:
-        # the inherited ancestor levels plus this node's array.  Stream
-        # them out as a finished fragment immediately.
-        if ordered:
-            fragments.append(
-                (
-                    np.asarray(ordered, dtype=np.int64),
-                    fragment_from_levels(
-                        [prefix.pop(v, []) + [step.arrays[v]] for v in ordered]
-                    ),
-                )
-            )
+        levels.append(step.level)
         events.append(("node", depth, bits, ordered, parent_event, side, entry, step.is_leaf, n))
         if step.is_leaf:
             stats.node_timings.append(
                 (depth, n, time.perf_counter() - node_started, step.seconds_cut)
             )
             return
-        cut_set = set(ordered)
-        for v in flat.vertices:
-            if v not in cut_set:
-                prefix.setdefault(v, []).append(step.arrays[v])
         stats.num_shortcuts += sum(len(child[3].shortcuts) for child in step.children)
         stats.node_timings.append(
             (depth, n, time.perf_counter() - node_started, step.seconds_cut)
@@ -260,7 +238,7 @@ class ParallelHC2LBuilder(HC2LBuilder):
                 child_side,
                 child_entry,
                 stats,
-                prefix,
+                levels,
                 fragments,
                 events,
                 executor,
@@ -276,7 +254,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
         side: Optional[str],
         entry: Optional[ChildRecord],
         stats: ConstructionStats,
-        prefix: Dict[int, List[List[float]]],
         fragments: List[Optional[Tuple[np.ndarray, FlatLabelling]]],
         events: List[Tuple],
         executor: ProcessPoolExecutor,
@@ -286,7 +263,6 @@ class ParallelHC2LBuilder(HC2LBuilder):
         slot = len(fragments)
         fragments.append(None)
         unit_vertices = np.asarray(flat.vertices, dtype=np.int64)
-        prefix_frag = fragment_from_levels([prefix.pop(v, []) for v in flat.vertices])
         if n >= self.parallel_threshold:
             indptr, indices, weights = flat.csr_arrays()
             payload = {
@@ -310,5 +286,5 @@ class ParallelHC2LBuilder(HC2LBuilder):
             # with the exact backend instance
             handle = self._build_subtree(flat, depth, bits)
         events.append(
-            ("unit", slot, handle, prefix_frag, unit_vertices, parent_event, side, entry)
+            ("unit", slot, handle, unit_vertices, parent_event, side, entry)
         )

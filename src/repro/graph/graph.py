@@ -5,16 +5,23 @@ Road networks in the paper are undirected graphs with positive edge weights
 ``0..n-1``.  Parallel edges collapse to the minimum weight, matching the
 behaviour of the DIMACS datasets where duplicate arcs occasionally appear.
 
-The container is adjacency-list based (a list of ``(neighbour, weight)``
-lists).  This is the representation every algorithm in the repository works
+The container is adjacency-list based (one ``{neighbour: weight}`` dict per
+vertex).  This is the representation every algorithm in the repository works
 against; construction and relabelling search CSR snapshots taken from its
 :meth:`Graph.csr` view (see :func:`repro.core.construction.root_snapshot`).
+
+Derived graphs (:meth:`Graph.copy`, :meth:`Graph.reweighted`) share their
+parent's adjacency rows copy-on-write: a graph copies a row it does not own
+before its first write to it, so neither graph ever sees the other's edits.
+A reweighted graph also inherits its parent's CSR view with the changed arcs
+patched in, which equals a rebuild from its rows bit for bit (dict order is
+edge order, and reweighting moves no edge).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,9 +104,11 @@ class Graph:
     * Self loops are ignored (they never lie on a shortest path).
     * The structure is append-only; algorithms that need to delete vertices
       (partitioning, contraction) operate on copies or on membership masks.
+    * Rows may be shared with derived graphs; ``_owned`` names the rows
+      this graph may write in place (``None``: every row).
     """
 
-    __slots__ = ("_adj", "_num_edges", "_csr")
+    __slots__ = ("_adj", "_num_edges", "_csr", "_owned")
 
     def __init__(self, num_vertices: int) -> None:
         if num_vertices < 0:
@@ -107,6 +116,7 @@ class Graph:
         self._adj: List[Dict[int, float]] = [dict() for _ in range(num_vertices)]
         self._num_edges = 0
         self._csr: Optional[CSRAdjacency] = None
+        self._owned: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -199,16 +209,23 @@ class Graph:
         existing = self._adj[u].get(v)
         if existing is None:
             self._num_edges += 1
-            self._adj[u][v] = weight
-            self._adj[v][u] = weight
-            self._csr = None
-        elif weight < existing:
-            self._adj[u][v] = weight
-            self._adj[v][u] = weight
-            self._csr = None
+        elif weight >= existing:
+            return
+        adj = self._adj
+        owned = self._owned
+        if owned is not None:
+            for row in (u, v):
+                if row not in owned:
+                    adj[row] = dict(adj[row])
+                    owned.add(row)
+        adj[u][v] = weight
+        adj[v][u] = weight
+        self._csr = None
 
     def add_vertex(self) -> int:
         """Append a fresh isolated vertex and return its id."""
+        if self._owned is not None:
+            self._owned.add(len(self._adj))
         self._adj.append(dict())
         self._csr = None
         return len(self._adj) - 1
@@ -216,11 +233,31 @@ class Graph:
     # ------------------------------------------------------------------ #
     # derived graphs
     # ------------------------------------------------------------------ #
+    def _derive(self, rows: Set[int]) -> "Graph":
+        """A graph sharing every adjacency row but ``rows``, which it copies.
+
+        From here on both graphs copy a shared row before writing it: this
+        one keeps in-place rights only to the rows it owned and the new
+        graph just copied away from it.
+        """
+        other = Graph.__new__(Graph)
+        other._adj = list(self._adj)
+        for row in rows:
+            other._adj[row] = dict(self._adj[row])
+        other._num_edges = self._num_edges
+        other._csr = None
+        other._owned = rows
+        self._owned = set(rows) if self._owned is None else self._owned & rows
+        return other
+
     def copy(self) -> "Graph":
-        """Return a deep copy of the graph."""
-        other = Graph(self.num_vertices)
-        for u, v, w in self.edges():
-            other.add_edge(u, v, w)
+        """Return an independent copy with the same edges in the same order.
+
+        The rows are shared copy-on-write, so the copy costs one list of
+        row references; the cached CSR view, if any, is shared too.
+        """
+        other = self._derive(set())
+        other._csr = self._csr
         return other
 
     def induced_subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", List[int]]:
@@ -247,23 +284,33 @@ class Graph:
         from the mapping keep their current weight.  Every key must match
         an existing edge in normalised form - a typo'd or un-normalised
         ``(v, u)`` key raises instead of silently reweighting nothing.
+
+        The copy shares every row but the changed edges' endpoints' (see
+        :meth:`copy`) and holds this graph's CSR view with the changed
+        arcs patched; this graph's view is built and cached if it had none.
         """
-        other = Graph(self.num_vertices)
-        other._adj = [dict(neighbors) for neighbors in self._adj]
-        other._num_edges = self._num_edges
         bad = []
+        changes = []
         for (u, v), w in weights.items():
             if not (0 <= u < v < self.num_vertices) or v not in self._adj[u]:
                 bad.append((u, v))
                 continue
-            w = check_non_negative_weight(w)
-            other._adj[u][v] = w
-            other._adj[v][u] = w
+            changes.append((u, v, check_non_negative_weight(w)))
         if bad:
             raise ValueError(
                 f"reweighted got {len(bad)} key(s) matching no edge "
                 f"(keys must be (min(u, v), max(u, v)) of an existing edge): {sorted(bad)[:5]}"
             )
+        csr = self.csr()
+        other = self._derive({row for u, v, _ in changes for row in (u, v)})
+        adj = other._adj
+        patched = csr.weights.copy()
+        for u, v, w in changes:
+            for tail, head in ((u, v), (v, u)):
+                # a row's dict order is its CSR order
+                patched[int(csr.indptr[tail]) + list(adj[tail]).index(head)] = w
+                adj[tail][head] = w
+        other._csr = CSRAdjacency(csr.indptr, csr.indices, patched)
         return other
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,6 @@ which this module eliminates to keep the working graphs sparse.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -122,8 +121,7 @@ def compute_shortcuts(
         within = flat.induce(partition)
     border_dense = within.dense_ids(borders)
     rows = resolve_backend(backend).sssp_many(within, border_dense)
-    columns = itemgetter(*border_dense)
-    in_partition = np.array([columns(row) for row in rows], dtype=np.float64)
+    in_partition = np.asarray(rows, dtype=np.float64)[:, border_dense]
 
     # Lines 7-8: true distances, allowing travel through the cut.  For
     # b1 < b2 the value is min(in_partition[b1][b2], min_c d(c, b1) + d(c, b2)),

@@ -87,7 +87,7 @@ def force_prune_route(monkeypatch, route: str) -> None:
 def label_levels(flat: FlatLabelling) -> List[List[List[float]]]:
     """The labels as per-vertex level lists: ``[v][depth]`` is a list of floats.
 
-    The inverse of :func:`repro.core.flat_build.fragment_from_levels`, read
+    The inverse of :func:`oracles.fragment_from_levels`, read
     straight off the three buffers so tests can compare labels as lists.
     """
     values = flat.values.tolist()

@@ -19,6 +19,10 @@ For queries, :func:`min_plus_prefix` is Equation 7's per-pair scan over
 two plain level lists, the reference the engine's scalar and batch scans
 (and their hub counts) are held against; :func:`hub_vertices_for_query`
 names the cut vertices such a scan ranges over.
+
+For label storage, :func:`fragment_from_levels` packs per-vertex level
+lists one value at a time, the reference the production level packer
+(:func:`repro.core.labelling.pack_levels`) is held against.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.flat import FlatWorkingGraph
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.flow.vertex_cut import MinVertexCutResult
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
@@ -574,3 +579,25 @@ def hub_vertices_for_query(hierarchy: BalancedTreeHierarchy, s: int, t: int) -> 
         assert node.parent is not None
         node = hierarchy.nodes[node.parent]
     return list(node.cut)
+
+
+def fragment_from_levels(levels_per_vertex: Sequence[List[List[float]]]) -> FlatLabelling:
+    """Pack per-vertex level lists into a :class:`FlatLabelling`.
+
+    Position ``p`` holds the levels of ``levels_per_vertex[p]``; empty
+    level arrays survive as zero-length levels (a vertex below an empty
+    cut still records that depth).
+    """
+    n = len(levels_per_vertex)
+    level_counts = np.fromiter(
+        (len(levels) for levels in levels_per_vertex), dtype=np.int64, count=n
+    )
+    vertex_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(level_counts, out=vertex_indptr[1:])
+    all_arrays = [array for levels in levels_per_vertex for array in levels]
+    lengths = np.fromiter(map(len, all_arrays), dtype=np.int64, count=len(all_arrays))
+    level_indptr = np.zeros(len(all_arrays) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=level_indptr[1:])
+    total = int(level_indptr[-1])
+    values = np.fromiter(chain.from_iterable(all_arrays), dtype=np.float64, count=total)
+    return FlatLabelling(n, values, level_indptr, vertex_indptr)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from oracles import adjacency_of, dijkstra_adjacency, dist_and_prune
+from oracles import adjacency_of, dijkstra_adjacency, dist_and_prune, fragment_from_levels
 from repro.core.construction import root_snapshot
-from repro.core.flat_build import fragment_from_levels
 from repro.core.labelling import node_distance_arrays
 from repro.core.pruned_dijkstra import dist_and_prune_dense
 from repro.core.ranking import rank_cut_vertices
@@ -101,13 +101,21 @@ class TestRanking:
         assert first == second
 
 
+def node_arrays(flat, ranking, tail_pruning=True):
+    """``node_distance_arrays`` read back as {vertex: array} plus the block."""
+    lengths, block = node_distance_arrays(flat, ranking, tail_pruning=tail_pruning)
+    assert lengths.dtype == np.int64 and lengths.shape == (len(flat.vertices),)
+    arrays = {v: block[: lengths[j], j].tolist() for j, v in enumerate(flat.vertices)}
+    return arrays, block
+
+
 class TestNodeDistanceArrays:
     def test_arrays_store_exact_distances(self, jittered_grid):
         flat = root_snapshot(jittered_grid)
         adjacency = adjacency_of(flat)
         cut = [0, 7, 77]
         ranking = rank_cut_vertices(flat, cut)
-        arrays, cut_distances = node_distance_arrays(flat, ranking, tail_pruning=False)
+        arrays, cut_distances = node_arrays(flat, ranking, tail_pruning=False)
         assert cut_distances.shape == (len(cut), len(flat.vertices))
         for j, v in enumerate(flat.vertices):
             array = arrays[v]
@@ -120,8 +128,8 @@ class TestNodeDistanceArrays:
         flat = root_snapshot(jittered_grid)
         cut = [0, 7, 77, 140]
         ranking = rank_cut_vertices(flat, cut)
-        full, _ = node_distance_arrays(flat, ranking, tail_pruning=False)
-        pruned, _ = node_distance_arrays(flat, ranking, tail_pruning=True)
+        full, _ = node_arrays(flat, ranking, tail_pruning=False)
+        pruned, _ = node_arrays(flat, ranking, tail_pruning=True)
         for v in full:
             assert len(pruned[v]) <= len(full[v])
             assert pruned[v] == full[v][: len(pruned[v])]
@@ -131,13 +139,13 @@ class TestNodeDistanceArrays:
         flat = root_snapshot(medium_graph)
         cut = flat.vertices[:8]
         ranking = rank_cut_vertices(flat, cut)
-        full, _ = node_distance_arrays(flat, ranking, tail_pruning=False)
-        pruned, _ = node_distance_arrays(flat, ranking, tail_pruning=True)
+        full, _ = node_arrays(flat, ranking, tail_pruning=False)
+        pruned, _ = node_arrays(flat, ranking, tail_pruning=True)
         assert sum(map(len, pruned.values())) < sum(map(len, full.values()))
 
     def test_empty_cut_produces_empty_arrays(self, path_flat):
         ranking = rank_cut_vertices(path_flat, [])
-        arrays, cut_distances = node_distance_arrays(path_flat, ranking)
+        arrays, cut_distances = node_arrays(path_flat, ranking)
         assert cut_distances.shape == (0, len(path_flat.vertices))
         assert all(array == [] for array in arrays.values())
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.construction import root_snapshot
-from repro.core.flat import FlatLabelling
-from repro.core.flat_build import fragment_from_levels
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.index import HC2LIndex
+from repro.core.labelling import level_piece, pack_levels
 from repro.graph.builders import graph_from_edges
 
 from helpers import label_levels, random_query_pairs
-from oracles import adjacency_dict, min_plus_prefix
+from oracles import adjacency_dict, fragment_from_levels, min_plus_prefix
 
 
 def random_levels(seed: int, num_vertices: int = 12) -> list:
@@ -259,6 +259,104 @@ class TestFlatWorkingGraph:
         flat = root_snapshot(graph).induce([9, 7, 3])
         assert flat.vertices == [3, 7, 9]
         assert flat.dense_ids([9, 3]) == [2, 0]
+
+    @pytest.mark.parametrize("n", [40, 600], ids=["dict_route", "searched_route"])
+    def test_dense_ids_routes_agree_and_reject_non_members(self, n):
+        rng = random.Random(n)
+        vertices = sorted(rng.sample(range(3 * n), n))
+        flat = FlatWorkingGraph(
+            vertices, np.zeros(n + 1, dtype=np.int64), np.empty(0, np.int64), np.empty(0)
+        )
+        members = rng.sample(vertices, n // 2)
+        expected = [vertices.index(v) for v in members]
+        for given in (members, np.asarray(members, dtype=np.int64)):
+            assert np.asarray(flat.dense_ids(given)).tolist() == expected
+        assert sorted(np.asarray(flat.dense_ids(set(members[:3]))).tolist()) == sorted(expected[:3])
+        outsider = next(v for v in range(3 * n + 1) if v not in set(vertices))
+        for bad in ([members[0], outsider], [3 * n + 5], [-1]):
+            with pytest.raises(KeyError):
+                flat.dense_ids(bad)
+
+
+def hierarchy_levels(seed: int, ids: list, case: str):
+    """Random level pieces of a made-up hierarchy over ``ids``, plus the
+    per-vertex level lists they stand for (position ``p`` is ``ids[p]``).
+
+    Each node's level covers its whole region: a random ``(hubs x region)``
+    block, cut per vertex to a length the ``case`` decides.  The node then
+    keeps a few region vertices as its cut and splits the rest in two.
+    """
+    rng = np.random.default_rng(seed)
+    position = {v: p for p, v in enumerate(ids)}
+    pieces, levels = [], [[] for _ in ids]
+
+    def node(region: list, depth: int) -> None:
+        m = len(region)
+        hubs = int(rng.integers(1, 5))
+        if case == "empty_cuts" and depth % 2 == 1:
+            hubs = 0
+        block = rng.uniform(0.0, 50.0, size=(hubs, m))
+        block[rng.random((hubs, m)) < 0.1] = np.inf
+        if case == "no_tail_pruning":
+            lengths = np.full(m, hubs)
+        elif case == "zero_length_levels":
+            lengths = rng.integers(0, hubs + 1, size=m)
+        else:
+            lengths = rng.integers(min(1, hubs), hubs + 1, size=m)
+        if case == "extension_rows" and depth % 2 == 0:
+            # a relabelled node with crossing-extension hubs keeps every
+            # array whole and appends the extra rows to all of them
+            extra = rng.uniform(0.0, 50.0, size=(int(rng.integers(1, 3)), m))
+            block = np.vstack([block, extra])
+            lengths = np.full(m, block.shape[0])
+        pieces.append(level_piece(region, depth, lengths, block))
+        for j, v in enumerate(region):
+            levels[position[v]].append(block[: lengths[j], j].tolist())
+        rest = region[min(m, max(1, hubs)):]
+        if len(rest) >= 2:
+            split = int(rng.integers(1, len(rest)))
+            node(sorted(rest[:split]), depth + 1)
+            node(sorted(rest[split:]), depth + 1)
+        elif rest:
+            node(rest, depth + 1)
+
+    shuffled = list(ids)
+    rng.shuffle(shuffled)
+    node(sorted(shuffled), 0)
+    if case == "shuffled_pieces":
+        pieces = [pieces[i] for i in rng.permutation(len(pieces))]
+    return pieces, levels
+
+
+PACKER_CASES = ["tail_pruned", "no_tail_pruning", "empty_cuts", "zero_length_levels",
+                "extension_rows", "shuffled_pieces", "vertex_subset"]
+
+
+class TestLevelPacker:
+    """``pack_levels`` gathers level pieces exactly as the per-value oracle packs lists."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", PACKER_CASES)
+    def test_packer_matches_oracle(self, case, seed):
+        if case == "vertex_subset":
+            # a subtree fragment: ascending original ids, positions by rank
+            ids = sorted(random.Random(seed).sample(range(200), 40))
+            pieces, levels = hierarchy_levels(seed, ids, case)
+            packed = pack_levels(pieces, len(ids), np.asarray(ids, dtype=np.int64))
+        else:
+            ids = list(range(40))
+            pieces, levels = hierarchy_levels(seed, ids, case)
+            packed = pack_levels(pieces, len(ids))
+        assert packed == fragment_from_levels(levels)
+        assert label_levels(packed) == levels
+
+    def test_no_pieces_is_levelless(self):
+        packed = pack_levels([], 3)
+        assert packed == fragment_from_levels([[], [], []])
+
+    def test_empty_cut_piece_gives_zero_length_levels(self):
+        piece = level_piece([0, 2], 0, np.zeros(2, dtype=np.int64), np.empty((0, 2)))
+        assert label_levels(pack_levels([piece], 3)) == [[[]], [], [[]]]
 
 
 class TestConstructorValidation:

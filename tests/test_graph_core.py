@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from oracles import adjacency_dict
-from repro.graph.graph import Graph
+from repro.graph.graph import CSRAdjacency, Graph
 
 
 class TestGraphBasics:
@@ -171,3 +171,91 @@ class TestGraphDerived:
         graph.add_edge(2, 3, 2.5)
         back = Graph.from_networkx(graph.to_networkx())
         assert sorted(back.edges()) == sorted(graph.edges())
+
+
+def _cow_base() -> Graph:
+    """A 6-cycle with two chords, edges inserted out of id order."""
+    graph = Graph(6)
+    for u, v, w in [(3, 4, 4.0), (0, 1, 1.0), (1, 2, 2.0), (5, 0, 6.0), (2, 3, 3.0),
+                    (4, 5, 5.0), (0, 3, 7.0), (1, 4, 8.0)]:
+        graph.add_edge(u, v, w)
+    return graph
+
+
+def _rows(graph: Graph) -> list:
+    """Every row's ``(neighbour, weight)`` pairs in edge order."""
+    return [list(graph.neighbors(v)) for v in graph.vertices()]
+
+
+def _csr_lists(csr: CSRAdjacency) -> tuple:
+    return csr.indptr.tolist(), csr.indices.tolist(), csr.weights.tolist()
+
+
+def _rebuilt_csr(graph: Graph) -> tuple:
+    """The CSR arrays a fresh build from the graph's rows gives."""
+    return _csr_lists(CSRAdjacency.from_adjacency([dict(row) for row in _rows(graph)]))
+
+
+#: (name, action on (g, h) after ``h = g.reweighted({(0, 1): 10.0})``,
+#: which graph it must leave untouched).  Row 0 and 1 are copied by the
+#: reweighting, every other row is shared.
+COW_CASES = [
+    ("add_edge_on_h_shared_rows", lambda g, h: h.add_edge(2, 5, 0.5), "g"),
+    ("add_edge_on_h_lowers_shared_edge", lambda g, h: h.add_edge(3, 4, 0.25), "g"),
+    ("add_edge_on_h_copied_row", lambda g, h: h.add_edge(0, 2, 0.5), "g"),
+    ("add_edge_on_g_shared_rows", lambda g, h: g.add_edge(2, 5, 0.5), "h"),
+    ("add_edge_on_g_lowers_shared_edge", lambda g, h: g.add_edge(4, 5, 0.25), "h"),
+    ("add_edge_on_g_copied_row", lambda g, h: g.add_edge(1, 5, 0.5), "h"),
+    ("add_vertex_then_edge_on_h", lambda g, h: h.add_edge(h.add_vertex(), 3, 1.0), "g"),
+    ("second_reweighted_of_h", lambda g, h: h.reweighted({(2, 3): 0.5, (1, 4): 0.5}), "g"),
+    ("second_reweighted_then_add_edge", lambda g, h: h.reweighted({(2, 3): 0.5}).add_edge(3, 5, 0.1), "g"),
+    ("copy_of_h_then_add_edge", lambda g, h: h.copy().add_edge(2, 4, 0.1), "g"),
+]
+
+
+class TestCopyOnWrite:
+    """Derived graphs share rows: no write through one may reach the other."""
+
+    @pytest.mark.parametrize(
+        "action, untouched", [case[1:] for case in COW_CASES], ids=[case[0] for case in COW_CASES]
+    )
+    def test_derived_graphs_never_see_each_others_writes(self, action, untouched):
+        g = _cow_base()
+        h = g.reweighted({(0, 1): 10.0})
+        graphs = {"g": g, "h": h}
+        for graph in graphs.values():  # cache both CSR views before the write
+            graph.csr()
+        before = {name: (_rows(graph), _csr_lists(graph.csr())) for name, graph in graphs.items()}
+        action(g, h)
+        for name in ("g", "h"):
+            graph = graphs[name]
+            if name == untouched:
+                assert (_rows(graph), _csr_lists(graph.csr())) == before[name]
+            assert _csr_lists(graph.csr()) == _rebuilt_csr(graph)
+        # the reweighting itself holds whatever the later writes did
+        assert g.edge_weight(0, 1) == 1.0
+        assert h.edge_weight(0, 1) == 10.0
+
+    @pytest.mark.parametrize("changes", [{}, {(0, 1): 10.0}, {(0, 3): 0.5, (1, 4): 9.0, (3, 4): 1.0}])
+    def test_reweighted_csr_equals_a_rebuild(self, changes):
+        g = _cow_base()
+        h = g.reweighted(changes)
+        assert h._csr is not None  # inherited, patched, never rebuilt
+        assert _csr_lists(h.csr()) == _rebuilt_csr(h)
+        # same edges in the same order; only the changed weights differ
+        assert [[v for v, _ in row] for row in _rows(h)] == [[v for v, _ in row] for row in _rows(g)]
+        for (u, v), weight in changes.items():
+            assert h.edge_weight(u, v) == h.edge_weight(v, u) == weight
+        assert h.num_edges == g.num_edges
+
+    def test_copy_keeps_edge_order_and_independence(self):
+        g = _cow_base()
+        clone = g.copy()
+        assert _rows(clone) == _rows(g)
+        clone.add_edge(2, 4, 0.1)
+        g.add_edge(1, 3, 0.2)
+        assert not g.has_edge(2, 4) and not clone.has_edge(1, 3)
+        assert g.num_edges == clone.num_edges == 9
+        assert _csr_lists(g.csr()) == _rebuilt_csr(g)
+        assert _csr_lists(clone.csr()) == _rebuilt_csr(clone)
+

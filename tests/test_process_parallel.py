@@ -18,10 +18,10 @@ import pytest
 from repro.core.construction import HC2LBuilder
 from repro.core.flat import FlatLabelling
 from repro.core.index import HC2LIndex, HC2LParameters
-from repro.core.flat_build import fragment_from_levels
 from repro.core.parallel import ParallelHC2LBuilder
 
 from helpers import assert_distance_equal, label_levels, rewrite_archive
+from oracles import fragment_from_levels
 
 
 def _read_header(path) -> dict:
