@@ -38,12 +38,26 @@ Every row also lists its five slowest hierarchy
 nodes (``slowest_nodes``), so a pathological cut shows up with its depth
 and vertex count rather than hiding inside a phase total.
 
+``--crossover`` records where the stacked rounds of
+:func:`repro.core.flat_build.build_subtree` stop paying: it collects
+every node of one csr build of the benchmark graph (snapshot, cut and
+partitions), groups the nodes by snapshot size, and per size bucket times
+(best of 3) the per-node label + shortcut passes
+(:func:`~repro.core.flat_build.label_node` and one
+:func:`~repro.core.flat_build.shortcut_child` per side, node after node)
+against one stacked pass over the whole bucket
+(:func:`~repro.core.flat_build.stacked_labels` and
+:func:`~repro.core.flat_build.stacked_children`).  The two routes' ranked
+cuts, levels, child snapshots and relabel records are compared with
+``==`` before a row is written.
+
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_build.py \
         [--vertices 3000] [--backends heap,csr] [--output BENCH_build.json] \
         [--scaling] [--sizes 1000,10000,100000] \
-        [--modes serial-heap,...,process-csr] [--scaling-workers 2]
+        [--modes serial-heap,...,process-csr] [--scaling-workers 2] \
+        [--crossover]
 """
 
 from __future__ import annotations
@@ -54,12 +68,17 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+import repro.core.flat_build as flat_build
 from repro import RoadNetworkSpec, synthetic_road_network
 from repro.core.backends import BACKEND_NAMES, resolve_backend
 from repro.core.construction import ConstructionStats, HC2LBuilder
-from repro.core.flat import FlatLabelling
+from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.labelling import level_piece
 from repro.core.parallel import ParallelHC2LBuilder
 from repro.graph.contraction import contract_degree_one
+from repro.utils.timer import Timer
 
 PHASES = ("contraction", "snapshot", "hierarchy", "labelling", "shortcuts", "flatten")
 
@@ -246,6 +265,144 @@ def run_scaling(
     }
 
 
+#: snapshots of this many vertices and more share the crossover's last bucket
+CROSSOVER_TOP_BUCKET = 2048
+#: timed repetitions per crossover bucket and route; the best is kept
+CROSSOVER_REPEATS = 3
+
+
+def _fresh(flat: FlatWorkingGraph) -> FlatWorkingGraph:
+    """The same snapshot with an empty cache (no distance rows to reuse)."""
+    return FlatWorkingGraph(flat.vertices, *flat.csr_arrays())
+
+
+def _collect_nodes(graph, leaf_size: int) -> List[Tuple[FlatWorkingGraph, int, list, object]]:
+    """``(snapshot, depth, cut, parts)`` of every node of one csr build."""
+    nodes = []
+    shipped = flat_build._cut_node
+
+    def cut_node(flat, depth, **kwargs):
+        snapshot = _fresh(flat)
+        result, seconds = shipped(flat, depth, **kwargs)
+        if result is None:
+            nodes.append((snapshot, depth, list(flat.vertices), None))
+        else:
+            nodes.append((snapshot, depth, result.cut, (result.part_a, result.part_b)))
+        return result, seconds
+
+    flat_build._cut_node = cut_node
+    try:
+        HC2LBuilder(leaf_size=leaf_size, backend="csr").build(contract_degree_one(graph).core)
+    finally:
+        flat_build._cut_node = shipped
+    return nodes
+
+
+def _per_node(nodes, backend):
+    """The per-node label + shortcut passes, node after node."""
+    timer = Timer()
+    out = []
+    for flat, depth, cut, parts in nodes:
+        ranking, lengths, block = flat_build.label_node(
+            flat, cut, tail_pruning=True, backend=backend, timer=timer
+        )
+        children = [
+            flat_build.shortcut_child(
+                flat, ranking.ordered, part, block, backend=backend, timer=timer
+            )
+            for part in parts or ()
+        ]
+        out.append((ranking.ordered, level_piece(flat.vertices, depth, lengths, block), children))
+    return out
+
+
+def _stacked(nodes):
+    """One stacked label pass and one stacked shortcut pass over ``nodes``."""
+    stack = flat_build.SnapshotStack.of([flat for flat, _, _, _ in nodes])
+    levels = flat_build.stacked_labels(
+        stack, [cut for _, _, cut, _ in nodes], [depth for _, depth, _, _ in nodes], True
+    )
+    children, _ = flat_build.stacked_children(
+        stack, levels, [parts for _, _, _, parts in nodes], Timer()
+    )
+    return [
+        (ordered, piece, [(child, record) for child, _, _, record in kids])
+        for ordered, piece, kids in zip(levels.ordered, levels.pieces, children)
+    ]
+
+
+def _same_outputs(a, b) -> bool:
+    """Whether two routes' ranked cuts, levels, children and records agree."""
+    for (ordered_a, piece_a, kids_a), (ordered_b, piece_b, kids_b) in zip(a, b):
+        if ordered_a != ordered_b or piece_a.depth != piece_b.depth or len(kids_a) != len(kids_b):
+            return False
+        if not all(
+            np.array_equal(getattr(piece_a, name), getattr(piece_b, name))
+            for name in ("vertices", "lengths", "values")
+        ):
+            return False
+        for (child_a, record_a), (child_b, record_b) in zip(kids_a, kids_b):
+            if child_a.vertices != child_b.vertices or not all(
+                np.array_equal(x, y) and x.dtype == y.dtype
+                for x, y in zip(child_a.csr_arrays(), child_b.csr_arrays())
+            ):
+                return False
+            if (
+                record_a.borders != record_b.borders
+                or record_a.shortcuts != record_b.shortcuts
+                or not np.array_equal(record_a.distances, record_b.distances)
+            ):
+                return False
+    return len(a) == len(b)
+
+
+def _best_of(nodes, run) -> Tuple[float, object]:
+    best, result = float("inf"), None
+    for _ in range(CROSSOVER_REPEATS):
+        fresh = [(_fresh(flat), depth, cut, parts) for flat, depth, cut, parts in nodes]
+        started = time.perf_counter()
+        result = run(fresh)
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def run_crossover(graph, leaf_size: int = 12) -> dict:
+    """Stacked vs per-node label + shortcut passes per snapshot-size bucket.
+
+    Every node of one csr build joins the bucket of its snapshot size
+    (powers of two); each bucket is timed both ways on fresh snapshots
+    and the two routes' outputs are compared before its row is written.
+    """
+    backend = resolve_backend("csr")
+    buckets: Dict[int, list] = {}
+    for node in _collect_nodes(graph, leaf_size):
+        size = len(node[0].vertices)
+        buckets.setdefault(min(1 << (size.bit_length() - 1), CROSSOVER_TOP_BUCKET), []).append(node)
+    rows = []
+    for lo in sorted(buckets):
+        nodes = buckets[lo]
+        per_node_s, per_node = _best_of(nodes, lambda fresh: _per_node(fresh, backend))
+        stacked_s, stacked = _best_of(nodes, _stacked)
+        if not _same_outputs(per_node, stacked):
+            raise AssertionError(
+                f"stacked and per-node passes disagree on the {lo}-vertex bucket"
+            )
+        rows.append(
+            {
+                "vertices": f">= {lo}" if lo == CROSSOVER_TOP_BUCKET else f"{lo}-{2 * lo - 1}",
+                "nodes": len(nodes),
+                "per_node_seconds": round(per_node_s, 4),
+                "stacked_seconds": round(stacked_s, 4),
+                "stacked_speedup": round(per_node_s / max(stacked_s, 1e-9), 2),
+            }
+        )
+    return {
+        "threshold": flat_build._STACKED_MAX_VERTICES,
+        "repeats": CROSSOVER_REPEATS,
+        "rows": rows,
+    }
+
+
 def run_benchmark(
     num_vertices: int,
     seed: int = 2024,
@@ -352,6 +509,11 @@ def main() -> None:
         default=2,
         help="worker count for the process scaling modes",
     )
+    parser.add_argument(
+        "--crossover",
+        action="store_true",
+        help="also time stacked vs per-node label + shortcut passes per snapshot size",
+    )
     args = parser.parse_args()
 
     names = [name.strip() for name in args.backends.split(",") if name.strip()]
@@ -362,6 +524,11 @@ def main() -> None:
         record["scaling"] = run_scaling(
             sizes, modes, args.scaling_workers, args.seed, args.leaf_size
         )
+    if args.crossover:
+        network = synthetic_road_network(
+            RoadNetworkSpec("bench-build", num_vertices=args.vertices, seed=args.seed)
+        )
+        record["stacked_crossover"] = run_crossover(network.distance_graph, args.leaf_size)
     payload = json.dumps(record, indent=2) + "\n"
     # write-then-rename so an interrupted run never leaves a torn record
     tmp = args.output.with_name(args.output.name + ".tmp")

@@ -55,6 +55,14 @@ dozen vertices the per-call overhead of building a scipy matrix
 outweighs the scalar loops.  Since all backends produce identical
 results, mixing is safe.
 
+A ``csr`` build does not search its small snapshots through this
+interface at all: :func:`repro.core.flat_build.build_subtree` stacks the
+snapshots of a hierarchy level into one block-diagonal graph and
+searches them together with :func:`distance_rounds`, one ``min_only``
+scipy call per round with one source per block, which leaves every
+block's row equal to its single-source row.  The backend methods serve
+the large snapshots, the balanced cuts' seed searches, and relabels.
+
 ``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` /
 ``"dial"`` names used by :class:`~repro.core.index.HC2LParameters` and
 the CLI's ``repro build --backend`` to backend instances; ``auto`` picks
@@ -498,6 +506,35 @@ class CSRBackend(ShortestPathBackend):
         return np.array([cache[int(s)] for s in sources], dtype=np.float64).reshape(
             len(sources), len(flat.vertices)
         )
+
+
+def distance_rounds(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    rounds: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Distance rows over a graph of disconnected blocks, one row per round.
+
+    ``rounds[r]`` holds at most one source per block; row ``r`` of the
+    ``(rounds x vertices)`` float64 result is one
+    ``scipy.sparse.csgraph.dijkstra(..., min_only=True)`` call from all of
+    them.  No block reaches another, so each block's stretch of the row
+    is its own source's single-source row, bit for bit: every distance is
+    the minimum over in-arcs of ``d[u] + w``, whatever order the search
+    settles vertices in (``inf`` in blocks with no source that round).
+    The stacked label and shortcut passes of
+    :mod:`repro.core.flat_build` search many small snapshots this way,
+    one scipy call per round instead of one per snapshot.  Weights must
+    be strictly positive (scipy drops explicit zeros).
+    """
+    n = len(indptr) - 1
+    block = np.empty((len(rounds), n), dtype=np.float64)
+    if len(rounds):
+        matrix = _scipy_csr_matrix((weights, indices, indptr), shape=(n, n))
+        for r, sources in enumerate(rounds):
+            block[r] = _scipy_dijkstra(matrix, directed=True, indices=sources, min_only=True)
+    return block
 
 
 def _prune_flags(

@@ -56,7 +56,10 @@ class ConstructionStats:
     #: where seconds covers the node's own cut + ranking + labelling +
     #: child-derivation work (recursion excluded) and seconds_cut is the
     #: balanced-cut share of it (0.0 for leaves, which compute no cut);
-    #: feeds the bench's construction-skew view and its cut-vs-label split
+    #: a node built in a stacked round (see
+    #: :func:`~repro.core.flat_build.build_subtree`) has its own cut time
+    #: plus its vertex-count share of the round's stacked passes; feeds
+    #: the bench's construction-skew view and its cut-vs-label split
     node_timings: List[Tuple[int, int, float, float]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, float]:

@@ -17,6 +17,17 @@ for the process-parallel builder:
 * :func:`node_step` - one node of the interleaved construction: the
   balanced cut, then :func:`label_node` and one :func:`shortcut_child`
   per side.
+* :func:`stacked_labels` and :func:`stacked_children` - the same label
+  and shortcut passes for many small snapshots at once.  A
+  :class:`SnapshotStack` lays the snapshots side by side as the
+  disconnected blocks of one CSR graph, so each distance round is one
+  scipy call for all of them
+  (:func:`~repro.core.backends.distance_rounds`), the ranking and
+  labelling flags are one DAG search each
+  (:func:`~repro.core.pruned_dijkstra.dag_reach`), and ranks, tail-pruned
+  lengths, levels, borders, induced children and shortcut overlays are
+  segment operations over the blocks.  Only the via-cut and Lemma 4.11
+  tests still loop, once per child.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
   graft the subtree into the global hierarchy
@@ -26,7 +37,12 @@ for the process-parallel builder:
   label levels in the snapshot's vertex order, packed in one gather from
   the nodes' :class:`~repro.core.labelling.LevelPiece` levels.
   :meth:`HC2LBuilder.build <repro.core.construction.HC2LBuilder.build>`
-  is a single call of it on the root snapshot.
+  is a single call of it on the root snapshot.  Snapshots of at least
+  ``_STACKED_MAX_VERTICES`` vertices go node by node, depth first; under
+  a ``csr`` backend the smaller ones are built level by level, each level
+  one stacked label pass and one stacked shortcut pass after the
+  per-node balanced cuts.  Zero-weight snapshots, ``heap``/``dial``
+  builds and relabels keep the per-node path.
 * :func:`build_subtree_payload` - the process-pool entry point; rebuilds
   the snapshot from a plain-arrays payload dict.
 
@@ -34,30 +50,48 @@ Vertex orderings, edge orderings and tie-breaks are deterministic, so a
 subtree built in a worker process is bit-identical to the same subtree
 built in-process (``tests/test_process_parallel.py`` asserts this on whole
 graphs, ``tests/test_differential_fuzz.py`` across graph families, and
-``tests/test_golden_labels.py`` pins the labels themselves).
+``tests/test_golden_labels.py`` pins the labels themselves), and a
+stacked node is bit-identical to the same node built alone, down to its
+child snapshots' CSR arrays and its :class:`ChildRecord`
+(``tests/test_differential_fuzz.py``'s stack-route wall).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
+from repro.core.backends import (
+    BackendSpec,
+    CSRBackend,
+    ShortestPathBackend,
+    distance_rounds,
+    resolve_backend,
+)
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import LevelPiece, level_piece, node_distance_arrays, pack_levels
+from repro.core.pruned_dijkstra import dag_reach, has_zero_weight
 from repro.core.ranking import CutRanking, rank_cut_vertices
-from repro.partition.cut import balanced_cut
+from repro.partition.cut import BalancedCutResult, balanced_cut
 from repro.partition.shortcuts import (
     Shortcut,
     border_vertices,
     child_adjacency,
     compute_shortcuts,
+    nonredundant_pairs,
 )
 from repro.utils.timer import Timer
+
+#: Under a ``csr`` backend, snapshots of fewer vertices are built level by
+#: level in stacked rounds (:func:`build_subtree`) instead of one node at a
+#: time.  ``benchmarks/bench_build.py --crossover`` times both routes per
+#: snapshot-size bucket.
+_STACKED_MAX_VERTICES = 256
 
 
 @dataclass(slots=True)
@@ -180,24 +214,16 @@ def node_step(
     leaf, one :func:`shortcut_child` per side - no recursion.  The node's
     distance block dies here; its level leaves as a compact piece.
     """
-    n = len(flat.vertices)
-    force_leaf = n <= leaf_size or depth >= max_depth
-    cut_result = None
-    seconds_cut = 0.0
-    if not force_leaf:
-        cut_started = time.perf_counter()
-        with timer.measure("hierarchy"):
-            cut_result = balanced_cut(flat, beta, backend=backend)
-        seconds_cut = time.perf_counter() - cut_started
-        if not cut_result.part_a or not cut_result.part_b:
-            force_leaf = True
-
-    cut = list(flat.vertices) if force_leaf else cut_result.cut
+    cut_result, seconds_cut = _cut_node(
+        flat, depth, beta=beta, leaf_size=leaf_size, max_depth=max_depth,
+        backend=backend, timer=timer,
+    )
+    cut = list(flat.vertices) if cut_result is None else cut_result.cut
     ranking, lengths, cut_distances = label_node(
         flat, cut, tail_pruning=tail_pruning, backend=backend, timer=timer
     )
     children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]] = []
-    if not force_leaf:
+    if cut_result is not None:
         for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
             child, record = shortcut_child(
                 flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer
@@ -206,10 +232,386 @@ def node_step(
     return NodeStep(
         ranking=ranking,
         level=level_piece(flat.vertices, depth, lengths, cut_distances),
-        is_leaf=force_leaf,
+        is_leaf=cut_result is None,
         children=children,
         seconds_cut=seconds_cut,
     )
+
+
+def _cut_node(
+    flat: FlatWorkingGraph,
+    depth: int,
+    *,
+    beta: float,
+    leaf_size: int,
+    max_depth: int,
+    backend: ShortestPathBackend,
+    timer: Timer,
+) -> Tuple[Optional[BalancedCutResult], float]:
+    """A node's balanced cut (``None`` for a leaf) and the seconds it took."""
+    if len(flat.vertices) <= leaf_size or depth >= max_depth:
+        return None, 0.0
+    started = time.perf_counter()
+    with timer.measure("hierarchy"):
+        result = balanced_cut(flat, beta, backend=backend)
+    seconds = time.perf_counter() - started
+    if not result.part_a or not result.part_b:
+        return None, seconds
+    return result, seconds
+
+
+# --------------------------------------------------------------------- #
+# stacked rounds: many small snapshots per scipy call
+# --------------------------------------------------------------------- #
+class SnapshotStack(NamedTuple):
+    """Snapshots side by side, as the disconnected blocks of one CSR graph.
+
+    Block ``i`` holds stacked vertices ``offsets[i] .. offsets[i + 1] - 1``
+    in its snapshot's dense order, and its arcs in the snapshot's CSR
+    order, so a search over the stack relaxes every block's arcs as a
+    search over the snapshot would.
+    """
+
+    offsets: np.ndarray
+    #: original vertex id of every stacked vertex (ascending per block)
+    vertex_ids: np.ndarray
+    indptr: np.ndarray
+    #: arc heads, as stacked vertex ids
+    indices: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, flats: Sequence[FlatWorkingGraph]) -> "SnapshotStack":
+        csr = [flat.csr_arrays() for flat in flats]
+        offsets = np.zeros(len(flats) + 1, dtype=np.int64)
+        np.cumsum([len(flat.vertices) for flat in flats], out=offsets[1:])
+        arc_offsets = np.cumsum([0] + [len(indices) for _, indices, _ in csr])
+        return cls(
+            offsets,
+            np.concatenate([np.asarray(flat.vertices, dtype=np.int64) for flat in flats]),
+            np.concatenate(
+                [indptr[:-1] + base for (indptr, _, _), base in zip(csr, arc_offsets)]
+                + [arc_offsets[-1:]]
+            ),
+            np.concatenate(
+                [indices + base for (_, indices, _), base in zip(csr, offsets)]
+            ),
+            np.concatenate([weights for _, _, weights in csr]),
+        )
+
+    def block_of(self) -> np.ndarray:
+        """The block of every stacked vertex."""
+        return np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
+
+    def tails(self) -> np.ndarray:
+        """The stacked tail of every arc."""
+        return np.repeat(
+            np.arange(len(self.vertex_ids), dtype=np.int64), np.diff(self.indptr)
+        )
+
+    def positions(self, blocks: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
+        """Stacked ids of ``vertex_ids[j]`` in block ``blocks[j]``.
+
+        Block-major keys ascend over the whole stack (ids ascend within a
+        block), so one binary search maps every query.
+        """
+        scale = int(self.vertex_ids.max()) + 1 if len(self.vertex_ids) else 1
+        keys = self.block_of() * scale + self.vertex_ids
+        return np.searchsorted(keys, blocks * scale + vertex_ids)
+
+
+class StackedLevels(NamedTuple):
+    """What the stacked label pass hands the stacked shortcut pass."""
+
+    #: each snapshot's ranked cut (Equation 6 order)
+    ordered: List[List[int]]
+    #: each snapshot's label level
+    pieces: List[LevelPiece]
+    #: ``(rounds x stacked vertices)`` distance rows: round ``r`` searched
+    #: from the ``r``-th vertex of every block's cut
+    block: np.ndarray
+    #: per snapshot, its rows of ``block`` in rank order
+    hub_rows: List[np.ndarray]
+    #: stacked ids of every cut vertex
+    cut_positions: np.ndarray
+
+
+def _segment_pairs(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair ``(a, b)`` of entries in the same segment.
+
+    Entries are numbered segment by segment (``sizes[i]`` in segment ``i``).
+    """
+    starts = np.cumsum(sizes) - sizes
+    segment = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    per_entry = sizes[segment]
+    first = np.repeat(np.arange(len(segment), dtype=np.int64), per_entry)
+    within = np.arange(len(first), dtype=np.int64) - np.repeat(
+        np.cumsum(per_entry) - per_entry, per_entry
+    )
+    return first, starts[segment[first]] + within
+
+
+def stacked_labels(
+    stack: SnapshotStack,
+    cuts: Sequence[Sequence[int]],
+    depths: Sequence[int],
+    tail_pruning: bool,
+) -> StackedLevels:
+    """Rank every snapshot's cut and label its level, all blocks at once.
+
+    ``cuts[i]`` is block ``i``'s cut; the result equals
+    :func:`label_node` plus :func:`~repro.core.labelling.level_piece` per
+    block, bit for bit.  Round ``r`` of
+    :func:`~repro.core.backends.distance_rounds` searches from the
+    ``r``-th cut vertex of every block, so the rows number the largest
+    cut, not the cut vertices.  The ranking flags (prune set: the block's
+    other cut vertices) and the labelling flags (prune set: the cut
+    vertices ranked earlier) each come from one
+    :func:`~repro.core.pruned_dijkstra.dag_reach`; coverage, rank order
+    ``(coverage, id)``, tail-pruned lengths and the level values are
+    segment operations over the blocks.
+    """
+    m = len(cuts)
+    n = len(stack.vertex_ids)
+    block_of = stack.block_of()
+    k = np.fromiter((len(cut) for cut in cuts), dtype=np.int64, count=m)
+    num_entries = int(k.sum())
+    entry_block = np.repeat(np.arange(m, dtype=np.int64), k)
+    entry_vid = np.fromiter(itertools.chain.from_iterable(cuts), dtype=np.int64, count=num_entries)
+    entry_pos = stack.positions(entry_block, entry_vid)
+    entry_start = np.cumsum(k) - k
+    entry_row = np.arange(num_entries, dtype=np.int64) - np.repeat(entry_start, k)
+    num_rows = int(k.max()) if num_entries else 0
+    by_row = np.argsort(entry_row, kind="stable")
+    rounds = np.split(entry_pos[by_row], np.cumsum(np.bincount(entry_row, minlength=num_rows))[:-1])
+    block = distance_rounds(stack.indptr, stack.indices, stack.weights, rounds[:num_rows])
+
+    tails = stack.tails()
+    first, second = _segment_pairs(k)
+    # most of a row is blocks with no source that round: as nan rather
+    # than inf their arcs are never tight, so the DAG search skips them
+    reached = np.where(np.isfinite(block), block, np.nan)
+
+    def reach(pairs: np.ndarray) -> np.ndarray:
+        seeds = np.zeros((num_rows, n), dtype=bool)
+        seeds[entry_row[first[pairs]], entry_pos[second[pairs]]] = True
+        return dag_reach(tails, stack.indices, stack.weights, reached, seeds)
+
+    # Equation 6: coverage of a cut vertex = vertices flagged against the
+    # block's other cut vertices; rank by (coverage, id)
+    rank = np.zeros(num_entries, dtype=np.int64)
+    if num_entries:
+        flags = reach(first != second)
+        coverage = np.add.reduceat(flags, stack.offsets[:-1], axis=1, dtype=np.int64)[
+            entry_row, entry_block
+        ]
+        order = np.lexsort((entry_vid, coverage, entry_block))
+        rank[order] = np.arange(num_entries, dtype=np.int64) - entry_start[entry_block[order]]
+        ranked_vids = entry_vid[order].tolist()
+    else:
+        ranked_vids = []
+    row_of_rank = np.zeros((m, max(num_rows, 1)), dtype=np.int64)
+    row_of_rank[entry_block, rank] = entry_row
+
+    # Algorithm 5: each vertex keeps the prefix up to its last rank whose
+    # search is not pruned by an earlier-ranked cut vertex (at least one)
+    per_vertex = k[block_of]
+    if not tail_pruning or not num_entries:
+        lengths = per_vertex.copy()
+    else:
+        flags = reach(rank[second] < rank[first])
+        rank_of_row = np.full((num_rows, m), -1, dtype=np.int64)
+        rank_of_row[entry_row, entry_block] = rank
+        ranks = rank_of_row[:, block_of]
+        lengths = np.where(~flags & (ranks >= 0), ranks + 1, 1).max(axis=0)
+        lengths[per_vertex == 0] = 0
+    value_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=value_starts[1:])
+    columns = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    ranks = np.arange(len(columns), dtype=np.int64) - np.repeat(value_starts[:-1], lengths)
+    values = block[row_of_rank[block_of[columns], ranks], columns]
+
+    offsets = stack.offsets
+    value_offsets = value_starts[offsets]
+    ordered = [ranked_vids[s : s + c] for s, c in zip(entry_start.tolist(), k.tolist())]
+    pieces = [
+        LevelPiece(
+            stack.vertex_ids[offsets[i] : offsets[i + 1]],
+            depths[i],
+            lengths[offsets[i] : offsets[i + 1]],
+            values[value_offsets[i] : value_offsets[i + 1]],
+        )
+        for i in range(m)
+    ]
+    hub_rows = [row_of_rank[i, : k[i]] for i in range(m)]
+    return StackedLevels(ordered, pieces, block, hub_rows, entry_pos)
+
+
+def stacked_children(
+    stack: SnapshotStack,
+    levels: StackedLevels,
+    parts: Sequence[Optional[Tuple[Sequence[int], Sequence[int]]]],
+    timer: Timer,
+) -> Tuple[List[List[Tuple[FlatWorkingGraph, str, int, ChildRecord]]], SnapshotStack]:
+    """Every block's children (Algorithm 3 and Definition 4.9) at once.
+
+    ``parts[i]`` is block ``i``'s ``(part_a, part_b)``, ``None`` for a
+    leaf.  Returns, per block, the ``(snapshot, side, bit, record)``
+    children :func:`shortcut_child` would make - snapshots byte-identical
+    to ``flat.induce(part).overlay_shortcuts(record.shortcuts)`` - and the
+    children stacked in that order, which is the next round's stack.
+
+    One mask induces every child from the stack and one arc scan finds
+    every border; the border searches run as
+    :func:`~repro.core.backends.distance_rounds` over the stacked induced
+    children; the via-cut and Lemma 4.11 tests
+    (:func:`~repro.partition.shortcuts.nonredundant_pairs`) run per child;
+    one sort overlays every child's shortcuts.
+    """
+    m = len(parts)
+    n = len(stack.vertex_ids)
+    # child 2 * i + bit is side ``bit`` of block i
+    child_parts = [
+        (2 * i + bit, part)
+        for i, pair in enumerate(parts) if pair is not None
+        for bit, part in enumerate(pair)
+    ]
+    with timer.measure("snapshot"):
+        part_child = np.repeat(
+            np.array([child for child, _ in child_parts], dtype=np.int64),
+            [len(part) for _, part in child_parts],
+        )
+        part_vid = np.fromiter(
+            itertools.chain.from_iterable(part for _, part in child_parts),
+            dtype=np.int64, count=len(part_child),
+        )
+        child_of = np.full(n, -1, dtype=np.int64)
+        child_of[stack.positions(part_child // 2, part_vid)] = part_child
+        members = np.flatnonzero(child_of >= 0)
+        order = members[np.argsort(child_of[members], kind="stable")]
+        size = len(order)
+        local = np.full(n, -1, dtype=np.int64)
+        local[order] = np.arange(size, dtype=np.int64)
+        counts = np.bincount(child_of[members], minlength=2 * m)
+        present = np.flatnonzero(counts)
+        child_offsets = np.zeros(len(present) + 1, dtype=np.int64)
+        np.cumsum(counts[present], out=child_offsets[1:])
+
+        # the children induced from the stack, arcs in the parents' order
+        tails, heads, weights = stack.tails(), stack.indices, stack.weights
+        tail_child = child_of[tails]
+        kept = np.flatnonzero((tail_child >= 0) & (tail_child == child_of[heads]))
+        kept = kept[np.argsort(tail_child[kept], kind="stable")]
+        arc_tail, arc_head, arc_weight = local[tails[kept]], local[heads[kept]], weights[kept]
+        induced_indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arc_tail, minlength=size), out=induced_indptr[1:])
+
+    with timer.measure("shortcuts"):
+        # borders: child vertices with an arc to a cut vertex of their block
+        is_cut = np.zeros(n, dtype=bool)
+        is_cut[levels.cut_positions] = True
+        border = np.zeros(n, dtype=bool)
+        border[tails[(tail_child >= 0) & is_cut[heads]]] = True
+        border_local = np.flatnonzero(border[order])
+        border_child = np.searchsorted(child_offsets, border_local, side="right") - 1
+        num_borders = np.bincount(border_child, minlength=len(present))
+        border_start = np.cumsum(num_borders) - num_borders
+        border_row = np.arange(len(border_local), dtype=np.int64) - border_start[border_child]
+        searched = num_borders[border_child] >= 2
+        num_rows = int(num_borders.max()) if searched.any() else 0
+        rounds = [border_local[searched & (border_row == r)] for r in range(num_rows)]
+        in_child = distance_rounds(induced_indptr, arc_head, arc_weight, rounds)
+
+        records: List[ChildRecord] = []
+        ends: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for c, child in enumerate(present.tolist()):
+            at = border_local[border_start[c] : border_start[c] + num_borders[c]]
+            borders = stack.vertex_ids[order[at]].tolist()
+            at_borders = levels.block[np.ix_(levels.hub_rows[child // 2], order[at])]
+            shortcuts: List[Shortcut] = []
+            if len(at) >= 2:
+                pair_i, pair_j, pair_w = nonredundant_pairs(in_child[: len(at)][:, at], at_borders)
+                shortcuts = [
+                    Shortcut(borders[i], borders[j], weight)
+                    for i, j, weight in zip(pair_i.tolist(), pair_j.tolist(), pair_w.tolist())
+                ]
+                ends.append((at[pair_i], at[pair_j], pair_w))
+            records.append(ChildRecord(borders, at_borders, shortcuts))
+
+    with timer.measure("snapshot"):
+        indptr, indices, weights = _overlay_stacked(
+            induced_indptr, arc_tail, arc_head, arc_weight, ends
+        )
+        vertex_ids = stack.vertex_ids[order]
+        children: List[List[Tuple[FlatWorkingGraph, str, int, ChildRecord]]] = [
+            [] for _ in range(m)
+        ]
+        for c, child in enumerate(present.tolist()):
+            lo, hi = int(child_offsets[c]), int(child_offsets[c + 1])
+            first, last = int(indptr[lo]), int(indptr[hi])
+            snapshot = FlatWorkingGraph(
+                vertex_ids[lo:hi].tolist(),
+                indptr[lo : hi + 1] - first,
+                indices[first:last] - lo,
+                weights[first:last],
+            )
+            block, bit = divmod(child, 2)
+            children[block].append((snapshot, ("left", "right")[bit], bit, records[c]))
+    return children, SnapshotStack(child_offsets, vertex_ids, indptr, indices, weights)
+
+
+def _overlay_stacked(
+    indptr: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    weights: np.ndarray,
+    ends: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts` over a stack.
+
+    ``ends`` lists each child's shortcuts as stacked ``(u, v, weight)``
+    arrays in emission order.  A shortcut over an existing arc lowers its
+    weight in place, both directions; any other is appended after its
+    endpoints' arcs, in shortcut order.
+    """
+    if not ends:
+        return indptr, heads, weights
+    u = np.concatenate([e[0] for e in ends])
+    v = np.concatenate([e[1] for e in ends])
+    w = np.concatenate([e[2] for e in ends])
+    size = len(indptr) - 1
+    keys = tails * size + heads
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+
+    def arc(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+        if not len(sorted_keys):
+            return np.full(len(tail), -1, dtype=np.int64)
+        wanted = tail * size + head
+        at = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
+        return np.where(sorted_keys[at] == wanted, by_key[at], -1)
+
+    forward, backward = arc(u, v), arc(v, u)
+    existing = forward >= 0
+    weights = weights.copy()
+    lower = existing.copy()
+    lower[existing] = w[existing] < weights[forward[existing]]
+    weights[forward[lower]] = w[lower]
+    weights[backward[lower & (backward >= 0)]] = w[lower & (backward >= 0)]
+    added = np.flatnonzero(~existing)
+    if not len(added):
+        return indptr, heads, weights
+    all_tails = np.concatenate([tails, u[added], v[added]])
+    sequence = np.concatenate([np.arange(len(tails), dtype=np.int64), added, added])
+    appended = np.concatenate(
+        [np.zeros(len(tails), dtype=np.int8), np.ones(2 * len(added), dtype=np.int8)]
+    )
+    order = np.lexsort((sequence, appended, all_tails))
+    new_indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_tails, minlength=size), out=new_indptr[1:])
+    new_heads = np.concatenate([heads, v[added], u[added]])[order]
+    new_weights = np.concatenate([weights, w[added], w[added]])[order]
+    return new_indptr, new_heads, new_weights
 
 
 @dataclass
@@ -243,6 +645,25 @@ class SubtreeResult:
     node_timings: List[Tuple[int, int, float, float]]
 
 
+@dataclass(slots=True)
+class _Node:
+    """One node of a subtree under construction (see :func:`build_subtree`)."""
+
+    depth: int
+    bits: int
+    #: creation index of the parent node, -1 for the subtree root
+    parent: int
+    side: Optional[str]
+    record: Optional[ChildRecord]
+    size: int
+    is_leaf: bool = False
+    cut: List[int] = field(default_factory=list)
+    level: Optional[LevelPiece] = None
+    #: ``(seconds, seconds_cut)`` of the node's own work
+    timing: Tuple[float, float] = (0.0, 0.0)
+    children: List[int] = field(default_factory=list)
+
+
 def build_subtree(
     flat: FlatWorkingGraph,
     depth: int,
@@ -256,40 +677,46 @@ def build_subtree(
 ) -> SubtreeResult:
     """Build the whole hierarchy subtree rooted at ``flat``.
 
+    Snapshots of at least ``_STACKED_MAX_VERTICES`` vertices run
+    :func:`node_step` depth first.  Under a ``csr`` backend every smaller
+    one (bar zero-weight snapshots, whose flags depend on the heap's
+    settle order) joins a frontier that is built in rounds: each round
+    cuts its snapshots one by one, labels them all in one
+    :func:`stacked_labels` pass and derives all their children in one
+    :func:`stacked_children` pass; the children form the next round.
+    Either way each node's records, :class:`ChildRecord` and level come
+    out bit-identical, and they are put back in preorder.
+
     Accumulates node records and the nodes' level pieces locally; the
     caller (the serial builder, a worker process or the parallel
     builder's inline path) grafts the returned :class:`SubtreeResult`
     into the global hierarchy.
     """
     search = resolve_backend(backend)
+    stacks = isinstance(search, CSRBackend)
     timer = Timer()
-    records: List[Tuple[int, int, int, Optional[str], bool, int, List[int]]] = []
-    child_records: RelabelRecord = []
-    levels: List[LevelPiece] = []
-    counters = {
-        "num_leaves": 0,
-        "num_empty_cuts": 0,
-        "num_shortcuts": 0,
-        "max_depth": depth,
-    }
-    node_timings: List[Tuple[int, int, float, float]] = []
+    nodes: List[_Node] = []
+    frontier: List[Tuple[FlatWorkingGraph, int]] = []
 
-    def _build(
-        flat: FlatWorkingGraph,
-        depth: int,
-        bits: int,
-        parent: int,
-        side: Optional[str],
+    def _add(
+        flat: FlatWorkingGraph, depth: int, bits: int, parent: int, side: Optional[str],
         record: Optional[ChildRecord],
-    ) -> None:
-        n = len(flat.vertices)
-        if n == 0:
+    ) -> int:
+        index = len(nodes)
+        nodes.append(_Node(depth, bits, parent, side, record, len(flat.vertices)))
+        if parent >= 0:
+            nodes[parent].children.append(index)
+        return index
+
+    def _build(flat: FlatWorkingGraph, index: int) -> None:
+        node = nodes[index]
+        if stacks and node.size < _STACKED_MAX_VERTICES and not has_zero_weight(flat):
+            frontier.append((flat, index))
             return
         node_started = time.perf_counter()
-        counters["max_depth"] = max(counters["max_depth"], depth)
         step = node_step(
             flat,
-            depth,
+            node.depth,
             beta=beta,
             leaf_size=leaf_size,
             tail_pruning=tail_pruning,
@@ -297,52 +724,103 @@ def build_subtree(
             backend=search,
             timer=timer,
         )
-        local = len(records)
-        records.append((depth, bits, parent, side, step.is_leaf, n, step.ranking.ordered))
-        child_records.append(record)
-        if step.is_leaf:
-            counters["num_leaves"] += 1
-        elif not step.ranking.ordered:
-            counters["num_empty_cuts"] += 1
-        levels.append(step.level)
-        counters["num_shortcuts"] += sum(len(child[3].shortcuts) for child in step.children)
-        node_timings.append(
-            (depth, n, time.perf_counter() - node_started, step.seconds_cut)
-        )
+        node.is_leaf, node.cut, node.level = step.is_leaf, step.ranking.ordered, step.level
+        node.timing = (time.perf_counter() - node_started, step.seconds_cut)
         for child_flat, child_side, child_bit, child_record in step.children:
             _build(
-                child_flat, depth + 1, (bits << 1) | child_bit, local, child_side, child_record
+                child_flat,
+                _add(
+                    child_flat, node.depth + 1, (node.bits << 1) | child_bit, index,
+                    child_side, child_record,
+                ),
             )
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10_000))
-    try:
-        _build(flat, depth, bits, -1, None, None)
-    finally:
-        sys.setrecursionlimit(limit)
+    if len(flat.vertices):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))
+        try:
+            _build(flat, _add(flat, depth, bits, -1, None, None))
+        finally:
+            sys.setrecursionlimit(limit)
+    stack: Optional[SnapshotStack] = None
+    while frontier:
+        members = frontier
+        frontier = []
+        if stack is None:
+            with timer.measure("snapshot"):
+                stack = SnapshotStack.of([member for member, _ in members])
+        cuts: List[Sequence[int]] = []
+        parts: List[Optional[Tuple[List[int], List[int]]]] = []
+        for member, index in members:
+            node = nodes[index]
+            cut_result, seconds_cut = _cut_node(
+                member, node.depth, beta=beta, leaf_size=leaf_size, max_depth=max_depth,
+                backend=search, timer=timer,
+            )
+            node.is_leaf = cut_result is None
+            node.timing = (seconds_cut, seconds_cut)
+            cuts.append(member.vertices if cut_result is None else cut_result.cut)
+            parts.append(None if cut_result is None else (cut_result.part_a, cut_result.part_b))
+        passes_started = time.perf_counter()
+        with timer.measure("labelling"):
+            levels = stacked_labels(
+                stack, cuts, [nodes[index].depth for _, index in members], tail_pruning
+            )
+        children, stack = stacked_children(stack, levels, parts, timer)
+        # each node's timing takes a share of the stacked passes by size
+        per_vertex = (time.perf_counter() - passes_started) / max(
+            1, sum(nodes[index].size for _, index in members)
+        )
+        for (member, index), ordered, piece, kids in zip(
+            members, levels.ordered, levels.pieces, children
+        ):
+            node = nodes[index]
+            node.cut, node.level = ordered, piece
+            node.timing = (node.timing[0] + per_vertex * node.size, node.timing[1])
+            for child_flat, child_side, child_bit, child_record in kids:
+                frontier.append((
+                    child_flat,
+                    _add(
+                        child_flat, node.depth + 1, (node.bits << 1) | child_bit, index,
+                        child_side, child_record,
+                    ),
+                ))
 
-    covered = sum(len(record[6]) for record in records)
+    preorder: List[int] = []
+    pending = [0] if nodes else []
+    while pending:
+        index = pending.pop()
+        preorder.append(index)
+        pending.extend(reversed(nodes[index].children))
+    position = {index: i for i, index in enumerate(preorder)}
+    ordered_nodes = [nodes[index] for index in preorder]
+
+    covered = sum(len(node.cut) for node in ordered_nodes)
     if covered != len(flat.vertices):
         raise AssertionError(
             f"subtree cuts cover {covered} of {len(flat.vertices)} vertices"
         )
-    fragment = pack_levels(levels, len(flat.vertices), flat.vertex_array)
+    fragment = pack_levels(
+        [node.level for node in ordered_nodes], len(flat.vertices), flat.vertex_array
+    )
     return SubtreeResult(
-        depths=[r[0] for r in records],
-        bits=[r[1] for r in records],
-        parents=[r[2] for r in records],
-        sides=[r[3] for r in records],
-        leaf_flags=[r[4] for r in records],
-        sizes=[r[5] for r in records],
-        cuts=[r[6] for r in records],
+        depths=[node.depth for node in ordered_nodes],
+        bits=[node.bits for node in ordered_nodes],
+        parents=[position[node.parent] if node.parent >= 0 else -1 for node in ordered_nodes],
+        sides=[node.side for node in ordered_nodes],
+        leaf_flags=[node.is_leaf for node in ordered_nodes],
+        sizes=[node.size for node in ordered_nodes],
+        cuts=[node.cut for node in ordered_nodes],
         labels=fragment,
-        records=child_records,
-        num_leaves=counters["num_leaves"],
-        num_empty_cuts=counters["num_empty_cuts"],
-        num_shortcuts=counters["num_shortcuts"],
-        max_depth=counters["max_depth"],
+        records=[node.record for node in ordered_nodes],
+        num_leaves=sum(node.is_leaf for node in ordered_nodes),
+        num_empty_cuts=sum(not node.is_leaf and not node.cut for node in ordered_nodes),
+        num_shortcuts=sum(
+            len(node.record.shortcuts) for node in ordered_nodes if node.record is not None
+        ),
+        max_depth=max([depth] + [node.depth for node in ordered_nodes]),
         durations=dict(timer.durations),
-        node_timings=node_timings,
+        node_timings=[(node.depth, node.size, *node.timing) for node in ordered_nodes],
     )
 
 

@@ -18,7 +18,9 @@ Three implementations of that semantics live here:
 * :func:`prune_flags_batch` - the same flags for *all* of a node's roots
   at once: the per-root DAGs are stacked into one scipy graph and a
   single breadth-first search from a super-source reaches exactly the
-  flagged (root, vertex) pairs.
+  flagged (root, vertex) pairs (:func:`dag_reach`, which the stacked
+  label pass of :mod:`repro.core.flat_build` also runs over the rows of
+  many snapshots at once).
 
 The last two are what let the CSR backend (:mod:`repro.core.backends`)
 obtain the distances from one batched ``scipy.sparse.csgraph`` call for
@@ -193,27 +195,51 @@ def prune_flags_batch(
     row ``i`` from ``roots[i]``; ``prune_sets[i]`` is that root's prune
     set.  Returns the ``(k, n)`` bool flag block, row ``i`` equal to
     ``prune_flags_from_distances(flat, roots[i], prune_sets[i],
-    block[i])``.
-
-    Flags are reachability in the shortest-path DAG (see
-    :func:`prune_flags_from_distances`), so any traversal order gives the
-    same answer.  Here the ``k`` per-root DAGs become one directed graph
-    on ``k * n + 1`` vertices: vertex ``i * n + v`` is ``v`` in root
-    ``i``'s DAG, and the extra last vertex is a super-source with an arc
-    to every tight child of every prune vertex (the root itself and
-    prune vertices it cannot reach excepted - ``inf + w == inf`` would
-    otherwise count unreached arcs as tight).  One scipy breadth-first
-    search from the super-source then reaches exactly the flagged
-    ``(root, vertex)`` pairs.  Zero-weight snapshots are rejected like
-    the worklist rejects them.
+    block[i])``: one :func:`dag_reach` over the snapshot's arcs, seeded
+    at every root's prune vertices (the root itself excepted).
+    Zero-weight snapshots are rejected like the worklist rejects them.
     """
     _reject_zero_weight(flat, "prune_flags_batch")
-    n = len(flat.vertices)
-    k = len(roots)
+    k, n = len(roots), len(flat.vertices)
     _, heads, weights = flat.csr_arrays()
-    tails = flat.tails()
+    seeds = np.zeros((k, n), dtype=bool)
+    for i, prune_ids in enumerate(prune_sets):
+        seeds[i, np.asarray(prune_ids, dtype=np.int64)] = True
+    seeds[np.arange(k), np.asarray(roots, dtype=np.int64)] = False
+    return dag_reach(flat.tails(), heads, weights, block, seeds)
+
+
+def dag_reach(
+    tails: np.ndarray,
+    heads: np.ndarray,
+    weights: np.ndarray,
+    block: np.ndarray,
+    seeds: np.ndarray,
+) -> np.ndarray:
+    """Reachability in the shortest-path DAGs of a ``(k, n)`` distance block.
+
+    ``tails``/``heads``/``weights`` list the arcs of a graph on ``n``
+    vertices (strictly positive weights); row ``i`` of ``block`` holds
+    exact distances over it, and row ``i`` of the bool ``seeds`` marks
+    that row's seed vertices.  ``(i, v)`` comes back flagged iff row
+    ``i``'s DAG (the tight arcs ``block[i, u] + w == block[i, v]``)
+    holds a path of one or more arcs from a reached seed to ``v`` - the
+    Algorithm 4 flag when the seeds are the prune set.  The rows may come
+    from different roots, or from disconnected blocks of one stacked
+    graph, as the stacked label pass of :mod:`repro.core.flat_build`
+    uses it.  Unreached entries may be ``inf`` (``inf + w == inf`` makes
+    their arcs tight, but no seed reaches them) or ``nan`` (no arc of
+    theirs is tight, which keeps mostly-unreached rows small).
+
+    The ``k`` DAGs become one directed graph on ``k * n + 1`` vertices:
+    vertex ``i * n + v`` is ``v`` in row ``i``'s DAG, and the extra last
+    vertex is a super-source with an arc to every tight child of every
+    reached seed.  One scipy breadth-first search from the super-source
+    then reaches exactly the flagged pairs, whatever the traversal order.
+    """
+    k, n = block.shape
     num_arcs = len(heads)
-    # tight[i, e]: arc e lies in root i's shortest-path DAG.  Built one
+    # tight[i, e]: arc e lies in row i's shortest-path DAG.  Built one
     # row at a time into reused buffers; three (k, E) float gathers at
     # once would dominate the pass's peak memory on the largest nodes.
     tight = np.empty((k, num_arcs), dtype=bool)
@@ -225,24 +251,19 @@ def prune_flags_batch(
         np.add(via, weights, out=via)
         np.take(row, heads, out=reached)
         np.equal(via, reached, out=tight[i])
-    # row-major order of the (k, E) mask is (root, tail) order, i.e. the
+    # row-major order of the (k, E) mask is (row, tail) order, i.e. the
     # stacked graph's CSR order: no sort needed
     flat_arcs = np.flatnonzero(tight)
-    arc_root = np.repeat(np.arange(k, dtype=np.int64), np.count_nonzero(tight, axis=1))
+    arc_row = np.repeat(np.arange(k, dtype=np.int64), np.count_nonzero(tight, axis=1))
     del tight
-    arc = flat_arcs - arc_root * num_arcs
-    stacked_tail = arc_root * n + tails[arc]
-    stacked_head = arc_root * n + heads[arc]
+    arc = flat_arcs - arc_row * num_arcs
+    stacked_tail = arc_row * n + tails[arc]
+    stacked_head = arc_row * n + heads[arc]
     source = k * n
     stacked_indptr = np.zeros(source + 2, dtype=np.int64)
     np.cumsum(np.bincount(stacked_tail, minlength=source), out=stacked_indptr[1:-1])
-    # the super-source's row: the stacked rows of every seeding prune vertex
-    seeds = np.zeros((k, n), dtype=bool)
-    for i, prune_ids in enumerate(prune_sets):
-        seeds[i, np.asarray(prune_ids, dtype=np.int64)] = True
-    seeds[np.arange(k), np.asarray(roots, dtype=np.int64)] = False
-    seeds &= np.isfinite(block)
-    seed_rows = np.flatnonzero(seeds)
+    # the super-source's row: the stacked rows of every reached seed
+    seed_rows = np.flatnonzero(seeds & np.isfinite(block))
     starts = stacked_indptr[seed_rows]
     lengths = stacked_indptr[seed_rows + 1] - starts
     offsets = np.cumsum(lengths) - lengths

@@ -16,7 +16,11 @@ Three phases per fleet configuration land in ``BENCH_query.json``:
   a ``wire`` dimension (JSON list frames vs raw binary ndarray frames);
 * ``many_to_many-neighborhood`` - dispatch-tick distance matrices
   (``matrix_size ** 2`` floats per reply), the serialization-bound
-  shape where the binary wire shows its largest win;
+  shape where the binary wire shows its largest win.  One fleet serves
+  every wire here and the wires take turns, :data:`MATRIX_REPEATS` runs
+  each, so host-load drift hits every wire alike; each row carries every
+  run's p50 (``p50_batch_ms_runs``) and their median
+  (``median_p50_batch_ms``), the figure to compare wires by;
 * ``zipf-pairs`` - Zipf-skewed pair batches replayed twice (cold then
   hot) against fleets with the shared cross-worker cache on and off,
   so the cache-hot win and the cache's bookkeeping overhead on the
@@ -45,6 +49,11 @@ QueryPair = Tuple[int, int]
 
 #: wire modes swept by default (order = row order in the bench output)
 DEFAULT_WIRES = ("json", "binary")
+
+#: closed-loop many_to_many runs per wire mode; single runs of the two
+#: wires read within a few percent of each other on a loaded host, so the
+#: rows compare medians of several alternating runs
+MATRIX_REPEATS = 5
 
 
 def fleet_latency_rows(
@@ -118,11 +127,21 @@ def fleet_latency_rows(
                     batches=batches,
                     baselines=baselines,
                     batch_size=batch_size,
-                    matrices=matrices,
-                    matrix_baselines=matrix_baselines,
-                    matrix_size=matrix_size,
                 )
             )
+        rows.extend(
+            _matrix_rows(
+                path,
+                num_workers=num_workers,
+                wires=wires,
+                num_shards=num_shards,
+                num_clients=num_clients,
+                shared_cache_slots=shared_cache_slots,
+                matrices=matrices,
+                matrix_baselines=matrix_baselines,
+                matrix_size=matrix_size,
+            )
+        )
 
     rows.extend(
         _shared_cache_rows(
@@ -154,11 +173,8 @@ def _wire_phase_rows(
     batches: Sequence[Sequence[QueryPair]],
     baselines: Sequence[np.ndarray],
     batch_size: int,
-    matrices: Sequence[Tuple[List[int], List[int]]],
-    matrix_baselines: Sequence[np.ndarray],
-    matrix_size: int,
 ) -> List[Dict[str, object]]:
-    """The pair-batch and matrix phases of one fleet configuration."""
+    """The pair-batch phase of one fleet configuration."""
     with FleetOracle(
         path,
         num_workers=num_workers,
@@ -173,12 +189,6 @@ def _wire_phase_rows(
                     f"fleet answers diverged from the engine at "
                     f"{num_workers} workers (wire={wire})"
                 )
-        for (sources, targets), baseline in zip(matrices, matrix_baselines):
-            if fleet.many_to_many(sources, targets).tolist() != baseline.tolist():
-                raise AssertionError(
-                    f"fleet many_to_many diverged from the engine at "
-                    f"{num_workers} workers (wire={wire})"
-                )
         host, port = fleet.start_tcp()
 
         fleet.reset_stats()
@@ -187,47 +197,87 @@ def _wire_phase_rows(
         )
         batch_stats = fleet.stats()
 
-        fleet.reset_stats()
-        matrix_latencies, matrix_elapsed = asyncio.run(
-            _matrix_loop(host, port, matrices, matrix_baselines, num_clients, wire)
-        )
-        matrix_stats = fleet.stats()
-
-    common = {
-        "num_workers": num_workers,
-        "wire": wire,
-        "num_shards": num_shards,
-        "num_clients": num_clients,
-        "shared_cache": bool(shared_cache_slots),
-    }
     total_queries = sum(len(batch) for batch in batches)
-    rows = [
+    return [
         {
             "oracle": f"HC2L+fleet(workers={num_workers},wire={wire})",
             "workload": "neighborhood-batches",
-            **common,
+            **_fleet_fields(num_workers, wire, num_shards, num_clients, shared_cache_slots),
             "num_batches": len(batches),
             "batch_size": batch_size,
             "num_queries": total_queries,
             **_latency_fields(latencies, len(batches), total_queries, elapsed),
             **_placement_fields(batch_stats),
-        },
-        {
-            "oracle": f"HC2L+fleet(workers={num_workers},wire={wire})",
-            "workload": "many_to_many-neighborhood",
-            **common,
-            "num_batches": len(matrices),
-            "matrix_size": matrix_size,
-            "num_queries": len(matrices) * matrix_size * matrix_size,
-            **_latency_fields(
-                matrix_latencies,
-                len(matrices),
-                len(matrices) * matrix_size * matrix_size,
-                matrix_elapsed,
-            ),
-            **_placement_fields(matrix_stats),
-        },
+        }
     ]
+
+
+def _matrix_rows(
+    path: Path,
+    *,
+    num_workers: int,
+    wires: Sequence[str],
+    num_shards: int,
+    num_clients: int,
+    shared_cache_slots: int,
+    matrices: Sequence[Tuple[List[int], List[int]]],
+    matrix_baselines: Sequence[np.ndarray],
+    matrix_size: int,
+) -> List[Dict[str, object]]:
+    """The many_to_many phase of one worker count, one row per wire.
+
+    One fleet answers every wire (the front door replies in each
+    request's own framing), and the wires take turns for
+    :data:`MATRIX_REPEATS` closed-loop runs each.  A row's latency fields
+    pool all of its runs; ``p50_batch_ms_runs`` lists each run's p50 and
+    ``median_p50_batch_ms`` is their median.
+    """
+    with FleetOracle(
+        path,
+        num_workers=num_workers,
+        shared_cache_slots=shared_cache_slots,
+    ) as fleet:
+        for (sources, targets), baseline in zip(matrices, matrix_baselines):
+            if fleet.many_to_many(sources, targets).tolist() != baseline.tolist():
+                raise AssertionError(
+                    f"fleet many_to_many diverged from the engine at {num_workers} workers"
+                )
+        host, port = fleet.start_tcp()
+        fleet.reset_stats()
+        runs: Dict[str, List[Tuple[List[float], float]]] = {wire: [] for wire in wires}
+        for _ in range(MATRIX_REPEATS):
+            for wire in wires:
+                runs[wire].append(
+                    asyncio.run(
+                        _matrix_loop(host, port, matrices, matrix_baselines, num_clients, wire)
+                    )
+                )
+        stats = fleet.stats()
+
+    num_queries = len(matrices) * matrix_size * matrix_size
+    rows = []
+    for wire in wires:
+        p50s = [_p50_ms(latencies) for latencies, _ in runs[wire]]
+        rows.append(
+            {
+                "oracle": f"HC2L+fleet(workers={num_workers},wire={wire})",
+                "workload": "many_to_many-neighborhood",
+                **_fleet_fields(num_workers, wire, num_shards, num_clients, shared_cache_slots),
+                "num_batches": len(matrices),
+                "matrix_size": matrix_size,
+                "num_queries": num_queries,
+                "repeats": MATRIX_REPEATS,
+                **_latency_fields(
+                    [latency for latencies, _ in runs[wire] for latency in latencies],
+                    MATRIX_REPEATS * len(matrices),
+                    MATRIX_REPEATS * num_queries,
+                    sum(elapsed for _, elapsed in runs[wire]),
+                ),
+                "p50_batch_ms_runs": p50s,
+                "median_p50_batch_ms": round(float(np.median(p50s)), 3),
+                **_placement_fields(stats),
+            }
+        )
     return rows
 
 
@@ -309,6 +359,18 @@ def _shared_cache_rows(
             row["shared_cache_evictions"] = cache["evictions"]
         rows.append(row)
     return rows
+
+
+def _fleet_fields(
+    num_workers: int, wire: str, num_shards: int, num_clients: int, shared_cache_slots: int
+) -> Dict[str, object]:
+    return {
+        "num_workers": num_workers,
+        "wire": wire,
+        "num_shards": num_shards,
+        "num_clients": num_clients,
+        "shared_cache": bool(shared_cache_slots),
+    }
 
 
 def _p50_ms(latencies: Sequence[float]) -> float:

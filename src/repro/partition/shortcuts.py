@@ -13,7 +13,7 @@ which this module eliminates to keep the working graphs sparse.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,10 +123,28 @@ def compute_shortcuts(
     rows = resolve_backend(backend).sssp_many(within, border_dense)
     in_partition = np.asarray(rows, dtype=np.float64)[:, border_dense]
 
+    at_borders = np.asarray(cut_distances, dtype=np.float64)[:, flat.dense_ids(borders)]
+    pair_i, pair_j, weights = nonredundant_pairs(in_partition, at_borders)
+    return [
+        Shortcut(borders[i], borders[j], weight)
+        for i, j, weight in zip(pair_i.tolist(), pair_j.tolist(), weights.tolist())
+    ]
+
+
+def nonredundant_pairs(
+    in_partition: np.ndarray, at_borders: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 7-16 of Algorithm 3 over one partition's ``k`` borders.
+
+    ``in_partition[i, j]`` is the within-partition distance from border
+    ``i`` to border ``j``; ``at_borders`` is the ``(cut x k)`` block of
+    the cut vertices' distances at the borders.  Returns the shortcut
+    pairs ``(i, j)`` (``i < j``, ascending) and their weights.
+    """
+    k = in_partition.shape[0]
     # Lines 7-8: true distances, allowing travel through the cut.  For
     # b1 < b2 the value is min(in_partition[b1][b2], min_c d(c, b1) + d(c, b2)),
     # kept symmetric in ``true`` (zero diagonal) for the redundancy test.
-    at_borders = np.asarray(cut_distances, dtype=np.float64)[:, flat.dense_ids(borders)]
     via_cut = np.full((k, k), INF)
     for row in at_borders:
         np.minimum(via_cut, row[:, None] + row[None, :], out=via_cut)
@@ -153,12 +171,7 @@ def compute_shortcuts(
         kept[start : start + step] = ~(
             through <= threshold[start : start + step, None]
         ).any(axis=1)
-    return [
-        Shortcut(borders[i], borders[j], weight)
-        for i, j, weight in zip(
-            pair_i[kept].tolist(), pair_j[kept].tolist(), d_pair[kept].tolist()
-        )
-    ]
+    return pair_i[kept], pair_j[kept], d_pair[kept]
 
 
 def child_adjacency(

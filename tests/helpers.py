@@ -84,6 +84,22 @@ def force_prune_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(backends, "_BATCHED_FLAGS_MIN_VERTICES", PRUNE_ROUTES[route])
 
 
+#: Every production construction route for a small snapshot as the
+#: snapshot-size threshold below which csr builds stack snapshots:
+#: 10**9 builds every node in stacked rounds, 0 builds every node alone.
+STACK_ROUTES = {
+    "stacked": 10**9,
+    "per-node": 0,
+}
+
+
+def force_stack_route(monkeypatch, route: str) -> None:
+    """Pin ``build_subtree`` to one :data:`STACK_ROUTES` entry."""
+    import repro.core.flat_build as flat_build
+
+    monkeypatch.setattr(flat_build, "_STACKED_MAX_VERTICES", STACK_ROUTES[route])
+
+
 def label_levels(flat: FlatLabelling) -> List[List[List[float]]]:
     """The labels as per-vertex level lists: ``[v][depth]`` is a list of floats.
 

@@ -20,6 +20,7 @@ from repro.core.backends import (
     DialBackend,
     HeapBackend,
     check_backend_name,
+    distance_rounds,
     resolve_backend,
 )
 from repro.core.construction import HC2LBuilder, root_snapshot
@@ -47,7 +48,7 @@ from test_golden_labels import (
     relabel_digest,
 )
 
-from helpers import force_prune_route
+from helpers import force_prune_route, force_stack_route
 
 INF = float("inf")
 
@@ -65,6 +66,45 @@ def _random_graph(seed: int, n_lo: int = 20, n_hi: int = 90) -> Graph:
 
 def _flat_for(graph: Graph) -> FlatWorkingGraph:
     return root_snapshot(graph)
+
+
+class TestDistanceRounds:
+    """Known answers for the stacked passes' search: one ``min_only``
+    scipy call per round, at most one source per disconnected block."""
+
+    def test_each_block_row_is_its_single_source_row(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+        assert 0.1 + 0.2 != 0.3  # the tie below is a float tie, not an exact one
+        edges = [
+            (0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (2, 3, 0.7),
+            (4, 5, 1.5), (5, 6, 2.25), (6, 7, 0.125), (4, 7, 4.0),
+            (8, 9, 3.0),
+        ]
+        flat = _flat_for(graph_from_edges(edges, num_vertices=10))
+        blocks = [range(0, 4), range(4, 8), range(8, 10)]
+        rounds = [[0, 5, 9], [2, 7], [3]]
+        indptr, indices, weights = flat.csr_arrays()
+        rows = distance_rounds(
+            indptr, indices, weights, [np.asarray(r, dtype=np.int64) for r in rounds]
+        )
+        assert rows.shape == (3, 10) and rows.dtype == np.float64
+        # 0 -> 2 takes the 0.3 arc, not the 0.1 + 0.2 path that rounds above it
+        assert rows[0, 2] == 0.3 and rows[1, 0] == 0.3
+        matrix = csr_matrix((weights, indices, indptr), shape=(10, 10))
+        for r, sources in enumerate(rounds):
+            expected = np.full(10, INF)
+            for source in sources:
+                block = list(next(b for b in blocks if source in b))
+                single = scipy_dijkstra(matrix, directed=True, indices=[source]).ravel()
+                assert single.tolist() == flat.dijkstra(source)
+                expected[block] = single[block]
+            assert rows[r].tolist() == expected.tolist()
+
+    def test_no_rounds(self):
+        flat = _flat_for(graph_from_edges([(0, 1, 1.0)], num_vertices=2))
+        assert distance_rounds(*flat.csr_arrays(), []).shape == (0, 2)
 
 
 class TestBackendBitIdentity:
@@ -206,11 +246,14 @@ class TestPruneFlagTable:
 class TestBatchedRouteGolden:
     """The batched flag pass, forced onto every snapshot the csr backend
     searches, reproduces the golden build and relabel digests (the shipped
-    size threshold sends only the largest golden snapshots through it)."""
+    size threshold sends only the largest golden snapshots through it).
+    Builds run every node alone, so no snapshot skips the flag pass for
+    the stacked rounds."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_build_matches_golden(self, case, monkeypatch):
         force_prune_route(monkeypatch, "batched")
+        force_stack_route(monkeypatch, "per-node")
         graph_name, overrides = CASES[case]
         index = HC2LIndex.build(GRAPHS[graph_name](), backend="csr", **overrides)
         assert label_digest(index) == GOLDEN[case]
@@ -218,6 +261,36 @@ class TestBatchedRouteGolden:
     @pytest.mark.parametrize("case", sorted(RELABEL_CASES))
     def test_relabel_matches_golden(self, case, monkeypatch):
         force_prune_route(monkeypatch, "batched")
+        graph_name, overrides, change_set, scoped = RELABEL_CASES[case]
+        graph = RELABEL_GRAPHS[graph_name]()
+        index = HC2LIndex.build(graph, backend="csr", **overrides)
+        changed = change_set(graph, index)
+        result = relabel(index, graph.reweighted(changed), changed_edges=changed if scoped else None)
+        extra = result.describe()
+        observed = (
+            relabel_digest(result),
+            extra.get("relabel_scoped", 0.0),
+            extra.get("relabel_nodes_recomputed", 0.0),
+            extra.get("relabel_nodes_spliced", 0.0),
+        )
+        assert observed == GOLDEN_RELABEL[case]
+
+
+class TestStackedRouteGolden:
+    """Every node of a csr build in stacked rounds, the large ones too,
+    reproduces the golden build digests and, through the records it
+    leaves, the golden relabel digests."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_build_matches_golden(self, case, monkeypatch):
+        force_stack_route(monkeypatch, "stacked")
+        graph_name, overrides = CASES[case]
+        index = HC2LIndex.build(GRAPHS[graph_name](), backend="csr", **overrides)
+        assert label_digest(index) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(RELABEL_CASES))
+    def test_relabel_matches_golden(self, case, monkeypatch):
+        force_stack_route(monkeypatch, "stacked")
         graph_name, overrides, change_set, scoped = RELABEL_CASES[case]
         graph = RELABEL_GRAPHS[graph_name]()
         index = HC2LIndex.build(graph, backend="csr", **overrides)

@@ -209,12 +209,13 @@ class TestPruneRouteFuzz:
     The flags are reachability in each root's shortest-path DAG, so the
     per-root worklist and the batched pass over all of a node's roots must
     agree bit for bit.  The csr backend runs every snapshot here (no
-    tiny-snapshot delegation), and each route is forced through the
-    snapshot-size threshold for a build and one scoped relabel.
+    tiny-snapshot delegation, and every build node alone rather than in
+    stacked rounds), and each route is forced through the snapshot-size
+    threshold for a build and one scoped relabel.
     """
 
     def test_prune_routes_same_labels(self, case, monkeypatch):
-        from helpers import PRUNE_ROUTES, force_prune_route
+        from helpers import PRUNE_ROUTES, force_prune_route, force_stack_route
         from repro.core.backends import resolve_backend
         from repro.core.dynamic import relabel
 
@@ -229,6 +230,7 @@ class TestPruneRouteFuzz:
         built = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         relabelled = relabel(built, new_graph, changed_edges=changed)
         monkeypatch.setattr(resolve_backend("csr"), "min_vertices", 0)
+        force_stack_route(monkeypatch, "per-node")
         for route in PRUNE_ROUTES:
             force_prune_route(monkeypatch, route)
             index = HC2LIndex.build(graph, leaf_size=4, backend="csr")
@@ -239,6 +241,133 @@ class TestPruneRouteFuzz:
             assert again.flat_labelling() == relabelled.flat_labelling(), (
                 f"prune route {route!r} changed the relabelled labels"
             )
+
+
+def _tree_shape(index: HC2LIndex) -> List[tuple]:
+    return [
+        (n.depth, n.bits, n.cut, n.parent, n.left, n.right, n.subtree_size, n.is_leaf)
+        for n in index.hierarchy.nodes
+    ]
+
+
+def _record_rows(index: HC2LIndex) -> List[object]:
+    return [
+        None
+        if entry is None
+        else (
+            entry.borders,
+            entry.distances.dtype.str,
+            entry.distances.shape,
+            entry.distances.tolist(),
+            entry.shortcuts,
+        )
+        for entry in index.relabel_record
+    ]
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+class TestStackRouteFuzz:
+    """Stacked rounds build exactly what the per-node recursion builds.
+
+    Each construction route is forced through the snapshot-size
+    threshold (every node stacked, or every node alone) for a build and
+    one scoped relabel of it.  The routes must agree with ``==`` on the
+    labels, every node's cut, every :class:`ChildRecord` (borders, hub
+    distances, shortcut order), every node's snapshot CSR arrays, and the
+    relabelled labels and record.
+    """
+
+    def test_stack_routes_build_the_same_index(self, case, monkeypatch):
+        import repro.core.flat_build as flat_build
+        from helpers import STACK_ROUTES, force_stack_route
+        from repro.core.dynamic import relabel
+
+        graph = _fuzz_graph(case, seed=1)
+        rng = random.Random(zlib.crc32(case.encode()) + 1)
+        changed = {
+            (u, v): w * float(rng.randrange(2, 6))
+            for u, v, w in rng.sample(list(graph.edges()), min(4, graph.num_edges))
+        }
+        shipped_cut = flat_build._cut_node
+        built = {}
+        for route in STACK_ROUTES:
+            force_stack_route(monkeypatch, route)
+            snapshots = {}
+
+            def cut_node(flat, *args, **kwargs):
+                snapshots[tuple(flat.vertices)] = flat.csr_arrays()
+                return shipped_cut(flat, *args, **kwargs)
+
+            monkeypatch.setattr(flat_build, "_cut_node", cut_node)
+            index = HC2LIndex.build(graph, leaf_size=4)
+            again = relabel(index, graph.reweighted(changed), changed_edges=changed)
+            built[route] = (index, snapshots, again)
+        (stacked, stacked_snapshots, stacked_again) = built["stacked"]
+        (alone, alone_snapshots, alone_again) = built["per-node"]
+        assert stacked.flat_labelling() == alone.flat_labelling()
+        assert _tree_shape(stacked) == _tree_shape(alone)
+        assert _record_rows(stacked) == _record_rows(alone)
+        assert stacked_snapshots.keys() == alone_snapshots.keys()
+        for members, arrays in stacked_snapshots.items():
+            for got, want in zip(arrays, alone_snapshots[members]):
+                assert got.dtype == want.dtype and np.array_equal(got, want), members
+        assert stacked_again.flat_labelling() == alone_again.flat_labelling()
+        assert _record_rows(stacked_again) == _record_rows(alone_again)
+        assert _tree_shape(stacked_again) == _tree_shape(alone_again)
+
+
+class TestStackRouteEdges:
+    def test_zero_weight_snapshots_route_per_node(self, monkeypatch):
+        """A snapshot with a zero-weight arc never enters a stacked round:
+        its flags depend on the heap's settle order."""
+        import repro.core.flat_build as flat_build
+        from helpers import force_stack_route
+        from repro.core.pruned_dijkstra import has_zero_weight
+
+        edges = [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0), (3, 0, 2.0), (1, 3, 1.0)]
+        edges += [(v, v + 1, float(1 + v % 3)) for v in range(3, 40)]
+        edges += [(v, v + 7, 2.0) for v in range(3, 33, 2)]
+        graph = graph_from_edges(edges, num_vertices=41)
+        heap = HC2LIndex.build(graph, leaf_size=4, backend="heap", contract=False)
+
+        force_stack_route(monkeypatch, "stacked")
+        stacked_weights = []
+        alone_zero = []
+        shipped_labels, shipped_step = flat_build.stacked_labels, flat_build.node_step
+
+        def stacked_labels(stack, *args, **kwargs):
+            stacked_weights.append(stack.weights)
+            return shipped_labels(stack, *args, **kwargs)
+
+        def node_step(flat, *args, **kwargs):
+            alone_zero.append(has_zero_weight(flat))
+            return shipped_step(flat, *args, **kwargs)
+
+        monkeypatch.setattr(flat_build, "stacked_labels", stacked_labels)
+        monkeypatch.setattr(flat_build, "node_step", node_step)
+        csr = HC2LIndex.build(graph, leaf_size=4, backend="csr", contract=False)
+        assert csr.flat_labelling() == heap.flat_labelling()
+        assert _record_rows(csr) == _record_rows(heap)
+        # the zero-weight snapshots ran alone, their zero-free children stacked
+        assert alone_zero and all(alone_zero)
+        assert stacked_weights
+        assert all(float(weights.min()) > 0.0 for weights in stacked_weights if len(weights))
+
+    def test_process_build_runs_the_rounds(self, monkeypatch):
+        """HC2L_p workers fork with the stacked route and build the
+        per-node labels and tree."""
+        from helpers import force_stack_route
+        from repro.core.construction import HC2LBuilder
+        from repro.core.parallel import ParallelHC2LBuilder
+
+        graph = _fuzz_graph("sparse", seed=2)
+        force_stack_route(monkeypatch, "per-node")
+        _, reference, _ = HC2LBuilder(leaf_size=4).build(graph)
+        force_stack_route(monkeypatch, "stacked")
+        builder = ParallelHC2LBuilder(leaf_size=4, num_workers=2, parallel_threshold=8)
+        _, labelling, stats = builder.build(graph)
+        assert stats.num_tasks > 0
+        assert labelling == reference
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
