@@ -42,14 +42,18 @@ and vertex count rather than hiding inside a phase total.
 :func:`repro.core.flat_build.build_subtree` stop paying: it collects
 every node of one csr build of the benchmark graph (snapshot, cut and
 partitions), groups the nodes by snapshot size, and per size bucket times
-(best of 3) the per-node label + shortcut passes
-(:func:`~repro.core.flat_build.label_node` and one
-:func:`~repro.core.flat_build.shortcut_child` per side, node after node)
-against one stacked pass over the whole bucket
+(best of 3) two pairs of routes.  The balanced cuts: one
+:func:`~repro.partition.cut.balanced_cut` per node against one
+:func:`~repro.core.flat_build.stacked_cuts` pass over the bucket (plus
+the per-node cuts of the blocks it leaves alone).  The label and shortcut
+passes: the per-node passes (:func:`~repro.core.flat_build.label_node`
+and one :func:`~repro.core.flat_build.shortcut_child` per side, node
+after node) against one stacked pass over the whole bucket
 (:func:`~repro.core.flat_build.stacked_labels` and
-:func:`~repro.core.flat_build.stacked_children`).  The two routes' ranked
-cuts, levels, child snapshots and relabel records are compared with
-``==`` before a row is written.
+:func:`~repro.core.flat_build.stacked_children`).  The two cut routes'
+cuts and parts, and the two pass routes' ranked cuts, levels, child
+snapshots and relabel records, are compared with ``==`` before a row is
+written.
 
 Run with::
 
@@ -78,6 +82,7 @@ from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import level_piece
 from repro.core.parallel import ParallelHC2LBuilder
 from repro.graph.contraction import contract_degree_one
+from repro.partition.cut import balanced_cut
 from repro.utils.timer import Timer
 
 PHASES = ("contraction", "snapshot", "hierarchy", "labelling", "shortcuts", "flatten")
@@ -269,6 +274,8 @@ def run_scaling(
 CROSSOVER_TOP_BUCKET = 2048
 #: timed repetitions per crossover bucket and route; the best is kept
 CROSSOVER_REPEATS = 3
+#: the balance parameter of the crossover's build and cuts (the builder's default)
+CROSSOVER_BETA = 0.2
 
 
 def _fresh(flat: FlatWorkingGraph) -> FlatWorkingGraph:
@@ -277,7 +284,11 @@ def _fresh(flat: FlatWorkingGraph) -> FlatWorkingGraph:
 
 
 def _collect_nodes(graph, leaf_size: int) -> List[Tuple[FlatWorkingGraph, int, list, object]]:
-    """``(snapshot, depth, cut, parts)`` of every node of one csr build."""
+    """``(snapshot, depth, cut, parts)`` of every node of one csr build.
+
+    A node the build cut has ``parts``; a leaf has ``None``, and a leaf
+    whose cut came out one-sided keeps the snapshot's vertices as its cut.
+    """
     nodes = []
     shipped = flat_build._cut_node
 
@@ -296,6 +307,27 @@ def _collect_nodes(graph, leaf_size: int) -> List[Tuple[FlatWorkingGraph, int, l
     finally:
         flat_build._cut_node = shipped
     return nodes
+
+
+def _per_node_cuts(nodes, backend):
+    """One balanced cut per node, node after node."""
+    return [balanced_cut(flat, CROSSOVER_BETA, backend=backend) for flat, _, _, _ in nodes]
+
+
+def _stacked_cuts(nodes, backend):
+    """One stacked cut pass over ``nodes``, then the cuts it leaves alone."""
+    flats = [flat for flat, _, _, _ in nodes]
+    stacked = flat_build.stacked_cuts(
+        flat_build.SnapshotStack.of(flats), np.ones(len(flats), dtype=bool), CROSSOVER_BETA
+    )
+    return [
+        balanced_cut(flat, CROSSOVER_BETA, backend=backend) if result is None else result
+        for flat, result in zip(flats, stacked)
+    ]
+
+
+def _same_cuts(a, b) -> bool:
+    return [(r.part_a, r.cut, r.part_b) for r in a] == [(r.part_a, r.cut, r.part_b) for r in b]
 
 
 def _per_node(nodes, backend):
@@ -381,6 +413,18 @@ def run_crossover(graph, leaf_size: int = 12) -> dict:
     rows = []
     for lo in sorted(buckets):
         nodes = buckets[lo]
+        # the nodes that reach the balanced cut (leaves by size never do)
+        cut = [node for node in nodes if len(node[0].vertices) > leaf_size]
+        cut_s = stacked_cut_s = 0.0
+        if cut:
+            cut_s, per_node_cuts = _best_of(cut, lambda fresh: _per_node_cuts(fresh, backend))
+            stacked_cut_s, stacked_cuts = _best_of(
+                cut, lambda fresh: _stacked_cuts(fresh, backend)
+            )
+            if not _same_cuts(per_node_cuts, stacked_cuts):
+                raise AssertionError(
+                    f"stacked and per-node cuts disagree on the {lo}-vertex bucket"
+                )
         per_node_s, per_node = _best_of(nodes, lambda fresh: _per_node(fresh, backend))
         stacked_s, stacked = _best_of(nodes, _stacked)
         if not _same_outputs(per_node, stacked):
@@ -394,6 +438,10 @@ def run_crossover(graph, leaf_size: int = 12) -> dict:
                 "per_node_seconds": round(per_node_s, 4),
                 "stacked_seconds": round(stacked_s, 4),
                 "stacked_speedup": round(per_node_s / max(stacked_s, 1e-9), 2),
+                "cut_nodes": len(cut),
+                "per_node_cut_seconds": round(cut_s, 4),
+                "stacked_cut_seconds": round(stacked_cut_s, 4),
+                "stacked_cut_speedup": round(cut_s / stacked_cut_s, 2) if cut else None,
             }
         )
     return {

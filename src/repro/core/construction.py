@@ -57,9 +57,12 @@ class ConstructionStats:
     #: child-derivation work (recursion excluded) and seconds_cut is the
     #: balanced-cut share of it (0.0 for leaves, which compute no cut);
     #: a node built in a stacked round (see
-    #: :func:`~repro.core.flat_build.build_subtree`) has its own cut time
-    #: plus its vertex-count share of the round's stacked passes; feeds
-    #: the bench's construction-skew view and its cut-vs-label split
+    #: :func:`~repro.core.flat_build.build_subtree`) has as seconds_cut its
+    #: vertex-count share of the round's stacked cut pass (or its own cut
+    #: time, when the pass left it to the per-node cut), and adds its
+    #: vertex-count share of the round's stacked label and shortcut
+    #: passes to seconds; feeds the bench's construction-skew view and
+    #: its cut-vs-label split
     node_timings: List[Tuple[int, int, float, float]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, float]:

@@ -17,17 +17,22 @@ for the process-parallel builder:
 * :func:`node_step` - one node of the interleaved construction: the
   balanced cut, then :func:`label_node` and one :func:`shortcut_child`
   per side.
-* :func:`stacked_labels` and :func:`stacked_children` - the same label
-  and shortcut passes for many small snapshots at once.  A
-  :class:`SnapshotStack` lays the snapshots side by side as the
-  disconnected blocks of one CSR graph, so each distance round is one
-  scipy call for all of them
-  (:func:`~repro.core.backends.distance_rounds`), the ranking and
-  labelling flags are one DAG search each
-  (:func:`~repro.core.pruned_dijkstra.dag_reach`), and ranks, tail-pruned
-  lengths, levels, borders, induced children and shortcut overlays are
-  segment operations over the blocks.  Only the via-cut and Lemma 4.11
-  tests still loop, once per child.
+* :func:`stacked_cuts`, :func:`stacked_labels` and
+  :func:`stacked_children` - the same balanced cut, label and shortcut
+  passes for many small snapshots at once.  A :class:`SnapshotStack`
+  lays the snapshots side by side as the disconnected blocks of one CSR
+  graph, so each distance round is one scipy call for all of them
+  (:func:`~repro.core.backends.distance_rounds`: three seed rounds for
+  the cuts, one per cut vertex for the labels, one per border for the
+  shortcuts), every block's flow region goes into one max-flow
+  (:func:`~repro.flow.vertex_cut.minimum_vertex_cut_regions`), the
+  components left by every block's cut are one scipy scan, the ranking
+  and labelling flags are one DAG search each
+  (:func:`~repro.core.pruned_dijkstra.dag_reach`), the via-cut and
+  Lemma 4.11 tests are one array pass per border count, and seeds,
+  partitions, ranks, tail-pruned lengths, levels, borders, induced
+  children and shortcut overlays are segment operations over the
+  blocks.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
   graft the subtree into the global hierarchy
@@ -40,9 +45,10 @@ for the process-parallel builder:
   is a single call of it on the root snapshot.  Snapshots of at least
   ``_STACKED_MAX_VERTICES`` vertices go node by node, depth first; under
   a ``csr`` backend the smaller ones are built level by level, each level
-  one stacked label pass and one stacked shortcut pass after the
-  per-node balanced cuts.  Zero-weight snapshots, ``heap``/``dial``
-  builds and relabels keep the per-node path.
+  one stacked cut pass, one stacked label pass and one stacked shortcut
+  pass.  Disconnected snapshots and bottleneck ties are cut alone inside
+  their round; zero-weight snapshots, ``heap``/``dial`` builds and
+  relabels keep the per-node path.
 * :func:`build_subtree_payload` - the process-pool entry point; rebuilds
   the snapshot from a plain-arrays payload dict.
 
@@ -65,6 +71,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from repro.core.backends import (
     BackendSpec,
@@ -77,13 +85,21 @@ from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import LevelPiece, level_piece, node_distance_arrays, pack_levels
 from repro.core.pruned_dijkstra import dag_reach, has_zero_weight
 from repro.core.ranking import CutRanking, rank_cut_vertices
-from repro.partition.cut import BalancedCutResult, balanced_cut
+from repro.flow.vertex_cut import minimum_vertex_cut_regions
+from repro.partition.cut import (
+    BalancedCutResult,
+    assign_components,
+    balanced_cut,
+    flow_region_masks,
+    side_balance,
+)
+from repro.partition.partition import boundary_weights, farthest_in_blocks, initial_sizes
 from repro.partition.shortcuts import (
     Shortcut,
     border_vertices,
     child_adjacency,
     compute_shortcuts,
-    nonredundant_pairs,
+    nonredundant_pairs_batch,
 )
 from repro.utils.timer import Timer
 
@@ -92,6 +108,10 @@ from repro.utils.timer import Timer
 #: time.  ``benchmarks/bench_build.py --crossover`` times both routes per
 #: snapshot-size bucket.
 _STACKED_MAX_VERTICES = 256
+
+#: Cells of ``(children x k x k)`` scratch one Lemma 4.11 pass of the
+#: stacked shortcut pass may hold (:func:`_stacked_pairs`).
+_STACKED_PAIR_CELLS = 1 << 20
 
 
 @dataclass(slots=True)
@@ -247,14 +267,23 @@ def _cut_node(
     max_depth: int,
     backend: ShortestPathBackend,
     timer: Timer,
+    stacked: Optional[Tuple[BalancedCutResult, float]] = None,
 ) -> Tuple[Optional[BalancedCutResult], float]:
-    """A node's balanced cut (``None`` for a leaf) and the seconds it took."""
+    """A node's balanced cut (``None`` for a leaf) and the seconds it took.
+
+    ``stacked`` is the cut a round's :func:`stacked_cuts` pass already
+    made for this node, with the node's share of the pass's seconds;
+    without it the cut runs here, alone.
+    """
     if len(flat.vertices) <= leaf_size or depth >= max_depth:
         return None, 0.0
-    started = time.perf_counter()
-    with timer.measure("hierarchy"):
-        result = balanced_cut(flat, beta, backend=backend)
-    seconds = time.perf_counter() - started
+    if stacked is None:
+        started = time.perf_counter()
+        with timer.measure("hierarchy"):
+            result = balanced_cut(flat, beta, backend=backend)
+        seconds = time.perf_counter() - started
+    else:
+        result, seconds = stacked
     if not result.part_a or not result.part_b:
         return None, seconds
     return result, seconds
@@ -318,6 +347,137 @@ class SnapshotStack(NamedTuple):
         scale = int(self.vertex_ids.max()) + 1 if len(self.vertex_ids) else 1
         keys = self.block_of() * scale + self.vertex_ids
         return np.searchsorted(keys, blocks * scale + vertex_ids)
+
+
+def stacked_cuts(
+    stack: SnapshotStack, cutting: np.ndarray, beta: float
+) -> List[Optional[BalancedCutResult]]:
+    """The balanced cut (Algorithms 1 and 2) of every ``cutting`` block at once.
+
+    Each result is :func:`~repro.partition.cut.balanced_cut` of that
+    block's snapshot alone, bit for bit; ``None`` marks a block that is
+    not ``cutting`` or that this pass leaves to the per-node cut: a
+    disconnected snapshot (lines 2-10 of Algorithm 1) or a bottleneck tie
+    ``w_a == w_b`` (lines 16-22).
+
+    * Seeds (lines 11-13): three one-round
+      :func:`~repro.core.backends.distance_rounds` searches, from every
+      block's dense 0, then its ``v_A``, then its ``v_B``
+      (:func:`~repro.partition.partition.farthest_in_blocks`), and one
+      block-major sort for the boundary weights
+      (:func:`~repro.partition.partition.boundary_weights`).
+    * Flow (lines 3-12): the masks of
+      :func:`~repro.partition.cut.flow_region_masks` over the stacked
+      arcs, and one :func:`~repro.flow.vertex_cut.minimum_vertex_cut_regions`
+      solve over every block's flow region.
+    * Components (lines 13-15): one ``connected_components`` scan with
+      the source-side cuts removed and one with the sink-side cuts
+      removed where they differ;
+      :func:`~repro.partition.cut.assign_components` assigns them, and a
+      block keeps its sink-side cut only where that is strictly more
+      balanced (:func:`~repro.partition.cut.side_balance`).
+    """
+    m = len(stack.offsets) - 1
+    offsets, starts = stack.offsets, stack.offsets[:-1]
+    block_of = stack.block_of()
+    tails, heads = stack.tails(), stack.indices
+    live = np.asarray(cutting, dtype=bool).copy()
+
+    def search(sources: np.ndarray) -> np.ndarray:
+        if not live.any():
+            return np.full(len(block_of), np.inf)
+        rounds = [starts[live] + sources[live]]
+        return distance_rounds(stack.indptr, heads, stack.weights, rounds)[0]
+
+    # Algorithm 1, lines 11-13; a block not reached whole from dense 0 is
+    # disconnected and is cut alone
+    dense_zero = np.zeros(m, dtype=np.int64)
+    from_zero = search(dense_zero)
+    live &= np.logical_and.reduceat(np.isfinite(from_zero), starts)
+    seed_a = farthest_in_blocks(from_zero, offsets, dense_zero)
+    dist_a = search(seed_a)
+    seed_b = farthest_in_blocks(dist_a, offsets, seed_a)
+    dist_b = search(seed_b)
+    in_live = live[block_of]
+    pw = np.zeros(len(block_of))
+    pw[in_live] = dist_a[in_live] - dist_b[in_live]
+    w_a, w_b = boundary_weights(pw, offsets, initial_sizes(beta, offsets))
+    live &= w_a != w_b
+    in_live = live[block_of]
+    if not live.any():
+        return [None] * m
+
+    # Algorithm 2, lines 3-12: one flow over every block's region
+    side = np.full(len(block_of), 3, dtype=np.int8)
+    side[in_live] = 2
+    side[in_live & (pw <= w_a[block_of])] = 0
+    side[in_live & (pw >= w_b[block_of])] = 1
+    flow_mask, attach_s, attach_t = flow_region_masks(side, tails, heads)
+    region = np.flatnonzero(flow_mask)
+    local = np.full(len(block_of), -1, dtype=np.int64)
+    local[region] = np.arange(len(region), dtype=np.int64)
+    arcs = flow_mask[tails] & flow_mask[heads]
+    near_source, near_sink = minimum_vertex_cut_regions(
+        len(region),
+        local[tails[arcs]],
+        local[heads[arcs]],
+        local[np.flatnonzero(attach_s)],
+        local[np.flatnonzero(attach_t)],
+    )
+    cut_source = np.zeros(len(block_of), dtype=bool)
+    cut_source[region[near_source]] = True
+    cut_sink = np.zeros(len(block_of), dtype=bool)
+    cut_sink[region[near_sink]] = True
+
+    # lines 13-15 for each canonical cut; the sink-side one only where
+    # it differs, and kept only where it is strictly more balanced
+    differ = live & np.logical_or.reduceat(cut_source != cut_sink, starts)
+    parts, size_a, size_b = _component_sides(stack, block_of, tails, live, cut_source)
+    if differ.any():
+        sink_parts, sink_a, sink_b = _component_sides(stack, block_of, tails, differ, cut_sink)
+        use_sink = differ & (side_balance(sink_a, sink_b) < side_balance(size_a, size_b))
+        parts = np.where(use_sink[block_of], sink_parts, parts)
+
+    results: List[Optional[BalancedCutResult]] = [None] * m
+    by_side = [
+        np.split(stack.vertex_ids[at], np.searchsorted(block_of[at], np.arange(1, m)))
+        for at in (np.flatnonzero(parts == code) for code in (0, 2, 1))
+    ]
+    for i in np.flatnonzero(live).tolist():
+        results[i] = BalancedCutResult(*(pieces[i].tolist() for pieces in by_side))
+    return results
+
+
+def _component_sides(
+    stack: SnapshotStack,
+    block_of: np.ndarray,
+    tails: np.ndarray,
+    blocks: np.ndarray,
+    cut: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 13-15 of Algorithm 2 for the ``blocks`` with ``cut`` removed.
+
+    Returns every stacked vertex's side (0 = ``A``, 1 = ``B``, 2 = cut or
+    outside ``blocks``) and the two sides' sizes per block.
+    """
+    n = len(block_of)
+    keep = blocks[block_of] & ~cut
+    arcs = keep[tails] & keep[stack.indices]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails[arcs], minlength=n), out=indptr[1:])
+    matrix = _scipy_csr_matrix(
+        (np.ones(int(arcs.sum()), dtype=np.int8), stack.indices[arcs], indptr), shape=(n, n)
+    )
+    _, labels = _scipy_components(matrix, directed=False)
+    kept = np.flatnonzero(keep)
+    # each component's smallest member is its first kept id
+    _, first, component = np.unique(labels[kept], return_index=True, return_inverse=True)
+    sides, size_a, size_b = assign_components(
+        block_of[kept[first]], np.bincount(component), kept[first], len(blocks)
+    )
+    parts = np.full(n, 2, dtype=np.int8)
+    parts[kept] = sides[component]
+    return parts, size_a, size_b
 
 
 class StackedLevels(NamedTuple):
@@ -464,9 +624,8 @@ def stacked_children(
     One mask induces every child from the stack and one arc scan finds
     every border; the border searches run as
     :func:`~repro.core.backends.distance_rounds` over the stacked induced
-    children; the via-cut and Lemma 4.11 tests
-    (:func:`~repro.partition.shortcuts.nonredundant_pairs`) run per child;
-    one sort overlays every child's shortcuts.
+    children; the via-cut and Lemma 4.11 tests run once per border count
+    (:func:`_stacked_pairs`); one sort overlays every child's shortcuts.
     """
     m = len(parts)
     n = len(stack.vertex_ids)
@@ -522,25 +681,30 @@ def stacked_children(
         rounds = [border_local[searched & (border_row == r)] for r in range(num_rows)]
         in_child = distance_rounds(induced_indptr, arc_head, arc_weight, rounds)
 
+        pair_c, pair_i, pair_j, pair_w = _stacked_pairs(
+            levels, present // 2, order, in_child, border_local, border_start, num_borders
+        )
+        pair_starts = np.searchsorted(pair_c, np.arange(len(present) + 1)).tolist()
+        pairs = list(zip(pair_i.tolist(), pair_j.tolist(), pair_w.tolist()))
         records: List[ChildRecord] = []
-        ends: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for c, child in enumerate(present.tolist()):
-            at = border_local[border_start[c] : border_start[c] + num_borders[c]]
-            borders = stack.vertex_ids[order[at]].tolist()
-            at_borders = levels.block[np.ix_(levels.hub_rows[child // 2], order[at])]
-            shortcuts: List[Shortcut] = []
-            if len(at) >= 2:
-                pair_i, pair_j, pair_w = nonredundant_pairs(in_child[: len(at)][:, at], at_borders)
-                shortcuts = [
+            at = order[border_local[border_start[c] : border_start[c] + num_borders[c]]]
+            borders = stack.vertex_ids[at].tolist()
+            records.append(ChildRecord(
+                borders,
+                levels.block[np.ix_(levels.hub_rows[child // 2], at)],
+                [
                     Shortcut(borders[i], borders[j], weight)
-                    for i, j, weight in zip(pair_i.tolist(), pair_j.tolist(), pair_w.tolist())
-                ]
-                ends.append((at[pair_i], at[pair_j], pair_w))
-            records.append(ChildRecord(borders, at_borders, shortcuts))
+                    for i, j, weight in pairs[pair_starts[c] : pair_starts[c + 1]]
+                ],
+            ))
 
     with timer.measure("snapshot"):
         indptr, indices, weights = _overlay_stacked(
-            induced_indptr, arc_tail, arc_head, arc_weight, ends
+            induced_indptr, arc_tail, arc_head, arc_weight,
+            border_local[border_start[pair_c] + pair_i],
+            border_local[border_start[pair_c] + pair_j],
+            pair_w,
         )
         vertex_ids = stack.vertex_ids[order]
         children: List[List[Tuple[FlatWorkingGraph, str, int, ChildRecord]]] = [
@@ -560,25 +724,69 @@ def stacked_children(
     return children, SnapshotStack(child_offsets, vertex_ids, indptr, indices, weights)
 
 
+def _stacked_pairs(
+    levels: StackedLevels,
+    child_block: np.ndarray,
+    order: np.ndarray,
+    in_child: np.ndarray,
+    border_local: np.ndarray,
+    border_start: np.ndarray,
+    num_borders: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The via-cut and Lemma 4.11 tests of every child, one pass per border count.
+
+    Child ``c`` (of block ``child_block[c]``) has ``num_borders[c]``
+    borders, the induced-stack ids ``border_local[border_start[c]:]``;
+    ``in_child[r]`` holds every child's distances from its ``r``-th
+    border.  Children with the same border count ``k`` go through
+    :func:`~repro.partition.shortcuts.nonredundant_pairs_batch` together,
+    their cut distances padded to the largest cut with ``inf`` rows.
+    Returns ``(child, i, j, weight)`` arrays sorted by child, each child's
+    stretch equal to :func:`~repro.partition.shortcuts.nonredundant_pairs`
+    over that child alone.
+    """
+    hub_counts = np.array([len(rows) for rows in levels.hub_rows], dtype=np.int64)
+    has_hub = np.arange(max(1, int(hub_counts.max()))) < hub_counts[:, None]
+    hub_rows = np.zeros(has_hub.shape, dtype=np.int64)
+    hub_rows[has_hub] = np.concatenate(levels.hub_rows)
+    found: List[Tuple[np.ndarray, ...]] = []
+    for k in np.unique(num_borders[num_borders >= 2]).tolist():
+        group = np.flatnonzero(num_borders == k)
+        # bound each pass's (children x k x k) scratch
+        for chunk in np.array_split(group, -(-len(group) * k * k // _STACKED_PAIR_CELLS)):
+            columns = border_local[border_start[chunk][:, None] + np.arange(k)]
+            inside = in_child[np.arange(k)[None, :, None], columns[:, None, :]]
+            blocks = child_block[chunk]
+            at_borders = levels.block[hub_rows[blocks][:, :, None], order[columns][:, None, :]]
+            at_borders[~has_hub[blocks]] = np.inf
+            part, pair_i, pair_j, weights = nonredundant_pairs_batch(inside, at_borders)
+            found.append((chunk[part], pair_i, pair_j, weights))
+    if not found:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0)
+    child, pair_i, pair_j, weights = (np.concatenate(parts) for parts in zip(*found))
+    by_child = np.argsort(child, kind="stable")
+    return child[by_child], pair_i[by_child], pair_j[by_child], weights[by_child]
+
+
 def _overlay_stacked(
     indptr: np.ndarray,
     tails: np.ndarray,
     heads: np.ndarray,
     weights: np.ndarray,
-    ends: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts` over a stack.
 
-    ``ends`` lists each child's shortcuts as stacked ``(u, v, weight)``
-    arrays in emission order.  A shortcut over an existing arc lowers its
-    weight in place, both directions; any other is appended after its
-    endpoints' arcs, in shortcut order.
+    ``(u, v, w)`` lists every child's shortcuts as stacked endpoints and
+    weights, child by child in emission order.  A shortcut over an
+    existing arc lowers its weight in place, both directions; any other is
+    appended after its endpoints' arcs, in shortcut order.
     """
-    if not ends:
+    if not len(u):
         return indptr, heads, weights
-    u = np.concatenate([e[0] for e in ends])
-    v = np.concatenate([e[1] for e in ends])
-    w = np.concatenate([e[2] for e in ends])
     size = len(indptr) - 1
     keys = tails * size + heads
     by_key = np.argsort(keys, kind="stable")
@@ -681,11 +889,12 @@ def build_subtree(
     :func:`node_step` depth first.  Under a ``csr`` backend every smaller
     one (bar zero-weight snapshots, whose flags depend on the heap's
     settle order) joins a frontier that is built in rounds: each round
-    cuts its snapshots one by one, labels them all in one
-    :func:`stacked_labels` pass and derives all their children in one
-    :func:`stacked_children` pass; the children form the next round.
-    Either way each node's records, :class:`ChildRecord` and level come
-    out bit-identical, and they are put back in preorder.
+    cuts its snapshots in one :func:`stacked_cuts` pass (the snapshots it
+    leaves alone are cut by :func:`_cut_node` in the same round), labels
+    them all in one :func:`stacked_labels` pass and derives all their
+    children in one :func:`stacked_children` pass; the children form the
+    next round.  Either way each node's records, :class:`ChildRecord` and
+    level come out bit-identical, and they are put back in preorder.
 
     Accumulates node records and the nodes' level pieces locally; the
     caller (the serial builder, a worker process or the parallel
@@ -751,11 +960,27 @@ def build_subtree(
                 stack = SnapshotStack.of([member for member, _ in members])
         cuts: List[Sequence[int]] = []
         parts: List[Optional[Tuple[List[int], List[int]]]] = []
-        for member, index in members:
+        cut_started = time.perf_counter()
+        with timer.measure("hierarchy"):
+            stacked = stacked_cuts(
+                stack,
+                np.array([
+                    len(member.vertices) > leaf_size and nodes[index].depth < max_depth
+                    for member, index in members
+                ], dtype=bool),
+                beta,
+            )
+        # each stacked cut takes a share of the pass by size
+        per_vertex = (time.perf_counter() - cut_started) / max(1, sum(
+            nodes[index].size for (_, index), result in zip(members, stacked)
+            if result is not None
+        ))
+        for (member, index), result in zip(members, stacked):
             node = nodes[index]
             cut_result, seconds_cut = _cut_node(
                 member, node.depth, beta=beta, leaf_size=leaf_size, max_depth=max_depth,
                 backend=search, timer=timer,
+                stacked=None if result is None else (result, per_vertex * node.size),
             )
             node.is_leaf = cut_result is None
             node.timing = (seconds_cut, seconds_cut)

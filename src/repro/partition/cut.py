@@ -11,20 +11,24 @@ yields the more balanced final partition; this module does the same.
 
 Everything graph-shaped runs on the node's CSR snapshot
 (:class:`~repro.core.flat.FlatWorkingGraph`): border and terminal
-attachment sets are computed with vectorised edge-mask scans, the flow
-region is carved out of the CSR arrays without materialising a dict, and
-the component re-assignment uses the
-:class:`~repro.core.backends.ShortestPathBackend` component scan.  The
-max-flow route is chosen from the region alone (scipy on large regions,
-a compact Edmonds-Karp on small ones, see :mod:`repro.flow.vertex_cut`);
-the canonical cuts are unique across all maximum flows, so the route
-never changes a cut.
+attachment sets are computed with vectorised edge-mask scans
+(:func:`flow_region_masks`), the flow region is carved out of the CSR
+arrays without materialising a dict, and the component re-assignment uses
+the :class:`~repro.core.backends.ShortestPathBackend` component scan.
+The minimum vertex cut is one scipy max-flow
+(:func:`~repro.flow.vertex_cut.minimum_vertex_cut_region`).
+
+The stacked construction rounds of :mod:`repro.core.flat_build` cut many
+small snapshots at once (:func:`~repro.core.flat_build.stacked_cuts`)
+through the same mask and ordering helpers - :func:`flow_region_masks`,
+:func:`assign_components` and :func:`side_balance` - which take any
+number of blocks, so the two routes cannot drift apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +56,7 @@ class BalancedCutResult:
 
     def balance(self) -> float:
         """Size of the larger side divided by the number of non-cut vertices."""
-        total = len(self.part_a) + len(self.part_b)
-        if total == 0:
-            return 1.0
-        return max(len(self.part_a), len(self.part_b)) / total
+        return float(side_balance(len(self.part_a), len(self.part_b)))
 
 
 def balanced_cut(
@@ -69,10 +70,10 @@ def balanced_cut(
     the ranking and labelling passes); ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the seed
     searches and component scans.  The minimum vertex cut comes from
-    :func:`~repro.flow.vertex_cut.minimum_vertex_cut_region`, whose route
-    depends only on the region size and on whether scipy imports.
-    ``beta`` must lie in ``(0, 0.5]`` (Definition 4.1) - validated here so
-    an invalid balance parameter fails loudly before any search runs.
+    :func:`~repro.flow.vertex_cut.minimum_vertex_cut_region` (one scipy
+    max-flow).  ``beta`` must lie in ``(0, 0.5]`` (Definition 4.1) -
+    validated here so an invalid balance parameter fails loudly before
+    any search runs.
     """
     check_balance_parameter(beta)
     search = resolve_backend(backend)
@@ -97,29 +98,7 @@ def balanced_cut(
     side = np.full(n, 2, dtype=np.int8)
     side[flat.dense_ids(initial_a)] = 0
     side[flat.dense_ids(initial_b)] = 1
-
-    # Lines 3-4: vertices incident to a cross-partition edge.
-    tail_side = side[tails]
-    head_side = side[indices]
-    border_a = np.zeros(n, dtype=bool)
-    border_a[tails[(tail_side == 0) & (head_side == 1)]] = True
-    border_b = np.zeros(n, dtype=bool)
-    border_b[tails[(tail_side == 1) & (head_side == 0)]] = True
-
-    # Lines 5-11: the flow subgraph over C union C_A union C_B and the
-    # terminal attachment sets N_S / N_T.
-    in_cut = side == 2
-    flow_mask = in_cut | border_a | border_b
-    interior_a = (side == 0) & ~border_a
-    interior_b = (side == 1) & ~border_b
-    attach_s = border_a.copy()
-    attach_t = border_b.copy()
-    touches_interior_a = np.zeros(n, dtype=bool)
-    touches_interior_a[tails[interior_a[indices]]] = True
-    touches_interior_b = np.zeros(n, dtype=bool)
-    touches_interior_b[tails[interior_b[indices]]] = True
-    attach_s |= in_cut & touches_interior_a
-    attach_t |= in_cut & touches_interior_b
+    flow_mask, attach_s, attach_t = flow_region_masks(side, tails, indices)
 
     # Carve the flow region out of the CSR arrays: local ids are ascending
     # dense ids, i.e. the region's vertices in sorted order.
@@ -148,30 +127,101 @@ def balanced_cut(
     return best
 
 
+def flow_region_masks(
+    side: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 3-11 of Algorithm 2: the flow region and its terminal attachments.
+
+    ``side`` codes every vertex as ``0`` (``P'_A``), ``1`` (``P'_B``),
+    ``2`` (the cut region ``C``) or anything else (outside every region);
+    ``(tails, heads)`` are the directed arcs.  Returns the masks of the
+    flow region ``C + C_A + C_B`` and of its ``S`` and ``T`` attachment
+    sets ``N_S`` and ``N_T``.  Arcs never join two snapshots of a stack,
+    so over stacked snapshots each block's stretch is its own masks.
+    """
+    n = len(side)
+    # Lines 3-4: vertices incident to a cross-partition edge.
+    tail_side = side[tails]
+    head_side = side[heads]
+    border_a = np.zeros(n, dtype=bool)
+    border_a[tails[(tail_side == 0) & (head_side == 1)]] = True
+    border_b = np.zeros(n, dtype=bool)
+    border_b[tails[(tail_side == 1) & (head_side == 0)]] = True
+
+    # Lines 5-11: the flow subgraph over C union C_A union C_B and the
+    # terminal attachment sets N_S / N_T.
+    in_cut = side == 2
+    interior_a = (side == 0) & ~border_a
+    interior_b = (side == 1) & ~border_b
+    touches_interior_a = np.zeros(n, dtype=bool)
+    touches_interior_a[tails[interior_a[heads]]] = True
+    touches_interior_b = np.zeros(n, dtype=bool)
+    touches_interior_b[tails[interior_b[heads]]] = True
+    return (
+        in_cut | border_a | border_b,
+        border_a | (in_cut & touches_interior_a),
+        border_b | (in_cut & touches_interior_b),
+    )
+
+
+def assign_components(
+    block: np.ndarray, size: np.ndarray, first: np.ndarray, num_blocks: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 13-15 of Algorithm 2 for the components of many snapshots at once.
+
+    Component ``c`` lies in snapshot ``block[c]``, holds ``size[c]``
+    vertices and has smallest member ``first[c]`` (any id that ascends
+    with the vertex ids).  Following the paper, each snapshot's
+    components are taken in order of decreasing size (ties: smallest
+    member first) and each is appended to the currently smaller side
+    (``A`` on a tie).  Returns every component's side (0 = ``A``,
+    1 = ``B``) and the two sides' sizes per snapshot.  Components
+    containing seeds of one side are still assigned purely by balance, as
+    in the paper's pseudo-code.
+    """
+    order = np.lexsort((first, -size, block))
+    counts = np.bincount(block, minlength=num_blocks)
+    rank = np.arange(len(order), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    by_rank = order[np.argsort(rank, kind="stable")]
+    size_a = np.zeros(num_blocks, dtype=np.int64)
+    size_b = np.zeros(num_blocks, dtype=np.int64)
+    sides = np.zeros(len(size), dtype=np.int8)
+    # round r appends every snapshot's r-th component (at most one each)
+    for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        at_block = block[at]
+        to_b = size_a[at_block] > size_b[at_block]
+        sides[at] = to_b
+        size_a[at_block[~to_b]] += size[at[~to_b]]
+        size_b[at_block[to_b]] += size[at[to_b]]
+    return sides, size_a, size_b
+
+
+def side_balance(size_a, size_b):
+    """Size of the larger side over the non-cut vertices (1.0 with none).
+
+    Takes scalars or per-snapshot arrays; lower is more balanced.
+    """
+    total = np.add(size_a, size_b)
+    return np.where(total > 0, np.maximum(size_a, size_b) / np.maximum(total, 1), 1.0)
+
+
 def _assign_components(
     flat: FlatWorkingGraph,
     cut: Sequence[int],
     search: ShortestPathBackend,
 ) -> BalancedCutResult:
-    """Assign the components of ``G \\ cut`` to the two sides, maximising balance.
-
-    Following the paper, components are processed in order of decreasing
-    size and each is appended to the currently smaller side.  Components
-    containing seed vertices of both sides cannot occur (the cut separates
-    them); a component containing seeds of exactly one side is still
-    assigned purely by balance, as in the paper's pseudo-code.
-    """
-    cut_set = set(cut)
+    """Assign the components of ``G \\ cut`` to the two sides (:func:`assign_components`)."""
     keep = np.ones(len(flat.vertices), dtype=bool)
     keep[flat.dense_ids(cut)] = False
     components = search.components_masked(flat, keep)
-    components.sort(key=lambda c: (-len(c), c[0]))
-
+    sides, _, _ = assign_components(
+        np.zeros(len(components), dtype=np.int64),
+        np.array([len(c) for c in components], dtype=np.int64),
+        np.array([c[0] for c in components], dtype=np.int64),
+        1,
+    )
     part_a: List[int] = []
     part_b: List[int] = []
-    for component in components:
-        if len(part_a) <= len(part_b):
-            part_a.extend(component)
-        else:
-            part_b.extend(component)
-    return BalancedCutResult(sorted(part_a), sorted(cut_set), sorted(part_b))
+    for component, side in zip(components, sides.tolist()):
+        (part_b if side else part_a).extend(component)
+    return BalancedCutResult(sorted(part_a), sorted(cut), sorted(part_b))

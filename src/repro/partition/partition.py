@@ -132,12 +132,10 @@ def balanced_partition(
     # Line 13: partition weights (dense order == ascending vertex id; the
     # subgraph is connected here, so every entry is finite).
     pw = dist_a - dist_b
-    ordered = np.argsort(pw, kind="stable")  # ties break on the dense id
 
     # Lines 14-15: initial partitions of size beta * |V|.
-    k = max(1, int(beta * n))
-    w_a = float(pw[ordered[:k]].max())
-    w_b = float(pw[ordered[-k:]].min())
+    whole = np.array([0, n], dtype=np.int64)
+    w_a, w_b = (float(w[0]) for w in boundary_weights(pw, whole, initial_sizes(beta, whole)))
 
     if w_a == w_b:
         # Lines 16-22: bottleneck handling - one equivalence class spans
@@ -169,17 +167,51 @@ def balanced_partition(
 def _farthest_dense(row: np.ndarray, source: int) -> int:
     """Dense id of the vertex farthest from ``source`` in a distance row.
 
-    Ties break on the smaller vertex id (dense ids are ascending original
-    ids); unreachable vertices are ignored, and an isolated source is its
-    own farthest vertex.
+    :func:`farthest_in_blocks` over one block.
     """
-    finite = np.isfinite(row)
-    if not finite.any():
-        return source
-    best = float(row[finite].max())
-    if best <= 0.0:
-        return source
-    return int(np.nonzero(finite & (row == best))[0][0])
+    whole = np.array([0, len(row)], dtype=np.int64)
+    return int(farthest_in_blocks(row, whole, np.array([source], dtype=np.int64))[0])
+
+
+def farthest_in_blocks(row: np.ndarray, offsets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Per block, the vertex farthest from the block's source (lines 11-12).
+
+    Block ``i`` is ``row[offsets[i] : offsets[i + 1]]`` (non-empty), the
+    distances from its source ``sources[i]``; the result is block-local
+    dense ids.  Ties break on the smaller vertex id (dense ids are
+    ascending original ids); unreachable vertices are ignored, and a
+    source with no reached vertex at a positive distance is its own
+    farthest vertex.
+    """
+    starts = offsets[:-1]
+    block = np.repeat(np.arange(len(starts), dtype=np.int64), np.diff(offsets))
+    reached = np.where(np.isfinite(row), row, -INF)
+    best = np.maximum.reduceat(reached, starts)[block]
+    hits = np.flatnonzero((reached == best) & (best > 0.0))
+    farthest = np.asarray(sources, dtype=np.int64).copy()
+    found, first = np.unique(block[hits], return_index=True)
+    farthest[found] = hits[first] - starts[found]
+    return farthest
+
+
+def initial_sizes(beta: float, offsets: np.ndarray) -> np.ndarray:
+    """``k = max(1, int(beta * |V|))`` per block: the initial partitions' size."""
+    return np.maximum(1, (beta * np.diff(offsets).astype(np.float64)).astype(np.int64))
+
+
+def boundary_weights(
+    pw: np.ndarray, offsets: np.ndarray, k: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per block, the boundary weights ``(w_a, w_b)`` of lines 14-15.
+
+    ``w_a`` is the ``k``-th smallest partition weight of the block and
+    ``w_b`` the ``k``-th largest: the largest weight among the ``k``
+    vertices that seed ``P'_A`` and the smallest among those seeding
+    ``P'_B``.  One block-major sort orders every block.
+    """
+    block = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    ordered = pw[np.lexsort((pw, block))]
+    return ordered[offsets[:-1] + k - 1], ordered[offsets[1:] - k]
 
 
 def _partition_disconnected(

@@ -139,39 +139,60 @@ def nonredundant_pairs(
     ``in_partition[i, j]`` is the within-partition distance from border
     ``i`` to border ``j``; ``at_borders`` is the ``(cut x k)`` block of
     the cut vertices' distances at the borders.  Returns the shortcut
-    pairs ``(i, j)`` (``i < j``, ascending) and their weights.
+    pairs ``(i, j)`` (``i < j``, ascending) and their weights: the
+    one-partition call of :func:`nonredundant_pairs_batch`.
     """
-    k = in_partition.shape[0]
+    _, pair_i, pair_j, weights = nonredundant_pairs_batch(in_partition[None], at_borders[None])
+    return pair_i, pair_j, weights
+
+
+def nonredundant_pairs_batch(
+    in_partition: np.ndarray, at_borders: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 7-16 of Algorithm 3 over ``g`` partitions of ``k`` borders each.
+
+    ``in_partition`` is ``(g x k x k)``: partition ``p``'s within-partition
+    distances between its borders.  ``at_borders`` is ``(g x c x k)``:
+    partition ``p``'s cut vertices' distances at its borders, padded with
+    ``inf`` rows where ``p`` has fewer than ``c`` cut vertices (an ``inf``
+    row lowers no via-cut distance).  Returns the shortcuts as
+    ``(partition, i, j, weight)`` arrays, by partition and then ascending
+    ``(i, j)`` with ``i < j``; each partition's stretch is exactly what
+    the test over that partition alone returns.
+    """
+    g, k = in_partition.shape[0], in_partition.shape[-1]
     # Lines 7-8: true distances, allowing travel through the cut.  For
     # b1 < b2 the value is min(in_partition[b1][b2], min_c d(c, b1) + d(c, b2)),
     # kept symmetric in ``true`` (zero diagonal) for the redundancy test.
-    via_cut = np.full((k, k), INF)
-    for row in at_borders:
-        np.minimum(via_cut, row[:, None] + row[None, :], out=via_cut)
+    via_cut = np.full((g, k, k), INF)
+    for r in range(at_borders.shape[1]):
+        row = at_borders[:, r]
+        np.minimum(via_cut, row[:, :, None] + row[:, None, :], out=via_cut)
     upper_i, upper_j = np.triu_indices(k, 1)
-    d_true = np.minimum(in_partition[upper_i, upper_j], via_cut[upper_i, upper_j])
-    true = np.zeros((k, k))
-    true[upper_i, upper_j] = d_true
-    true[upper_j, upper_i] = d_true
+    upper, lower = upper_i * k + upper_j, upper_j * k + upper_i
+    inside = in_partition.reshape(g, k * k)[:, upper]
+    d_true = np.minimum(inside, via_cut.reshape(g, k * k)[:, upper])
+    true = np.zeros((g * k, k))
+    true.reshape(g, k * k)[:, upper] = d_true
+    true.reshape(g, k * k)[:, lower] = d_true
 
     # Lines 9-16: keep only non-redundant shortcuts (Lemma 4.11): pairs the
     # partition does not already realise (condition (1)), unless a third
     # border b3 realises them within tolerance.
-    candidate = np.isfinite(d_true) & (d_true < in_partition[upper_i, upper_j])
-    pair_i, pair_j, d_pair = upper_i[candidate], upper_j[candidate], d_true[candidate]
+    part, pair = np.nonzero(np.isfinite(d_true) & (d_true < inside))
+    pair_i, pair_j, d_pair = upper_i[pair], upper_j[pair], d_true[part, pair]
     threshold = d_pair + _REL_EPS * np.maximum(1.0, d_pair)
     kept = np.ones(len(d_pair), dtype=bool)
     step = max(1, _CHUNK // k)
     for start in range(0, len(d_pair), step):
-        i, j = pair_i[start : start + step], pair_j[start : start + step]
-        through = true[i] + true[j]  # [p, b3] = d(b1, b3) + d(b3, b2)
-        rows_p = np.arange(len(i))
-        through[rows_p, i] = INF
-        through[rows_p, j] = INF
-        kept[start : start + step] = ~(
-            through <= threshold[start : start + step, None]
-        ).any(axis=1)
-    return pair_i[kept], pair_j[kept], d_pair[kept]
+        chunk = slice(start, start + step)
+        p, i, j = part[chunk] * k, pair_i[chunk], pair_j[chunk]
+        through = true[p + i] + true[p + j]  # [q, b3] = d(b1, b3) + d(b3, b2)
+        rows_q = np.arange(len(i))
+        through[rows_q, i] = INF
+        through[rows_q, j] = INF
+        kept[chunk] = ~(through <= threshold[chunk, None]).any(axis=1)
+    return part[kept], pair_i[kept], pair_j[kept], d_pair[kept]
 
 
 def child_adjacency(

@@ -15,7 +15,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from oracles import dinitz_vertex_cut_region, ek_vertex_cut_region
 from repro.core.flat import FlatLabelling
+from repro.flow.vertex_cut import MinVertexCutResult, minimum_vertex_cut_regions
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
 
@@ -52,20 +54,67 @@ def random_query_pairs(graph: Graph, count: int, seed: int = 0) -> List[Tuple[in
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
-#: Every production max-flow route of ``minimum_vertex_cut_region`` as its
-#: region-size threshold: 0 sends every region to scipy, 10**9 sends every
-#: region to the Edmonds-Karp loop.
+#: Every reference max-flow solver of ``oracles.py``, by route name; the
+#: production scipy solve is held against each of them.
 FLOW_ROUTES = {
-    "scipy": 0,
-    "python-ek": 10**9,
+    "dinitz": dinitz_vertex_cut_region,
+    "edmonds-karp": ek_vertex_cut_region,
 }
 
 
 def force_flow_route(monkeypatch, route: str) -> None:
-    """Pin ``minimum_vertex_cut_region`` to one :data:`FLOW_ROUTES` entry."""
+    """Send every balanced cut's max-flow - per node and stacked - to one
+    :data:`FLOW_ROUTES` oracle instead of scipy.
+
+    The oracle stands in for
+    :func:`repro.flow.vertex_cut.minimum_vertex_cut_regions`: the same
+    arguments and masks, from one oracle solve over the union of the
+    regions.
+    """
+    import repro.core.flat_build as flat_build
     import repro.flow.vertex_cut as vertex_cut
 
-    monkeypatch.setattr(vertex_cut, "_MATRIX_SMALL_REGION", FLOW_ROUTES[route])
+    solve = FLOW_ROUTES[route]
+
+    def cut_regions(num_vertices, tails, heads, attach_s, attach_t):
+        result = solve(list(range(num_vertices)), tails, heads, attach_s, attach_t)
+        near_source = np.zeros(num_vertices, dtype=bool)
+        near_source[result.cut_closest_to_source] = True
+        near_sink = np.zeros(num_vertices, dtype=bool)
+        near_sink[result.cut_closest_to_sink] = True
+        return near_source, near_sink
+
+    monkeypatch.setattr(vertex_cut, "minimum_vertex_cut_regions", cut_regions)
+    monkeypatch.setattr(flat_build, "minimum_vertex_cut_regions", cut_regions)
+
+
+def solve_stacked(regions):
+    """Each region's cuts from one production multi-region solve.
+
+    ``regions`` lists ``minimum_vertex_cut_region`` argument tuples
+    (``vertices, tails, heads, attach_s, attach_t``); they are stacked
+    side by side into one :func:`repro.flow.vertex_cut.minimum_vertex_cut_regions`
+    call, and its masks are split back into one ``MinVertexCutResult``
+    per region.
+    """
+    sizes = [len(vertices) for vertices, *_ in regions]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+    def shifted(position):
+        return np.concatenate([
+            np.asarray(region[position], dtype=np.int64) + base
+            for region, base in zip(regions, offsets)
+        ])
+
+    near_source, near_sink = minimum_vertex_cut_regions(
+        int(offsets[-1]), shifted(1), shifted(2), shifted(3), shifted(4)
+    )
+    results = []
+    for (vertices, *_), lo, hi in zip(regions, offsets[:-1], offsets[1:]):
+        source_cut = sorted(vertices[i] for i in np.flatnonzero(near_source[lo:hi]).tolist())
+        sink_cut = sorted(vertices[i] for i in np.flatnonzero(near_sink[lo:hi]).tolist())
+        results.append(MinVertexCutResult(len(source_cut), source_cut, sink_cut))
+    return results
 
 
 #: Every production prune-flag route of the distance-first backends as its

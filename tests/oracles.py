@@ -11,9 +11,11 @@ code that shares none of their arrays.
 
 The same goes for the minimum vertex cuts: :func:`minimum_st_vertex_cut`
 solves the split-vertex reduction with a textbook Dinitz max-flow
-(:class:`DinitzMaxFlow`) over a dict adjacency, the reference both
-production routes of :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`
-are held against.
+(:class:`DinitzMaxFlow`) over a dict adjacency, and
+:func:`ek_vertex_cut_region` with a compact Edmonds-Karp over paired edge
+lists; the production scipy solve
+(:func:`repro.flow.vertex_cut.minimum_vertex_cut_regions` and its
+one-region call) is held against both.
 
 For queries, :func:`min_plus_prefix` is Equation 7's per-pair scan over
 two plain level lists, the reference the engine's scalar and batch scans
@@ -525,6 +527,88 @@ def minimum_st_vertex_cut(
     ``source_attached`` vertices and T drains the ``sink_attached`` ones.
     """
     return dinitz_vertex_cut_region(*flow_region(adjacency, source_attached, sink_attached))
+
+
+def ek_vertex_cut_region(
+    vertices: Sequence[int],
+    tails: Sequence[int],
+    heads: Sequence[int],
+    attach_s: Sequence[int],
+    attach_t: Sequence[int],
+) -> MinVertexCutResult:
+    """Edmonds-Karp drop-in for :func:`repro.flow.vertex_cut.minimum_vertex_cut_region`.
+
+    Same arguments, result and split network as
+    :func:`dinitz_vertex_cut_region`, solved by one shortest augmenting
+    path (a BFS) per unit of flow over flat ``edge_to`` / ``edge_cap``
+    lists with ``index ^ 1`` partner addressing.  The final failing BFS
+    labels the source side; a reverse scan over positive residuals labels
+    the sink side.
+    """
+    k = len(vertices)
+    num_nodes, source, sink = 2 * k + 2, 2 * k, 2 * k + 1
+    edge_to: List[int] = []
+    edge_cap: List[int] = []
+    adjacency: List[List[int]] = [[] for _ in range(num_nodes)]
+
+    def add_edge(u: int, v: int, capacity: int) -> None:
+        adjacency[u].append(len(edge_to))
+        edge_to.append(v)
+        edge_cap.append(capacity)
+        adjacency[v].append(len(edge_to))
+        edge_to.append(u)
+        edge_cap.append(0)
+
+    big = k + 1  # no edge carries more than k units, so this never saturates
+    for i in range(k):
+        add_edge(2 * i, 2 * i + 1, 1)
+    for vi, wi in zip(tails, heads):
+        add_edge(2 * int(vi) + 1, 2 * int(wi), big)
+    for vi in attach_s:
+        add_edge(source, 2 * int(vi), big)
+    for vi in attach_t:
+        add_edge(2 * int(vi) + 1, sink, big)
+
+    total = 0
+    while True:
+        parent = [-1] * num_nodes
+        parent[source] = -2
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            v = queue.popleft()
+            for edge in adjacency[v]:
+                w = edge_to[edge]
+                if edge_cap[edge] > 0 and parent[w] == -1:
+                    parent[w] = edge
+                    queue.append(w)
+        if parent[sink] == -1:
+            break
+        path: List[int] = []
+        node = sink
+        while node != source:
+            path.append(parent[node])
+            node = edge_to[parent[node] ^ 1]
+        bottleneck = min(edge_cap[edge] for edge in path)
+        for edge in path:
+            edge_cap[edge] -= bottleneck
+            edge_cap[edge ^ 1] += bottleneck
+        total += bottleneck
+
+    source_side = {v for v in range(num_nodes) if parent[v] != -1}
+    sink_side = {sink}
+    stack = [sink]
+    while stack:
+        v = stack.pop()
+        for edge in adjacency[v]:
+            # edge v -> w is usable towards the sink iff its partner w -> v
+            # has residual capacity
+            w = edge_to[edge]
+            if edge_cap[edge ^ 1] > 0 and w not in sink_side:
+                sink_side.add(w)
+                stack.append(w)
+    near_source = [vertices[i] for i in range(k) if 2 * i in source_side and 2 * i + 1 not in source_side]
+    near_sink = [vertices[i] for i in range(k) if 2 * i + 1 in sink_side and 2 * i not in sink_side]
+    return MinVertexCutResult(total, sorted(near_source), sorted(near_sink))
 
 
 def is_vertex_cut(

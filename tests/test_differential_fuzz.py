@@ -176,30 +176,26 @@ class TestDifferentialFuzz:
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
 class TestFlowRouteFuzz:
-    """Every max-flow route builds the labels the Dinitz oracle builds, end to end.
+    """Every reference max-flow solver builds the labels scipy builds, end to end.
 
     The canonical minimum cuts are unique across all maximum flows, so
-    forcing the balanced cuts through either production route (scipy or
-    the Edmonds-Karp loop) must never change a single label against a
-    build whose cuts come from the Dinitz oracle - across caterpillar,
-    tree-heavy, sparse and disconnected topologies, not just the
-    conformance graphs.
+    sending the balanced cuts - per node and stacked - through either
+    oracle of ``oracles.py`` (Dinitz or Edmonds-Karp) instead of scipy
+    must never change a single label - across caterpillar, tree-heavy,
+    sparse and disconnected topologies, not just the conformance graphs.
     """
 
     def test_flow_routes_same_labels(self, case, monkeypatch):
-        import repro.partition.cut as cut_module
         from helpers import FLOW_ROUTES, force_flow_route
-        from oracles import dinitz_vertex_cut_region
         from repro.core.construction import HC2LBuilder
 
         graph = _fuzz_graph(case, seed=1)
-        with monkeypatch.context() as oracle_cuts:
-            oracle_cuts.setattr(cut_module, "minimum_vertex_cut_region", dinitz_vertex_cut_region)
-            _, reference, _ = HC2LBuilder(leaf_size=4).build(graph)
+        _, production, _ = HC2LBuilder(leaf_size=4).build(graph)
         for route in FLOW_ROUTES:
-            force_flow_route(monkeypatch, route)
-            _, flat, _ = HC2LBuilder(leaf_size=4).build(graph)
-            assert flat == reference, f"flow route {route!r} changed the labels"
+            with monkeypatch.context() as oracle_cuts:
+                force_flow_route(oracle_cuts, route)
+                _, flat, _ = HC2LBuilder(leaf_size=4).build(graph)
+            assert flat == production, f"flow oracle {route!r} changed the labels"
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
@@ -352,6 +348,67 @@ class TestStackRouteEdges:
         assert alone_zero and all(alone_zero)
         assert stacked_weights
         assert all(float(weights.min()) > 0.0 for weights in stacked_weights if len(weights))
+
+    def test_fallback_cuts_run_per_node_inside_a_round(self, monkeypatch):
+        """A disconnected snapshot and one with a bottleneck tie (``w_a ==
+        w_b``) leave the stacked cut for the per-node ``balanced_cut``,
+        inside rounds that stack their other snapshots' cuts, and the
+        build equals the per-node route's."""
+        import repro.core.flat_build as flat_build
+        from helpers import force_stack_route
+
+        def grid(rows: int, cols: int, base: int) -> list:
+            edges = []
+            for r in range(rows):
+                for c in range(cols):
+                    v = base + r * cols + c
+                    if c + 1 < cols:
+                        edges.append((v, v + 1, 1.0 + (r + c) % 3))
+                    if r + 1 < rows:
+                        edges.append((v, v + cols, 2.0))
+            return edges
+
+        # three components: the root is disconnected, and so is the
+        # child holding the 4 x 4 grid and the clique; a unit-weight
+        # 10-clique's partition weights tie at both boundaries (k = 2)
+        clique = list(range(41, 51))
+        edges = grid(5, 5, 0) + grid(4, 4, 25)
+        edges += [(u, v, 1.0) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+        graph = graph_from_edges(edges, num_vertices=51)
+
+        force_stack_route(monkeypatch, "per-node")
+        alone = HC2LIndex.build(graph, leaf_size=4, contract=False)
+
+        force_stack_route(monkeypatch, "stacked")
+        alone_cuts = []
+        rounds = []
+        shipped_cut, shipped_stacked = flat_build.balanced_cut, flat_build.stacked_cuts
+
+        def balanced_cut(flat, *args, **kwargs):
+            alone_cuts.append(tuple(flat.vertices))
+            return shipped_cut(flat, *args, **kwargs)
+
+        def stacked_cuts(stack, cutting, beta):
+            results = shipped_stacked(stack, cutting, beta)
+            rounds.append((len(alone_cuts), sum(r is not None for r in results)))
+            return results
+
+        monkeypatch.setattr(flat_build, "balanced_cut", balanced_cut)
+        monkeypatch.setattr(flat_build, "stacked_cuts", stacked_cuts)
+        stacked = HC2LIndex.build(graph, leaf_size=4, contract=False)
+
+        assert alone_cuts == [
+            tuple(range(51)),  # disconnected root
+            tuple(range(25, 51)),  # disconnected: the 4 x 4 grid and the clique
+            tuple(clique),  # bottleneck tie
+        ]
+        # one fallback in each of the first three rounds, and the later
+        # two rounds also stacked cuts
+        assert [fallbacks_before for fallbacks_before, _ in rounds[:3]] == [0, 1, 2]
+        assert all(stacked_count >= 1 for _, stacked_count in rounds[1:3])
+        assert stacked.flat_labelling() == alone.flat_labelling()
+        assert _tree_shape(stacked) == _tree_shape(alone)
+        assert _record_rows(stacked) == _record_rows(alone)
 
     def test_process_build_runs_the_rounds(self, monkeypatch):
         """HC2L_p workers fork with the stacked route and build the

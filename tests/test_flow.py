@@ -1,8 +1,10 @@
-"""Unit tests for the Dinitz reference oracle: max-flow and the vertex cut reduction.
+"""Unit tests for the reference max-flow oracles and the stacked production solve.
 
-The production routes are held against this oracle in
-``test_partition_backends.py``; here the oracle itself is checked against
-networkx and hand-made instances.
+The production solve is held against the Dinitz and Edmonds-Karp oracles
+on seeded instances in ``test_partition_backends.py``; here the Dinitz
+oracle itself is checked against networkx and hand-made instances, and
+:class:`TestStackedRegions` pins one multi-region production solve to a
+known-answer table and to both oracles, region by region.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from oracles import DinitzMaxFlow, FlowNetwork, is_vertex_cut, minimum_st_vertex_cut
+from helpers import FLOW_ROUTES, solve_stacked
+from oracles import DinitzMaxFlow, FlowNetwork, flow_region, is_vertex_cut, minimum_st_vertex_cut
 from repro.utils.rng import make_rng
 
 
@@ -89,7 +92,8 @@ class TestDinitz:
 
 
 class TestMinimumVertexCut:
-    def _grid_adjacency(self, rows: int, cols: int):
+    @staticmethod
+    def _grid_adjacency(rows: int, cols: int):
         adjacency = {}
         def vid(r, c):
             return r * cols + c
@@ -185,3 +189,47 @@ class TestMinimumVertexCut:
         adjacency = self._grid_adjacency(2, 3)
         assert not is_vertex_cut(adjacency, [], [0], [2])
         assert is_vertex_cut(adjacency, [1, 4], [0], [2])
+
+
+#: ``(name, adjacency, attach_s, attach_t, cut_size, source-side cut,
+#: sink-side cut)``: regions with hand-checked canonical cuts
+_KNOWN_REGIONS = [
+    # a 3 x 5 grid from its left column to its right column: both columns
+    # are minimum cuts, the left one nearest S and the right one nearest T
+    ("cuts-differ", TestMinimumVertexCut._grid_adjacency(3, 5), [0, 5, 10], [4, 9, 14], 3, [0, 5, 10], [4, 9, 14]),
+    # S feeds one component and T drains the other: no flow, no cut
+    (
+        "already-disconnected",
+        {0: {1: 1.0}, 1: {0: 1.0}, 2: {3: 1.0}, 3: {2: 1.0}},
+        [0], [3], 0, [], [],
+    ),
+    # vertex 1 is attached to both terminals, so every cut holds it
+    (
+        "both-terminals",
+        {0: {1: 1.0}, 1: {0: 1.0, 2: 1.0}, 2: {1: 1.0}},
+        [0, 1], [1, 2], 1, [1], [1],
+    ),
+    ("one-vertex", {7: {}}, [7], [7], 1, [7], [7]),
+]
+
+
+class TestStackedRegions:
+    """One multi-region solve gives every region its own canonical cuts."""
+
+    def test_known_answers(self):
+        regions = [flow_region(adjacency, s, t) for _, adjacency, s, t, *_ in _KNOWN_REGIONS]
+        for (name, _, _, _, size, near_source, near_sink), region, result in zip(
+            _KNOWN_REGIONS, regions, solve_stacked(regions)
+        ):
+            assert (result.cut_size, result.cut_closest_to_source, result.cut_closest_to_sink) == (
+                size, near_source, near_sink,
+            ), name
+            for route, solver in FLOW_ROUTES.items():
+                reference = solver(*region)
+                assert reference == result, (name, route)
+
+    def test_region_order_does_not_matter(self):
+        regions = [flow_region(adjacency, s, t) for _, adjacency, s, t, *_ in _KNOWN_REGIONS]
+        forward = solve_stacked(regions)
+        backward = solve_stacked(regions[::-1])
+        assert forward == backward[::-1]

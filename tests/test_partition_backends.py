@@ -6,11 +6,12 @@ labels, the shard boundaries - so a backend that produced a *different*
 pin down bit-identical cuts across
 
 * the ``heap`` and ``csr`` backends (seed searches, component scans),
-* both max-flow routes of ``minimum_vertex_cut_region`` - scipy
-  ``maximum_flow`` and the compact Edmonds-Karp, each forced through the
-  region-size threshold - against the Dinitz oracle of ``oracles.py``
-  (the canonical minimum cuts are unique across all maximum flows, which
-  is what makes the routes interchangeable).
+* the production scipy max-flow of ``minimum_vertex_cut_region``, called
+  on one region alone and with the region stacked among others in one
+  ``minimum_vertex_cut_regions`` solve, against both reference solvers
+  of ``oracles.py`` (Dinitz and Edmonds-Karp; the canonical minimum cuts
+  are unique across all maximum flows, which is what makes the solvers
+  interchangeable).
 
 CI runs this module as a dedicated smoke step so partition-layer backend
 drift fails loudly, separately from the rest of the suite.
@@ -23,14 +24,13 @@ import random
 import pytest
 
 import repro.flow.vertex_cut as vertex_cut_module
-from helpers import FLOW_ROUTES, force_flow_route
+from helpers import FLOW_ROUTES, solve_stacked
 from oracles import (
     adjacency_dict,
     adjacency_of,
     cut_distance_block,
     dijkstra_adjacency,
     flow_region,
-    minimum_st_vertex_cut,
     separates,
     shortcuts_loop,
 )
@@ -71,23 +71,29 @@ def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
     return adjacency_dict(_seeded_graph(seed, n_lo, n_hi))
 
 
-def _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t, force_routes=True):
-    """Both canonical cuts of the production dispatch equal the Dinitz oracle's.
+#: a small region stacked beside the one under test: the path p0-p1-p2,
+#: attached to S at p0 and to T at p2 (cut size 1)
+_NEIGHBOUR_REGION = (["p0", "p1", "p2"], [0, 1, 1, 2], [1, 0, 2, 1], [0], [2])
 
-    With ``force_routes`` every :data:`helpers.FLOW_ROUTES` entry is
-    checked in turn; without, the dispatch runs as shipped.  Returns the
-    oracle's result.
+
+def _assert_matches_oracles(adjacency, attach_s, attach_t, stacked=False):
+    """Both canonical cuts of the production solve equal both oracles'.
+
+    With ``stacked`` the region is solved inside one multi-region solve,
+    between two neighbour regions; without, by the one-region call.
+    Returns the production result.
     """
-    reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t)
     region = flow_region(adjacency, attach_s, attach_t)
-    for route in FLOW_ROUTES if force_routes else ["as shipped"]:
-        if force_routes:
-            force_flow_route(monkeypatch, route)
+    if stacked:
+        result = solve_stacked([_NEIGHBOUR_REGION, region, _NEIGHBOUR_REGION])[1]
+    else:
         result = minimum_vertex_cut_region(*region)
+    for route, solver in FLOW_ROUTES.items():
+        reference = solver(*region)
         assert result.cut_size == reference.cut_size, route
         assert result.cut_closest_to_source == reference.cut_closest_to_source, route
         assert result.cut_closest_to_sink == reference.cut_closest_to_sink, route
-    return reference
+    return result
 
 
 class TestCutBackendEquality:
@@ -136,14 +142,16 @@ class TestFlowSolverEquality:
         return adjacency, attach_s, attach_t
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_all_solvers_agree(self, seed, monkeypatch):
+    def test_all_solvers_agree(self, seed):
         adjacency, attach_s, attach_t = self._instance(seed)
         if not attach_s or not attach_t:
             pytest.skip("degenerate terminal sets")
-        _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t)
+        for stacked in (False, True):
+            _assert_matches_oracles(adjacency, attach_s, attach_t, stacked)
 
-    def test_dispatch_follows_region_size(self, monkeypatch):
-        """scipy's flow runs exactly on regions of at least the threshold."""
+    def test_one_scipy_flow_per_solve(self, monkeypatch):
+        """Any region size, and any number of stacked regions, is one
+        scipy ``maximum_flow`` call."""
         calls = []
         scipy_flow = vertex_cut_module._scipy_maximum_flow
 
@@ -154,30 +162,26 @@ class TestFlowSolverEquality:
         monkeypatch.setattr(vertex_cut_module, "_scipy_maximum_flow", counting_flow)
         adjacency, attach_s, attach_t = self._instance(3)
         region = flow_region(adjacency, attach_s, attach_t)
-        k = len(region[0])
-        reference = minimum_st_vertex_cut(adjacency, attach_s, attach_t)
-        for threshold, expected_calls in ((k + 1, 0), (k, 1)):
-            monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", threshold)
-            calls.clear()
-            result = minimum_vertex_cut_region(*region)
-            assert len(calls) == expected_calls, threshold
-            assert result.cut_closest_to_source == reference.cut_closest_to_source
+        minimum_vertex_cut_region(*region)
+        assert len(calls) == 1
+        calls.clear()
+        solve_stacked([region, _NEIGHBOUR_REGION, region])
+        assert len(calls) == 1
 
 
 class TestCrossSolverFuzz:
-    """Both canonical cuts of the production dispatch equal the Dinitz oracle's.
+    """Both canonical cuts of the production solve equal both oracles'.
 
-    The routes differ in algorithm (scipy max-flow, Edmonds-Karp) but the
-    canonical cuts depend only on residual reachability, which is unique
-    across all maximum flows.  Without ``force_routes`` the dispatch runs
-    as shipped (these small instances all take the Edmonds-Karp loop);
-    ``force_routes`` sweeps every entry of :data:`FLOW_ROUTES`, so the
-    scipy route runs on them too.
+    The solvers differ in algorithm (scipy's max-flow, Dinitz,
+    Edmonds-Karp) but the canonical cuts depend only on residual
+    reachability, which is unique across all maximum flows.  ``stacked``
+    solves the region inside one multi-region solve between two neighbour
+    regions instead of alone; the region's cuts must not change.
     """
 
-    @pytest.mark.parametrize("force_routes", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_random_graphs(self, seed, force_routes, monkeypatch):
+    def test_seeded_random_graphs(self, seed, stacked):
         rng = random.Random(1000 + seed)
         adjacency = _seeded_adjacency(seed, n_lo=15, n_hi=70)
         vertices = sorted(adjacency)
@@ -186,23 +190,21 @@ class TestCrossSolverFuzz:
         attach_t = {vertices[i] for i in range(1, k, rng.randrange(4, 8))} - attach_s
         if not attach_s or not attach_t:
             pytest.skip("degenerate terminal sets")
-        _assert_routes_match_oracle(monkeypatch, adjacency, attach_s, attach_t, force_routes)
+        _assert_matches_oracles(adjacency, attach_s, attach_t, stacked)
 
-    @pytest.mark.parametrize("force_routes", [False, True])
-    def test_caterpillar(self, force_routes, monkeypatch):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_caterpillar(self, stacked):
         from repro.graph.builders import caterpillar_graph
 
         graph = caterpillar_graph(spine=9, legs=2, weight=3.0)
         adjacency = adjacency_dict(graph)
         spine = list(range(9))  # vertices 0..spine-1 form the spine path
-        result = _assert_routes_match_oracle(
-            monkeypatch, adjacency, {spine[0]}, {spine[-1]}, force_routes
-        )
+        result = _assert_matches_oracles(adjacency, {spine[0]}, {spine[-1]}, stacked)
         # a path-shaped spine separates with one vertex
         assert result.cut_size == 1
 
-    @pytest.mark.parametrize("force_routes", [False, True])
-    def test_disconnected_terminals(self, force_routes, monkeypatch):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_disconnected_terminals(self, stacked):
         """Terminals in different components: max flow 0, both cuts empty."""
         a = _seeded_adjacency(5, n_lo=12, n_hi=20)
         b = _seeded_adjacency(6, n_lo=12, n_hi=20)
@@ -210,9 +212,7 @@ class TestCrossSolverFuzz:
         merged = {v: dict(nbrs) for v, nbrs in a.items()}
         for v, nbrs in b.items():
             merged[v + offset] = {w + offset: weight for w, weight in nbrs.items()}
-        result = _assert_routes_match_oracle(
-            monkeypatch, merged, {min(a)}, {min(b) + offset}, force_routes
-        )
+        result = _assert_matches_oracles(merged, {min(a)}, {min(b) + offset}, stacked)
         assert result.cut_size == 0
         assert result.cut_closest_to_source == []
         assert result.cut_closest_to_sink == []
@@ -368,3 +368,104 @@ class TestFlatShortcutPaths:
         assert [list(rebuilt[v].items()) for v in graph.vertices()] == [
             list(expected[v].items()) for v in graph.vertices()
         ]
+
+
+def _pairs_loop(inside, at_borders):
+    """Lines 7-16 of Algorithm 3 over one child, pair by pair in Python."""
+    k = len(inside)
+    via = [
+        [min((row[i] + row[j] for row in at_borders), default=float("inf")) for j in range(k)]
+        for i in range(k)
+    ]
+    true = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            true[i][j] = true[j][i] = min(inside[i][j], via[i][j])
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            d = true[i][j]
+            if d == float("inf") or not d < inside[i][j]:
+                continue
+            threshold = d + 1e-9 * max(1.0, d)
+            if not any(
+                true[i][b] + true[j][b] <= threshold for b in range(k) if b not in (i, j)
+            ):
+                pairs.append((i, j, d))
+    return pairs
+
+
+class TestStackedShortcutPairs:
+    """The stacked via-cut and Lemma 4.11 pass equals the per-child test.
+
+    ``flat_build._stacked_pairs`` groups children by border count and runs
+    each group as one ``(children x k x k)`` pass, cut distances padded
+    with ``inf`` rows.  Over children of mixed ``k`` (including ``k = 2``,
+    children with one or no border, a child whose cut reaches no border
+    and a child with no cut vertex), every child's pairs must equal
+    ``nonredundant_pairs`` on that child alone, and a pure-Python loop.
+    """
+
+    @pytest.mark.parametrize("cells", [1 << 20, 1])
+    def test_matches_the_per_child_test(self, cells, monkeypatch):
+        import numpy as np
+
+        import repro.core.flat_build as flat_build
+        from repro.partition.shortcuts import nonredundant_pairs
+
+        monkeypatch.setattr(flat_build, "_STACKED_PAIR_CELLS", cells)
+        rng = np.random.default_rng(11)
+        # (borders, cut vertices) per child; child 3's cut reaches no border
+        shapes = [(2, 1), (5, 3), (3, 2), (4, 2), (1, 2), (2, 3), (5, 1), (0, 1), (3, 0), (2, 2)]
+        unreached = 3
+        insides, cut_rows = [], []
+        for c, (k, hubs) in enumerate(shapes):
+            upper = rng.integers(1, 30, size=(k, k)).astype(np.float64)
+            upper[rng.random((k, k)) < 0.2] = np.inf
+            inside = np.triu(upper, 1) + np.triu(upper, 1).T
+            insides.append(inside)
+            rows = rng.integers(0, 20, size=(hubs, k)).astype(np.float64)
+            rows[rng.random((hubs, k)) < 0.15] = np.inf
+            if c == unreached:
+                rows[:] = np.inf
+            cut_rows.append(rows)
+
+        # child c is block c; its borders are stacked ids border_start[c]:...
+        num_borders = np.array([k for k, _ in shapes], dtype=np.int64)
+        border_start = np.cumsum(num_borders) - num_borders
+        total = int(num_borders.sum())
+        # entries outside a child's own rows hold finite garbage: reading
+        # them (instead of inf padding) would change a via-cut distance
+        in_child = rng.integers(0, 3, size=(int(num_borders.max()), total)).astype(np.float64)
+        block = rng.integers(0, 3, size=(max(h for _, h in shapes) + 1, total)).astype(np.float64)
+        hub_rows = []
+        for c, (k, hubs) in enumerate(shapes):
+            columns = slice(border_start[c], border_start[c] + k)
+            in_child[:k, columns] = insides[c]
+            # hubs in rank order live in reversed rows 1.. of the block
+            rows = np.arange(1, hubs + 1, dtype=np.int64)[::-1]
+            block[rows, columns] = cut_rows[c]
+            hub_rows.append(rows)
+        levels = flat_build.StackedLevels([], [], block, hub_rows, np.zeros(0, dtype=np.int64))
+        child, pair_i, pair_j, weights = flat_build._stacked_pairs(
+            levels,
+            np.arange(len(shapes), dtype=np.int64),
+            np.arange(total, dtype=np.int64),
+            in_child,
+            np.arange(total, dtype=np.int64),
+            border_start,
+            num_borders,
+        )
+        assert np.all(np.diff(child) >= 0)
+        found_any = False
+        for c, (k, _) in enumerate(shapes):
+            mine = child == c
+            got = list(zip(pair_i[mine].tolist(), pair_j[mine].tolist(), weights[mine].tolist()))
+            found_any |= bool(got)
+            assert got == _pairs_loop(insides[c].tolist(), cut_rows[c].tolist()), c
+            if k >= 2:
+                i, j, w = nonredundant_pairs(insides[c], cut_rows[c])
+                assert got == list(zip(i.tolist(), j.tolist(), w.tolist())), c
+            else:
+                assert got == []
+        assert found_any
