@@ -34,26 +34,21 @@ search implementation.  Three backends ship:
     *batched* ``scipy.sparse.csgraph.dijkstra`` call per node (all cut /
     border sources at once, C speed), and the pruneability flags are
     recovered from the finished distance arrays by reachability in the
-    shortest-path DAG.  Snapshots of at least
-    ``_BATCHED_FLAGS_MIN_VERTICES`` vertices get every cut vertex's flags
-    from one scipy breadth-first search over the stacked per-root DAGs
-    (:func:`~repro.core.pruned_dijkstra.prune_flags_batch`, distance rows
-    kept as arrays); smaller ones run the per-root worklist of
-    :func:`~repro.core.pruned_dijkstra.prune_flags_from_distances`.
-    Because the ranking and labelling passes search from the same cut
-    vertices, the per-source distance rows are cached on the node's
-    :class:`~repro.core.flat.FlatWorkingGraph` snapshot as float64 arrays,
-    halving the distance work per node; every caller gets its rows as
-    one ``(sources x snapshot)`` array, never as lists.  Both Dijkstra variants perform the same
-    ``dist[u] + w`` float64 relaxations, so distances - and therefore
-    labels - are bit-identical to the heap backend (asserted by the
-    backend-equivalence tests).
+    shortest-path DAG: one scipy breadth-first search over the stacked
+    per-root DAGs gives every cut vertex's flags
+    (:func:`~repro.core.pruned_dijkstra.prune_flags_batch`).  Because
+    the ranking and labelling passes search from the same cut vertices,
+    the per-source distance rows are cached on the node's
+    :class:`~repro.core.flat.FlatWorkingGraph` snapshot as float64
+    arrays, halving the distance work per node; every caller gets its
+    rows as one ``(sources x snapshot)`` array, never as lists.  Both
+    Dijkstra variants perform the same ``dist[u] + w`` float64
+    relaxations, so distances - and therefore labels - are bit-identical
+    to the heap backend (asserted by the backend-equivalence tests).
 
-Tiny subgraphs (the bulk of the recursion's nodes by count, not by cost)
-are delegated to the heap searches even under ``csr``: below a few
-dozen vertices the per-call overhead of building a scipy matrix
-outweighs the scalar loops.  Since all backends produce identical
-results, mixing is safe.
+    Snapshots with a zero-weight edge are the one case ``csr`` hands to
+    the heap searches: with zero-weight ties the flags depend on the
+    heap's settle order, which no distance-derived pass reproduces.
 
 A ``csr`` build does not search its small snapshots through this
 interface at all: :func:`repro.core.flat_build.build_subtree` stacks the
@@ -62,6 +57,8 @@ searches them together with :func:`distance_rounds`, one ``min_only``
 scipy call per round with one source per block, which leaves every
 block's row equal to its single-source row.  The backend methods serve
 the large snapshots, the balanced cuts' seed searches, and relabels.
+Backends only search: connected components come from the partition
+layer's one scipy scan (:func:`~repro.partition.partition.component_labels`).
 
 ``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` /
 ``"dial"`` names used by :class:`~repro.core.index.HC2LParameters` and
@@ -76,26 +73,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_components
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.core.flat import FlatWorkingGraph
-from repro.core.pruned_dijkstra import (
-    dist_and_prune_dense,
-    has_zero_weight,
-    prune_flags_batch,
-    prune_flags_from_distances,
-)
+from repro.core.pruned_dijkstra import dist_and_prune_dense, has_zero_weight, prune_flags_batch
 
 INF = float("inf")
-
-#: Snapshots of at least this many vertices get their pruneability flags
-#: from one batched pass over all roots (:func:`prune_flags_batch`);
-#: smaller ones run the per-root worklist, whose fixed cost is lower.
-#: ``benchmarks/bench_prune_flags.py`` records the crossover: on the
-#: perfbench graphs the two tie at 128-255 vertices and the batched pass
-#: is ahead from 256 up.
-_BATCHED_FLAGS_MIN_VERTICES = 256
 
 BACKEND_NAMES = ("auto", "heap", "csr", "dial")
 
@@ -132,29 +115,6 @@ class ShortestPathBackend:
         list round-trip when they already hold the row as an array.
         """
         return np.asarray(self.sssp_many(flat, [source])[0], dtype=np.float64)
-
-    def components_masked(
-        self, flat: FlatWorkingGraph, keep: np.ndarray
-    ) -> List[List[int]]:
-        """Connected components of the snapshot restricted to ``keep``.
-
-        ``keep`` is a boolean mask over dense ids; the result is in the
-        same canonical form as :meth:`components` (sorted members,
-        components ordered by smallest member).  The default walks the
-        parent CSR lists directly, skipping excluded vertices - no
-        induced snapshot; array-native backends override it with a
-        vectorised carve for large leftovers.
-        """
-        return _components_python_masked(flat, keep)
-
-    def components(self, flat: FlatWorkingGraph) -> List[List[int]]:
-        """Connected components of a snapshot, in canonical form.
-
-        Each component is a sorted list of *original* vertex ids and the
-        components are ordered by their smallest member, so every backend
-        hands the partition layer the same tie-breaks.
-        """
-        return _components_python(flat)
 
     def dist_and_prune_many(
         self,
@@ -210,18 +170,16 @@ class DialBackend(ShortestPathBackend):
     Non-eligible snapshots (and snapshots above ``max_vertices``, where
     the batched C-speed scipy searches win regardless of weight shape)
     run on the fallback backend, ``csr`` unless another is injected; the
-    distances are bit-identical anyway.  Algorithm 4
-    pruneability flags go through the same size dispatch
-    (``_prune_flags``) the ``csr`` backend uses, so no flag logic is
-    duplicated.
+    distances are bit-identical anyway.  Algorithm 4 pruneability flags
+    go through the same flag pass (``_prune_flags``) the ``csr`` backend
+    uses, so no flag logic is duplicated.
 
     The eligibility verdict (and the scaled integer weights) is cached on
     the snapshot under :data:`_SCALE_CACHE`; the builder touches each
     node's snapshot many times, the detection sweep runs once.
 
     Only an explicit ``backend="dial"`` selects this class: ``auto``
-    resolves to ``csr``, and ``csr`` delegates its tiny snapshots to the
-    heap.
+    resolves to ``csr``.
     """
 
     name = "dial"
@@ -337,13 +295,10 @@ class DialBackend(ShortestPathBackend):
 class CSRBackend(ShortestPathBackend):
     """Heap-free searches over the CSR snapshot (scipy csgraph).
 
-    Parameters
-    ----------
-    min_vertices:
-        Snapshots smaller than this (and snapshots with a zero-weight
-        edge) are delegated to the heap backend - the fixed per-call cost
-        of assembling a scipy matrix dominates on the recursion's many
-        tiny leaf nodes.  Results are identical either way.
+    Every snapshot runs on scipy except one with a zero-weight edge,
+    which goes to the heap backend: zero-weight ties make the flags
+    depend on the heap's settle order.  Results are identical either
+    way.
     """
 
     name = "csr"
@@ -351,21 +306,7 @@ class CSRBackend(ShortestPathBackend):
     _ARRAY_CACHE = "csr_dist_arrays"
     _MATRIX_CACHE = "csr_matrix"
 
-    def __init__(
-        self,
-        min_vertices: int = 32,
-        components_min_vertices: int = 64,
-        masked_min_vertices: int = 1024,
-    ) -> None:
-        self.min_vertices = min_vertices
-        # below this, one O(E) python BFS beats the sparse-constructor
-        # cost of the scipy scan; above it the weighted matrix is built
-        # eagerly and cached for the seed searches - see components()
-        self.components_min_vertices = components_min_vertices
-        # components_masked carves a fresh (never reused) matrix, so its
-        # python-walk crossover sits much higher than components()'s
-        self.masked_min_vertices = masked_min_vertices
-        self._heap = HeapBackend()
+    _heap = HeapBackend()
 
     # ------------------------------------------------------------------ #
     def sssp_many(
@@ -401,80 +342,9 @@ class CSRBackend(ShortestPathBackend):
         dists = self._distance_block(flat, roots)
         return dists, _prune_flags(flat, roots, prune_sets, dists)
 
-    def components(self, flat: FlatWorkingGraph) -> List[List[int]]:
-        matrix = flat.cache.get(self._MATRIX_CACHE)
-        if matrix is None:
-            # delegated (tiny or zero-weight) snapshots never build a
-            # matrix; just below that, one O(E) python walk still beats
-            # the sparse-constructor cost even though the matrix would be
-            # reused by the seed searches that follow
-            if self._delegate(flat) or len(flat.vertices) < self.components_min_vertices:
-                return _components_python(flat)
-            # build (and cache) the weighted matrix the seed searches use:
-            # weights play no role in connectivity, and sharing one matrix
-            # means whichever of components()/seed SSSP runs first pays
-            matrix = self._snapshot_matrix(flat)
-        _, labels = _scipy_components(matrix, directed=False)
-        return self._label_groups(flat.vertices, labels)
-
-    def components_masked(
-        self, flat: FlatWorkingGraph, keep: np.ndarray
-    ) -> List[List[int]]:
-        keep =np.asarray(keep, dtype=bool)
-        sub_dense = np.nonzero(keep)[0]
-        m = len(sub_dense)
-        if m == 0:
-            return []
-        if m < self.masked_min_vertices:
-            # the sparse constructor + C scan only amortise on large
-            # leftovers; the masked python walk wins below (measured
-            # crossover ~1k on the bench's region population)
-            return _components_python_masked(flat, keep)
-        # carve the kept subgraph straight out of the parent CSR arrays
-        # (connectivity ignores weights, so int8 ones sidestep the
-        # explicit-zero dropping that forces weighted matrices to the
-        # python walk) - no induced snapshot, no dict rebuild
-        indptr, indices, _ = flat.csr_arrays()
-        n = len(flat.vertices)
-        new_id = np.full(n, -1, dtype=np.int64)
-        new_id[sub_dense] = np.arange(m, dtype=np.int64)
-        tails = flat.tails()
-        edge_keep = keep[tails] & keep[indices]
-        new_tails = new_id[tails[edge_keep]]
-        new_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_tails, minlength=m), out=new_indptr[1:])
-        new_indices = new_id[indices[edge_keep]]
-        matrix = _scipy_csr_matrix(
-            (np.ones(len(new_indices), dtype=np.int8), new_indices, new_indptr),
-            shape=(m, m),
-        )
-        _, labels = _scipy_components(matrix, directed=False)
-        vertices = flat.vertices
-        members = [vertices[i] for i in sub_dense.tolist()]
-        return self._label_groups(members, labels)
-
-    @staticmethod
-    def _label_groups(vertices: Sequence[int], labels: np.ndarray) -> List[List[int]]:
-        """Scipy component labels -> the canonical grouped form."""
-        order = np.argsort(labels, kind="stable")  # ascending ids per label
-        boundaries = np.nonzero(np.diff(labels[order]))[0] + 1
-        groups = [
-            [vertices[i] for i in block.tolist()]
-            for block in np.split(order, boundaries)
-        ]
-        # canonical: each group is already sorted (stable sort over
-        # ascending ids); order groups by their smallest member
-        groups.sort(key=lambda component: component[0])
-        return groups
-
     # ------------------------------------------------------------------ #
     def _delegate(self, flat: FlatWorkingGraph) -> bool:
-        """Whether this snapshot should run on the scalar searches instead."""
-        if len(flat.vertices) < self.min_vertices:
-            return True
-        # scipy's sparse matrices treat explicit zeros as missing edges;
-        # zero-weight edges are legal in Graph, so route them to the
-        # heap searches
+        """Whether this snapshot runs on the heap searches: a zero-weight edge."""
         return has_zero_weight(flat)
 
     def _snapshot_matrix(self, flat: FlatWorkingGraph):
@@ -542,79 +412,13 @@ def _prune_flags(
     roots: Sequence[int],
     prune_sets: Sequence[Sequence[int]],
     dists: Sequence[Sequence[float]],
-) -> Sequence[Sequence[bool]]:
+) -> np.ndarray:
     """Algorithm 4 flags from finished distance rows, ``dists[i]`` from ``roots[i]``.
 
-    The one flag dispatch of the distance-first backends (``csr`` and
-    ``dial``): large snapshots run :func:`prune_flags_batch` over all
-    roots at once, small ones the per-root worklist.  Both compute the
-    same shortest-path-DAG reachability, so the flags are identical.
+    The one flag pass of the distance-first backends (``csr`` and
+    ``dial``): :func:`prune_flags_batch` over all roots at once.
     """
-    if len(flat.vertices) >= _BATCHED_FLAGS_MIN_VERTICES:
-        return prune_flags_batch(flat, roots, prune_sets, np.asarray(dists, dtype=np.float64))
-    return [
-        prune_flags_from_distances(flat, root, prune_ids, dist)
-        for root, prune_ids, dist in zip(roots, prune_sets, dists)
-    ]
-
-
-def _components_python_masked(
-    flat: FlatWorkingGraph, keep: np.ndarray
-) -> List[List[int]]:
-    """Masked reference component walk over the parent CSR lists.
-
-    Same canonical output as ``_components_python`` over the induced
-    subgraph, computed without building it: excluded vertices are simply
-    never visited.
-    """
-    indptr, indices = flat.indptr, flat.indices
-    vertices = flat.vertices
-    open_ = np.asarray(keep, dtype=bool).tolist()
-    n = len(vertices)
-    components: List[List[int]] = []
-    for start in range(n):  # ascending dense id == ascending original id
-        if not open_[start]:
-            continue
-        open_[start] = False
-        stack = [start]
-        component = [start]
-        while stack:
-            v = stack.pop()
-            for i in range(indptr[v], indptr[v + 1]):
-                w = indices[i]
-                if open_[w]:
-                    open_[w] = False
-                    component.append(w)
-                    stack.append(w)
-        component.sort()
-        components.append([vertices[i] for i in component])
-    return components
-
-
-def _components_python(flat: FlatWorkingGraph) -> List[List[int]]:
-    """Reference connected components over the CSR lists (canonical form)."""
-    indptr, indices = flat.indptr, flat.indices
-    vertices = flat.vertices
-    n = len(vertices)
-    seen = [False] * n
-    components: List[List[int]] = []
-    for start in range(n):  # ascending dense id == ascending original id
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        component = [start]
-        while stack:
-            v = stack.pop()
-            for i in range(indptr[v], indptr[v + 1]):
-                w = indices[i]
-                if not seen[w]:
-                    seen[w] = True
-                    component.append(w)
-                    stack.append(w)
-        component.sort()
-        components.append([vertices[i] for i in component])
-    return components
+    return prune_flags_batch(flat, roots, prune_sets, np.asarray(dists, dtype=np.float64))
 
 
 # --------------------------------------------------------------------- #
@@ -637,8 +441,8 @@ def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
 
     ``"auto"`` (and ``None``) pick ``csr``; ``"dial"`` is only ever an
     explicit choice.
-    Instances pass through untouched, so callers can inject a tuned
-    :class:`CSRBackend` directly.  Anything that is not a name, an
+    Instances pass through untouched, so callers can inject their own
+    backend (a :class:`DialBackend` with other limits, say).  Anything that is not a name, an
     instance, or ``None`` raises a :class:`TypeError` - a boolean or a
     number is always a caller bug, not a backend choice.
     """

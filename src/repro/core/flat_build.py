@@ -71,8 +71,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix as _scipy_csr_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from repro.core.backends import (
     BackendSpec,
@@ -88,8 +86,8 @@ from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.flow.vertex_cut import minimum_vertex_cut_regions
 from repro.partition.cut import (
     BalancedCutResult,
-    assign_components,
     balanced_cut,
+    component_sides,
     flow_region_masks,
     side_balance,
 )
@@ -370,12 +368,12 @@ def stacked_cuts(
       :func:`~repro.partition.cut.flow_region_masks` over the stacked
       arcs, and one :func:`~repro.flow.vertex_cut.minimum_vertex_cut_regions`
       solve over every block's flow region.
-    * Components (lines 13-15): one ``connected_components`` scan with
-      the source-side cuts removed and one with the sink-side cuts
-      removed where they differ;
-      :func:`~repro.partition.cut.assign_components` assigns them, and a
-      block keeps its sink-side cut only where that is strictly more
-      balanced (:func:`~repro.partition.cut.side_balance`).
+    * Components (lines 13-15): one
+      :func:`~repro.partition.cut.component_sides` pass with the
+      source-side cuts removed and one with the sink-side cuts removed
+      where they differ, the same pass the per-node cut makes over one
+      block; a block keeps its sink-side cut only where that is strictly
+      more balanced (:func:`~repro.partition.cut.side_balance`).
     """
     m = len(stack.offsets) - 1
     offsets, starts = stack.offsets, stack.offsets[:-1]
@@ -432,9 +430,11 @@ def stacked_cuts(
     # lines 13-15 for each canonical cut; the sink-side one only where
     # it differs, and kept only where it is strictly more balanced
     differ = live & np.logical_or.reduceat(cut_source != cut_sink, starts)
-    parts, size_a, size_b = _component_sides(stack, block_of, tails, live, cut_source)
+    parts, size_a, size_b = component_sides(tails, heads, live[block_of] & ~cut_source, block_of, m)
     if differ.any():
-        sink_parts, sink_a, sink_b = _component_sides(stack, block_of, tails, differ, cut_sink)
+        sink_parts, sink_a, sink_b = component_sides(
+            tails, heads, differ[block_of] & ~cut_sink, block_of, m
+        )
         use_sink = differ & (side_balance(sink_a, sink_b) < side_balance(size_a, size_b))
         parts = np.where(use_sink[block_of], sink_parts, parts)
 
@@ -446,38 +446,6 @@ def stacked_cuts(
     for i in np.flatnonzero(live).tolist():
         results[i] = BalancedCutResult(*(pieces[i].tolist() for pieces in by_side))
     return results
-
-
-def _component_sides(
-    stack: SnapshotStack,
-    block_of: np.ndarray,
-    tails: np.ndarray,
-    blocks: np.ndarray,
-    cut: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lines 13-15 of Algorithm 2 for the ``blocks`` with ``cut`` removed.
-
-    Returns every stacked vertex's side (0 = ``A``, 1 = ``B``, 2 = cut or
-    outside ``blocks``) and the two sides' sizes per block.
-    """
-    n = len(block_of)
-    keep = blocks[block_of] & ~cut
-    arcs = keep[tails] & keep[stack.indices]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails[arcs], minlength=n), out=indptr[1:])
-    matrix = _scipy_csr_matrix(
-        (np.ones(int(arcs.sum()), dtype=np.int8), stack.indices[arcs], indptr), shape=(n, n)
-    )
-    _, labels = _scipy_components(matrix, directed=False)
-    kept = np.flatnonzero(keep)
-    # each component's smallest member is its first kept id
-    _, first, component = np.unique(labels[kept], return_index=True, return_inverse=True)
-    sides, size_a, size_b = assign_components(
-        block_of[kept[first]], np.bincount(component), kept[first], len(blocks)
-    )
-    parts = np.full(n, 2, dtype=np.int8)
-    parts[kept] = sides[component]
-    return parts, size_a, size_b
 
 
 class StackedLevels(NamedTuple):

@@ -8,25 +8,24 @@ entries win, which makes the flag mean "there exists a shortest path
 through P" rather than "the particular tree path found goes through P" -
 exactly the semantics required by the tail-pruning rule (Definition 4.18).
 
-Three implementations of that semantics live here:
+Two implementations of that semantics live here:
 
 * :func:`dist_and_prune_dense` - the heap-based search computing
-  distances and flags in one pass (the classic form);
-* :func:`prune_flags_from_distances` - the flag half alone for one root,
-  derived from an *already computed* distance array by a worklist over
-  the shortest-path DAG; and
-* :func:`prune_flags_batch` - the same flags for *all* of a node's roots
-  at once: the per-root DAGs are stacked into one scipy graph and a
+  distances and flags in one pass (the classic form); and
+* :func:`prune_flags_batch` - the flag half alone, derived from
+  *already computed* distance rows for all of a node's roots at once:
+  the per-root shortest-path DAGs are stacked into one scipy graph and a
   single breadth-first search from a super-source reaches exactly the
   flagged (root, vertex) pairs (:func:`dag_reach`, which the stacked
   label pass of :mod:`repro.core.flat_build` also runs over the rows of
   many snapshots at once).
 
-The last two are what let the CSR backend (:mod:`repro.core.backends`)
+The second is what lets the CSR backend (:mod:`repro.core.backends`)
 obtain the distances from one batched ``scipy.sparse.csgraph`` call for
 all of a node's cut vertices and still produce flags - and therefore
-labels - bit-identical to the heap search.  The backend picks the
-worklist on small snapshots and the batched pass on large ones.
+labels - bit-identical to the heap search.  A per-root worklist over
+each DAG, the reference the tests hold it against, lives in the test
+suite's oracles.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ INF = float("inf")
 def has_zero_weight(flat: FlatWorkingGraph) -> bool:
     """Whether the snapshot carries a zero-weight edge (cached on it).
 
-    The csr backend's delegation check and both distance-derived flag
-    passes read the same cache entry, so the O(E) scan runs once per
+    The csr backend's delegation check and the distance-derived flag
+    pass read the same cache entry, so the O(E) scan runs once per
     node, not once per cut vertex.
     """
     found = flat.cache.get("has_zero_weight")
@@ -117,87 +116,34 @@ def dist_and_prune_dense(
     return dist, through
 
 
-def prune_flags_from_distances(
-    flat: FlatWorkingGraph,
-    root: int,
-    prune_ids: Sequence[int],
-    dist: Sequence[float],
-) -> List[bool]:
-    """Recover Algorithm 4's pruneability flags from a finished SSSP.
-
-    ``dist`` must be the exact single-source distance array from ``root``
-    over ``flat`` (``inf`` for unreached vertices).  A vertex ``v`` is
-    flagged iff some shortest path from the root to ``v`` passes through
-    the prune set, i.e. iff it has a shortest-path-DAG parent ``u``
-    (``dist[u] + w(u, v) == dist[v]``) that is in the prune set or flagged
-    itself.  Unrolling the recursion, ``v`` is flagged iff the DAG
-    contains a path of one or more edges from a prune vertex to ``v`` -
-    plain reachability, which a worklist propagation seeded at the prune
-    set computes touching only the out-edges of prune/flagged vertices.
-    With strictly positive edge weights the DAG is acyclic and the root
-    can never be flagged, so the fixpoint is order-independent and
-    bit-identical to the ``through`` half of
-    :func:`dist_and_prune_dense`; unlike the full search it costs nothing
-    when the prune set is small or upstream of few vertices (the labelling
-    pass's first sources prune almost nothing).
-
-    Zero-weight edges are **rejected**: they tie parent and child
-    distances, where the heap search's flags depend on its settle order
-    and no distance-derived pass can reproduce them.  Callers (the
-    ``csr`` backend) route zero-weight snapshots to the heap search
-    instead.
-    """
-    _reject_zero_weight(flat, "prune_flags_from_distances")
-    n = len(flat.vertices)
-    indptr, indices, weights = flat.indptr, flat.indices, flat.weights
-    dist_list: List[float] = (
-        dist if isinstance(dist, list) else np.asarray(dist, dtype=np.float64).tolist()
-    )
-    through = [False] * n
-    stack: List[int] = []
-    # Seed: every DAG child of a prune vertex is flagged.  The snapshot
-    # stores both directions of each undirected edge, so a vertex's CSR
-    # row enumerates its DAG out-edges directly (dist[v] + w == dist[c]).
-    for p in prune_ids:
-        if p == root:
-            continue
-        d_p = dist_list[p]
-        if d_p == INF:
-            continue
-        for i in range(indptr[p], indptr[p + 1]):
-            c = indices[i]
-            if not through[c] and d_p + weights[i] == dist_list[c]:
-                through[c] = True
-                stack.append(c)
-    # Propagate: flagged vertices flag their own DAG children.  Each
-    # vertex enters the stack at most once (marked before pushing), so
-    # the whole pass is linear in the edges leaving flagged vertices.
-    while stack:
-        v = stack.pop()
-        d_v = dist_list[v]
-        for i in range(indptr[v], indptr[v + 1]):
-            c = indices[i]
-            if not through[c] and d_v + weights[i] == dist_list[c]:
-                through[c] = True
-                stack.append(c)
-    return through
-
-
 def prune_flags_batch(
     flat: FlatWorkingGraph,
     roots: Sequence[int],
     prune_sets: Sequence[Sequence[int]],
     block: np.ndarray,
 ) -> np.ndarray:
-    """:func:`prune_flags_from_distances` for every root in one pass.
+    """Recover Algorithm 4's pruneability flags from finished searches.
 
     ``block`` is the ``(k, n)`` float64 array of exact distance rows,
-    row ``i`` from ``roots[i]``; ``prune_sets[i]`` is that root's prune
-    set.  Returns the ``(k, n)`` bool flag block, row ``i`` equal to
-    ``prune_flags_from_distances(flat, roots[i], prune_sets[i],
-    block[i])``: one :func:`dag_reach` over the snapshot's arcs, seeded
-    at every root's prune vertices (the root itself excepted).
-    Zero-weight snapshots are rejected like the worklist rejects them.
+    row ``i`` from ``roots[i]`` over ``flat`` (``inf`` for unreached
+    vertices); ``prune_sets[i]`` is that root's prune set.  A vertex
+    ``v`` is flagged iff some shortest path from the root to ``v`` passes
+    through the prune set, i.e. iff it has a shortest-path-DAG parent
+    ``u`` (``dist[u] + w(u, v) == dist[v]``) that is in the prune set or
+    flagged itself.  Unrolling the recursion, ``v`` is flagged iff the
+    DAG holds a path of one or more arcs from a prune vertex to ``v`` -
+    plain reachability.  With strictly positive edge weights the DAG is
+    acyclic and the root is never flagged, so the result is
+    order-independent and bit-identical to the ``through`` half of
+    :func:`dist_and_prune_dense`.  Returns the ``(k, n)`` bool flag
+    block: one :func:`dag_reach` over the snapshot's arcs, seeded at
+    every root's prune vertices (the root itself excepted).
+
+    Zero-weight edges are **rejected**: they tie parent and child
+    distances, where the heap search's flags depend on its settle order
+    and no distance-derived pass can reproduce them.  Callers (the
+    ``csr`` backend) route zero-weight snapshots to the heap search
+    instead.
     """
     _reject_zero_weight(flat, "prune_flags_batch")
     k, n = len(roots), len(flat.vertices)

@@ -13,16 +13,18 @@ Everything graph-shaped runs on the node's CSR snapshot
 (:class:`~repro.core.flat.FlatWorkingGraph`): border and terminal
 attachment sets are computed with vectorised edge-mask scans
 (:func:`flow_region_masks`), the flow region is carved out of the CSR
-arrays without materialising a dict, and the component re-assignment uses
-the :class:`~repro.core.backends.ShortestPathBackend` component scan.
-The minimum vertex cut is one scipy max-flow
+arrays without materialising a dict, and the components left by the cut
+come from one scipy scan
+(:func:`~repro.partition.partition.component_labels`, via
+:func:`component_sides`).  The minimum vertex cut is one scipy max-flow
 (:func:`~repro.flow.vertex_cut.minimum_vertex_cut_region`).
 
 The stacked construction rounds of :mod:`repro.core.flat_build` cut many
 small snapshots at once (:func:`~repro.core.flat_build.stacked_cuts`)
-through the same mask and ordering helpers - :func:`flow_region_masks`,
-:func:`assign_components` and :func:`side_balance` - which take any
-number of blocks, so the two routes cannot drift apart.
+through the same helpers - :func:`flow_region_masks`,
+:func:`component_sides` and :func:`side_balance` - which take any number
+of blocks; a single snapshot is a stack of one block, so the two routes
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
+from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.flat import FlatWorkingGraph
 from repro.flow.vertex_cut import minimum_vertex_cut_region
-from repro.partition.partition import balanced_partition
+from repro.partition.partition import balanced_partition, component_labels
 from repro.utils.validation import check_balance_parameter
 
 
@@ -69,7 +71,7 @@ def balanced_cut(
     ``flat`` is the node's snapshot (the hierarchy builder shares it with
     the ranking and labelling passes); ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the seed
-    searches and component scans.  The minimum vertex cut comes from
+    searches.  The minimum vertex cut comes from
     :func:`~repro.flow.vertex_cut.minimum_vertex_cut_region` (one scipy
     max-flow).  ``beta`` must lie in ``(0, 0.5]`` (Definition 4.1) -
     validated here so an invalid balance parameter fails loudly before
@@ -120,7 +122,7 @@ def balanced_cut(
     # Lines 13-15 for each canonical cut, then keep the more balanced one.
     best: BalancedCutResult | None = None
     for cut in result.candidate_cuts():
-        assignment = _assign_components(flat, cut, search)
+        assignment = _assign_components(flat, cut)
         if best is None or assignment.balance() < best.balance():
             best = assignment
     assert best is not None
@@ -205,23 +207,43 @@ def side_balance(size_a, size_b):
     return np.where(total > 0, np.maximum(size_a, size_b) / np.maximum(total, 1), 1.0)
 
 
-def _assign_components(
-    flat: FlatWorkingGraph,
-    cut: Sequence[int],
-    search: ShortestPathBackend,
-) -> BalancedCutResult:
-    """Assign the components of ``G \\ cut`` to the two sides (:func:`assign_components`)."""
-    keep = np.ones(len(flat.vertices), dtype=bool)
-    keep[flat.dense_ids(cut)] = False
-    components = search.components_masked(flat, keep)
-    sides, _, _ = assign_components(
-        np.zeros(len(components), dtype=np.int64),
-        np.array([len(c) for c in components], dtype=np.int64),
-        np.array([c[0] for c in components], dtype=np.int64),
-        1,
+def component_sides(
+    tails: np.ndarray,
+    heads: np.ndarray,
+    keep: np.ndarray,
+    block_of: np.ndarray,
+    num_blocks: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines 13-15 of Algorithm 2 over the ``keep`` vertices of many snapshots.
+
+    The arcs and ``block_of`` (each vertex's snapshot) describe a stack
+    of ``num_blocks`` snapshots, as :func:`flow_region_masks` takes them;
+    ``keep`` excludes each snapshot's cut.  One
+    :func:`~repro.partition.partition.component_labels` scan finds the
+    components and :func:`assign_components` places them.  Returns every
+    vertex's side (0 = ``A``, 1 = ``B``, 2 = not kept) and the two sides'
+    sizes per snapshot.
+    """
+    labels, first = component_labels(tails, heads, keep)
+    kept = np.flatnonzero(keep)
+    sides, size_a, size_b = assign_components(
+        block_of[first], np.bincount(labels[kept], minlength=len(first)), first, num_blocks
     )
-    part_a: List[int] = []
-    part_b: List[int] = []
-    for component, side in zip(components, sides.tolist()):
-        (part_b if side else part_a).extend(component)
-    return BalancedCutResult(sorted(part_a), sorted(cut), sorted(part_b))
+    parts = np.full(len(keep), 2, dtype=np.int8)
+    parts[kept] = sides[labels[kept]]
+    return parts, size_a, size_b
+
+
+def _assign_components(flat: FlatWorkingGraph, cut: Sequence[int]) -> BalancedCutResult:
+    """The sides of ``G \\ cut``: :func:`component_sides` over a stack of one block."""
+    n = len(flat.vertices)
+    keep = np.ones(n, dtype=bool)
+    keep[flat.dense_ids(cut)] = False
+    parts, _, _ = component_sides(
+        flat.tails(), flat.csr_arrays()[1], keep, np.zeros(n, dtype=np.int64), 1
+    )
+    vertices = flat.vertices
+    part_a, part_b = (
+        [vertices[i] for i in np.flatnonzero(parts == side).tolist()] for side in (0, 1)
+    )
+    return BalancedCutResult(part_a, sorted(cut), part_b)

@@ -32,7 +32,9 @@ Dijkstra under ``heap``, with bit-identical distances either way.  The
 seed searches share a per-call memo of distance rows: the third search
 (from ``v_B``) frequently lands back on the arbitrary start vertex, in
 which case the first search's distance array is reused instead of being
-recomputed.
+recomputed.  Connected components never go through the backend: they
+come from one scipy scan (:func:`component_labels`), which the per-node
+and stacked cuts of Algorithm 2 share.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatWorkingGraph
@@ -86,8 +90,7 @@ def balanced_partition(
         Balance parameter from Definition 4.1, ``0 < beta <= 0.5``.
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
-        seed searches and component scans (name, instance, or ``None``
-        for the default).
+        seed searches (name, instance, or ``None`` for the default).
 
     Returns
     -------
@@ -120,8 +123,7 @@ def balanced_partition(
     # vertex reached from the arbitrary start == one component), so the
     # common connected case never pays for a separate component scan
     if np.isinf(distance_row(0).max()):
-        components = search.components(flat)
-        return _partition_disconnected(flat, components, beta, n, _depth, search)
+        return _partition_disconnected(flat, beta, n, _depth, search)
 
     # --- connected case ----------------------------------------------- #
     seed_a = _farthest_dense(distance_row(0), 0)
@@ -214,33 +216,69 @@ def boundary_weights(
     return ordered[offsets[:-1] + k - 1], ordered[offsets[1:] - k]
 
 
+def component_labels(
+    tails: np.ndarray, heads: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Connected components of the ``keep`` vertices: the one component scan.
+
+    ``(tails, heads)`` are the arcs of a graph on ``len(keep)`` vertices
+    in CSR order (tails ascending), as a snapshot or a stack of them
+    lists them.  Returns ``(labels, first)``: ``labels[v]`` numbers the
+    component of a kept ``v`` (``-1`` for the rest) in order of smallest
+    member, and ``first[c]`` is component ``c``'s smallest member.  The
+    scipy matrix holds int8 ones, not the weights, so a zero-weight edge
+    is a stored nonzero and connects even where scipy prunes explicit
+    zeros (``eliminate_zeros``, sparse arithmetic, dense round-trips).
+    """
+    n = len(keep)
+    arcs = keep[tails] & keep[heads]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails[arcs], minlength=n), out=indptr[1:])
+    matrix = csr_matrix(
+        (np.ones(int(arcs.sum()), dtype=np.int8), heads[arcs], indptr), shape=(n, n)
+    )
+    _, scan = connected_components(matrix, directed=False)
+    kept = np.flatnonzero(keep)
+    # each component's smallest member is its first kept id
+    _, first, component = np.unique(scan[kept], return_index=True, return_inverse=True)
+    # renumber by smallest member, whatever order scipy labels in
+    order = np.argsort(first)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[kept] = np.argsort(order)[component]
+    return labels, kept[first[order]]
+
+
 def _partition_disconnected(
     flat: FlatWorkingGraph,
-    components: List[List[int]],
     beta: float,
     n: int,
     depth: int,
     search: ShortestPathBackend,
 ) -> BalancedPartitionResult:
     """Lines 2-10 of Algorithm 1: the input graph is disconnected."""
-    components = sorted(components, key=lambda c: (-len(c), c[0]))
-    largest = components[0]
-    if len(largest) > (1.0 - beta) * n:
+    labels, _ = component_labels(flat.tails(), flat.csr_arrays()[1], np.ones(n, dtype=bool))
+    # largest first; ties keep the smaller smallest member
+    by_size = np.argsort(-np.bincount(labels), kind="stable")
+    largest = labels == by_size[0]
+    vertices = flat.vertices
+
+    def members(mask: np.ndarray) -> List[int]:
+        return [vertices[i] for i in np.flatnonzero(mask).tolist()]
+
+    if np.count_nonzero(largest) > (1.0 - beta) * n:
         # Partition inside the largest component; all other components join
         # the cut region (they are cheap to separate later).
-        sub = flat.induce(largest)
+        sub = flat.induce(members(largest))
         inner = balanced_partition(sub, beta=beta, _depth=depth + 1, backend=search)
-        others = [v for comp in components[1:] for v in comp]
         return BalancedPartitionResult(
             initial_a=inner.initial_a,
-            cut_region=sorted(inner.cut_region + others),
+            cut_region=sorted(inner.cut_region + members(~largest)),
             initial_b=inner.initial_b,
         )
-    second = components[1] if len(components) > 1 else []
-    used = set(largest) | set(second)
-    rest = sorted(v for v in flat.vertices if v not in used)
+    # disconnected, so a second component exists
+    second = labels == by_size[1]
     return BalancedPartitionResult(
-        initial_a=sorted(largest),
-        cut_region=rest,
-        initial_b=sorted(second),
+        initial_a=members(largest),
+        cut_region=members(~largest & ~second),
+        initial_b=members(second),
     )

@@ -15,7 +15,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from oracles import dinitz_vertex_cut_region, ek_vertex_cut_region
+import repro.core.backends as backends
+from oracles import dinitz_vertex_cut_region, ek_vertex_cut_region, prune_flags_from_distances
 from repro.core.flat import FlatLabelling
 from repro.flow.vertex_cut import MinVertexCutResult, minimum_vertex_cut_regions
 from repro.graph.graph import Graph
@@ -117,20 +118,26 @@ def solve_stacked(regions):
     return results
 
 
-#: Every production prune-flag route of the distance-first backends as its
-#: snapshot-size threshold: 0 sends every snapshot to the batched pass,
-#: 10**9 sends every snapshot to the per-root worklist.
+def _worklist_flags(flat, roots, prune_sets, dists):
+    """The flags of every root from :func:`oracles.prune_flags_from_distances`."""
+    return [
+        prune_flags_from_distances(flat, root, prune_ids, dist)
+        for root, prune_ids, dist in zip(roots, prune_sets, dists)
+    ]
+
+
+#: Every prune-flag route of the distance-first backends, as the function
+#: they call for their flags: the production batched pass, and the
+#: per-root worklist of ``oracles.py``.
 PRUNE_ROUTES = {
-    "batched": 0,
-    "worklist": 10**9,
+    "batched": backends._prune_flags,
+    "worklist": _worklist_flags,
 }
 
 
 def force_prune_route(monkeypatch, route: str) -> None:
-    """Pin the csr/dial flag dispatch to one :data:`PRUNE_ROUTES` entry."""
-    import repro.core.backends as backends
-
-    monkeypatch.setattr(backends, "_BATCHED_FLAGS_MIN_VERTICES", PRUNE_ROUTES[route])
+    """Send every csr/dial flag pass to one :data:`PRUNE_ROUTES` entry."""
+    monkeypatch.setattr(backends, "_prune_flags", PRUNE_ROUTES[route])
 
 
 #: Every production construction route for a small snapshot as the

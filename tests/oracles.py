@@ -17,6 +17,11 @@ lists; the production scipy solve
 (:func:`repro.flow.vertex_cut.minimum_vertex_cut_regions` and its
 one-region call) is held against both.
 
+For Algorithm 4's pruneability flags, :func:`prune_flags_from_distances`
+recovers one root's flags from its finished distance row by a worklist
+over the shortest-path DAG, the reference the production batched pass
+(:func:`repro.core.pruned_dijkstra.prune_flags_batch`) is held against.
+
 For queries, :func:`min_plus_prefix` is Equation 7's per-pair scan over
 two plain level lists, the reference the engine's scalar and batch scans
 (and their hub counts) are held against; :func:`hub_vertices_for_query`
@@ -38,6 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
+from repro.core.pruned_dijkstra import has_zero_weight
 from repro.flow.vertex_cut import MinVertexCutResult
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
@@ -213,6 +219,39 @@ def dist_and_prune(
             )
             counter += 1
     return PrunedDistances(root=root, distance=distance, through_prune_set=through)
+
+
+def prune_flags_from_distances(
+    flat: FlatWorkingGraph,
+    root: int,
+    prune_ids: Sequence[int],
+    dist: Sequence[float],
+) -> List[bool]:
+    """Algorithm 4's flags for one root from its finished distance row.
+
+    ``v`` is flagged iff the shortest-path DAG (``dist[u] + w == dist[v]``)
+    holds a path of one or more arcs from a reached prune vertex (the
+    root excepted) to ``v``: a worklist seeded at those prune vertices
+    flags the heads of their tight arcs, and every newly flagged vertex
+    joins it.  Zero-weight snapshots are rejected, as the production pass
+    rejects them.
+    """
+    if has_zero_weight(flat):
+        raise ValueError(
+            "prune_flags_from_distances requires strictly positive edge weights"
+        )
+    indptr, indices, weights = flat.indptr, flat.indices, flat.weights
+    dist = np.asarray(dist, dtype=np.float64).tolist()
+    through = [False] * len(flat.vertices)
+    stack = [p for p in prune_ids if p != root and dist[p] != INF]
+    while stack:
+        v = stack.pop()
+        for i in range(indptr[v], indptr[v + 1]):
+            c = indices[i]
+            if not through[c] and dist[v] + weights[i] == dist[c]:
+                through[c] = True
+                stack.append(c)
+    return through
 
 
 def is_distance_preserving(

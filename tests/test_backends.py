@@ -28,11 +28,7 @@ from repro.core.dynamic import DynamicHC2LIndex
 from repro.core.flat import FlatWorkingGraph
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.dynamic import relabel
-from repro.core.pruned_dijkstra import (
-    dist_and_prune_dense,
-    prune_flags_batch,
-    prune_flags_from_distances,
-)
+from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_batch
 from repro.experiments.dynamic import clustered_edge_changes, integerised
 from repro.graph.builders import graph_from_edges
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
@@ -49,6 +45,7 @@ from test_golden_labels import (
 )
 
 from helpers import force_prune_route, force_stack_route
+from oracles import prune_flags_from_distances
 
 INF = float("inf")
 
@@ -112,8 +109,7 @@ class TestBackendBitIdentity:
     def test_labels_identical_heap_vs_csr(self, seed):
         graph = _random_graph(seed)
         heap_index = HC2LIndex.build(graph, leaf_size=4, backend="heap")
-        # min_vertices=0 forces the batched searches even on leaf nodes
-        builder = HC2LBuilder(leaf_size=4, backend=CSRBackend(min_vertices=0))
+        builder = HC2LBuilder(leaf_size=4, backend=CSRBackend())
         _, labelling, _ = builder.build(heap_index.contraction.core)
         assert labelling == heap_index.flat_labelling()
 
@@ -122,7 +118,7 @@ class TestBackendBitIdentity:
         edges = [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0), (3, 0, 2.0), (1, 3, 1.0), (2, 4, 1.0), (4, 0, 1.0)]
         graph = graph_from_edges(edges, num_vertices=5)
         flat = _flat_for(graph)
-        csr = CSRBackend(min_vertices=0)
+        csr = CSRBackend()
         assert csr._delegate(flat), "zero-weight snapshots must use the heap searches"
         heap_index = HC2LIndex.build(graph, leaf_size=2, backend="heap")
         csr_builder = HC2LBuilder(leaf_size=2, backend=csr)
@@ -135,7 +131,7 @@ class TestBackendBitIdentity:
         flat = _flat_for(graph)
         sources = list(range(0, len(flat.vertices), 3))
         heap_rows = HeapBackend().sssp_many(flat, sources)
-        csr_rows = CSRBackend(min_vertices=0).sssp_many(_flat_for(graph), sources)
+        csr_rows = CSRBackend().sssp_many(_flat_for(graph), sources)
         for a, b in zip(heap_rows, csr_rows):
             assert list(a) == list(b)
 
@@ -164,8 +160,8 @@ class TestPruneFlagRecovery:
 
     def test_zero_weight_ties_are_rejected(self):
         """Zero-weight ties make the heap's flags settle-order dependent, so
-        the distance-derived recovery refuses them (the csr backend routes
-        such snapshots to the heap search instead)."""
+        the reference worklist refuses them (the csr backend routes such
+        snapshots to the heap search instead)."""
         edges = [
             (0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.0), (3, 4, 0.0),
             (0, 5, 1.0), (5, 2, 0.0), (4, 6, 2.0), (0, 6, 3.0),
@@ -244,11 +240,10 @@ class TestPruneFlagTable:
 
 
 class TestBatchedRouteGolden:
-    """The batched flag pass, forced onto every snapshot the csr backend
-    searches, reproduces the golden build and relabel digests (the shipped
-    size threshold sends only the largest golden snapshots through it).
-    Builds run every node alone, so no snapshot skips the flag pass for
-    the stacked rounds."""
+    """The batched flag pass, run on every snapshot the csr backend
+    searches, reproduces the golden build and relabel digests.  Builds run
+    every node alone, so no snapshot skips the flag pass for the stacked
+    rounds."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_build_matches_golden(self, case, monkeypatch):
@@ -313,7 +308,7 @@ class TestBackendSelection:
         assert resolve_backend("dial").name == "dial"
         assert resolve_backend("auto").name == "csr"
         assert resolve_backend(None).name == "csr"
-        instance = CSRBackend(min_vertices=7)
+        instance = CSRBackend()
         assert resolve_backend(instance) is instance
 
     def test_unknown_names_rejected(self):

@@ -203,16 +203,15 @@ class TestPruneRouteFuzz:
     """Every prune-flag route builds and relabels the heap search's labels.
 
     The flags are reachability in each root's shortest-path DAG, so the
-    per-root worklist and the batched pass over all of a node's roots must
-    agree bit for bit.  The csr backend runs every snapshot here (no
-    tiny-snapshot delegation, and every build node alone rather than in
-    stacked rounds), and each route is forced through the snapshot-size
-    threshold for a build and one scoped relabel.
+    per-root reference worklist and the production batched pass over all
+    of a node's roots must agree bit for bit.  The csr backend runs every
+    snapshot here (every build node alone rather than in stacked rounds),
+    and each route stands in for the flag pass for a build and one scoped
+    relabel.
     """
 
     def test_prune_routes_same_labels(self, case, monkeypatch):
         from helpers import PRUNE_ROUTES, force_prune_route, force_stack_route
-        from repro.core.backends import resolve_backend
         from repro.core.dynamic import relabel
 
         graph = _fuzz_graph(case, seed=1)
@@ -225,7 +224,6 @@ class TestPruneRouteFuzz:
         new_graph = graph.reweighted(changed)
         built = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         relabelled = relabel(built, new_graph, changed_edges=changed)
-        monkeypatch.setattr(resolve_backend("csr"), "min_vertices", 0)
         force_stack_route(monkeypatch, "per-node")
         for route in PRUNE_ROUTES:
             force_prune_route(monkeypatch, route)

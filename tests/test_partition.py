@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from oracles import (
     adjacency_of,
+    components_of_adjacency,
     cut_distance_block,
     dijkstra_adjacency,
     is_distance_preserving,
     separates,
 )
-from repro.core.backends import HeapBackend
+from repro.core.backends import CSRBackend, HeapBackend
 from repro.core.construction import root_snapshot
+from repro.core.flat_build import SnapshotStack
 from repro.graph.builders import graph_from_edges, grid_graph, path_graph
 from repro.graph.graph import Graph
-from repro.partition.cut import balanced_cut
-from repro.partition.partition import _farthest_dense, balanced_partition
+from repro.partition.cut import _assign_components, balanced_cut, component_sides
+from repro.partition.partition import _farthest_dense, balanced_partition, component_labels
 from repro.partition.shortcuts import (
     Shortcut,
     border_vertices,
@@ -173,6 +176,108 @@ class TestBalancedCut:
         result = BalancedCutResult(part_a=[1, 2, 3], cut=[0], part_b=[4, 5, 6])
         assert result.balance() == pytest.approx(0.5)
         assert BalancedCutResult([], [], []).balance() == 1.0
+
+
+#: (name, blocks): each block is ``(edges, vertex count, cut)``.  One
+#: block is a single snapshot, two are a stack of them.
+COMPONENT_TABLE = [
+    # zero-weight edges connect: scipy would drop them as explicit zeros
+    ("zero-weight-edges", [(
+        [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.0), (3, 4, 0.0), (4, 5, 2.0), (6, 7, 0.0)],
+        8, [3],
+    )]),
+    # cutting a star's centre leaves every leaf alone; equal sizes
+    # alternate sides by smallest member
+    ("cut-leaves-singletons", [(
+        [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)], 5, [0],
+    )]),
+    ("empty-keep", [([(0, 1, 1.0), (1, 2, 1.0)], 3, [0, 1, 2])]),
+    # no arc joins two blocks, so neither block's components leak
+    ("two-block-stack", [
+        ([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], 5, [2]),
+        ([(0, 1, 0.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0), (5, 6, 1.0)], 7, [4]),
+    ]),
+]
+
+
+def _reference_sides(components):
+    """Lines 13-15 of Algorithm 2, one component at a time."""
+    part_a, part_b = [], []
+    for component in sorted(components, key=lambda c: (-len(c), c[0])):
+        (part_b if len(part_a) > len(part_b) else part_a).extend(component)
+    return sorted(part_a), sorted(part_b)
+
+
+class TestComponentScanTable:
+    """Known answers for the one component scan (``component_labels``) and
+    the sides it hands Algorithm 2, against ``components_of_adjacency``."""
+
+    @pytest.mark.parametrize(
+        "blocks", [row[1] for row in COMPONENT_TABLE], ids=[row[0] for row in COMPONENT_TABLE]
+    )
+    def test_scan(self, blocks):
+        flats = [root_snapshot(graph_from_edges(edges, num_vertices=n)) for edges, n, _ in blocks]
+        stack = SnapshotStack.of(flats)
+        keep = np.ones(len(stack.vertex_ids), dtype=bool)
+        expected, expected_sides = [], []
+        for flat, (_, _, cut), base in zip(flats, blocks, stack.offsets.tolist()):
+            keep[[base + flat.dense_id[v] for v in cut]] = False
+            adjacency = {
+                v: {w: x for w, x in neighbours.items() if w not in cut}
+                for v, neighbours in adjacency_of(flat).items()
+                if v not in cut
+            }
+            components = components_of_adjacency(adjacency)
+            expected += [[base + flat.dense_id[v] for v in c] for c in components]
+            expected_sides.append(_reference_sides(components))
+
+        labels, first = component_labels(stack.tails(), stack.indices, keep)
+        groups = [np.flatnonzero(labels == c).tolist() for c in range(len(first))]
+        assert groups == expected
+        assert first.tolist() == [c[0] for c in expected]
+        assert (labels[~keep] == -1).all()
+
+        parts, size_a, size_b = component_sides(
+            stack.tails(), stack.indices, keep, stack.block_of(), len(flats)
+        )
+        for i, (part_a, part_b) in enumerate(expected_sides):
+            ids = stack.vertex_ids[stack.offsets[i]:stack.offsets[i + 1]]
+            block_parts = parts[stack.offsets[i]:stack.offsets[i + 1]]
+            assert ids[block_parts == 0].tolist() == part_a
+            assert ids[block_parts == 1].tolist() == part_b
+            assert (size_a[i], size_b[i]) == (len(part_a), len(part_b))
+        if len(flats) == 1:
+            # the per-node cut: a stack of one block
+            cut = blocks[0][2]
+            result = _assign_components(flats[0], cut)
+            assert (result.part_a, result.cut, result.part_b) == (
+                expected_sides[0][0], sorted(cut), expected_sides[0][1]
+            )
+
+    @pytest.mark.parametrize("beta", [0.3, 0.4])
+    def test_disconnected_partition(self, beta):
+        # components {0..5} (0 hangs on a zero-weight edge), {6, 7}, {8}
+        edges = [
+            (0, 1, 0.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (1, 5, 1.0),
+            (6, 7, 1.0),
+        ]
+        flat = root_snapshot(graph_from_edges(edges, num_vertices=9))
+        largest, second, third = components_of_adjacency(adjacency_of(flat))
+        assert (largest, second, third) == ([0, 1, 2, 3, 4, 5], [6, 7], [8])
+        heap = balanced_partition(flat, beta, backend=HeapBackend())
+        csr = balanced_partition(flat, beta, backend=CSRBackend())
+        assert (heap.initial_a, heap.cut_region, heap.initial_b) == (
+            csr.initial_a, csr.cut_region, csr.initial_b
+        )
+        if len(largest) > (1.0 - beta) * 9:
+            # beta 0.4: the largest is split inside, the rest join the cut
+            inner = balanced_partition(flat.induce(largest), beta, backend=HeapBackend())
+            assert (heap.initial_a, heap.cut_region, heap.initial_b) == (
+                inner.initial_a, sorted(inner.cut_region + second + third), inner.initial_b
+            )
+        else:
+            # beta 0.3: the two largest components are the initial partitions
+            assert (heap.initial_a, heap.cut_region, heap.initial_b) == (largest, third, second)
 
 
 class TestShortcuts:

@@ -5,7 +5,7 @@ labels, the shard boundaries - so a backend that produced a *different*
 (even if valid) cut would silently change the whole index.  These tests
 pin down bit-identical cuts across
 
-* the ``heap`` and ``csr`` backends (seed searches, component scans),
+* the ``heap`` and ``csr`` backends (seed searches),
 * the production scipy max-flow of ``minimum_vertex_cut_region``, called
   on one region alone and with the region stacked among others in one
   ``minimum_vertex_cut_regions`` solve, against both reference solvers
@@ -101,7 +101,7 @@ class TestCutBackendEquality:
     def test_heap_and_csr_cuts_are_identical(self, seed):
         flat = _seeded_snapshot(seed)
         reference = balanced_cut(flat, backend=HeapBackend())
-        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
+        fast = balanced_cut(flat, backend=CSRBackend())
         assert reference.part_a == fast.part_a
         assert reference.cut == fast.cut
         assert reference.part_b == fast.part_b
@@ -113,7 +113,7 @@ class TestCutBackendEquality:
         )
         flat = root_snapshot(network.distance_graph)
         reference = balanced_cut(flat, backend=HeapBackend())
-        fast = balanced_cut(flat, backend=CSRBackend(min_vertices=0))
+        fast = balanced_cut(flat, backend=CSRBackend())
         assert (reference.part_a, reference.cut, reference.part_b) == (
             fast.part_a,
             fast.cut,
@@ -124,7 +124,7 @@ class TestCutBackendEquality:
     def test_partition_backend_equality(self, seed):
         flat = _seeded_snapshot(seed, n_lo=20, n_hi=80)
         a = balanced_partition(flat, backend=HeapBackend())
-        b = balanced_partition(flat, backend=CSRBackend(min_vertices=0))
+        b = balanced_partition(flat, backend=CSRBackend())
         assert a.initial_a == b.initial_a
         assert a.cut_region == b.cut_region
         assert a.initial_b == b.initial_b
