@@ -377,6 +377,28 @@ class CSRBackend(ShortestPathBackend):
             len(sources), len(flat.vertices)
         )
 
+    def cached_rows(
+        self, flat: FlatWorkingGraph, sources: Sequence[int]
+    ) -> Optional[List[np.ndarray]]:
+        """The snapshot's cached distance rows from ``sources``, ``None`` if one is missing.
+
+        The rows are the cache's own arrays, not copies: a relabel keeps
+        them for the next one (:class:`~repro.core.flat_build.KeptRows`).
+        """
+        cache = flat.cache.get(self._ARRAY_CACHE)
+        if not cache:
+            return None
+        rows = [cache.get(int(s)) for s in sources]
+        return None if any(row is None for row in rows) else rows
+
+    def seed_rows(
+        self, flat: FlatWorkingGraph, sources: Sequence[int], rows: Sequence[np.ndarray]
+    ) -> None:
+        """Put known distance rows in the snapshot's cache: searches from ``sources`` are skipped."""
+        cache: Dict[int, np.ndarray] = flat.cache.setdefault(self._ARRAY_CACHE, {})  # type: ignore[assignment]
+        for source, row in zip(sources, rows):
+            cache[int(source)] = row
+
 
 def distance_rounds(
     indptr: np.ndarray,
@@ -396,7 +418,10 @@ def distance_rounds(
     The stacked label and shortcut passes of
     :mod:`repro.core.flat_build` search many small snapshots this way,
     one scipy call per round instead of one per snapshot.  Weights must
-    be strictly positive (scipy drops explicit zeros).
+    be strictly positive: scipy keeps explicit zeros as arcs, but with
+    zero-weight ties the Algorithm 4 flags derived from these rows would
+    depend on the order a search settles tied vertices in, which only
+    the heap search pins down.
     """
     n = len(indptr) - 1
     block = np.empty((len(rounds), n), dtype=np.float64)

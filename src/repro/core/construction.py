@@ -32,7 +32,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.backends import BackendSpec, ShortestPathBackend, resolve_backend
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.flat_build import ChildRecord, RelabelRecord, SubtreeResult, build_subtree
+from repro.core.flat_build import (
+    ChildRecord,
+    KeptRows,
+    RelabelRecord,
+    SubtreeResult,
+    build_subtree,
+)
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
 from repro.utils.timer import Timer
@@ -102,6 +108,7 @@ def graft_subtree(
     side: Optional[str],
     record: Optional[RelabelRecord] = None,
     entry: Optional[ChildRecord] = None,
+    rows: Optional[KeptRows] = None,
 ) -> None:
     """Append a built subtree's nodes to ``hierarchy`` and fold in its stats.
 
@@ -110,7 +117,8 @@ def graft_subtree(
     ``hierarchy`` directly.  ``parent`` / ``side`` place the subtree root
     (``None`` for the hierarchy root).  When ``record`` is given (one
     entry per node already in ``hierarchy``) it is extended the same way,
-    with ``entry`` as the subtree root's :class:`ChildRecord`.
+    with ``entry`` as the subtree root's :class:`ChildRecord`.  ``rows``,
+    when given, takes the subtree's kept rows under the global indices.
     """
     local_to_global: List[int] = []
     for i in range(len(result.depths)):
@@ -132,6 +140,9 @@ def graft_subtree(
     if record is not None:
         record.append(entry)
         record.extend(result.records[1:])
+    if rows is not None:
+        for kept, found in ((rows.labels, result.rows.labels), (rows.borders, result.rows.borders)):
+            kept.update((local_to_global[i], block) for i, block in found.items())
     stats.num_nodes += len(result.depths)
     stats.num_leaves += result.num_leaves
     stats.num_empty_cuts += result.num_empty_cuts
@@ -186,14 +197,19 @@ class HC2LBuilder:
 
     # ------------------------------------------------------------------ #
     def build(
-        self, graph: Graph, record: Optional[RelabelRecord] = None
+        self,
+        graph: Graph,
+        record: Optional[RelabelRecord] = None,
+        rows: Optional[KeptRows] = None,
     ) -> Tuple[BalancedTreeHierarchy, FlatLabelling, ConstructionStats]:
         """Build hierarchy + labelling for ``graph`` (over all its vertices).
 
         The labels come back as a :class:`~repro.core.flat.FlatLabelling`
         in vertex-id order.  An empty ``record`` list, when given, receives
         every hierarchy node's :class:`~repro.core.flat_build.ChildRecord`
-        (what :func:`repro.core.dynamic.relabel` reads its old side from).
+        (what :func:`repro.core.dynamic.relabel` reads its old side from),
+        and an empty ``rows`` the top nodes' distance rows a ``csr``
+        build kept (untrimmed; see :meth:`~repro.core.flat_build.KeptRows.trim`).
         """
         stats = ConstructionStats()
         hierarchy = BalancedTreeHierarchy(graph.num_vertices)
@@ -201,11 +217,13 @@ class HC2LBuilder:
             return hierarchy, FlatLabelling.concat([]), stats
         with stats.timer.measure("snapshot"):
             root = root_snapshot(graph)
-        result = self._build_subtree(root, 0, 0)
-        graft_subtree(hierarchy, stats, result, None, None, record)
+        result = self._build_subtree(root, 0, 0, keep_rows=rows is not None)
+        graft_subtree(hierarchy, stats, result, None, None, record, rows=rows)
         return hierarchy, result.labels, stats
 
-    def _build_subtree(self, flat: FlatWorkingGraph, depth: int, bits: int) -> SubtreeResult:
+    def _build_subtree(
+        self, flat: FlatWorkingGraph, depth: int, bits: int, keep_rows: bool = False
+    ) -> SubtreeResult:
         """Run the construction recursion below ``flat`` in this process."""
         return build_subtree(
             flat,
@@ -216,4 +234,5 @@ class HC2LBuilder:
             tail_pruning=self.tail_pruning,
             max_depth=self.max_depth,
             backend=self.backend,
+            keep_rows=keep_rows,
         )

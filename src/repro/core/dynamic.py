@@ -42,6 +42,28 @@ only - it is not label storage, is not counted in ``index_size_bytes``
 and is never archived - so an index loaded from disk has none, and its
 first relabel runs the full pass, which writes one.
 
+The index also keeps the full distance rows of its top nodes
+(:attr:`~repro.core.index.HC2LIndex.relabel_rows`, a
+:class:`~repro.core.flat_build.KeptRows`): the root's rows from each of
+its cut vertices over its snapshot, and each of its children's rows from
+every border but the last over the child's region, the rows Algorithm 3
+searched.  A ``csr`` build leaves them in its snapshot caches, so keeping
+them costs no search; the blocks are kept root first within a budget of
+the label store's bytes (6.3 MB of 6.8 MB on ``query-float``).  A scoped
+relabel moves them out of the old index and, where a recomputed node's
+old and new snapshots share their arcs, patches each row from the changed
+weights (:mod:`repro.core.row_patch`) into the new snapshot's row cache
+before the node's searches run, so those searches find them and only a
+row that settles past the patch budget is searched again.  Ranking,
+flags, tail pruning and shortcuts read the same rows as before, so the
+labels are unchanged.  The rows are a cache, and without them a relabel
+searches: an index that was loaded or built by process workers has
+none, nor has one whose rows an earlier relabel took (the new index holds
+them), and a node searches its rows when its snapshot
+has a zero-weight arc, its shortcut set changed or a crossing shortcut
+extended its hubs.  ``relabel_rows_patched``, ``relabel_rows_searched``
+and ``relabel_block_bytes`` in the new index's ``extra`` count them.
+
 Topology changes (adding or removing edges/vertices) are out of scope, as
 in the paper; :class:`DynamicHC2LIndex` raises for them and a full rebuild
 is required.
@@ -56,12 +78,21 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import ShortestPathBackend, resolve_backend
+from repro.core.backends import CSRBackend, ShortestPathBackend, resolve_backend
 from repro.core.construction import ConstructionStats, root_snapshot
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
-from repro.core.flat_build import ChildRecord, RelabelRecord, label_node, shortcut_child
-from repro.core.index import HC2LIndex, HC2LParameters, _identity_contraction
+from repro.core.flat_build import (
+    ChildRecord,
+    KeptRows,
+    RelabelRecord,
+    RowBlock,
+    label_node,
+    shortcut_child,
+)
+from repro.core.index import HC2LIndex, HC2LParameters, _identity_contraction, label_store_bytes
 from repro.core.labelling import LevelPiece, level_piece, pack_levels
+from repro.core.pruned_dijkstra import has_zero_weight
+from repro.core.row_patch import patch_rows
 from repro.graph.contraction import ContractedGraph
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy, TreeNode
@@ -138,7 +169,11 @@ def relabel(
         and index.relabel_record is not None
         and _scoping_pays(hierarchy, core_changes)
     )
-    walk = _RelabelWalk(index, resolve_backend(getattr(index.parameters, "backend", "auto")), scoped)
+    # the kept rows move to the new index: patched in place, never copied
+    rows, index.relabel_rows = index.relabel_rows, None
+    walk = _RelabelWalk(
+        index, resolve_backend(getattr(index.parameters, "backend", "auto")), scoped, rows
+    )
     with walk.stats.timer.measure("snapshot"):
         # a reweighted core holds its parent's CSR with the changed arcs
         # patched, and its parent keeps the CSR it was derived from, so
@@ -156,16 +191,25 @@ def relabel(
             "relabel_nodes_recomputed": float(walk.recomputed),
             "relabel_nodes_spliced": float(walk.spliced),
         }
+    labels = walk.labels()
+    if rows is not None:
+        rows.trim(walk.hierarchy.nodes, label_store_bytes(labels, contraction))
+    extra.update(
+        relabel_rows_patched=float(walk.rows_patched),
+        relabel_rows_searched=float(walk.rows_searched),
+        relabel_block_bytes=float(rows.nbytes if rows is not None else 0),
+    )
     return HC2LIndex(
         graph=new_graph,
         parameters=index.parameters,
         contraction=contraction,
         hierarchy=walk.hierarchy,
-        flat=walk.labels(),
+        flat=labels,
         stats=walk.stats,
         construction_seconds=time.perf_counter() - start,
         extra=extra,
         relabel_record=walk.record,
+        relabel_rows=rows,
     )
 
 
@@ -340,10 +384,25 @@ class _RelabelWalk:
     subtree keeps its old levels below them.  :attr:`record` starts as
     the old record (a spliced subtree keeps its entries) and every
     recomputed node writes its children's entries.
+
+    :attr:`rows` are the old index's kept rows, taken over the same way:
+    a spliced subtree keeps its blocks, and a recomputed node's blocks are
+    patched from the old snapshot's weights (:meth:`_patch`) or refreshed
+    from its searches (:meth:`_keep`).
     """
 
-    def __init__(self, index: HC2LIndex, backend: ShortestPathBackend, scoped: bool) -> None:
+    def __init__(
+        self,
+        index: HC2LIndex,
+        backend: ShortestPathBackend,
+        scoped: bool,
+        rows: Optional[KeptRows],
+    ) -> None:
         self.old_hierarchy = index.hierarchy
+        # every subtree is one range of the hierarchy's DFS order
+        position = np.asarray(index.hierarchy.subtree_ranges(), dtype=np.int64)
+        self.dfs_order = np.empty_like(position)
+        self.dfs_order[position] = np.arange(len(position), dtype=np.int64)
         self.old_labels = index.flat_labelling()
         self.old_record: Optional[RelabelRecord] = index.relabel_record if scoped else None
         self.record: RelabelRecord = (
@@ -353,6 +412,9 @@ class _RelabelWalk:
         self.hierarchy = _copy_hierarchy_structure(index.hierarchy)
         self.tail_pruning = index.parameters.tail_pruning
         self.backend = backend
+        self.rows = rows
+        self.rows_patched = 0
+        self.rows_searched = 0
         self.stats = ConstructionStats()
         #: the recomputed nodes' levels; a vertex keeps its old levels
         #: below the recomputed ones
@@ -389,16 +451,13 @@ class _RelabelWalk:
         The node's distance block dies on return, before the walk descends.
         """
         stats, backend = self.stats, self.backend
-        # each child's region as one array: mapped to dense ids four times
-        # below, which a large snapshot does by one search per call
-        children = [
-            (
-                self.old_hierarchy.nodes[i],
-                np.asarray(self.old_hierarchy.subtree_vertices(i), dtype=np.int64),
-            )
-            for i in (node.left, node.right)
-            if i is not None
-        ]
+        children = []
+        for i in (node.left, node.right):
+            if i is not None:
+                child_node = self.old_hierarchy.nodes[i]
+                children.append(
+                    (child_node, self.dfs_order[child_node.range_lo : child_node.range_hi])
+                )
         extension = _crossing_extension(new, children)
         # Cut-crossing shortcuts void the premise of the splice test - the
         # child snapshots then also depend on the extension hubs'
@@ -408,6 +467,8 @@ class _RelabelWalk:
         # compare.
         if old is not None and (extension or _crossing_extension(old, children)):
             old = None
+        labels = None if self.rows is None else self.rows.labels
+        patched = self._patch(labels, node.index, old, new)
         # Tail truncation would give the extension entries (appended below)
         # different positions in different vertices' arrays, breaking the
         # min-plus prefix alignment, so it is disabled on affected nodes.
@@ -418,6 +479,7 @@ class _RelabelWalk:
             backend=backend,
             timer=stats.timer,
         )
+        self._keep(labels, node.index, new, np.sort(new.dense_ids(node.cut)), patched)
         if extension:
             # every array is whole here, so the extension hubs' rows extend
             # them all at the same positions
@@ -440,10 +502,11 @@ class _RelabelWalk:
             rank = {v: i for i, v in enumerate(ranking.ordered)}
             old_rows = [rank[v] for v in node.cut]
         walk = []
+        kept_borders = None if self.rows is None else self.rows.borders
         for child_node, part in children:
             within = new.induce(part)
             borders = border_vertices(new, part, hubs)
-            old_child = None
+            old_child = old_within = None
             if old is not None:
                 entry = self.old_record[child_node.index]
                 at_borders = hub_distances[:, new.dense_ids(borders)]
@@ -464,6 +527,7 @@ class _RelabelWalk:
                     self._splice(child_node)
                     continue
                 old_child = old_within.overlay_shortcuts(entry.shortcuts)
+            patched = self._patch(kept_borders, child_node.index, old_within, within)
             child, record = shortcut_child(
                 new,
                 hubs,
@@ -474,10 +538,69 @@ class _RelabelWalk:
                 within=within,
                 borders=borders,
             )
+            self._keep(
+                kept_borders, child_node.index, within, within.dense_ids(borders[:-1]), patched
+            )
             self.record[child_node.index] = record
             stats.num_shortcuts += len(record.shortcuts)
             walk.append((child_node, child, old_child))
         return walk
+
+    def _patch(
+        self,
+        store: Optional[Dict[int, RowBlock]],
+        key: int,
+        old: Optional[FlatWorkingGraph],
+        new: FlatWorkingGraph,
+    ) -> int:
+        """Patch ``store[key]``'s rows to ``new``'s weights and seed ``new``'s row cache.
+
+        Runs when the old snapshot is known and has ``new``'s structure
+        (the same ``indptr``/``indices``) and ``csr`` searches ``new``:
+        then the rows are over ``old`` and differ from ``new``'s only
+        through the changed weights (:func:`~repro.core.row_patch.patch_rows`).
+        The rows it patches go into the cache, so the node's searches
+        skip them; the rest are searched as before.  Returns how many
+        rows were patched.
+        """
+        block = None if store is None else store.get(key)
+        if (
+            block is None
+            or old is None
+            or not isinstance(self.backend, CSRBackend)
+            or has_zero_weight(new)
+            or not _same_structure(old, new)
+        ):
+            return 0
+        done = patch_rows(old, new.csr_arrays()[2], block.rows) >= 0
+        self.backend.seed_rows(
+            new, block.sources[done], [row for row, ok in zip(block.rows, done) if ok]
+        )
+        return int(done.sum())
+
+    def _keep(
+        self,
+        store: Optional[Dict[int, RowBlock]],
+        key: int,
+        flat: FlatWorkingGraph,
+        sources: Sequence[int],
+        patched: int,
+    ) -> None:
+        """Refresh ``store[key]`` from ``flat``'s row cache after its searches.
+
+        The block then holds the rows of the new weights: the patched
+        rows themselves and the searched ones.  A block whose rows the
+        backend left in no cache is dropped.
+        """
+        if store is None or key not in store:
+            return
+        block = RowBlock.cached(self.backend, flat, sources)
+        if block is None:
+            del store[key]
+            return
+        store[key] = block
+        self.rows_patched += patched
+        self.rows_searched += len(block.rows) - patched
 
     def _splice(self, node: TreeNode) -> None:
         """Keep the old levels of the subtree rooted at ``node`` verbatim.
@@ -499,6 +622,11 @@ class _RelabelWalk:
             for child_index in (current.left, current.right):
                 if child_index is not None:
                     stack.append(child_index)
+
+
+def _same_structure(a: FlatWorkingGraph, b: FlatWorkingGraph) -> bool:
+    """Whether two snapshots have the same arcs in the same order (weights aside)."""
+    return all(np.array_equal(x, y) for x, y in zip(a.csr_arrays()[:2], b.csr_arrays()[:2]))
 
 
 def _same_edges(a: FlatWorkingGraph, b: FlatWorkingGraph) -> bool:

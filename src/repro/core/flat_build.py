@@ -111,6 +111,13 @@ _STACKED_MAX_VERTICES = 256
 #: stacked shortcut pass may hold (:func:`_stacked_pairs`).
 _STACKED_PAIR_CELLS = 1 << 20
 
+#: With ``keep_rows``, :func:`build_subtree` keeps the rows of the nodes
+#: at most this many levels below the subtree root.  Which deeper blocks
+#: fit the byte budget (:meth:`KeptRows.trim`) is known only once the
+#: labels are, and holding them all that long leaves the heap that much
+#: larger after they are freed.
+_KEPT_ROWS_DEPTH = 0
+
 
 @dataclass(slots=True)
 class ChildRecord:
@@ -138,6 +145,67 @@ class ChildRecord:
 RelabelRecord = List[Optional[ChildRecord]]
 
 
+class RowBlock(NamedTuple):
+    """Full distance rows from some vertices of one snapshot."""
+
+    #: the sources' dense ids in the snapshot
+    sources: np.ndarray
+    #: one float64 row per source over every snapshot vertex
+    rows: List[np.ndarray]
+
+    @classmethod
+    def cached(
+        cls, backend: ShortestPathBackend, flat: FlatWorkingGraph, sources: Sequence[int]
+    ) -> Optional["RowBlock"]:
+        """The rows a ``csr`` search left in ``flat``'s cache, ``None`` if any is missing."""
+        if not isinstance(backend, CSRBackend) or not len(sources):
+            return None
+        rows = backend.cached_rows(flat, sources)
+        return None if rows is None else cls(np.asarray(sources, dtype=np.int64), rows)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(row.nbytes for row in self.rows)
+
+
+@dataclass
+class KeptRows:
+    """The full distance rows of the top hierarchy nodes, for the next relabel.
+
+    ``labels[i]`` holds node ``i``'s rows from each of its cut vertices
+    over its snapshot (sources ascending); ``borders[i]`` holds node
+    ``i``'s rows from all but the last of its borders over its region as
+    induced from the parent's snapshot, before any shortcut - the rows
+    Algorithm 3 searched.  A ``csr`` search leaves every one of them in a
+    snapshot's row cache, so keeping them costs no search.
+    :meth:`trim` keeps the top of the hierarchy, root first, within a
+    byte budget.
+    """
+
+    labels: Dict[int, RowBlock] = field(default_factory=dict)
+    borders: Dict[int, RowBlock] = field(default_factory=dict)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for store in (self.labels, self.borders) for block in store.values())
+
+    def trim(self, nodes: Sequence, budget: int) -> None:
+        """Keep the longest root-first run of blocks that fits in ``budget`` bytes.
+
+        The order is breadth first (depth, then left to right); each
+        node's label rows come before its children's border rows.
+        """
+        items = [(nodes[i].depth, nodes[i].bits, 0, i, self.labels) for i in self.labels]
+        for i in self.borders:
+            parent = nodes[nodes[i].parent]
+            items.append((parent.depth, parent.bits, 1 + (nodes[i].bits & 1), i, self.borders))
+        used = 0
+        for *_, i, store in sorted(items, key=lambda item: item[:4]):
+            used += store[i].nbytes
+            if used > budget:
+                del store[i]
+
+
 @dataclass
 class NodeStep:
     """Everything one construction node produces, before recursing.
@@ -154,6 +222,10 @@ class NodeStep:
     #: wall-clock seconds the balanced cut took (0.0 for leaves); feeds
     #: the per-node cut-vs-label timing split in ConstructionStats
     seconds_cut: float = 0.0
+    #: with ``keep_rows``: the node's cut rows and each child's border
+    #: rows (:class:`KeptRows`), where a ``csr`` search left them
+    label_rows: Optional[RowBlock] = None
+    border_rows: List[Optional[RowBlock]] = field(default_factory=list)
 
 
 def label_node(
@@ -225,12 +297,14 @@ def node_step(
     max_depth: int,
     backend: ShortestPathBackend,
     timer: Timer,
+    keep_rows: bool = False,
 ) -> NodeStep:
     """Run one node of the interleaved construction over a CSR snapshot.
 
     Cut the subgraph, then :func:`label_node` and, unless the node is a
     leaf, one :func:`shortcut_child` per side - no recursion.  The node's
-    distance block dies here; its level leaves as a compact piece.
+    distance block dies here; its level leaves as a compact piece.  With
+    ``keep_rows`` the searches' rows leave with the step.
     """
     cut_result, seconds_cut = _cut_node(
         flat, depth, beta=beta, leaf_size=leaf_size, max_depth=max_depth,
@@ -240,20 +314,29 @@ def node_step(
     ranking, lengths, cut_distances = label_node(
         flat, cut, tail_pruning=tail_pruning, backend=backend, timer=timer
     )
-    children: List[Tuple[FlatWorkingGraph, str, int, ChildRecord]] = []
-    if cut_result is not None:
-        for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
-            child, record = shortcut_child(
-                flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer
-            )
-            children.append((child, side, bit, record))
-    return NodeStep(
+    step = NodeStep(
         ranking=ranking,
         level=level_piece(flat.vertices, depth, lengths, cut_distances),
         is_leaf=cut_result is None,
-        children=children,
+        children=[],
         seconds_cut=seconds_cut,
     )
+    if keep_rows:
+        step.label_rows = RowBlock.cached(backend, flat, np.sort(flat.dense_ids(cut)))
+    if cut_result is not None:
+        for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
+            with timer.measure("snapshot"):
+                within = flat.induce(part)
+            child, record = shortcut_child(
+                flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer,
+                within=within,
+            )
+            step.children.append((child, side, bit, record))
+            if keep_rows:
+                step.border_rows.append(
+                    RowBlock.cached(backend, within, within.dense_ids(record.borders[:-1]))
+                )
+    return step
 
 
 def _cut_node(
@@ -644,8 +727,10 @@ def stacked_children(
         num_borders = np.bincount(border_child, minlength=len(present))
         border_start = np.cumsum(num_borders) - num_borders
         border_row = np.arange(len(border_local), dtype=np.int64) - border_start[border_child]
-        searched = num_borders[border_child] >= 2
-        num_rows = int(num_borders.max()) if searched.any() else 0
+        # every border but each child's last: the pair test reads the
+        # search from border i at border j for i < j only
+        searched = border_row < num_borders[border_child] - 1
+        num_rows = int(num_borders.max()) - 1 if searched.any() else 0
         rounds = [border_local[searched & (border_row == r)] for r in range(num_rows)]
         in_child = distance_rounds(induced_indptr, arc_head, arc_weight, rounds)
 
@@ -706,7 +791,8 @@ def _stacked_pairs(
     Child ``c`` (of block ``child_block[c]``) has ``num_borders[c]``
     borders, the induced-stack ids ``border_local[border_start[c]:]``;
     ``in_child[r]`` holds every child's distances from its ``r``-th
-    border.  Children with the same border count ``k`` go through
+    border, for all but its last border.  Children with the same border
+    count ``k`` go through
     :func:`~repro.partition.shortcuts.nonredundant_pairs_batch` together,
     their cut distances padded to the largest cut with ``inf`` rows.
     Returns ``(child, i, j, weight)`` arrays sorted by child, each child's
@@ -723,7 +809,8 @@ def _stacked_pairs(
         # bound each pass's (children x k x k) scratch
         for chunk in np.array_split(group, -(-len(group) * k * k // _STACKED_PAIR_CELLS)):
             columns = border_local[border_start[chunk][:, None] + np.arange(k)]
-            inside = in_child[np.arange(k)[None, :, None], columns[:, None, :]]
+            inside = np.full((len(chunk), k, k), np.inf)
+            inside[:, :-1] = in_child[np.arange(k - 1)[None, :, None], columns[:, None, :]]
             blocks = child_block[chunk]
             at_borders = levels.block[hub_rows[blocks][:, :, None], order[columns][:, None, :]]
             at_borders[~has_hub[blocks]] = np.inf
@@ -801,7 +888,9 @@ class SubtreeResult:
     depth down, in the order of the input snapshot's ``vertices``.
     ``records`` holds each node's :class:`ChildRecord` in the same
     preorder; the subtree root's is ``None`` (its parent's step made it,
-    and the caller holds it).
+    and the caller holds it).  ``rows`` holds the :class:`KeptRows`
+    blocks under preorder indices (none unless the subtree was built
+    with ``keep_rows``).
     """
 
     depths: List[int]
@@ -813,6 +902,7 @@ class SubtreeResult:
     cuts: List[List[int]]
     labels: FlatLabelling
     records: RelabelRecord
+    rows: KeptRows
     num_leaves: int
     num_empty_cuts: int
     num_shortcuts: int
@@ -833,6 +923,8 @@ class _Node:
     record: Optional[ChildRecord]
     size: int
     is_leaf: bool = False
+    label_rows: Optional[RowBlock] = None
+    border_rows: Optional[RowBlock] = None
     cut: List[int] = field(default_factory=list)
     level: Optional[LevelPiece] = None
     #: ``(seconds, seconds_cut)`` of the node's own work
@@ -850,6 +942,7 @@ def build_subtree(
     tail_pruning: bool,
     max_depth: int,
     backend: BackendSpec = None,
+    keep_rows: bool = False,
 ) -> SubtreeResult:
     """Build the whole hierarchy subtree rooted at ``flat``.
 
@@ -867,7 +960,10 @@ def build_subtree(
     Accumulates node records and the nodes' level pieces locally; the
     caller (the serial builder, a worker process or the parallel
     builder's inline path) grafts the returned :class:`SubtreeResult`
-    into the global hierarchy.
+    into the global hierarchy.  With ``keep_rows`` the steps of the top
+    ``_KEPT_ROWS_DEPTH + 1`` levels also return their searches' rows
+    (:class:`KeptRows`): each node's cut rows and its children's border
+    rows, where a ``csr`` search left them in a snapshot's cache.
     """
     search = resolve_backend(backend)
     stacks = isinstance(search, CSRBackend)
@@ -900,17 +996,19 @@ def build_subtree(
             max_depth=max_depth,
             backend=search,
             timer=timer,
+            keep_rows=keep_rows and node.depth - depth <= _KEPT_ROWS_DEPTH,
         )
         node.is_leaf, node.cut, node.level = step.is_leaf, step.ranking.ordered, step.level
+        node.label_rows = step.label_rows
         node.timing = (time.perf_counter() - node_started, step.seconds_cut)
-        for child_flat, child_side, child_bit, child_record in step.children:
-            _build(
-                child_flat,
-                _add(
-                    child_flat, node.depth + 1, (node.bits << 1) | child_bit, index,
-                    child_side, child_record,
-                ),
+        for c, (child_flat, child_side, child_bit, child_record) in enumerate(step.children):
+            child = _add(
+                child_flat, node.depth + 1, (node.bits << 1) | child_bit, index,
+                child_side, child_record,
             )
+            if step.border_rows:
+                nodes[child].border_rows = step.border_rows[c]
+            _build(child_flat, child)
 
     if len(flat.vertices):
         limit = sys.getrecursionlimit()
@@ -1006,6 +1104,10 @@ def build_subtree(
         cuts=[node.cut for node in ordered_nodes],
         labels=fragment,
         records=[node.record for node in ordered_nodes],
+        rows=KeptRows(
+            {i: node.label_rows for i, node in enumerate(ordered_nodes) if node.label_rows is not None},
+            {i: node.border_rows for i, node in enumerate(ordered_nodes) if node.border_rows is not None},
+        ),
         num_leaves=sum(node.is_leaf for node in ordered_nodes),
         num_empty_cuts=sum(not node.is_leaf and not node.cut for node in ordered_nodes),
         num_shortcuts=sum(

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.construction import ConstructionStats, HC2LBuilder
 from repro.core.engine import QueryEngine
 from repro.core.flat import FlatLabelling
-from repro.core.flat_build import RelabelRecord
+from repro.core.flat_build import KeptRows, RelabelRecord
 from repro.graph.contraction import ContractedGraph, contract_degree_one
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
@@ -92,6 +92,11 @@ class HC2LParameters:
         check_backend_name(self.backend)
 
 
+def label_store_bytes(flat: FlatLabelling, contraction: ContractedGraph) -> int:
+    """:meth:`HC2LIndex.label_size_bytes` of an index with these labels."""
+    return flat.size_bytes() + contraction.num_contracted * 16
+
+
 def _identity_contraction(graph: Graph) -> ContractedGraph:
     """A no-op contraction mapping every vertex to itself."""
     n = graph.num_vertices
@@ -127,6 +132,7 @@ class HC2LIndex:
         construction_seconds: float = 0.0,
         extra: Optional[Dict[str, float]] = None,
         relabel_record: Optional[RelabelRecord] = None,
+        relabel_rows: Optional[KeptRows] = None,
     ) -> None:
         self.graph = graph
         self.parameters = parameters
@@ -141,6 +147,13 @@ class HC2LIndex:
         #: Kept in memory only - not label storage, never archived - so a
         #: loaded index has none and its first relabel is a full pass.
         self.relabel_record = relabel_record
+        #: the top hierarchy nodes' full distance rows
+        #: (:class:`~repro.core.flat_build.KeptRows`), which the next
+        #: scoped relabel patches instead of searching again; it takes
+        #: them (a second relabel of this index searches in full).  In
+        #: memory only, like the record, within a budget of
+        #: :meth:`index_size_bytes`
+        self.relabel_rows = relabel_rows
         #: the single authoritative copy of the labels (flat buffers)
         self._flat: FlatLabelling = flat
         self._engine: Optional[QueryEngine] = None
@@ -193,7 +206,9 @@ class HC2LIndex:
                 backend=parameters.backend,
             )
         record: RelabelRecord = []
-        hierarchy, flat, stats = builder.build(core, record)
+        rows = KeptRows()
+        hierarchy, flat, stats = builder.build(core, record, rows)
+        rows.trim(hierarchy.nodes, label_store_bytes(flat, contraction))
         elapsed = time.perf_counter() - start
         return cls(
             graph=graph,
@@ -204,6 +219,7 @@ class HC2LIndex:
             construction_seconds=elapsed,
             flat=flat,
             relabel_record=record,
+            relabel_rows=rows,
         )
 
     # ------------------------------------------------------------------ #
@@ -299,8 +315,7 @@ class HC2LIndex:
     # ------------------------------------------------------------------ #
     def label_size_bytes(self) -> int:
         """Size of the distance labelling, including contracted-vertex records."""
-        contracted_overhead = self.contraction.num_contracted * 16
-        return self._flat.size_bytes() + contracted_overhead
+        return label_store_bytes(self._flat, self.contraction)
 
     def lca_storage_bytes(self) -> int:
         """Size of the auxiliary structure needed for O(1) LCA queries."""

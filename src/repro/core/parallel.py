@@ -42,6 +42,7 @@ from repro.core.construction import (
 from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.flat_build import (
     ChildRecord,
+    KeptRows,
     RelabelRecord,
     SubtreeResult,
     build_subtree_payload,
@@ -84,17 +85,24 @@ class ParallelHC2LBuilder(HC2LBuilder):
         self.parallel_threshold = parallel_threshold
 
     # ------------------------------------------------------------------ #
-    def build(self, graph: Graph, record: Optional[RelabelRecord] = None):
+    def build(
+        self,
+        graph: Graph,
+        record: Optional[RelabelRecord] = None,
+        rows: Optional[KeptRows] = None,
+    ):
         """Build hierarchy + labelling using ``num_workers`` processes.
 
         Returns the labels as a :class:`~repro.core.flat.FlatLabelling` in
         vertex-id order and fills ``record``, exactly like
-        :meth:`HC2LBuilder.build`.
+        :meth:`HC2LBuilder.build`.  A pooled build keeps no rows: ``rows``
+        is filled only below the pool's threshold, where the serial
+        builder runs.
         """
         n_total = graph.num_vertices
         if n_total <= self.parallel_threshold:
             # below the pickling crossover a pool costs more than it saves
-            return super().build(graph, record)
+            return super().build(graph, record, rows)
         stats = ConstructionStats()
         hierarchy = BalancedTreeHierarchy(n_total)
         with stats.timer.measure("snapshot"):

@@ -114,14 +114,17 @@ def compute_shortcuts(
         return []
 
     # Lines 3-6: within-partition distances between border vertices: the
-    # backend searches from every border over the induced partition
-    # snapshot (one batched scipy call for all borders under csr).
-    # in_partition[i, j] is the search from borders[i] read at borders[j].
+    # backend searches from every border but the last over the induced
+    # partition snapshot (one batched scipy call under csr).
+    # in_partition[i, j] is the search from borders[i] read at borders[j];
+    # the pair test reads it for i < j only, so the last row is never
+    # read and stays inf.
     if within is None:
         within = flat.induce(partition)
     border_dense = within.dense_ids(borders)
-    rows = resolve_backend(backend).sssp_many(within, border_dense)
-    in_partition = np.asarray(rows, dtype=np.float64)[:, border_dense]
+    rows = resolve_backend(backend).sssp_many(within, border_dense[:-1])
+    in_partition = np.full((k, k), INF)
+    in_partition[:-1] = np.asarray(rows, dtype=np.float64)[:, border_dense]
 
     at_borders = np.asarray(cut_distances, dtype=np.float64)[:, flat.dense_ids(borders)]
     pair_i, pair_j, weights = nonredundant_pairs(in_partition, at_borders)
@@ -152,13 +155,14 @@ def nonredundant_pairs_batch(
     """Lines 7-16 of Algorithm 3 over ``g`` partitions of ``k`` borders each.
 
     ``in_partition`` is ``(g x k x k)``: partition ``p``'s within-partition
-    distances between its borders.  ``at_borders`` is ``(g x c x k)``:
-    partition ``p``'s cut vertices' distances at its borders, padded with
-    ``inf`` rows where ``p`` has fewer than ``c`` cut vertices (an ``inf``
-    row lowers no via-cut distance).  Returns the shortcuts as
-    ``(partition, i, j, weight)`` arrays, by partition and then ascending
-    ``(i, j)`` with ``i < j``; each partition's stretch is exactly what
-    the test over that partition alone returns.
+    distances between its borders, read only above the diagonal (so the
+    last row, which no pair reads, need not be searched).  ``at_borders``
+    is ``(g x c x k)``: partition ``p``'s cut vertices' distances at its
+    borders, padded with ``inf`` rows where ``p`` has fewer than ``c`` cut
+    vertices (an ``inf`` row lowers no via-cut distance).  Returns the
+    shortcuts as ``(partition, i, j, weight)`` arrays, by partition and
+    then ascending ``(i, j)`` with ``i < j``; each partition's stretch is
+    exactly what the test over that partition alone returns.
     """
     g, k = in_partition.shape[0], in_partition.shape[-1]
     # Lines 7-8: true distances, allowing travel through the cut.  For

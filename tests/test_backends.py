@@ -114,7 +114,8 @@ class TestBackendBitIdentity:
         assert labelling == heap_index.flat_labelling()
 
     def test_zero_weight_edges_are_delegated_and_exact(self):
-        """scipy drops explicit zeros; the csr backend must route around that."""
+        """Zero-weight ties make the flags depend on settle order, which only the
+        heap search pins down: the csr backend hands such snapshots to it."""
         edges = [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0), (3, 0, 2.0), (1, 3, 1.0), (2, 4, 1.0), (4, 0, 1.0)]
         graph = graph_from_edges(edges, num_vertices=5)
         flat = _flat_for(graph)

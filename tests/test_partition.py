@@ -181,7 +181,7 @@ class TestBalancedCut:
 #: (name, blocks): each block is ``(edges, vertex count, cut)``.  One
 #: block is a single snapshot, two are a stack of them.
 COMPONENT_TABLE = [
-    # zero-weight edges connect: scipy would drop them as explicit zeros
+    # zero-weight edges connect: the scan reads arcs, not their weights
     ("zero-weight-edges", [(
         [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.0), (3, 4, 0.0), (4, 5, 2.0), (6, 7, 0.0)],
         8, [3],
